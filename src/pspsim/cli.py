@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,6 +51,7 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 OUT_DIR_ENV = "PSPSIM_OUT_DIR"
+WORKERS_HELP = "accepted for config compatibility; currently has no effect"
 
 
 def _fmt(value):
@@ -133,14 +133,6 @@ def _write_manifest(path, command, resolved, duration, summary):
         fh.write("\n")
 
 
-def _parallel_map(func, items, workers):
-    """Ordered map; results follow input order regardless of completion order."""
-    if workers <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
-
-
 class _Config:
     """Layered option lookup: CLI flag, then config-file section, then default."""
 
@@ -213,8 +205,7 @@ def cmd_fig1(args):
 
     tasks = [(d, float(mu)) for d in d_list for mu in mus]
     start = time.time()
-    groups = _parallel_map(point, tasks, workers)
-    rows = [row for group in groups for row in group]
+    rows = [row for task in tasks for row in point(task)]
     header = ("quantity", "d", "mu", "value")
     _write_rows(out, fmt, header, rows)
     _self_validate(out, fmt, header, len(rows))
@@ -246,7 +237,7 @@ def cmd_fig4(args):
 
     tasks = [(d, j, float(mu)) for d in d_list for j in j_list for mu in mus]
     start = time.time()
-    rows = _parallel_map(point, tasks, workers)
+    rows = [point(task) for task in tasks]
     header = ("quantity", "d", "j", "mu", "value")
     _write_rows(out, fmt, header, rows)
     _self_validate(out, fmt, header, len(rows))
@@ -308,8 +299,7 @@ def cmd_fig5(args):
         specs.append((PSP_TRIGGERED, d, mu, 4.0 * d * d))
 
     start = time.time()
-    groups = _parallel_map(curve_rows, specs, workers)
-    rows = [row for group in groups for row in group]
+    rows = [row for spec in specs for row in curve_rows(spec)]
     header = ("protocol", "d", "mu", "nu", "distance_km", "rate")
     _write_rows(out, fmt, header, rows)
     _self_validate(out, fmt, header, len(rows))
@@ -423,7 +413,7 @@ def _add_sweep_flags(sub):
     sub.add_argument("--config", help="INI config file; section matches the subcommand")
     sub.add_argument("--out", help="output path (default: <cmd>.<format> in $%s or cwd)" % OUT_DIR_ENV)
     sub.add_argument("--format", choices=("csv", "json"), dest="format", default=None)
-    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     sub.add_argument("--mu-min", type=float, default=None)
     sub.add_argument("--mu-max", type=float, default=None)
     sub.add_argument("--mu-points", type=int, default=None)
@@ -452,7 +442,7 @@ def build_parser():
     p5.add_argument("--config")
     p5.add_argument("--out")
     p5.add_argument("--format", choices=("csv", "json"), default=None)
-    p5.add_argument("--workers", type=int, default=None)
+    p5.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p5.add_argument("--l-min", type=float, default=None)
     p5.add_argument("--l-max", type=float, default=None)
     p5.add_argument("--l-step", type=float, default=None)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pns import generation_probability
+from .pns import residue_masses
 from .states import CoherentSuperposition, FockVector, coherent_state, tensor, to_fock
 
 # Exponent conventions for the no-click trigger probability: the reference
@@ -81,7 +81,7 @@ def kerr_output_fock(g, cutoff=None):
 
 def herald_probabilities(g):
     """Probability N_{mu,j}/d^2 of heralding each j in 0..d-1; sums to 1."""
-    return np.array([generation_probability(g.mu, g.d, j) for j in range(g.d)])
+    return residue_masses(g.mu, g.d)
 
 
 def trigger_probability(g, j, convention=CONVENTION_PAPER):

@@ -17,52 +17,99 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .errors import DegenerateStateError
+from .errors import DegenerateStateError, TruncationError
 from .states import CoherentDyadOperator, CoherentSuperposition
 
 # Relative size at which the modular Poisson series stops adding terms.
 SERIES_RTOL = 1e-30
+# Largest photon number the series may reach; far above the mu of any
+# physical source, it turns a series that cannot converge (mu beyond it)
+# into a TruncationError instead of an endless loop.
+SERIES_MAX_N = 2**20
+# Photon numbers per residue in one block, and the most photon numbers one
+# block may hold, which bounds memory at very large d (blocks keep _CHUNK
+# rows up to d = 1024).
 _CHUNK = 64
+_MAX_BLOCK = 2**16
+# log(n!) for the photon numbers of a first block with d <= 64; looking them
+# up gives the same values as gammaln(n + 1) at a fraction of the cost.
+_LOG_FACTORIALS = gammaln(np.arange(_CHUNK * 64) + 1.0)
+
+
+def _validate_d(d):
+    if not (isinstance(d, (int, np.integer)) and d >= 1):
+        raise ValueError("d must be an integer >= 1")
 
 
 def _validate_dj(d, j):
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError("d must be an integer >= 1")
+    _validate_d(d)
     if not (isinstance(j, (int, np.integer)) and 0 <= j < d):
         raise ValueError("j must be an integer in [0, d)")
 
 
-def modular_poisson_mass(mu, d, j):
-    """Sum of Poisson(mu) masses over photon numbers n = j (mod d).
+def residue_masses(mu, d):
+    """Poisson(mu) masses M_r summed over photon numbers n = r (mod d), r = 0..d-1.
 
-    Terms are added in blocks until past the distribution mode and below
-    SERIES_RTOL of the running sum; each term is evaluated in log space.
+    One log-space pass over blocks of 64 d consecutive photon numbers (fewer
+    at d > 1024), each reshaped to (rows, d) so that column r holds the
+    block's n = r (mod d).
+    The pass stops once past the distribution mode with every residue's last
+    term at or below SERIES_RTOL of its running sum (so residues that
+    underflow to zero terminate), and raises TruncationError rather than
+    reach photon numbers above SERIES_MAX_N.
     """
-    _validate_dj(d, j)
+    _validate_d(d)
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
     if mu < 0:
         raise ValueError("mu must be nonnegative")
+    totals = np.zeros(d)
     if mu == 0:
-        return 1.0 if j == 0 else 0.0
-    total = 0.0
-    n0 = j
-    while True:
-        ns = n0 + d * np.arange(_CHUNK)
-        terms = np.exp(xlogy(ns, mu) - mu - gammaln(ns + 1.0))
-        total += float(terms.sum())
-        if ns[-1] > mu and terms[-1] < SERIES_RTOL * total:
-            return total
-        n0 = int(ns[-1]) + d
+        totals[0] = 1.0
+        return totals
+    log_mu = math.log(mu)
+    rows = min(_CHUNK, max(1, _MAX_BLOCK // d))
+    n0 = 0
+    while n0 <= SERIES_MAX_N:
+        ns = np.arange(n0, n0 + rows * d)
+        if ns[-1] < _LOG_FACTORIALS.size:
+            log_factorials = _LOG_FACTORIALS[n0:n0 + rows * d]
+        else:
+            log_factorials = gammaln(ns + 1.0)
+        # The transposed copy keeps each residue's terms contiguous, so their
+        # sum is taken in the same (pairwise) order as a one-residue series.
+        terms = np.exp(ns * log_mu - mu - log_factorials).reshape(rows, d).T.copy()
+        totals += terms.sum(axis=1)
+        # ns[-d] is residue 0's last photon number, the smallest of the d.
+        if ns[-d] > mu and (terms[:, -1] <= SERIES_RTOL * totals).all():
+            return totals
+        n0 += rows * d
+    raise TruncationError(
+        "modular Poisson series at mu=%.6g, d=%d needs photon numbers above %d"
+        % (mu, d, SERIES_MAX_N)
+    )
+
+
+def modular_poisson_mass(mu, d, j):
+    """Sum of Poisson(mu) masses over photon numbers n = j (mod d)."""
+    _validate_dj(d, j)
+    return float(residue_masses(mu, d)[j])
+
+
+def _nonzero_mass(mu, d, j):
+    mass = modular_poisson_mass(mu, d, j)
+    if mass == 0.0:
+        raise DegenerateStateError("state with j=%d is degenerate at mu=%.6g" % (j, mu))
+    return mass
 
 
 def normalization(mu, d, j):
     """Normalization N = d^2 e^{-mu} sum_{n = j mod d} mu^n / n!.
 
-    Raises DegenerateStateError when the state has zero norm (j != 0, mu = 0).
+    Raises DegenerateStateError when the state has zero norm (j != 0 at
+    mu = 0, or a residue mass that underflows to zero).
     """
-    mass = modular_poisson_mass(mu, d, j)
-    if mass == 0.0:
-        raise DegenerateStateError("state with j=%d is degenerate at mu=0" % j)
-    return d * d * mass
+    return d * d * _nonzero_mass(mu, d, j)
 
 
 def normalization_overlap_sum(mu, d, j):
@@ -125,9 +172,7 @@ def fidelity_to_number_state(p):
     """
     if p.d == math.inf:
         return 1.0
-    mass = modular_poisson_mass(p.mu, p.d, p.j)
-    if mass == 0.0:
-        raise DegenerateStateError("state with j=%d is degenerate at mu=0" % p.j)
+    mass = _nonzero_mass(p.mu, p.d, p.j)
     if p.mu == 0:
         return 1.0  # j = 0 at mu = 0 is the vacuum itself
     pmf = math.exp(float(xlogy(p.j, p.mu)) - p.mu - float(gammaln(p.j + 1.0)))

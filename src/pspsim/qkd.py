@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DegenerateStateError
 from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
-from .pns import modular_poisson_mass, normalization
-from .states import CoherentSuperposition, auto_cutoff, beam_splitter, vacuum_probability
+from .pns import _validate_dj, modular_poisson_mass, normalization, residue_masses
+from .states import CoherentSuperposition, beam_splitter, vacuum_probability
 
 WCS_NONDECOY = "wcs-nondecoy"
 WCS_DECOY = "wcs-decoy"
@@ -74,7 +74,6 @@ class ChannelParams:
 @dataclass(frozen=True)
 class ChannelStats:
     eta: float
-    yields: np.ndarray
     q_mu: float
     e_mu: float
 
@@ -110,24 +109,22 @@ def yield_n(c, n):
 
 
 def channel_stats(c, mu, source="wcs"):
-    """Transmittance, per-photon-number yields, gain and QBER at mean mu.
+    """Transmittance, gain Q_mu and QBER E_mu at mean photon number mu.
 
     A pseudo-number source partitions the same Poisson photon statistics by
     residue, so Q_mu and E_mu are identical for source="wcs" and "psp".
     """
     if source not in ("wcs", "psp"):
         raise ValueError("source must be 'wcs' or 'psp'")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ValueError("mu must be finite and nonnegative")
     eta = transmission(c)
     q = c.y0 + 1.0 - math.exp(-eta * mu)
     if q > 0:
         e = (c.e0 * c.y0 + c.e_det * (1.0 - math.exp(-eta * mu))) / q
     else:
         e = c.e0
-    ns = np.arange(auto_cutoff(mu) + 1)
-    yields = 1.0 - (1.0 - c.y0) * (1.0 - eta) ** ns
-    return ChannelStats(eta=eta, yields=yields, q_mu=q, e_mu=e)
+    return ChannelStats(eta=eta, q_mu=q, e_mu=e)
 
 
 def pseudo_state_yield(c, mu, d, j, model="exact"):
@@ -141,12 +138,13 @@ def pseudo_state_yield(c, mu, d, j, model="exact"):
         return yield_n(c, j)
     if model != "exact":
         raise ValueError("model must be 'exact' or 'dominant'")
+    _validate_dj(d, j)
     eta = transmission(c)
-    mass = modular_poisson_mass(mu, d, j)
+    mass = residue_masses(mu, d)[j]
     if mass == 0.0:
-        raise DegenerateStateError("state with j=%d is degenerate at mu=0" % j)
-    survival = math.exp(-mu * eta) * modular_poisson_mass(mu * (1.0 - eta), d, j) / mass
-    return 1.0 - (1.0 - c.y0) * survival
+        raise DegenerateStateError("state with j=%d is degenerate at mu=%.6g" % (j, mu))
+    survival = math.exp(-mu * eta) * residue_masses(mu * (1.0 - eta), d)[j] / mass
+    return float(1.0 - (1.0 - c.y0) * survival)
 
 
 def _bit_error(c, y):
@@ -289,7 +287,7 @@ def keyrate_nondecoy(c, mu, d=None):
         p_multi = 1.0 - math.exp(-mu) * (1.0 + mu)
     else:
         protocol = PSP_NONDECOY
-        p_multi = float(sum(modular_poisson_mass(mu, d, j) for j in range(2, d)))
+        p_multi = float(residue_masses(mu, d)[2:].sum())
     omega = (st.q_mu - p_multi) / st.q_mu
     diag = {"p_multi": p_multi, "omega": omega}
     if omega <= 0.0 or st.e_mu / omega >= 0.5:
@@ -384,9 +382,15 @@ def keyrate_psp_triggered(
         raise ValueError("mu must be positive")
     g = GenerationParams(mu=mu, nu=nu, d=d, eta_det=eta_trigger_det)
     st = channel_stats(c, mu)
-    probs = np.array([modular_poisson_mass(mu, d, j) for j in range(d)])
-    yields = np.array([pseudo_state_yield(c, mu, d, j, yield_model) for j in range(d)])
-    errors = np.array([_bit_error(c, y) for y in yields])
+    probs = residue_masses(mu, d)
+    if yield_model == "exact":  # pseudo_state_yield for every residue at once
+        if not probs.all():
+            raise DegenerateStateError("a residue of d=%d is degenerate at mu=%.6g" % (d, mu))
+        surv = residue_masses(mu * (1.0 - st.eta), d)
+        yields = 1.0 - (1.0 - c.y0) * (math.exp(-mu * st.eta) * surv / probs)
+    else:
+        yields = np.array([pseudo_state_yield(c, mu, d, j, yield_model) for j in range(d)])
+    errors = _bit_error(c, yields)
     eta_t = np.array([trigger_probability(g, j, convention) for j in range(d)])
     q_t = probs * eta_t * yields
     q_nt = probs * (1.0 - eta_t) * yields

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import eigh, expm, logm
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc
 
 from .errors import TruncationError
 
@@ -240,10 +238,12 @@ def auto_cutoff(lam, tail_tol=TAIL_TOL):
     """Smallest N with Poisson(lam) mass above N below tail_tol, plus guard levels."""
     if lam <= 0:
         return GUARD_LEVELS
-    n = int(poisson.isf(tail_tol, lam))
-    while poisson.sf(n, lam) >= tail_tol:
+    # pdtrc(n, lam) is the Poisson tail P(X > n); the two loops move any
+    # starting guess to the smallest n whose tail is below tail_tol.
+    n = int(lam)
+    while pdtrc(n, lam) >= tail_tol:
         n += 1
-    while n > 0 and poisson.sf(n - 1, lam) < tail_tol:
+    while n > 0 and pdtrc(n - 1, lam) < tail_tol:
         n -= 1
     return n + GUARD_LEVELS
 
@@ -258,10 +258,10 @@ def to_fock(state, cutoff=None, tail_tol=TAIL_TOL):
     lam = float(np.max(np.abs(state.labels) ** 2))
     if cutoff is None:
         cutoff = auto_cutoff(lam, tail_tol)
-    elif lam > 0 and poisson.sf(cutoff, lam) >= tail_tol:
+    elif lam > 0 and pdtrc(cutoff, lam) >= tail_tol:
         raise TruncationError(
             "cutoff %d keeps Poisson tail %.3e above %.3e at intensity %.6g"
-            % (cutoff, poisson.sf(cutoff, lam), tail_tol, lam)
+            % (cutoff, pdtrc(cutoff, lam), tail_tol, lam)
         )
     ns = np.arange(cutoff + 1)
     shape = (cutoff + 1,) * state.mode_count
@@ -288,6 +288,8 @@ def _bs_unitary(cutoff, variant):
     conserved, so the truncated generator stays anti-Hermitian and the result
     is unitary on the truncated space.
     """
+    from scipy.linalg import expm, logm  # oracle-only; kept out of the import path
+
     s = 1j if variant == "Y" else 1.0
     S = np.array([[1.0, s], [1.0, -s]], dtype=complex) / _SQRT2
     L = logm(S)
@@ -384,7 +386,7 @@ class CoherentDyadOperator:
         )
         if cutoff is None:
             cutoff = auto_cutoff(lam, tail_tol)
-        elif lam > 0 and poisson.sf(cutoff, lam) >= tail_tol:
+        elif lam > 0 and pdtrc(cutoff, lam) >= tail_tol:
             raise TruncationError("cutoff %d too small for intensity %.6g" % (cutoff, lam))
         ns = np.arange(cutoff + 1)
         dim = (cutoff + 1) ** self.mode_count
@@ -402,6 +404,8 @@ def uhlmann_fidelity(rho, sigma):
     Square-root convention: 1 for identical states, |<a|b>| for pure states.
     Negative eigenvalues from rounding are clipped at zero.
     """
+    from scipy.linalg import eigh  # oracle-only; kept out of the import path
+
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     w, v = eigh(rho)

@@ -16,9 +16,11 @@ from pspsim import (
     normalization,
     normalization_overlap_sum,
     pseudo_number_state,
+    residue_masses,
     to_fock,
     uhlmann_fidelity,
 )
+from pspsim import cli
 
 
 def mass_direct(mu, d, j, terms=400):
@@ -29,14 +31,71 @@ def mass_direct(mu, d, j, terms=400):
 
 
 def test_modular_poisson_mass_direct_and_complete():
-    for mu in (0.05, 0.5, 2.0, 10.0):
-        for d in (2, 4, 8):
-            total = 0.0
+    for mu in (1e-3, 0.05, 0.5, 2.0, 10.0, 30.0):
+        for d in (1, 2, 3, 4, 8, 36, 100):
+            masses = residue_masses(mu, d)
+            assert masses.shape == (d,)
             for j in range(d):
-                m = modular_poisson_mass(mu, d, j)
-                assert abs(m - mass_direct(mu, d, j)) < 1e-14
-                total += m
-            assert abs(total - 1.0) < 1e-12
+                assert abs(masses[j] - mass_direct(mu, d, j)) < 1e-14
+                assert modular_poisson_mass(mu, d, j) == masses[j]
+            assert abs(masses.sum() - 1.0) < 1e-12
+
+
+def test_residue_masses_edge_cases():
+    assert residue_masses(0.0, 4).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert residue_masses(0.0, 1).tolist() == [1.0]
+    for mu in (1e-3, 0.7, 25.0):
+        assert abs(residue_masses(mu, 1)[0] - 1.0) < 1e-14
+    for d in (5000, 70000):  # blocks shorter than 64 rows
+        masses = residue_masses(0.5, d)
+        assert abs(masses.sum() - 1.0) < 1e-15
+        for j in range(4):
+            assert abs(masses[j] - mass_direct(0.5, d, j)) < 1e-16
+    for bad_d in (0, -1, 2.0, None):
+        with pytest.raises(ValueError):
+            residue_masses(0.5, bad_d)
+    with pytest.raises(ValueError):
+        residue_masses(-0.1, 4)
+
+
+# The cases below test that the series terminates, so they run in a fresh
+# interpreter that the fixture kills on a hang instead of stalling the suite.
+
+
+@pytest.mark.parametrize("call, expect", [
+    # the residue's running sum is so small that SERIES_RTOL times it underflows
+    ("modular_poisson_mass(1e-300, 4, 1)", 1e-300),
+    ("normalization(1e-100, 4, 3)", 16.0 * 1e-300 / 6.0),
+])
+def test_series_terminates_at_tiny_mu(isolated, call, expect):
+    code, out = isolated("from pspsim import *; print(repr(%s))" % call)
+    assert code == 0
+    assert abs(float(out) - expect) < 1e-12 * expect
+
+
+def raised(call):
+    """Source that prints the name of the exception call raises."""
+    return ("from pspsim import *\ntry:\n    %s\nexcept Exception as exc:\n"
+            "    print(type(exc).__name__)" % call)
+
+
+@pytest.mark.parametrize("mu", ["float('nan')", "float('inf')"])
+def test_series_rejects_non_finite_mu(isolated, mu):
+    assert isolated(raised("modular_poisson_mass(%s, 4, 1)" % mu)) == (0, "ValueError")
+
+
+def test_underflowing_residue_is_degenerate(isolated):
+    # M_3 at mu = 1e-200 is mu^3/6 ~ 1e-600, which underflows to zero
+    assert isolated(raised("normalization(1e-200, 4, 3)")) == (0, "DegenerateStateError")
+
+
+def test_series_beyond_term_cap_is_a_truncation_error(isolated):
+    # the mode of Poisson(1e300) lies beyond any photon number the series may reach
+    assert isolated(raised("residue_masses(1e300, 4)")) == (0, "TruncationError")
+    code, _ = isolated(
+        "import sys; from pspsim import cli; "
+        "sys.exit(cli.main(['compute', 'normalization', '--mu', '1e300', '--d', '4']))")
+    assert code == cli.EXIT_NUMERICAL
 
 
 def test_normalization_series_vs_overlap_sum():

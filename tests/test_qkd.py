@@ -1,5 +1,6 @@
 """Channel model, encoding and measurement, and the five key-rate estimators."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from pspsim import (
     ChannelParams,
+    DegenerateStateError,
+    GenerationParams,
     PSP_NONDECOY,
     PSP_PASSIVE_DECOY,
     PSP_TRIGGERED,
@@ -29,6 +32,7 @@ from pspsim import (
     phase_set,
     pseudo_state_yield,
     transmission,
+    trigger_probability,
     yield_n,
 )
 
@@ -57,6 +61,17 @@ def test_channel_stats_short_and_long_distance():
     far = channel_stats(ChannelParams(distance_km=1000.0), 0.1)
     assert far.q_mu < 3e-6
     assert abs(far.e_mu - 0.5) < 1e-3
+
+
+def test_estimators_reject_non_finite_mu():
+    c = ChannelParams(distance_km=20.0)
+    for mu in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            channel_stats(c, mu)
+        with pytest.raises(ValueError):
+            keyrate_wcs_decoy(c, mu)
+        with pytest.raises(ValueError):
+            keyrate_psp_triggered(c, mu, 8, 256.0, 0.12)
 
 
 def test_channel_stats_source_equivalence():
@@ -202,6 +217,74 @@ def test_psp_triggered_frozen_point_and_upper_bound():
             t = keyrate_psp_triggered(ch, 0.45, 8, 256.0, 0.12,
                                       convention=convention)
             assert t.rate <= passive.rate + 1e-15
+
+
+def triggered_by_loop(c, mu, d, nu, eta_det, convention, yield_model):
+    """(q_t_mu, q_nt_mu, rate) of the triggered estimator, one residue at a time."""
+    g = GenerationParams(mu=mu, nu=nu, d=d, eta_det=eta_det)
+    probs = [modular_poisson_mass(mu, d, j) for j in range(d)]
+    yields = [pseudo_state_yield(c, mu, d, j, yield_model) for j in range(d)]
+    eta_t = [trigger_probability(g, j, convention) for j in range(d)]
+    q_t = [p * t * y for p, t, y in zip(probs, eta_t, yields)]
+    q_nt = [p * (1.0 - t) * y for p, t, y in zip(probs, eta_t, yields)]
+    q_t_mu, q_nt_mu = float(np.sum(q_t)), float(np.sum(q_nt))
+    errors = [(c.e0 - c.e_det) * (c.y0 / y) + c.e_det for y in yields]
+    e_t_mu = float(np.sum(np.multiply(q_t, errors)) / q_t_mu)
+    r = q_t_mu / q_nt_mu
+    bound = (r - eta_t[0] / (1.0 - eta_t[0])) * q_nt_mu
+    if bound <= 0.0 or r * e_t_mu * q_nt_mu / bound >= 0.5:
+        return q_t_mu, q_nt_mu, 0.0
+    delta1 = (1.0 - basis_fidelity_bound(mu / 2.0, d, 1)) / (2.0 * yields[1])
+    if delta1 > 0.5:
+        return q_t_mu, q_nt_mu, 0.0
+    e_p1_max = phase_error_upper(r * e_t_mu * q_nt_mu / bound, delta1)
+    if e_p1_max >= 0.5:
+        return q_t_mu, q_nt_mu, 0.0
+    rate = max(0.0, -c.f * q_t_mu * binary_entropy(e_t_mu)
+               + bound * (1.0 - binary_entropy(e_p1_max)))
+    return q_t_mu, q_nt_mu, rate
+
+
+def test_psp_triggered_vectorized_matches_per_residue_loop():
+    positive = 0
+    for yield_model, convention, L, mu, d in itertools.product(
+            ("exact", "dominant"), ("paper", "recomputed"), (0.0, 40.0, 100.0),
+            (0.05, 0.45, 2.0), (4, 8, 36)):
+        c = ChannelParams(distance_km=L)
+        res = keyrate_psp_triggered(c, mu, d, 4.0 * d * d, 0.12, convention,
+                                    yield_model=yield_model)
+        q_t, q_nt, rate = triggered_by_loop(c, mu, d, 4.0 * d * d, 0.12, convention,
+                                            yield_model)
+        assert abs(res.diagnostics["q_t_mu"] - q_t) <= 1e-15 * q_t
+        assert abs(res.diagnostics["q_nt_mu"] - q_nt) <= 1e-15 * q_nt
+        assert abs(res.rate - rate) <= 1e-15 * rate
+        positive += rate > 0.0
+    assert positive > 20
+
+
+def test_degenerate_residues_raise_only_for_the_exact_yield_model(isolated):
+    c = ChannelParams(distance_km=40.0)
+    with pytest.raises(DegenerateStateError):
+        pseudo_state_yield(c, 0.0, 4, 1)
+    # At mu = 1e-200 every residue above j = 1 underflows to zero mass; the
+    # fresh interpreter turns a series that fails to terminate into a failure.
+    code, out = isolated(
+        "from pspsim import *\n"
+        "c = ChannelParams(distance_km=40.0)\n"
+        "for model in ('exact', 'dominant'):\n"
+        "    for call in (lambda: pseudo_state_yield(c, 1e-200, 4, 2, model),\n"
+        "                 lambda: keyrate_psp_triggered(c, 1e-200, 4, 64.0, 0.12,\n"
+        "                                               yield_model=model).rate):\n"
+        "        try:\n"
+        "            print(repr(call()))\n"
+        "        except DegenerateStateError:\n"
+        "            print('DegenerateStateError')\n"
+        "print(repr(yield_n(c, 2)))\n")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[:2] == ["DegenerateStateError"] * 2
+    assert lines[2] == lines[4]  # the dominant model is the lowest-photon yield
+    assert lines[3] == "0.0"
 
 
 def test_psp_triggered_gain_bound_consistency():

@@ -119,6 +119,31 @@ def test_auto_cutoff_covers_poisson_tail():
         assert poisson.sf(c - 2, lam) < 1e-12
 
 
+def reference_cutoff(lam, tail_tol=1e-14, guard=2):
+    """The cutoff rule evaluated with scipy.stats.poisson."""
+    from scipy.stats import poisson
+
+    n = int(poisson.isf(tail_tol, lam))
+    while poisson.sf(n, lam) >= tail_tol:
+        n += 1
+    while n > 0 and poisson.sf(n - 1, lam) < tail_tol:
+        n -= 1
+    return n + guard
+
+
+def test_auto_cutoff_matches_scipy_stats_reference():
+    for lam in np.logspace(-4, 3, 120):
+        assert auto_cutoff(lam) == reference_cutoff(lam)
+    for lam in (0.3, 7.0):
+        assert auto_cutoff(lam, 1e-6) == reference_cutoff(lam, 1e-6)
+
+
+def test_import_skips_scipy_stats_and_linalg(isolated):
+    # both are slow to import, and only the oracles in states need scipy.linalg
+    assert isolated("import sys, pspsim; print(sorted(m for m in ('scipy.stats', "
+                    "'scipy.linalg') if m in sys.modules))") == (0, "[]")
+
+
 def test_to_fock_truncation_guard():
     s = coherent_state(3.0)
     with pytest.raises(TruncationError):
