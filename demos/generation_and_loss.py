@@ -51,9 +51,9 @@ def two_term_matrix(p, eta, weights, cutoff):
     return rho
 
 
-# Fidelities from the matrix square roots are good to about 1e-8, so the
-# tiny negative (1-F)/x^2 entries are rounding; at d = 2 and 8 the dropped
-# branches carry (almost) no mass.
+# Fidelities from the matrix square roots are good to about 1e-8 and are
+# clamped to [0, 1], so entries of exactly 1 mean "within rounding"; at d = 2
+# and 8 the dropped branches carry (almost) no mass.
 print()
 print("loss at eta=0.9 on the j=1 state: exact output vs two-term mixture")
 print("   mu   d    F(exact, two-term)   (1-F)/x^2")

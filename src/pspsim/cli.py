@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateStateError, NumericalDiagnosticError, TruncationError
+from .errors import NumericalDiagnosticError, TruncationError
 from .pns import PSPParams, fidelity_to_number_state, normalization
 from .metrics import g2_zero_closed, hom
 from .generation import GenerationParams, herald_probabilities, trigger_probability
@@ -62,61 +62,42 @@ def _fmt(value):
 
 
 def _resolve_out(path, default_name):
-    if path is None:
-        path = default_name
-    if not os.path.isabs(path) and os.sep not in path:
-        base = os.environ.get(OUT_DIR_ENV, "")
-        if base:
-            path = os.path.join(base, path)
+    path = default_name if path is None else path
+    base = os.environ.get(OUT_DIR_ENV, "")
+    if base and not os.path.isabs(path) and os.sep not in path:
+        path = os.path.join(base, path)
     return path
 
 
 def _write_rows(path, fmt, header, rows):
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
+        if fmt == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-    else:
-        with open(path, "w") as fh:
-            fh.write("[\n")
-            for i, row in enumerate(rows):
-                cells = []
-                for key, value in zip(header, row):
-                    if isinstance(value, float):
-                        cells.append('"%s": %s' % (key, _fmt(value)))
-                    elif isinstance(value, (int, np.integer)):
-                        cells.append('"%s": %d' % (key, value))
-                    else:
-                        cells.append('"%s": %s' % (key, json.dumps(value)))
-                fh.write("  {%s}%s\n" % (", ".join(cells), "," if i + 1 < len(rows) else ""))
-            fh.write("]\n")
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+            return
+        fh.write("[\n")
+        for i, row in enumerate(rows):
+            cells = ", ".join('"%s": %s' % (k, json.dumps(v) if isinstance(v, str) else _fmt(v))
+                              for k, v in zip(header, row))
+            fh.write("  {%s}%s\n" % (cells, "," if i + 1 < len(rows) else ""))
+        fh.write("]\n")
 
 
 def _self_validate(path, fmt, header, n_rows):
     """Re-parse the emitted file and check the schema before declaring success."""
-    if fmt == "csv":
-        with open(path, newline="") as fh:
+    with open(path, newline="") as fh:
+        if fmt == "csv":
             reader = csv.reader(fh)
-            got_header = next(reader)
-            if got_header != list(header):
-                raise OSError("self-validation failed: header mismatch in %s" % path)
-            count = 0
-            for row in reader:
-                if len(row) != len(header):
-                    raise OSError("self-validation failed: ragged row in %s" % path)
-                count += 1
-        if count != n_rows:
-            raise OSError("self-validation failed: row count %d != %d" % (count, n_rows))
-    else:
-        with open(path) as fh:
-            data = json.load(fh)
-        if len(data) != n_rows:
-            raise OSError("self-validation failed: %d entries != %d" % (len(data), n_rows))
-        for entry in data:
-            if set(entry) != set(header):
-                raise OSError("self-validation failed: key mismatch in %s" % path)
+            header_ok = next(reader, None) == list(header)
+            rows_ok = [len(row) == len(header) for row in reader]
+        else:
+            header_ok = True
+            rows_ok = [set(entry) == set(header) for entry in json.load(fh)]
+    if not (header_ok and all(rows_ok)):
+        raise OSError("self-validation failed: rows do not match the header in %s" % path)
+    if len(rows_ok) != n_rows:
+        raise OSError("self-validation failed: row count %d != %d" % (len(rows_ok), n_rows))
 
 
 def _write_manifest(path, command, resolved, duration, summary):
@@ -138,120 +119,60 @@ class _Config:
 
     def __init__(self, args, section):
         self.args = args
-        self.parser = configparser.ConfigParser()
-        if getattr(args, "config", None):
-            read = self.parser.read(args.config)
-            if not read:
-                raise OSError("config file not found: %s" % args.config)
         self.section = section
-
-    def _file_get(self, key):
-        if self.parser.has_option(self.section, key):
-            return self.parser.get(self.section, key)
-        if self.parser.has_option("common", key):
-            return self.parser.get("common", key)
-        return None
+        self.parser = configparser.ConfigParser()
+        if getattr(args, "config", None) and not self.parser.read(args.config):
+            raise OSError("config file not found: %s" % args.config)
 
     def get(self, key, default, cast=str):
+        """A list default makes the file value a comma- or space-separated list."""
         cli = getattr(self.args, key.replace("-", "_"), None)
         if cli is not None:
             return cli
-        raw = self._file_get(key)
+        raw = self.parser.get(self.section, key,
+                              fallback=self.parser.get("common", key, fallback=None))
         if raw is None:
             return default
+        if isinstance(default, list):
+            return [cast(tok) for tok in raw.replace(",", " ").split()]
         if cast is bool:
             return raw.strip().lower() in ("1", "true", "yes", "on")
         return cast(raw)
 
-    def get_list(self, key, default, cast=float):
-        cli = getattr(self.args, key.replace("-", "_"), None)
-        if cli is not None:
-            return cli
-        raw = self._file_get(key)
-        if raw is None:
-            return default
-        return [cast(tok) for tok in raw.replace(",", " ").split()]
 
-
-def _mu_grid(cfg, default_min, default_max, default_points, log=True):
+def _mu_grid(cfg, default_min, default_max):
+    """Log-spaced mu grid and its manifest entries."""
     lo = cfg.get("mu-min", default_min, float)
     hi = cfg.get("mu-max", default_max, float)
-    n = cfg.get("mu-points", default_points, int)
+    n = cfg.get("mu-points", 200, int)
     if not (0 < lo < hi) or n < 2:
         raise ValueError("mu grid requires 0 < mu-min < mu-max and >= 2 points")
-    if log:
-        return np.logspace(math.log10(lo), math.log10(hi), n)
-    return np.linspace(lo, hi, n)
+    mus = np.logspace(math.log10(lo), math.log10(hi), n)
+    return mus, {"mu_min": float(mus[0]), "mu_max": float(mus[-1]), "mu_points": n}
 
 
-def cmd_fig1(args):
-    cfg = _Config(args, "fig1")
-    mus = _mu_grid(cfg, 0.01, 20.0, 200)
-    d_list = [int(v) for v in cfg.get_list("d-list", [4, 8, 12], int)]
-    fmt = cfg.get("format", "csv")
-    workers = cfg.get("workers", 1, int)
-    out = _resolve_out(cfg.get("out", None), "fig1.%s" % fmt)
-
-    def point(task):
-        d, mu = task
-        p = PSPParams(mu=mu, d=d, j=1)
-        r = hom(p, p)
-        return (
-            ("fidelity", d, mu, fidelity_to_number_state(p)),
-            ("g2", d, mu, g2_zero_closed(mu, d)),
-            ("p11", d, mu, r.p11),
-            ("f2002", d, mu, r.f2002),
-        )
-
-    tasks = [(d, float(mu)) for d in d_list for mu in mus]
-    start = time.time()
-    rows = [row for task in tasks for row in point(task)]
-    header = ("quantity", "d", "mu", "value")
-    _write_rows(out, fmt, header, rows)
-    _self_validate(out, fmt, header, len(rows))
-    summary = {
-        "points": len(rows),
-        "value_min": min(r[3] for r in rows),
-        "value_max": max(r[3] for r in rows),
-    }
-    _write_manifest(out, "fig1", {
-        "mu_min": float(mus[0]), "mu_max": float(mus[-1]), "mu_points": len(mus),
-        "d_list": d_list, "format": fmt, "workers": workers, "out": out,
-    }, time.time() - start, summary)
-    print("wrote %s (%d rows)" % (out, len(rows)))
-    return EXIT_OK
+def _fig1_rows(cfg):
+    mus, resolved = _mu_grid(cfg, 0.01, 20.0)
+    d_list = resolved["d_list"] = cfg.get("d-list", [4, 8, 12], int)
+    rows = []
+    for d in d_list:
+        for mu in map(float, mus):
+            p = PSPParams(mu=mu, d=d, j=1)
+            r = hom(p, p)
+            rows += [("fidelity", d, mu, fidelity_to_number_state(p)),
+                     ("g2", d, mu, g2_zero_closed(mu, d)),
+                     ("p11", d, mu, r.p11),
+                     ("f2002", d, mu, r.f2002)]
+    return ("quantity", "d", "mu", "value"), rows, resolved
 
 
-def cmd_fig4(args):
-    cfg = _Config(args, "fig4")
-    mus = _mu_grid(cfg, 0.001, 1.0, 200)
-    d_list = [int(v) for v in cfg.get_list("d-list", [4, 8], int)]
-    j_list = [int(v) for v in cfg.get_list("j-list", [0, 1], int)]
-    fmt = cfg.get("format", "csv")
-    workers = cfg.get("workers", 1, int)
-    out = _resolve_out(cfg.get("out", None), "fig4.%s" % fmt)
-
-    def point(task):
-        d, j, mu = task
-        return ("basis_fidelity", d, j, mu, basis_fidelity_bound(mu, d, j))
-
-    tasks = [(d, j, float(mu)) for d in d_list for j in j_list for mu in mus]
-    start = time.time()
-    rows = [point(task) for task in tasks]
-    header = ("quantity", "d", "j", "mu", "value")
-    _write_rows(out, fmt, header, rows)
-    _self_validate(out, fmt, header, len(rows))
-    summary = {
-        "points": len(rows),
-        "value_min": min(r[4] for r in rows),
-        "value_max": max(r[4] for r in rows),
-    }
-    _write_manifest(out, "fig4", {
-        "mu_min": float(mus[0]), "mu_max": float(mus[-1]), "mu_points": len(mus),
-        "d_list": d_list, "j_list": j_list, "format": fmt, "workers": workers, "out": out,
-    }, time.time() - start, summary)
-    print("wrote %s (%d rows)" % (out, len(rows)))
-    return EXIT_OK
+def _fig4_rows(cfg):
+    mus, resolved = _mu_grid(cfg, 0.001, 1.0)
+    d_list = resolved["d_list"] = cfg.get("d-list", [4, 8], int)
+    j_list = resolved["j_list"] = cfg.get("j-list", [0, 1], int)
+    rows = [("basis_fidelity", d, j, float(mu), basis_fidelity_bound(float(mu), d, j))
+            for d in d_list for j in j_list for mu in mus]
+    return ("quantity", "d", "j", "mu", "value"), rows, resolved
 
 
 # Reference curves for the distance sweep: (d, source mu) with mu near the
@@ -259,113 +180,118 @@ def cmd_fig4(args):
 FIG5_PSP_CURVES = ((4, 0.08), (8, 0.45), (36, 1.0))
 
 
-def cmd_fig5(args):
-    cfg = _Config(args, "fig5")
+def _fig5_rows(cfg):
     l_min = cfg.get("l-min", 0.0, float)
     l_max = cfg.get("l-max", 100.0, float)
     l_step = cfg.get("l-step", 1.0, float)
     if l_step <= 0 or l_max < l_min:
         raise ValueError("distance grid requires l-step > 0 and l-max >= l-min")
-    fmt = cfg.get("format", "csv")
-    workers = cfg.get("workers", 1, int)
-    optimize = bool(cfg.get("optimize-mu", False, bool))
+    optimize = cfg.get("optimize-mu", False, bool)
     convention = cfg.get("trigger-convention", "paper")
     eta_trig = cfg.get("eta-trigger-det", 0.12, float)
-    out = _resolve_out(cfg.get("out", None), "fig5.%s" % fmt)
     distances = np.arange(l_min, l_max + l_step / 2, l_step)
     opt_grid = np.arange(0.05, 2.0001, 0.05)
 
-    def curve_rows(spec):
-        protocol, d, mu, nu = spec
-        rows = []
+    trigger = {"eta_trigger_det": eta_trig, "convention": convention}
+    specs = [(WCS_DECOY, None, None, {})]
+    specs += [(PSP_PASSIVE_DECOY, d, mu, {}) for d, mu in FIG5_PSP_CURVES]
+    specs += [(PSP_TRIGGERED, d, mu, dict(trigger, nu=4.0 * d * d)) for d, mu in FIG5_PSP_CURVES]
+    rows = []
+    for protocol, d, mu, kwargs in specs:
         for L in distances:
             c = ChannelParams(distance_km=float(L))
-            kwargs = {}
-            if protocol == PSP_TRIGGERED:
-                kwargs = {"nu": nu, "eta_trigger_det": eta_trig, "convention": convention}
-            if optimize or (protocol == WCS_DECOY and mu is None):
+            if optimize or mu is None:
                 mu_star, res = optimize_mu(c, d, protocol, opt_grid, **kwargs)
             else:
                 mu_star = mu
                 res = keyrate_for_protocol(protocol, c, mu, d, **kwargs)
             rows.append((protocol, 0 if d is None else d, float(mu_star),
-                         0.0 if nu is None else nu, float(L), res.rate))
-        return rows
+                         kwargs.get("nu", 0.0), float(L), res.rate))
+    resolved = {"l_min": l_min, "l_max": l_max, "l_step": l_step, "optimize_mu": optimize,
+                "trigger_convention": convention, "eta_trigger_det": eta_trig}
+    return ("protocol", "d", "mu", "nu", "distance_km", "rate"), rows, resolved
 
-    specs = [(WCS_DECOY, None, None, None)]
-    for d, mu in FIG5_PSP_CURVES:
-        specs.append((PSP_PASSIVE_DECOY, d, mu, None))
-    for d, mu in FIG5_PSP_CURVES:
-        specs.append((PSP_TRIGGERED, d, mu, 4.0 * d * d))
 
+# Figure datasets: each row function maps the layered config to (header, rows,
+# resolved config); the last column of every row is the plotted value.
+DATASETS = {"fig1": _fig1_rows, "fig4": _fig4_rows, "fig5": _fig5_rows}
+
+
+def cmd_dataset(args):
+    """Build one figure dataset, write it, re-read it and write its manifest."""
+    cfg = _Config(args, args.command)
+    fmt = cfg.get("format", "csv")
+    workers = cfg.get("workers", 1, int)
+    out = _resolve_out(cfg.get("out", None), "%s.%s" % (args.command, fmt))
     start = time.time()
-    rows = [row for spec in specs for row in curve_rows(spec)]
-    header = ("protocol", "d", "mu", "nu", "distance_km", "rate")
+    header, rows, resolved = DATASETS[args.command](cfg)
     _write_rows(out, fmt, header, rows)
     _self_validate(out, fmt, header, len(rows))
+    values = [row[-1] for row in rows]
     summary = {
         "points": len(rows),
-        "positive_rates": int(sum(1 for r in rows if r[5] > 0)),
-        "rate_max": max(r[5] for r in rows),
+        "value_min": min(values),
+        "value_max": max(values),
+        "positive_values": sum(1 for v in values if v > 0),
     }
-    _write_manifest(out, "fig5", {
-        "l_min": float(l_min), "l_max": float(l_max), "l_step": float(l_step),
-        "optimize_mu": optimize, "trigger_convention": convention,
-        "eta_trigger_det": eta_trig, "format": fmt, "workers": workers, "out": out,
-    }, time.time() - start, summary)
+    resolved.update(format=fmt, workers=workers, out=out)
+    _write_manifest(out, args.command, resolved, time.time() - start, summary)
     print("wrote %s (%d rows)" % (out, len(rows)))
     return EXIT_OK
 
 
-def _compute_value(args):
-    q = args.quantity
-    if q == "g2":
-        return g2_zero_closed(args.mu, args.d), {"mu": args.mu, "d": args.d}
-    if q == "fidelity":
-        p = PSPParams(mu=args.mu, d=args.d, j=args.j)
-        return fidelity_to_number_state(p), {"mu": args.mu, "d": args.d, "j": args.j}
-    if q == "normalization":
-        return normalization(args.mu, args.d, args.j), {"mu": args.mu, "d": args.d, "j": args.j}
-    if q in ("p11", "f2002"):
-        mu2 = args.mu if args.mu2 is None else args.mu2
-        d2 = args.d if args.d2 is None else args.d2
-        r = hom(PSPParams(mu=args.mu, d=args.d, j=1, delta=args.delta),
-                PSPParams(mu=mu2, d=d2, j=1, delta=args.delta2))
-        value = r.p11 if q == "p11" else r.f2002
-        return value, {"mu": args.mu, "d": args.d, "mu2": mu2, "d2": d2,
-                       "delta": args.delta, "delta2": args.delta2}
-    if q == "basis-fidelity":
-        return basis_fidelity_bound(args.mu, args.d, args.j), \
-            {"mu": args.mu, "d": args.d, "j": args.j}
-    if q == "herald":
-        g = GenerationParams(mu=args.mu, nu=args.nu, d=args.d, eta_det=args.eta_det)
-        probs = herald_probabilities(g)
-        return probs[args.j], {"mu": args.mu, "nu": args.nu, "d": args.d, "j": args.j}
-    if q == "trigger":
-        g = GenerationParams(mu=args.mu, nu=args.nu, d=args.d, eta_det=args.eta_det)
-        return trigger_probability(g, args.j, convention=args.trigger_convention), \
-            {"nu": args.nu, "d": args.d, "j": args.j, "convention": args.trigger_convention}
-    if q == "encoding-error":
-        # Worst-case conditional wrong-port probability over the four signal
-        # states when each is read in its own basis.  The intended ports in
-        # list order are (0, 1, 1, 0); the set choice only moves the fourth.
-        worst = 0.0
-        for i, k in enumerate(phase_set(args.d, args.phase_set)):
-            p0, p1, _, _ = measure_bb84(encoded_state(args.mu, args.d, args.j, k),
-                                        "X" if i % 2 == 0 else "Y")
-            wrong = p1 if i in (0, 3) else p0
-            if p0 + p1 > 0.0:
-                worst = max(worst, wrong / (p0 + p1))
-        return worst, {"mu": args.mu, "d": args.d, "j": args.j,
-                       "phase_set": args.phase_set}
-    raise ValueError("unknown quantity: %s" % q)
+def _hom(args):
+    return hom(PSPParams(mu=args.mu, d=args.d, j=1, delta=args.delta),
+               PSPParams(mu=args.mu2, d=args.d2, j=1, delta=args.delta2))
+
+
+def _generation(args):
+    return GenerationParams(mu=args.mu, nu=args.nu, d=args.d, eta_det=args.eta_det)
+
+
+def _encoding_error(args):
+    # Worst-case conditional wrong-port probability over the four signal
+    # states when each is read in its own basis.  The intended ports in
+    # list order are (0, 1, 1, 0); the set choice only moves the fourth.
+    worst = 0.0
+    for i, k in enumerate(phase_set(args.d, args.phase_set)):
+        p0, p1, _, _ = measure_bb84(encoded_state(args.mu, args.d, args.j, k),
+                                    "X" if i % 2 == 0 else "Y")
+        wrong = p1 if i in (0, 3) else p0
+        if p0 + p1 > 0.0:
+            worst = max(worst, wrong / (p0 + p1))
+    return worst
+
+
+# compute quantities: (evaluate(args), names of the args echoed as params).
+# The lambdas look library functions up at call time, so a patched module
+# attribute is what gets called.
+_MDJ = ("mu", "d", "j")
+_HOM_PARAMS = ("mu", "d", "mu2", "d2", "delta", "delta2")
+QUANTITIES = {
+    "fidelity": (lambda a: fidelity_to_number_state(PSPParams(mu=a.mu, d=a.d, j=a.j)), _MDJ),
+    "g2": (lambda a: g2_zero_closed(a.mu, a.d), ("mu", "d")),
+    "p11": (lambda a: _hom(a).p11, _HOM_PARAMS),
+    "f2002": (lambda a: _hom(a).f2002, _HOM_PARAMS),
+    "basis-fidelity": (lambda a: basis_fidelity_bound(a.mu, a.d, a.j), _MDJ),
+    "normalization": (lambda a: normalization(a.mu, a.d, a.j), _MDJ),
+    "herald": (lambda a: herald_probabilities(_generation(a))[a.j], ("mu", "nu", "d", "j")),
+    "trigger": (lambda a: trigger_probability(_generation(a), a.j, convention=a.convention),
+                ("nu", "d", "j", "convention")),
+    "encoding-error": (_encoding_error, _MDJ + ("phase_set",)),
+}
 
 
 def cmd_compute(args):
-    value, params = _compute_value(args)
-    print(_fmt(float(value)))
-    print(json.dumps({"quantity": args.quantity, "value": float(value),
-                      "params": params}, sort_keys=True))
+    # the second HOM input defaults to the first
+    args.mu2 = args.mu if args.mu2 is None else args.mu2
+    args.d2 = args.d if args.d2 is None else args.d2
+    evaluate, names = QUANTITIES[args.quantity]
+    value = float(evaluate(args))
+    print(_fmt(value))
+    print(json.dumps({"quantity": args.quantity, "value": value,
+                      "params": {name: getattr(args, name) for name in names}},
+                     sort_keys=True))
     return EXIT_OK
 
 
@@ -373,20 +299,18 @@ def cmd_keyrate(args):
     c = ChannelParams(distance_km=args.L, f=args.f, eta_bob=args.eta_bob,
                       y0=args.y0, e_det=args.e_det)
     kwargs = {}
-    if args.protocol == PSP_TRIGGERED:
-        nu = args.nu if args.nu is not None else 4.0 * args.d * args.d
-        kwargs = {"nu": nu, "eta_trigger_det": args.eta_trigger_det,
-                  "convention": args.trigger_convention}
     if args.protocol in (PSP_PASSIVE_DECOY, PSP_TRIGGERED):
-        kwargs["basis_mu"] = args.basis_mu
-        kwargs["yield_model"] = args.yield_model
+        kwargs = {"basis_mu": args.basis_mu, "yield_model": args.yield_model}
+    if args.protocol == PSP_TRIGGERED:
+        kwargs.update(nu=4.0 * args.d * args.d if args.nu is None else args.nu,
+                      eta_trigger_det=args.eta_trigger_det, convention=args.convention)
     if args.optimize_mu:
         grid = np.arange(args.mu_grid_min, args.mu_grid_max + args.mu_grid_step / 2,
                          args.mu_grid_step)
         mu_star, res = optimize_mu(c, args.d, args.protocol, grid, **kwargs)
+    elif args.mu is None:
+        raise ValueError("--mu is required unless --optimize-mu is given")
     else:
-        if args.mu is None:
-            raise ValueError("--mu is required unless --optimize-mu is given")
         mu_star = args.mu
         res = keyrate_for_protocol(args.protocol, c, args.mu, args.d, **kwargs)
     report = {
@@ -403,20 +327,9 @@ def cmd_keyrate(args):
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        path = _resolve_out(args.out, "keyrate.json")
-        with open(path, "w") as fh:
+        with open(_resolve_out(args.out, "keyrate.json"), "w") as fh:
             fh.write(text + "\n")
     return EXIT_OK
-
-
-def _add_sweep_flags(sub):
-    sub.add_argument("--config", help="INI config file; section matches the subcommand")
-    sub.add_argument("--out", help="output path (default: <cmd>.<format> in $%s or cwd)" % OUT_DIR_ENV)
-    sub.add_argument("--format", choices=("csv", "json"), dest="format", default=None)
-    sub.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
-    sub.add_argument("--mu-min", type=float, default=None)
-    sub.add_argument("--mu-max", type=float, default=None)
-    sub.add_argument("--mu-points", type=int, default=None)
 
 
 def build_parser():
@@ -427,34 +340,31 @@ def build_parser():
     parser.add_argument("--version", action="version", version="pspsim %s" % __version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p1 = subs.add_parser("fig1", help="fidelity/g2/p11/f2002 vs mu dataset")
-    _add_sweep_flags(p1)
-    p1.add_argument("--d-list", type=int, nargs="+", default=None)
-    p1.set_defaults(func=cmd_fig1)
-
-    p4 = subs.add_parser("fig4", help="basis-indistinguishability bound dataset")
-    _add_sweep_flags(p4)
-    p4.add_argument("--d-list", type=int, nargs="+", default=None)
-    p4.add_argument("--j-list", type=int, nargs="+", default=None)
-    p4.set_defaults(func=cmd_fig4)
-
-    p5 = subs.add_parser("fig5", help="key rate vs distance dataset")
-    p5.add_argument("--config")
-    p5.add_argument("--out")
-    p5.add_argument("--format", choices=("csv", "json"), default=None)
-    p5.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
-    p5.add_argument("--l-min", type=float, default=None)
-    p5.add_argument("--l-max", type=float, default=None)
-    p5.add_argument("--l-step", type=float, default=None)
+    sweeps = {}
+    for name, text in (("fig1", "fidelity/g2/p11/f2002 vs mu dataset"),
+                       ("fig4", "basis-indistinguishability bound dataset"),
+                       ("fig5", "key rate vs distance dataset")):
+        sub = sweeps[name] = subs.add_parser(name, help=text)
+        sub.add_argument("--config", help="INI config file; section matches the subcommand")
+        sub.add_argument("--out", help="output path (default: <cmd>.<format> in $%s or cwd)"
+                         % OUT_DIR_ENV)
+        sub.add_argument("--format", choices=("csv", "json"))
+        sub.add_argument("--workers", type=int, help=WORKERS_HELP)
+        sub.set_defaults(func=cmd_dataset)
+    for name in ("fig1", "fig4"):
+        for flag, kind in (("--mu-min", float), ("--mu-max", float), ("--mu-points", int)):
+            sweeps[name].add_argument(flag, type=kind)
+        sweeps[name].add_argument("--d-list", type=int, nargs="+")
+    sweeps["fig4"].add_argument("--j-list", type=int, nargs="+")
+    p5 = sweeps["fig5"]
+    for flag in ("--l-min", "--l-max", "--l-step"):
+        p5.add_argument(flag, type=float)
     p5.add_argument("--optimize-mu", action="store_true", default=None)
-    p5.add_argument("--trigger-convention", choices=("paper", "recomputed"), default=None)
-    p5.add_argument("--eta-trigger-det", type=float, default=None)
-    p5.set_defaults(func=cmd_fig5)
+    p5.add_argument("--trigger-convention", choices=("paper", "recomputed"))
+    p5.add_argument("--eta-trigger-det", type=float)
 
     pc = subs.add_parser("compute", help="evaluate one quantity")
-    pc.add_argument("quantity", choices=("fidelity", "g2", "p11", "f2002",
-                                         "basis-fidelity", "normalization",
-                                         "herald", "trigger", "encoding-error"))
+    pc.add_argument("quantity", choices=tuple(QUANTITIES))
     pc.add_argument("--mu", type=float, default=0.1)
     pc.add_argument("--d", type=int, required=True)
     pc.add_argument("--j", type=int, default=1)
@@ -464,8 +374,6 @@ def build_parser():
     pc.add_argument("--delta2", type=float, default=0.0)
     pc.add_argument("--nu", type=float, default=100.0)
     pc.add_argument("--eta-det", type=float, default=0.12)
-    pc.add_argument("--trigger-convention", choices=("paper", "recomputed"),
-                    default="paper")
     pc.add_argument("--phase-set", choices=("standard", "paper-literal"),
                     default="standard")
     pc.set_defaults(func=cmd_compute)
@@ -483,34 +391,29 @@ def build_parser():
     pk.add_argument("--basis-mu", choices=("half", "full"), default="half")
     pk.add_argument("--yield-model", choices=("exact", "dominant"), default="exact")
     pk.add_argument("--eta-trigger-det", type=float, default=0.12)
-    pk.add_argument("--trigger-convention", choices=("paper", "recomputed"),
-                    default="paper")
-    pk.add_argument("--f", type=float, default=1.16)
-    pk.add_argument("--eta-bob", type=float, default=0.045)
-    pk.add_argument("--y0", type=float, default=1.7e-6)
-    pk.add_argument("--e-det", type=float, default=0.033)
+    for field in ("f", "eta_bob", "y0", "e_det"):  # defaults: the ChannelParams ones
+        pk.add_argument("--" + field.replace("_", "-"), type=float,
+                        default=getattr(ChannelParams, field))
     pk.add_argument("--out")
     pk.set_defaults(func=cmd_keyrate)
+    for sub in (pc, pk):
+        sub.add_argument("--trigger-convention", choices=("paper", "recomputed"),
+                         default="paper", dest="convention")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, DegenerateStateError) as exc:
-        sys.stderr.write(json.dumps({"error": "invalid-parameter",
-                                     "message": str(exc)}) + "\n")
-        return EXIT_INVALID
+    except ValueError as exc:  # DegenerateStateError is a ValueError
+        error, message, code = "invalid-parameter", str(exc), EXIT_INVALID
     except OSError as exc:
-        sys.stderr.write(json.dumps({"error": "io-failure",
-                                     "message": str(exc)}) + "\n")
-        return EXIT_IO
+        error, message, code = "io-failure", str(exc), EXIT_IO
     except (NumericalDiagnosticError, TruncationError) as exc:
-        sys.stderr.write(json.dumps({"error": "numerical-diagnostic",
-                                     "message": str(exc)}) + "\n")
-        return EXIT_NUMERICAL
+        error, message, code = "numerical-diagnostic", str(exc), EXIT_NUMERICAL
+    sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -20,11 +20,11 @@ penalty the standard way (Delta = (1 - F)/(2 Y)).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateStateError
+from .errors import DegenerateStateError, NumericalDiagnosticError
 from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
 from .pns import _validate_dj, modular_poisson_mass, normalization, residue_masses
 from .states import CoherentSuperposition, beam_splitter, vacuum_probability
@@ -44,13 +44,11 @@ PHASE_SET_PAPER_LITERAL = "paper-literal"
 class ChannelParams:
     """Fiber-channel and receiver parameters (defaults: the GYS experiment).
 
-    eta_det is Bob's detector efficiency and is already folded into eta_bob;
-    it is carried for bookkeeping only and never enters a formula on its own.
-    e0 is the error rate of dark counts (1/2 for a random click).
+    eta_bob includes Bob's detector efficiency.  e0 is the error rate of dark
+    counts (1/2 for a random click).  Every field must be finite.
     """
 
     f: float = 1.16
-    eta_det: float = 0.12
     eta_bob: float = 0.045
     y0: float = 1.7e-6
     e0: float = 0.5
@@ -59,6 +57,10 @@ class ChannelParams:
     distance_km: float = 0.0
 
     def __post_init__(self):
+        # NaN fails no range test below, and max(0, nan) would read as a zero rate
+        for spec in fields(self):
+            if not math.isfinite(getattr(self, spec.name)):
+                raise ValueError("%s must be finite" % spec.name)
         if not 0 < self.eta_bob <= 1:
             raise ValueError("eta_bob must lie in (0, 1]")
         if not 0 <= self.y0 < 1:
@@ -108,14 +110,12 @@ def yield_n(c, n):
     return 1.0 - (1.0 - c.y0) * (1.0 - eta) ** n
 
 
-def channel_stats(c, mu, source="wcs"):
+def channel_stats(c, mu):
     """Transmittance, gain Q_mu and QBER E_mu at mean photon number mu.
 
     A pseudo-number source partitions the same Poisson photon statistics by
-    residue, so Q_mu and E_mu are identical for source="wcs" and "psp".
+    residue, so Q_mu and E_mu hold for it and for a weak coherent source alike.
     """
-    if source not in ("wcs", "psp"):
-        raise ValueError("source must be 'wcs' or 'psp'")
     if not (math.isfinite(mu) and mu >= 0):
         raise ValueError("mu must be finite and nonnegative")
     eta = transmission(c)
@@ -248,8 +248,6 @@ def basis_fidelity_bound(mu, d, j):
     )
     val = d * abs(np.sum(terms)) / (math.sqrt(2.0) * normalization(2.0 * mu, d, j))
     if val > 1.0 + 1e-9:
-        from .errors import NumericalDiagnosticError
-
         raise NumericalDiagnosticError("fidelity bound %.12f exceeds 1" % val)
     return min(max(val, 0.0), 1.0)
 

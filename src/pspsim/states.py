@@ -19,7 +19,7 @@ from functools import lru_cache, reduce
 import numpy as np
 from scipy.special import gammaln, pdtrc
 
-from .errors import TruncationError
+from .errors import NumericalDiagnosticError, TruncationError
 
 # Poisson tail kept below this when choosing cutoffs automatically.
 TAIL_TOL = 1e-14
@@ -175,8 +175,6 @@ def vacuum_probability(state, modes):
     gram = np.exp(_pair_exponents(state.labels, state.labels, cross_modes=keep))
     val = complex(np.conj(state.coeffs) @ gram @ state.coeffs)
     if abs(val.imag) > 1e-10:
-        from .errors import NumericalDiagnosticError
-
         raise NumericalDiagnosticError(
             "vacuum projection has imaginary residue %.3e" % val.imag
         )
@@ -402,7 +400,10 @@ def uhlmann_fidelity(rho, sigma):
     """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)).
 
     Square-root convention: 1 for identical states, |<a|b>| for pure states.
-    Negative eigenvalues from rounding are clipped at zero.
+    Negative eigenvalues from rounding are clipped at zero.  The eigenvalue
+    square roots of rank-deficient inputs carry ~1e-8 of rounding, so the
+    result is clamped to [0, 1]; values above 1 + 1e-6 are a numerical failure
+    (or unnormalized inputs).
     """
     from scipy.linalg import eigh  # oracle-only; kept out of the import path
 
@@ -412,4 +413,7 @@ def uhlmann_fidelity(rho, sigma):
     w = np.clip(w, 0.0, None)
     sq = (v * np.sqrt(w)) @ v.conj().T
     ev = np.linalg.eigvalsh(sq @ sigma @ sq)
-    return float(np.sum(np.sqrt(np.clip(ev, 0.0, None))))
+    val = float(np.sum(np.sqrt(np.clip(ev, 0.0, None))))
+    if val > 1.0 + 1e-6:
+        raise NumericalDiagnosticError("Uhlmann fidelity %.12f exceeds 1" % val)
+    return min(val, 1.0)

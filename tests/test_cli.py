@@ -150,6 +150,36 @@ def test_fig5_rows_and_rates(tmp_path, capsys):
     assert abs(by_key[("psp-passive", "8", "40")] - expect) < 1e-15
 
 
+def test_manifest_diagnostics_summarize_last_column(tmp_path, capsys):
+    for argv, name in ((["fig4", "--mu-points", "3", "--d-list", "4"], "f4.csv"),
+                       (["fig5", "--l-max", "60", "--l-step", "30"], "f5.csv")):
+        out = tmp_path / name
+        assert run(argv + ["--out", str(out)]) == 0
+        values = [float(row[-1]) for row in list(csv.reader(out.open()))[1:]]
+        manifest = json.loads((tmp_path / (name + ".manifest.json")).read_text())
+        assert manifest["diagnostics"] == {
+            "points": len(values),
+            "value_min": min(values),
+            "value_max": max(values),
+            "positive_values": sum(1 for v in values if v > 0),
+        }
+
+
+@pytest.mark.parametrize("fmt, text, n_rows", [
+    ("csv", "a,c\n1,2\n", 1),           # wrong header
+    ("csv", "a,b\n1,2,3\n", 1),         # ragged row
+    ("csv", "a,b\n1,2\n", 2),           # missing row
+    ("csv", "", 0),                     # empty file
+    ("json", '[{"a": 1}]', 1),          # missing key
+    ("json", '[{"a": 1, "b": 2}]', 2),  # missing entry
+])
+def test_self_validation_rejects_malformed_files(tmp_path, fmt, text, n_rows):
+    path = tmp_path / ("data." + fmt)
+    path.write_text(text)
+    with pytest.raises(OSError, match="self-validation failed"):
+        cli._self_validate(str(path), fmt, ("a", "b"), n_rows)
+
+
 def test_keyrate_report(tmp_path, capsys):
     out = tmp_path / "kr.json"
     code = run(["keyrate", "--protocol", "psp-passive", "--d", "8",
@@ -158,6 +188,13 @@ def test_keyrate_report(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert abs(report["rate"] - 1.0170216805863246e-03) < 1e-14
     assert json.loads(out.read_text()) == report
+
+
+def test_keyrate_rejects_non_finite_distance(capsys):
+    assert run(["keyrate", "--protocol", "wcs-decoy", "--mu", "0.5", "--L", "nan"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-parameter"
+    assert "distance_km" in err["message"]
 
 
 def test_keyrate_requires_mu_without_optimizer(capsys):

@@ -74,15 +74,6 @@ def test_estimators_reject_non_finite_mu():
             keyrate_psp_triggered(c, mu, 8, 256.0, 0.12)
 
 
-def test_channel_stats_source_equivalence():
-    c = ChannelParams(distance_km=30.0)
-    a = channel_stats(c, 0.4, source="wcs")
-    b = channel_stats(c, 0.4, source="psp")
-    assert a.q_mu == b.q_mu and a.e_mu == b.e_mu
-    with pytest.raises(ValueError):
-        channel_stats(c, 0.4, source="thermal")
-
-
 def test_pseudo_state_yield_matches_series_oracle():
     # average Y_n over p(n | residue class j) term by term
     for (L, mu, d, j) in ((40.0, 0.45, 8, 1), (20.0, 0.08, 4, 1),
@@ -325,6 +316,15 @@ def test_rates_are_nonnegative():
         assert keyrate_wcs_decoy(c, 0.5).rate >= 0.0
         assert keyrate_psp_passive(c, 0.45, 8).rate >= 0.0
         assert keyrate_psp_triggered(c, 0.45, 8, 256.0, 0.12).rate >= 0.0
+
+
+@pytest.mark.parametrize("field", ["f", "eta_bob", "y0", "e0", "e_det", "alpha_db_per_km",
+                                   "distance_km"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_channel_params_reject_non_finite(field, value):
+    # a NaN distance used to pass every range check and come out as rate 0.0
+    with pytest.raises(ValueError, match=field):
+        ChannelParams(**{field: value})
 
 
 def test_channel_params_validation():

@@ -8,6 +8,7 @@ import pytest
 from pspsim import (
     CoherentSuperposition,
     NumericalDiagnosticError,
+    PSPParams,
     TruncationError,
     auto_cutoff,
     beam_splitter,
@@ -17,6 +18,7 @@ from pspsim import (
     fock_beam_splitter,
     fock_inner,
     inner_product,
+    loss_channel,
     norm,
     project_mode,
     tensor,
@@ -174,6 +176,17 @@ def test_uhlmann_fidelity_pure_states():
     assert uhlmann_fidelity(rho, sigma) < 1e-12
     mix = 0.5 * rho + 0.5 * sigma
     assert abs(uhlmann_fidelity(rho, mix) - math.sqrt(0.5)) < 1e-12
+
+
+def test_uhlmann_fidelity_stays_in_unit_interval():
+    # the lossy output of |1_8> at mu=0.2, eta=0.9 is rank deficient; its
+    # eigenvalue square roots used to sum to 1.0000000046 against itself
+    rho = loss_channel(PSPParams(mu=0.2, d=8, j=1), 0.9).exact.to_fock_matrix(auto_cutoff(0.2) + 4)
+    f = uhlmann_fidelity(rho, rho)
+    assert 1.0 - 1e-7 < f <= 1.0
+    # an excursion far beyond rounding is reported, not clamped away
+    with pytest.raises(NumericalDiagnosticError):
+        uhlmann_fidelity(rho, 2.0 * rho)
 
 
 def test_uhlmann_fidelity_pure_overlap():
