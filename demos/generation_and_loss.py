@@ -34,7 +34,7 @@ print()
 print("no-click trigger probability per residue (wants to be 1 at j=1, 0 elsewhere)")
 g = GenerationParams(mu=mu, nu=4.0 * d * d, d=d, eta_det=0.12)
 for convention in (CONVENTION_PAPER, CONVENTION_RECOMPUTED):
-    row = [trigger_probability(g, j, convention=convention) for j in range(d)]
+    row = trigger_probability(g, np.arange(d), convention=convention)
     print("  %-10s " % convention + "  ".join("%.6f" % v for v in row))
 
 

@@ -14,9 +14,7 @@ from .metrics import HomResult, g2_zero_closed, g2_zero_oracle, hom, hom_fock_or
 from .pns import (
     LossResult,
     PSPParams,
-    coherent_from_pseudo,
     fidelity_to_number_state,
-    generation_probability,
     loss_channel,
     modular_poisson_mass,
     normalization,

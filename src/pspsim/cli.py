@@ -51,6 +51,7 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 OUT_DIR_ENV = "PSPSIM_OUT_DIR"
+FORMATS = ("csv", "json")
 WORKERS_HELP = "accepted for config compatibility; currently has no effect"
 
 
@@ -221,6 +222,8 @@ def cmd_dataset(args):
     """Build one figure dataset, write it, re-read it and write its manifest."""
     cfg = _Config(args, args.command)
     fmt = cfg.get("format", "csv")
+    if fmt not in FORMATS:  # the flag is checked by argparse, an INI value is not
+        raise ValueError("format must be one of %s, not %r" % ("|".join(FORMATS), fmt))
     workers = cfg.get("workers", 1, int)
     out = _resolve_out(cfg.get("out", None), "%s.%s" % (args.command, fmt))
     start = time.time()
@@ -246,7 +249,10 @@ def _hom(args):
 
 
 def _generation(args):
-    return GenerationParams(mu=args.mu, nu=args.nu, d=args.d, eta_det=args.eta_det)
+    g = GenerationParams(mu=args.mu, nu=args.nu, d=args.d, eta_det=args.eta_det)
+    if not 0 <= args.j < args.d:  # herald indexes by j: -1 would read residue d - 1
+        raise ValueError("j must be an integer in [0, d)")
+    return g
 
 
 def _encoding_error(args):
@@ -302,8 +308,10 @@ def cmd_keyrate(args):
     if args.protocol in (PSP_PASSIVE_DECOY, PSP_TRIGGERED):
         kwargs = {"basis_mu": args.basis_mu, "yield_model": args.yield_model}
     if args.protocol == PSP_TRIGGERED:
-        kwargs.update(nu=4.0 * args.d * args.d if args.nu is None else args.nu,
-                      eta_trigger_det=args.eta_trigger_det, convention=args.convention)
+        nu = args.nu
+        if nu is None and args.d is not None:  # keyrate_for_protocol reports a missing d
+            nu = 4.0 * args.d * args.d
+        kwargs.update(nu=nu, eta_trigger_det=args.eta_trigger_det, convention=args.convention)
     if args.optimize_mu:
         grid = np.arange(args.mu_grid_min, args.mu_grid_max + args.mu_grid_step / 2,
                          args.mu_grid_step)
@@ -348,7 +356,7 @@ def build_parser():
         sub.add_argument("--config", help="INI config file; section matches the subcommand")
         sub.add_argument("--out", help="output path (default: <cmd>.<format> in $%s or cwd)"
                          % OUT_DIR_ENV)
-        sub.add_argument("--format", choices=("csv", "json"))
+        sub.add_argument("--format", choices=FORMATS)
         sub.add_argument("--workers", type=int, help=WORKERS_HELP)
         sub.set_defaults(func=cmd_dataset)
     for name in ("fig1", "fig4"):

@@ -90,11 +90,12 @@ def trigger_probability(g, j, convention=CONVENTION_PAPER):
     The meter |sqrt(nu) w^j> interferes with a reference |sqrt(nu) w|;
     the dark output carries |w^j - w|^2, which vanishes only at j = 1, so
     the trigger fires (no click) with probability 1 exactly there in either
-    exponent convention.
+    exponent convention.  j may be an integer array, every entry in [0, d).
     """
     if convention not in _DIVISORS:
         raise ValueError("convention must be 'paper' or 'recomputed'")
-    if not (isinstance(j, (int, np.integer)) and 0 <= j < g.d):
+    j = np.asarray(j)
+    if not (np.issubdtype(j.dtype, np.integer) and np.all((0 <= j) & (j < g.d))):
         raise ValueError("j must be an integer in [0, d)")
     gap = 2.0 - 2.0 * np.cos(2 * np.pi * (j - 1) / g.d)
-    return float(np.exp(-g.eta_det * g.nu * gap / _DIVISORS[convention]))
+    return np.exp(-g.eta_det * g.nu * gap / _DIVISORS[convention])[()]

@@ -179,27 +179,6 @@ def fidelity_to_number_state(p):
     return pmf / mass
 
 
-def generation_probability(mu, d, j):
-    """Weight N/d^2 of |j_d> inside |sqrt(mu)>; sums to 1 over j."""
-    return modular_poisson_mass(mu, d, j)
-
-
-def coherent_from_pseudo(mu, d, q):
-    """Resolve |sqrt(mu) w^q> over the pseudo-number basis, term by term.
-
-    Returns sum_j w^{qj} sqrt(N_j/d) |j_d> / sqrt(d) expanded into its d^2
-    coherent terms (coefficients w^{j(q-q')}/d); the expansion collapses to
-    the single coherent state, which tests confirm through overlaps.
-    """
-    _validate_dj(d, q)
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    jj, qq = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    coeffs = np.exp(2j * np.pi * jj * (q - qq) / d) / d
-    labels = np.sqrt(mu) * np.exp(2j * np.pi * qq / d)
-    return CoherentSuperposition(coeffs.ravel(), labels.reshape(-1, 1))
-
-
 @dataclass(frozen=True)
 class LossResult:
     """Output of the pure-loss channel applied to a pseudo-number state.
@@ -213,7 +192,6 @@ class LossResult:
     and drops the mass 1 - p_0 - p_1 of the other branches (zero at d = 2).
     """
 
-    eta: float
     exact: CoherentDyadOperator
     approx_weights: tuple
 
@@ -243,4 +221,4 @@ def loss_channel(p, eta):
         lost = residue_masses(p.mu * (1.0 - eta), d)
         kept = residue_masses(p.mu * eta, d)
         weights = (float(lost[0] * kept[1] / mass), float(lost[1] * kept[0] / mass))
-    return LossResult(eta=eta, exact=op, approx_weights=weights)
+    return LossResult(exact=op, approx_weights=weights)

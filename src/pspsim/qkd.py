@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, NumericalDiagnosticError
 from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
-from .pns import _validate_dj, modular_poisson_mass, normalization, residue_masses
+from .pns import _validate_d, _validate_dj, modular_poisson_mass, normalization, residue_masses
 from .states import CoherentSuperposition, beam_splitter, vacuum_probability
 
 WCS_NONDECOY = "wcs-nondecoy"
@@ -82,10 +82,7 @@ class ChannelStats:
 
 @dataclass(frozen=True)
 class KeyRateResult:
-    protocol: str
     mu: float
-    d: object
-    nu: object
     gain: float
     qber: float
     rate: float
@@ -139,12 +136,17 @@ def pseudo_state_yield(c, mu, d, j, model="exact"):
     if model != "exact":
         raise ValueError("model must be 'exact' or 'dominant'")
     _validate_dj(d, j)
+    return float(_exact_yield(c, mu, d, j, residue_masses(mu, d)))
+
+
+def _exact_yield(c, mu, d, j, masses):
+    """Exact-model yield of residue index (array) j from masses = residue_masses(mu, d)."""
+    mass = masses[j]
+    if not np.all(mass):
+        raise DegenerateStateError("state with j=%s is degenerate at mu=%.6g" % (j, mu))
     eta = transmission(c)
-    mass = residue_masses(mu, d)[j]
-    if mass == 0.0:
-        raise DegenerateStateError("state with j=%d is degenerate at mu=%.6g" % (j, mu))
     survival = math.exp(-mu * eta) * residue_masses(mu * (1.0 - eta), d)[j] / mass
-    return float(1.0 - (1.0 - c.y0) * survival)
+    return 1.0 - (1.0 - c.y0) * survival
 
 
 def _bit_error(c, y):
@@ -281,10 +283,8 @@ def keyrate_nondecoy(c, mu, d=None):
         raise ValueError("mu must be positive")
     st = channel_stats(c, mu)
     if d is None:
-        protocol = WCS_NONDECOY
         p_multi = 1.0 - math.exp(-mu) * (1.0 + mu)
     else:
-        protocol = PSP_NONDECOY
         p_multi = float(residue_masses(mu, d)[2:].sum())
     omega = (st.q_mu - p_multi) / st.q_mu
     diag = {"p_multi": p_multi, "omega": omega}
@@ -297,7 +297,7 @@ def keyrate_nondecoy(c, mu, d=None):
             -c.f * st.q_mu * binary_entropy(st.e_mu)
             + st.q_mu * omega * (1.0 - binary_entropy(st.e_mu / omega)),
         )
-    return KeyRateResult(protocol, mu, d, None, st.q_mu, st.e_mu, rate, diag)
+    return KeyRateResult(mu, st.q_mu, st.e_mu, rate, diag)
 
 
 def keyrate_wcs_decoy(c, mu):
@@ -315,7 +315,7 @@ def keyrate_wcs_decoy(c, mu):
     diag = {"y1": y1, "q1": q1, "e1": e1}
     priv = 1.0 - binary_entropy(e1) if e1 < 0.5 else 0.0
     rate = max(0.0, -c.f * st.q_mu * binary_entropy(st.e_mu) + q1 * priv)
-    return KeyRateResult(WCS_DECOY, mu, None, None, st.q_mu, st.e_mu, rate, diag)
+    return KeyRateResult(mu, st.q_mu, st.e_mu, rate, diag)
 
 
 def keyrate_psp_passive(c, mu, d, basis_mu="half", yield_model="exact"):
@@ -351,7 +351,7 @@ def keyrate_psp_passive(c, mu, d, basis_mu="half", yield_model="exact"):
                 p1 * y1 * (1.0 - c.f * binary_entropy(e_b1) - binary_entropy(e_p1)),
             )
     diag["e_p1"] = e_p1
-    return KeyRateResult(PSP_PASSIVE_DECOY, mu, d, None, st.q_mu, st.e_mu, rate, diag)
+    return KeyRateResult(mu, st.q_mu, st.e_mu, rate, diag)
 
 
 def keyrate_psp_triggered(
@@ -381,15 +381,13 @@ def keyrate_psp_triggered(
     g = GenerationParams(mu=mu, nu=nu, d=d, eta_det=eta_trigger_det)
     st = channel_stats(c, mu)
     probs = residue_masses(mu, d)
-    if yield_model == "exact":  # pseudo_state_yield for every residue at once
-        if not probs.all():
-            raise DegenerateStateError("a residue of d=%d is degenerate at mu=%.6g" % (d, mu))
-        surv = residue_masses(mu * (1.0 - st.eta), d)
-        yields = 1.0 - (1.0 - c.y0) * (math.exp(-mu * st.eta) * surv / probs)
+    residues = np.arange(d)
+    if yield_model == "exact":
+        yields = _exact_yield(c, mu, d, residues, probs)
     else:
         yields = np.array([pseudo_state_yield(c, mu, d, j, yield_model) for j in range(d)])
     errors = _bit_error(c, yields)
-    eta_t = np.array([trigger_probability(g, j, convention) for j in range(d)])
+    eta_t = trigger_probability(g, residues, convention)
     q_t = probs * eta_t * yields
     q_nt = probs * (1.0 - eta_t) * yields
     q_t_mu = float(q_t.sum())
@@ -402,9 +400,7 @@ def keyrate_psp_triggered(
         "q_t_j1_exact": float(q_t[1]) if d > 1 else 0.0,
         "factorization": "gain = herald weight * trigger * state yield",
     }
-    result = lambda rate: KeyRateResult(  # noqa: E731
-        PSP_TRIGGERED, mu, d, nu, q_t_mu, e_t_mu, rate, diag
-    )
+    result = lambda rate: KeyRateResult(mu, q_t_mu, e_t_mu, rate, diag)  # noqa: E731
     if q_t_mu <= 0.0 or q_nt_mu <= 0.0:
         diag["vacuous"] = "triggered or non-triggered gain vanished"
         return result(0.0)
@@ -446,7 +442,10 @@ def keyrate_for_protocol(protocol, c, mu, d=None, **kwargs):
 
     Extra keyword arguments go to the matching estimator (nu,
     eta_trigger_det, convention, basis_mu, yield_model as applicable).
+    The pseudo-number protocols need an integer d >= 1.
     """
+    if protocol in (PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED):
+        _validate_d(d)  # keyrate_nondecoy reads d=None as a WCS source
     if protocol == WCS_NONDECOY:
         return keyrate_nondecoy(c, mu, d=None)
     if protocol == WCS_DECOY:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .errors import NumericalDiagnosticError, TruncationError
 
@@ -40,15 +40,15 @@ def fock_amplitude(alpha, n):
     """Amplitude <n|alpha> = e^{-|alpha|^2/2} alpha^n / sqrt(n!).
 
     Evaluated in log space so large n and large |alpha| do not overflow.
-    n may be an integer array.
+    alpha and the integer n may be arrays; they broadcast against each other.
+    xlogy(n, |alpha|) is 0 at n = 0, so the vacuum needs no special case.
     """
-    alpha = complex(alpha)
+    alpha = np.asarray(alpha, dtype=complex)
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("photon number must be nonnegative")
-    if alpha == 0:
-        return np.where(n == 0, 1.0, 0.0) + 0j
-    log_mag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+    r = np.abs(alpha)
+    log_mag = -0.5 * r**2 + xlogy(n, r) - 0.5 * gammaln(n + 1)
     return (np.exp(log_mag) * np.exp(1j * np.angle(alpha) * n))[()]
 
 
@@ -227,9 +227,6 @@ class FockVector:
     @property
     def mode_count(self):
         return self.amplitudes.ndim
-
-    def norm_squared(self):
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 def auto_cutoff(lam, tail_tol=TAIL_TOL):

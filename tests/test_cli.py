@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from pspsim import ChannelParams, NumericalDiagnosticError, basis_fidelity_bound, g2_zero_closed
+from pspsim import (ChannelParams, NumericalDiagnosticError, basis_fidelity_bound,
+                    g2_zero_closed, modular_poisson_mass)
 from pspsim import cli
 from pspsim.qkd import keyrate_psp_passive
 
@@ -201,6 +202,50 @@ def test_keyrate_requires_mu_without_optimizer(capsys):
     assert run(["keyrate", "--protocol", "wcs-decoy"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-parameter"
+
+
+@pytest.mark.parametrize("argv", [
+    # the meter default nu = 4 d^2 used to be evaluated on d = None (TypeError)
+    ["--protocol", "psp-triggered", "--mu", "0.1"],
+    ["--protocol", "psp-triggered", "--optimize-mu"],
+    # without d the non-decoy estimator used to fall back to the WCS source
+    ["--protocol", "psp-nondecoy", "--mu", "0.03", "--L", "2"],
+    ["--protocol", "psp-passive", "--mu", "0.45"],
+])
+def test_keyrate_psp_protocols_require_d(capsys, argv):
+    assert run(["keyrate"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "invalid-parameter"
+    assert "d must be" in err["message"]
+
+
+@pytest.mark.parametrize("j", ["4", "10", "-1"])
+def test_compute_herald_rejects_residue_out_of_range(capsys, j):
+    # --j 10 used to raise an uncaught IndexError, --j -1 printed residue 3
+    assert run(["compute", "herald", "--d", "4", "--j", j]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid-parameter"
+
+
+def test_compute_herald_value(capsys):
+    assert run(["compute", "herald", "--mu", "0.3", "--d", "4", "--j", "1"]) == 0
+    assert float(capsys.readouterr().out.splitlines()[0]) == \
+        modular_poisson_mass(0.3, 4, 1)
+
+
+def test_config_format_is_checked(tmp_path, capsys):
+    # an unchecked INI format used to write a JSON array into fig4.xml
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[fig4]\nformat = xml\n")
+    out = tmp_path / "fig4.xml"
+    assert run(["fig4", "--config", str(ini), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-parameter"
+    assert "format" in err["message"]
+    assert not out.exists()
 
 
 def test_config_file_layering(tmp_path, capsys):

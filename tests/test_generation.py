@@ -9,9 +9,9 @@ from pspsim import (
     GenerationParams,
     cpm_output,
     fock_inner,
-    generation_probability,
     herald_probabilities,
     kerr_output_fock,
+    modular_poisson_mass,
     norm,
     to_fock,
     trigger_probability,
@@ -43,7 +43,7 @@ def test_herald_probabilities_sum_and_match_masses():
     total = sum(probs[j] for j in range(g.d))
     assert total == pytest.approx(1.0, abs=1e-12)
     for j in range(g.d):
-        assert abs(probs[j] - generation_probability(g.mu, g.d, j)) < 1e-14
+        assert abs(probs[j] - modular_poisson_mass(g.mu, g.d, j)) < 1e-14
 
 
 def test_trigger_is_one_at_the_target_residue():
@@ -78,12 +78,25 @@ def test_trigger_selectivity_grows_with_nu():
             prev = worst
 
 
+def test_trigger_probability_takes_residue_arrays():
+    for d, nu in ((4, 100.0), (8, 256.0), (36, 5184.0)):
+        g = make(nu=nu, d=d)
+        for convention in (CONVENTION_PAPER, CONVENTION_RECOMPUTED):
+            row = trigger_probability(g, np.arange(d), convention=convention)
+            assert row.tolist() == [trigger_probability(g, j, convention=convention)
+                                    for j in range(d)]
+
+
 def test_trigger_validation():
     g = make()
     with pytest.raises(ValueError):
         trigger_probability(g, 4)
     with pytest.raises(ValueError):
         trigger_probability(g, 1, convention="other")
+    # one bad entry rejects the whole array
+    for bad in ([0, 1, 4], [-1, 0], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            trigger_probability(g, np.array(bad))
 
 
 def test_meter_resolution_warning():

@@ -45,7 +45,7 @@ def test_fig5_optimize_matches_golden(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, golden, n_rows", [
     (["fig4"], "fig4.csv", 800),
-    (["fig1", "--d-list", "4"], "fig1_d4.csv", 800),
+    (["fig1"], "fig1.csv", 2400),
     (["fig5"], "fig5.csv", 707),
 ])
 def test_dataset_matches_golden(tmp_path, capsys, argv, golden, n_rows):

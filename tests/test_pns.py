@@ -9,7 +9,6 @@ from pspsim import (
     PSPParams,
     auto_cutoff,
     fidelity_to_number_state,
-    generation_probability,
     loss_channel,
     modular_poisson_mass,
     norm,
@@ -142,7 +141,7 @@ def test_fidelity_infinite_d_branch():
 
 def test_generation_probability_distribution():
     mu, d = 0.3, 4
-    probs = [generation_probability(mu, d, j) for j in range(d)]
+    probs = [modular_poisson_mass(mu, d, j) for j in range(d)]
     assert abs(sum(probs) - 1.0) < 1e-12
     assert abs(probs[1] - 0.22226046781366693) < 1e-12
     for j in range(d):

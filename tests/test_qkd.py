@@ -309,6 +309,15 @@ def test_keyrate_for_protocol_dispatch():
         keyrate_for_protocol("unknown", c, 0.1)
 
 
+@pytest.mark.parametrize("protocol", [PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED])
+@pytest.mark.parametrize("d", [None, 0, 2.0])
+def test_psp_protocols_require_integer_d(protocol, d):
+    # psp-nondecoy with d=None used to return the WCS non-decoy rate
+    kwargs = {"nu": 256.0, "eta_trigger_det": 0.12} if protocol == PSP_TRIGGERED else {}
+    with pytest.raises(ValueError, match="d must be"):
+        keyrate_for_protocol(protocol, ChannelParams(distance_km=2.0), 0.03, d, **kwargs)
+
+
 def test_rates_are_nonnegative():
     for L in (0.0, 50.0, 120.0):
         c = ChannelParams(distance_km=L)

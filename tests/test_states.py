@@ -44,6 +44,21 @@ def test_fock_amplitude_matches_poisson():
         assert abs(fock_amplitude(alpha, n) - expect) < 1e-14
 
 
+def test_fock_amplitude_broadcasts_over_alpha():
+    alphas = np.array([0.0, 0.7 + 0.2j, -1.3j, 1e-3, 4.0 - 2.5j])
+    ns = np.arange(12)
+    table = fock_amplitude(alphas[:, None], ns)
+    assert table.shape == (alphas.size, ns.size)
+    for i, a in enumerate(alphas):
+        for n in ns:
+            scalar = fock_amplitude(a, n)
+            assert abs(table[i, n] - scalar) <= 1e-15 * abs(scalar)
+    # the vacuum has amplitude exactly 1 at n = 0 and exactly 0 elsewhere
+    assert table[0, 0] == 1.0
+    assert not table[0, 1:].any()
+    assert fock_amplitude(0.0, 0) == 1.0 and fock_amplitude(0.0, 3) == 0.0
+
+
 def test_norm_and_inner_product():
     s = coherent_state(0.3 + 0.1j)
     assert abs(norm(s) - 1.0) < 1e-14
