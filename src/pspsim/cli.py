@@ -39,6 +39,7 @@ from .qkd import (
     ChannelParams,
     basis_fidelity_bound,
     encoded_state,
+    keyrate_curve,
     keyrate_for_protocol,
     measure_bb84,
     optimize_mu,
@@ -52,7 +53,6 @@ EXIT_NUMERICAL = 4
 
 OUT_DIR_ENV = "PSPSIM_OUT_DIR"
 FORMATS = ("csv", "json")
-WORKERS_HELP = "accepted for config compatibility; currently has no effect"
 
 
 def _fmt(value):
@@ -197,17 +197,16 @@ def _fig5_rows(cfg):
     specs = [(WCS_DECOY, None, None, {})]
     specs += [(PSP_PASSIVE_DECOY, d, mu, {}) for d, mu in FIG5_PSP_CURVES]
     specs += [(PSP_TRIGGERED, d, mu, dict(trigger, nu=4.0 * d * d)) for d, mu in FIG5_PSP_CURVES]
+    c = ChannelParams()  # every channel parameter but the distance
     rows = []
     for protocol, d, mu, kwargs in specs:
-        for L in distances:
-            c = ChannelParams(distance_km=float(L))
-            if optimize or mu is None:
-                mu_star, res = optimize_mu(c, d, protocol, opt_grid, **kwargs)
-            else:
-                mu_star = mu
-                res = keyrate_for_protocol(protocol, c, mu, d, **kwargs)
-            rows.append((protocol, 0 if d is None else d, float(mu_star),
-                         kwargs.get("nu", 0.0), float(L), res.rate))
+        if optimize or mu is None:
+            _, curve = optimize_mu(c, d, protocol, opt_grid, distances, **kwargs)
+        else:
+            curve = keyrate_curve(protocol, c, mu, distances, d, **kwargs)
+        rows += [(protocol, 0 if d is None else d, float(mu_star), kwargs.get("nu", 0.0),
+                  float(L), float(rate))
+                 for mu_star, L, rate in zip(curve.mu, curve.distance_km, curve.rate)]
     resolved = {"l_min": l_min, "l_max": l_max, "l_step": l_step, "optimize_mu": optimize,
                 "trigger_convention": convention, "eta_trigger_det": eta_trig}
     return ("protocol", "d", "mu", "nu", "distance_km", "rate"), rows, resolved
@@ -224,7 +223,6 @@ def cmd_dataset(args):
     fmt = cfg.get("format", "csv")
     if fmt not in FORMATS:  # the flag is checked by argparse, an INI value is not
         raise ValueError("format must be one of %s, not %r" % ("|".join(FORMATS), fmt))
-    workers = cfg.get("workers", 1, int)
     out = _resolve_out(cfg.get("out", None), "%s.%s" % (args.command, fmt))
     start = time.time()
     header, rows, resolved = DATASETS[args.command](cfg)
@@ -237,7 +235,7 @@ def cmd_dataset(args):
         "value_max": max(values),
         "positive_values": sum(1 for v in values if v > 0),
     }
-    resolved.update(format=fmt, workers=workers, out=out)
+    resolved.update(format=fmt, out=out)
     _write_manifest(out, args.command, resolved, time.time() - start, summary)
     print("wrote %s (%d rows)" % (out, len(rows)))
     return EXIT_OK
@@ -357,7 +355,6 @@ def build_parser():
         sub.add_argument("--out", help="output path (default: <cmd>.<format> in $%s or cwd)"
                          % OUT_DIR_ENV)
         sub.add_argument("--format", choices=FORMATS)
-        sub.add_argument("--workers", type=int, help=WORKERS_HELP)
         sub.set_defaults(func=cmd_dataset)
     for name in ("fig1", "fig4"):
         for flag, kind in (("--mu-min", float), ("--mu-max", float), ("--mu-points", int)):

@@ -31,6 +31,10 @@ SERIES_MAX_N = 2**20
 # rows up to d = 1024).
 _CHUNK = 64
 _MAX_BLOCK = 2**16
+# Most terms a block of a multi-row table holds across its rows; a long table
+# (one row per distance of a key-rate curve) is summed a group of rows at a
+# time, which keeps its temporaries, and so peak memory, small.
+_TABLE_BLOCK = 2**14
 # log(n!) for the photon numbers of a first block with d <= 64; looking them
 # up gives the same values as gammaln(n + 1) at a fraction of the cost.
 _LOG_FACTORIALS = gammaln(np.arange(_CHUNK * 64) + 1.0)
@@ -50,44 +54,101 @@ def _validate_dj(d, j):
 def residue_masses(mu, d):
     """Poisson(mu) masses M_r summed over photon numbers n = r (mod d), r = 0..d-1.
 
+    mu may be a 1-D array; the result is then a (len(mu), d) table whose row
+    i equals residue_masses(mu[i], d) bit for bit (long tables are summed a
+    group of rows at a time, see _TABLE_BLOCK).
     One log-space pass over blocks of 64 d consecutive photon numbers (fewer
-    at d > 1024), each reshaped to (rows, d) so that column r holds the
-    block's n = r (mod d).
-    The pass stops once past the distribution mode with every residue's last
-    term at or below SERIES_RTOL of its running sum (so residues that
+    at d > 1024), each laid out residue-major so that row r of the block
+    holds its n = r (mod d).
+    A row's pass stops once past the distribution mode with every residue's
+    last term at or below SERIES_RTOL of its running sum (so residues that
     underflow to zero terminate), and raises TruncationError rather than
     reach photon numbers above SERIES_MAX_N.
     """
     _validate_d(d)
-    if not math.isfinite(mu):
+    mus = np.asarray(mu, dtype=float)
+    if mus.ndim > 1:
+        raise ValueError("mu must be a number or a 1-D array")
+    values = mus.ravel().tolist()
+    if not all(math.isfinite(m) for m in values):
         raise ValueError("mu must be finite")
-    if mu < 0:
+    if any(m < 0 for m in values):
         raise ValueError("mu must be nonnegative")
+    rows = min(_CHUNK, max(1, _MAX_BLOCK // d))
+    if mus.ndim == 0:  # without a table's row bookkeeping, which fig1's many calls would pay
+        return _residue_row(values[0], d, rows)
+    group = max(1, _TABLE_BLOCK // (rows * d))
+    groups = [_residue_rows(values[i:i + group], d, rows) for i in range(0, len(values), group)]
+    return np.concatenate(groups) if groups else np.zeros((0, d))
+
+
+def _block(n0, rows, d):
+    """Photon numbers n0 .. n0 + rows d - 1 and their log(n!), residue-major.
+
+    Row r of each (d, rows) array holds the block's n = r (mod d) in
+    increasing order, contiguously, so a sum along it is taken in the same
+    (pairwise) order for a single series and for every row of a table.
+    """
+    ns = np.arange(n0, n0 + rows * d)
+    if ns[-1] < _LOG_FACTORIALS.size:
+        log_factorials = _LOG_FACTORIALS[n0:n0 + rows * d]
+    else:
+        log_factorials = gammaln(ns + 1.0)
+    return ns.reshape(rows, d).T.copy(), log_factorials.reshape(rows, d).T.copy()
+
+
+def _truncated(mu, d):
+    return TruncationError("modular Poisson series at mu=%.6g, d=%d needs photon numbers above %d"
+                           % (mu, d, SERIES_MAX_N))
+
+
+def _residue_row(mu, d, rows):
+    """residue_masses at one valid mu."""
     totals = np.zeros(d)
     if mu == 0:
         totals[0] = 1.0
         return totals
+    # math.log, not np.log: the two differ in the last digit on some CPUs,
+    # and a table's rows must equal this series
     log_mu = math.log(mu)
-    rows = min(_CHUNK, max(1, _MAX_BLOCK // d))
     n0 = 0
     while n0 <= SERIES_MAX_N:
-        ns = np.arange(n0, n0 + rows * d)
-        if ns[-1] < _LOG_FACTORIALS.size:
-            log_factorials = _LOG_FACTORIALS[n0:n0 + rows * d]
-        else:
-            log_factorials = gammaln(ns + 1.0)
-        # The transposed copy keeps each residue's terms contiguous, so their
-        # sum is taken in the same (pairwise) order as a one-residue series.
-        terms = np.exp(ns * log_mu - mu - log_factorials).reshape(rows, d).T.copy()
+        ns, log_factorials = _block(n0, rows, d)
+        terms = np.exp(ns * log_mu - mu - log_factorials)
         totals += terms.sum(axis=1)
-        # ns[-d] is residue 0's last photon number, the smallest of the d.
-        if ns[-d] > mu and (terms[:, -1] <= SERIES_RTOL * totals).all():
-            return totals
         n0 += rows * d
-    raise TruncationError(
-        "modular Poisson series at mu=%.6g, d=%d needs photon numbers above %d"
-        % (mu, d, SERIES_MAX_N)
-    )
+        # n0 - d is residue 0's last photon number, the smallest of the d.
+        if n0 - d > mu and (terms[:, -1] <= SERIES_RTOL * totals).all():
+            return totals
+    raise _truncated(mu, d)
+
+
+def _residue_rows(values, d, rows):
+    """residue_masses table for a list of valid mu values: _residue_row for each, in one pass."""
+    totals = np.zeros((len(values), d))
+    totals[[i for i, m in enumerate(values) if m == 0], 0] = 1.0
+    # Rows still summing: their indices, mu, log(mu) and running sums.
+    live = np.array([i for i, m in enumerate(values) if m > 0], dtype=int)
+    live_mu = np.array([values[i] for i in live])
+    log_mu = np.array([math.log(m) for m in live_mu.tolist()])  # math.log, as _residue_row
+    sums = np.zeros((live.size, d))
+    n0 = 0
+    while live.size:
+        if n0 > SERIES_MAX_N:
+            raise _truncated(live_mu[0], d)
+        ns, log_factorials = _block(n0, rows, d)
+        # in place: the (live rows, d, rows) block is the one array of its size
+        terms = np.multiply.outer(log_mu, ns)
+        terms -= live_mu[:, None, None]
+        terms -= log_factorials
+        np.exp(terms, out=terms)
+        sums += terms.sum(axis=2)
+        n0 += rows * d
+        done = (live_mu < n0 - d) & (terms[:, :, -1] <= SERIES_RTOL * sums).all(axis=1)
+        totals[live[done]] = sums[done]
+        keep = ~done
+        live, live_mu, log_mu, sums = live[keep], live_mu[keep], log_mu[keep], sums[keep]
+    return totals
 
 
 def modular_poisson_mass(mu, d, j):

@@ -12,6 +12,8 @@ Estimators (all lower bounds, floored at zero):
   - WCS with infinite decoy states,
   - pseudo-number source with passive decoy (full residue discrimination),
   - pseudo-number source with the cheap interferometric trigger.
+Each one evaluates a source curve over an array of distances (keyrate_curve);
+the scalar functions are that curve at c.distance_km.
 
 Phase-encoded states split |j_d> across a reference and a signal pulse; the
 basis-dependence of the source enters through a closed-form lower bound on
@@ -21,12 +23,13 @@ penalty the standard way (Delta = (1 - F)/(2 Y)).
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import reduce
 
 import numpy as np
 
 from .errors import DegenerateStateError, NumericalDiagnosticError
 from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
-from .pns import _validate_d, _validate_dj, modular_poisson_mass, normalization, residue_masses
+from .pns import _validate_d, _validate_dj, normalization, residue_masses
 from .states import CoherentSuperposition, beam_splitter, vacuum_probability
 
 WCS_NONDECOY = "wcs-nondecoy"
@@ -89,16 +92,80 @@ class KeyRateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class KeyRateCurve:
+    """Key-rate results of one source protocol at each of an array of distances.
+
+    Every field but diagnostics is an array over distance_km.  diagnostics
+    maps each name to an array that holds NaN (None for text) at the
+    distances whose branch never reached it; result(i) is the KeyRateResult
+    at distance_km[i], with only the names its branch reached.
+    """
+
+    distance_km: np.ndarray
+    mu: np.ndarray
+    gain: np.ndarray
+    qber: np.ndarray
+    rate: np.ndarray
+    diagnostics: dict = field(default_factory=dict)
+
+    def result(self, i):
+        """The KeyRateResult at distance_km[i]."""
+        diag = {}
+        for name, values in self.diagnostics.items():
+            value = values[i]
+            if isinstance(value, str):
+                diag[name] = value
+            elif value is not None and not math.isnan(value):
+                diag[name] = float(value)
+        return KeyRateResult(float(self.mu[i]), float(self.gain[i]), float(self.qber[i]),
+                             float(self.rate[i]), diag)
+
+
+def _reject_nan(*arrays):
+    if any(np.isnan(a).any() for a in arrays):
+        raise ValueError("input must not be NaN")
+
+
 def binary_entropy(p):
-    """H(p) in bits; 0 outside the open interval (0, 1)."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+    """H(p) in bits; 0 outside the open interval (0, 1).
+
+    p may be an array (the result is then elementwise); NaN is a ValueError.
+    """
+    p = np.asarray(p, dtype=float)
+    _reject_nan(p)
+    inside = (p > 0.0) & (p < 1.0)
+    q = np.where(inside, p, 0.5)
+    h = np.where(inside, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
+    return h if h.ndim else float(h)
 
 
-def transmission(c):
-    """Overall transmittance eta from fiber loss and Bob's efficiency."""
-    return 10.0 ** (-c.alpha_db_per_km * c.distance_km / 10.0) * c.eta_bob
+def transmission(c, distances=None):
+    """Overall transmittance eta from fiber loss and Bob's efficiency.
+
+    distances (km, 1-D) gives an array, one eta per entry, in place of the
+    eta at c.distance_km.
+    """
+    at = _distances(c, distances)
+    # Python's power, one distance at a time: numpy's array power differs
+    # from it in the last digit on some CPUs
+    eta = np.array([10.0 ** (-c.alpha_db_per_km * L / 10.0) for L in at.tolist()]) * c.eta_bob
+    return float(eta[0]) if distances is None else eta
+
+
+def _distances(c, distances):
+    """distances as a checked 1-D float array; None means (c.distance_km,)."""
+    if distances is None:
+        return np.array([c.distance_km])
+    at = np.asarray(distances, dtype=float)
+    if at.ndim != 1 or not (np.isfinite(at).all() and (at >= 0).all()):
+        raise ValueError("distances must be a 1-D array of finite nonnegative values")
+    return at
+
+
+def _exp(x):
+    """math.exp at each entry of the array x (numpy's exp differs from it in the last digit)."""
+    return np.array([math.exp(v) for v in x.tolist()])
 
 
 def yield_n(c, n):
@@ -107,21 +174,29 @@ def yield_n(c, n):
     return 1.0 - (1.0 - c.y0) * (1.0 - eta) ** n
 
 
-def channel_stats(c, mu):
+def channel_stats(c, mu, distances=None):
     """Transmittance, gain Q_mu and QBER E_mu at mean photon number mu.
 
     A pseudo-number source partitions the same Poisson photon statistics by
     residue, so Q_mu and E_mu hold for it and for a weak coherent source alike.
+    distances (km, 1-D) makes every field an array over them, in place of
+    the values at c.distance_km.
     """
     if not (math.isfinite(mu) and mu >= 0):
         raise ValueError("mu must be finite and nonnegative")
-    eta = transmission(c)
-    q = c.y0 + 1.0 - math.exp(-eta * mu)
-    if q > 0:
-        e = (c.e0 * c.y0 + c.e_det * (1.0 - math.exp(-eta * mu))) / q
-    else:
-        e = c.e0
+    eta = transmission(c, _distances(c, distances))  # an array, even for c.distance_km alone
+    survival = _exp(-eta * mu)
+    q = c.y0 + 1.0 - survival
+    e = np.where(q > 0, _ratio(c.e0 * c.y0 + c.e_det * (1.0 - survival), q), c.e0)
+    if distances is None:
+        return ChannelStats(eta=float(eta[0]), q_mu=float(q[0]), e_mu=float(e[0]))
     return ChannelStats(eta=eta, q_mu=q, e_mu=e)
+
+
+def _ratio(num, den):
+    """num / den elementwise where den > 0, else 0, with no division warning."""
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=float), np.asarray(den, dtype=float))
+    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
 
 
 def pseudo_state_yield(c, mu, d, j, model="exact"):
@@ -136,34 +211,48 @@ def pseudo_state_yield(c, mu, d, j, model="exact"):
     if model != "exact":
         raise ValueError("model must be 'exact' or 'dominant'")
     _validate_dj(d, j)
-    return float(_exact_yield(c, mu, d, j, residue_masses(mu, d)))
+    eta = transmission(c, _distances(c, None))
+    return float(_state_yields(c, mu, d, [j], residue_masses(mu, d), eta, model)[0, 0])
 
 
-def _exact_yield(c, mu, d, j, masses):
-    """Exact-model yield of residue index (array) j from masses = residue_masses(mu, d)."""
-    mass = masses[j]
+def _state_yields(c, mu, d, js, masses, eta, model):
+    """pseudo_state_yield of each residue in js at each transmittance in eta.
+
+    Returns a (len(eta), len(js)) table; masses = residue_masses(mu, d).
+    """
+    js = np.atleast_1d(js).tolist()  # Python ints
+    if model == "dominant":
+        # Python's power per entry: numpy's array power differs from it in the last digit
+        return np.array([[1.0 - (1.0 - c.y0) * (1.0 - e) ** n for n in js] for e in eta.tolist()])
+    if model != "exact":
+        raise ValueError("model must be 'exact' or 'dominant'")
+    mass = masses[js]
     if not np.all(mass):
-        raise DegenerateStateError("state with j=%s is degenerate at mu=%.6g" % (j, mu))
-    eta = transmission(c)
-    survival = math.exp(-mu * eta) * residue_masses(mu * (1.0 - eta), d)[j] / mass
+        raise DegenerateStateError("state with j=%s is degenerate at mu=%.6g" % (js, mu))
+    survival = _exp(-mu * eta)[:, None] * residue_masses(mu * (1.0 - eta), d)[:, js] / mass
     return 1.0 - (1.0 - c.y0) * survival
 
 
 def _bit_error(c, y):
     """Conditional QBER of a state with yield y: dark counts plus misalignment."""
-    return (c.e0 - c.e_det) * (c.y0 / y) + c.e_det
+    return (c.e0 - c.e_det) * _ratio(c.y0, y) + c.e_det
 
 
 def phase_error_upper(e_bit, delta):
-    """Basis-dependence penalty on the phase error rate.
+    """Basis-dependence penalty on the phase error rate, elementwise.
 
     Standard inflation of a bit-error bound by the balance parameter
     Delta = (1 - F)/(2 Y); Delta is clamped to [0, 1/2] and delta = 0
-    returns e_bit unchanged.
+    returns e_bit unchanged.  NaN in either input is a ValueError.
     """
-    delta = min(max(delta, 0.0), 0.5)
-    root = math.sqrt(max(delta * (1.0 - delta) * e_bit * (1.0 - e_bit), 0.0))
-    return e_bit + 4.0 * delta * (1.0 - delta) * (1.0 - 2.0 * e_bit) + 4.0 * (1.0 - 2.0 * delta) * root
+    e_bit = np.asarray(e_bit, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    _reject_nan(e_bit, delta)
+    delta = np.minimum(np.maximum(delta, 0.0), 0.5)
+    root = np.sqrt(np.maximum(delta * (1.0 - delta) * e_bit * (1.0 - e_bit), 0.0))
+    e_phase = (e_bit + 4.0 * delta * (1.0 - delta) * (1.0 - 2.0 * e_bit)
+               + 4.0 * (1.0 - 2.0 * delta) * root)
+    return e_phase if e_phase.ndim else float(e_phase)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +361,142 @@ def _basis_pulse_mu(mu, basis_mu):
 # ---------------------------------------------------------------------------
 
 
+class _Branches:
+    """Which distances of one curve the vacuity tests have ended so far, and why.
+
+    keep() records diagnostics, NaN at the distances already ended, so each
+    distance's result lists only the names its branch reached; end() ends
+    the live distances where a test failed.
+    """
+
+    def __init__(self, n):
+        self.live = np.ones(n, dtype=bool)
+        self.reason = np.full(n, None, dtype=object)
+        self.diagnostics = {}
+
+    def keep(self, **values):
+        for name, value in values.items():
+            self.diagnostics[name] = np.where(self.live, value, np.nan)
+
+    def end(self, failed, reason):
+        failed = failed & self.live
+        self.reason[failed] = reason
+        self.live &= ~failed
+
+    def live_or_zero(self, x):
+        """x at the live distances, 0 at the ended ones: a safe entropy or penalty input."""
+        return np.where(self.live, x, 0.0)
+
+    def curve(self, distances, mu, gain, qber, rate):
+        """The KeyRateCurve; an ended distance, or a negative rate, reads rate 0."""
+        rate = np.where(self.live & (rate > 0.0), rate, 0.0)
+        return KeyRateCurve(distances, np.full(distances.size, float(mu)), gain, qber, rate,
+                            dict(self.diagnostics, vacuous=self.reason))
+
+
+def _positive_mu(mu):
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+
+
+def _nondecoy_curve(c, distances, mu, d=None):
+    _positive_mu(mu)
+    st = channel_stats(c, mu, distances)
+    if d is None:
+        p_multi = 1.0 - math.exp(-mu) * (1.0 + mu)
+    else:
+        p_multi = float(residue_masses(mu, d)[2:].sum())
+    branches = _Branches(st.q_mu.size)
+    omega = _ratio(st.q_mu - p_multi, st.q_mu)
+    branches.keep(p_multi=p_multi, omega=omega)
+    e_over_omega = _ratio(st.e_mu, omega)
+    branches.end((omega <= 0.0) | (e_over_omega >= 0.5), "multiphoton fraction overwhelms the gain")
+    rate = (-c.f * st.q_mu * binary_entropy(st.e_mu)
+            + st.q_mu * omega * (1.0 - binary_entropy(branches.live_or_zero(e_over_omega))))
+    return branches.curve(distances, mu, st.q_mu, st.e_mu, rate)
+
+
+def _wcs_decoy_curve(c, distances, mu):
+    _positive_mu(mu)
+    st = channel_stats(c, mu, distances)
+    y1 = 1.0 - (1.0 - c.y0) * (1.0 - st.eta)  # yield_n(c, 1)
+    q1 = y1 * mu * math.exp(-mu)
+    e1 = _bit_error(c, y1)
+    branches = _Branches(y1.size)
+    branches.keep(y1=y1, q1=q1, e1=e1)
+    priv = np.where(e1 < 0.5, 1.0 - binary_entropy(e1), 0.0)
+    rate = -c.f * st.q_mu * binary_entropy(st.e_mu) + q1 * priv
+    return branches.curve(distances, mu, st.q_mu, st.e_mu, rate)
+
+
+def _psp_passive_curve(c, distances, mu, d, basis_mu="half", yield_model="exact"):
+    _positive_mu(mu)
+    st = channel_stats(c, mu, distances)
+    _validate_dj(d, 1)
+    masses = residue_masses(mu, d)
+    p1 = float(masses[1])
+    y1 = _state_yields(c, mu, d, [1], masses, st.eta, yield_model)[:, 0]
+    e_b1 = _bit_error(c, y1)
+    f1 = basis_fidelity_bound(_basis_pulse_mu(mu, basis_mu), d, 1)
+    delta1 = _ratio(1.0 - f1, 2.0 * y1)
+    branches = _Branches(y1.size)
+    branches.keep(p1=p1, y1=y1, e_b1=e_b1, f1=f1, delta1=delta1)
+    branches.end(delta1 > 0.5, "basis dependence too strong for the fidelity bound")
+    e_p1 = phase_error_upper(branches.live_or_zero(e_b1), branches.live_or_zero(delta1))
+    e_p1 = np.where(branches.live, e_p1, 1.0)  # 1 where the basis-dependence test ended the bound
+    branches.diagnostics["e_p1"] = e_p1
+    branches.end(e_p1 >= 0.5, "phase-error bound >= 1/2")
+    rate = p1 * y1 * (1.0 - c.f * binary_entropy(e_b1) - binary_entropy(e_p1))
+    return branches.curve(distances, mu, st.q_mu, st.e_mu, rate)
+
+
+def _psp_triggered_curve(c, distances, mu, d, nu, eta_trigger_det, convention=CONVENTION_PAPER,
+                         basis_mu="half", yield_model="exact"):
+    _positive_mu(mu)
+    g = GenerationParams(mu=mu, nu=nu, d=d, eta_det=eta_trigger_det)
+    st = channel_stats(c, mu, distances)
+    probs = residue_masses(mu, d)
+    residues = np.arange(d)
+    # (distance, residue) tables in C order, where numpy sums each row in the
+    # same (pairwise) order as a single residue vector
+    yields = np.ascontiguousarray(_state_yields(c, mu, d, residues, probs, st.eta, yield_model))
+    errors = _bit_error(c, yields)
+    eta_t = trigger_probability(g, residues, convention)
+    q_t = probs * eta_t * yields
+    q_nt = probs * (1.0 - eta_t) * yields
+    q_t_mu = q_t.sum(axis=1)
+    q_nt_mu = q_nt.sum(axis=1)
+    e_t_mu = np.where(q_t_mu > 0, _ratio((q_t * errors).sum(axis=1), q_t_mu), c.e0)
+    branches = _Branches(q_t_mu.size)
+    branches.keep(q_t_mu=q_t_mu, q_nt_mu=q_nt_mu, e_t_mu=e_t_mu,
+                  q_t_j1_exact=q_t[:, 1] if d > 1 else 0.0)
+    branches.diagnostics["factorization"] = np.full(
+        q_t_mu.size, "gain = herald weight * trigger * state yield", dtype=object)
+    result = lambda rate: branches.curve(distances, mu, q_t_mu, e_t_mu, rate)  # noqa: E731
+    branches.end((q_t_mu <= 0.0) | (q_nt_mu <= 0.0), "triggered or non-triggered gain vanished")
+    r = _ratio(q_t_mu, q_nt_mu)
+    r0 = _ratio(eta_t[0], 1.0 - eta_t[0])
+    bound = (r - r0) * q_nt_mu
+    branches.keep(r=r, r0=r0, q_t_j1_bound=bound)
+    branches.end(bound <= 0.0, "trigger contrast below the j=0 background")
+    e_b1_max = _ratio(r * e_t_mu * q_nt_mu, bound)
+    branches.keep(e_b1_max=e_b1_max)
+    branches.end(e_b1_max >= 0.5, "bit-error bound >= 1/2")
+    if not branches.live.any():
+        # like a single distance, a curve asks for the fidelity bound (and its
+        # d divisible by 4) only if some distance reaches it
+        return result(0.0)
+    f1 = basis_fidelity_bound(_basis_pulse_mu(mu, basis_mu), d, 1)
+    delta1 = _ratio(1.0 - f1, 2.0 * yields[:, 1])
+    branches.keep(f1=f1, delta1=delta1)
+    branches.end(delta1 > 0.5, "basis dependence too strong for the fidelity bound")
+    e_p1_max = phase_error_upper(branches.live_or_zero(e_b1_max), branches.live_or_zero(delta1))
+    branches.keep(e_p1_max=e_p1_max)
+    branches.end(e_p1_max >= 0.5, "phase-error bound >= 1/2")
+    return result(-c.f * q_t_mu * binary_entropy(e_t_mu)
+                  + bound * (1.0 - binary_entropy(branches.live_or_zero(e_p1_max))))
+
+
 def keyrate_nondecoy(c, mu, d=None):
     """GLLP non-decoy rate; d=None for a WCS source, else a pseudo-number source.
 
@@ -279,25 +504,7 @@ def keyrate_nondecoy(c, mu, d=None):
     Omega = (Q - P_multi)/Q, with P_multi the source's multi-state weight:
     1 - e^{-mu}(1 + mu) for WCS, the total j >= 2 residue weight otherwise.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    st = channel_stats(c, mu)
-    if d is None:
-        p_multi = 1.0 - math.exp(-mu) * (1.0 + mu)
-    else:
-        p_multi = float(residue_masses(mu, d)[2:].sum())
-    omega = (st.q_mu - p_multi) / st.q_mu
-    diag = {"p_multi": p_multi, "omega": omega}
-    if omega <= 0.0 or st.e_mu / omega >= 0.5:
-        diag["vacuous"] = "multiphoton fraction overwhelms the gain"
-        rate = 0.0
-    else:
-        rate = max(
-            0.0,
-            -c.f * st.q_mu * binary_entropy(st.e_mu)
-            + st.q_mu * omega * (1.0 - binary_entropy(st.e_mu / omega)),
-        )
-    return KeyRateResult(mu, st.q_mu, st.e_mu, rate, diag)
+    return _nondecoy_curve(c, _distances(c, None), mu, d).result(0)
 
 
 def keyrate_wcs_decoy(c, mu):
@@ -306,16 +513,7 @@ def keyrate_wcs_decoy(c, mu):
     R = max(0, -f Q H(E) + Q1 [1 - H(e1)]), Q1 = Y1 mu e^{-mu},
     e1 = (e0 - e_det) Y0/Y1 + e_det.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    st = channel_stats(c, mu)
-    y1 = yield_n(c, 1)
-    q1 = y1 * mu * math.exp(-mu)
-    e1 = _bit_error(c, y1)
-    diag = {"y1": y1, "q1": q1, "e1": e1}
-    priv = 1.0 - binary_entropy(e1) if e1 < 0.5 else 0.0
-    rate = max(0.0, -c.f * st.q_mu * binary_entropy(st.e_mu) + q1 * priv)
-    return KeyRateResult(mu, st.q_mu, st.e_mu, rate, diag)
+    return _wcs_decoy_curve(c, _distances(c, None), mu).result(0)
 
 
 def keyrate_psp_passive(c, mu, d, basis_mu="half", yield_model="exact"):
@@ -327,31 +525,7 @@ def keyrate_psp_passive(c, mu, d, basis_mu="half", yield_model="exact"):
     Delta1 > 1/2 or a phase-error bound >= 1/2 makes the bound vacuous and
     zeroes the rate (recorded in diagnostics).
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    st = channel_stats(c, mu)
-    p1 = modular_poisson_mass(mu, d, 1)
-    y1 = pseudo_state_yield(c, mu, d, 1, yield_model)
-    e_b1 = _bit_error(c, y1)
-    f1 = basis_fidelity_bound(_basis_pulse_mu(mu, basis_mu), d, 1)
-    delta1 = (1.0 - f1) / (2.0 * y1)
-    diag = {"p1": p1, "y1": y1, "e_b1": e_b1, "f1": f1, "delta1": delta1}
-    if delta1 > 0.5:
-        diag["vacuous"] = "basis dependence too strong for the fidelity bound"
-        rate = 0.0
-        e_p1 = 1.0
-    else:
-        e_p1 = phase_error_upper(e_b1, delta1)
-        if e_p1 >= 0.5:
-            diag["vacuous"] = "phase-error bound >= 1/2"
-            rate = 0.0
-        else:
-            rate = max(
-                0.0,
-                p1 * y1 * (1.0 - c.f * binary_entropy(e_b1) - binary_entropy(e_p1)),
-            )
-    diag["e_p1"] = e_p1
-    return KeyRateResult(mu, st.q_mu, st.e_mu, rate, diag)
+    return _psp_passive_curve(c, _distances(c, None), mu, d, basis_mu, yield_model).result(0)
 
 
 def keyrate_psp_triggered(
@@ -376,65 +550,34 @@ def keyrate_psp_triggered(
     and the phase error inherits the basis-dependence penalty.  Either bound
     going vacuous zeroes the rate with a diagnostic.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    g = GenerationParams(mu=mu, nu=nu, d=d, eta_det=eta_trigger_det)
-    st = channel_stats(c, mu)
-    probs = residue_masses(mu, d)
-    residues = np.arange(d)
-    if yield_model == "exact":
-        yields = _exact_yield(c, mu, d, residues, probs)
-    else:
-        yields = np.array([pseudo_state_yield(c, mu, d, j, yield_model) for j in range(d)])
-    errors = _bit_error(c, yields)
-    eta_t = trigger_probability(g, residues, convention)
-    q_t = probs * eta_t * yields
-    q_nt = probs * (1.0 - eta_t) * yields
-    q_t_mu = float(q_t.sum())
-    q_nt_mu = float(q_nt.sum())
-    e_t_mu = float((q_t * errors).sum() / q_t_mu) if q_t_mu > 0 else c.e0
-    diag = {
-        "q_t_mu": q_t_mu,
-        "q_nt_mu": q_nt_mu,
-        "e_t_mu": e_t_mu,
-        "q_t_j1_exact": float(q_t[1]) if d > 1 else 0.0,
-        "factorization": "gain = herald weight * trigger * state yield",
-    }
-    result = lambda rate: KeyRateResult(mu, q_t_mu, e_t_mu, rate, diag)  # noqa: E731
-    if q_t_mu <= 0.0 or q_nt_mu <= 0.0:
-        diag["vacuous"] = "triggered or non-triggered gain vanished"
-        return result(0.0)
-    r = q_t_mu / q_nt_mu
-    r0 = eta_t[0] / (1.0 - eta_t[0])
-    bound = (r - r0) * q_nt_mu
-    diag["r"] = r
-    diag["r0"] = r0
-    diag["q_t_j1_bound"] = bound
-    if bound <= 0.0:
-        diag["vacuous"] = "trigger contrast below the j=0 background"
-        return result(0.0)
-    e_b1_max = r * e_t_mu * q_nt_mu / bound
-    diag["e_b1_max"] = e_b1_max
-    if e_b1_max >= 0.5:
-        diag["vacuous"] = "bit-error bound >= 1/2"
-        return result(0.0)
-    f1 = basis_fidelity_bound(_basis_pulse_mu(mu, basis_mu), d, 1)
-    delta1 = (1.0 - f1) / (2.0 * yields[1])
-    diag["f1"] = f1
-    diag["delta1"] = delta1
-    if delta1 > 0.5:
-        diag["vacuous"] = "basis dependence too strong for the fidelity bound"
-        return result(0.0)
-    e_p1_max = phase_error_upper(e_b1_max, delta1)
-    diag["e_p1_max"] = e_p1_max
-    if e_p1_max >= 0.5:
-        diag["vacuous"] = "phase-error bound >= 1/2"
-        return result(0.0)
-    rate = max(
-        0.0,
-        -c.f * q_t_mu * binary_entropy(e_t_mu) + bound * (1.0 - binary_entropy(e_p1_max)),
-    )
-    return result(rate)
+    return _psp_triggered_curve(c, _distances(c, None), mu, d, nu, eta_trigger_det, convention,
+                                basis_mu, yield_model).result(0)
+
+
+def keyrate_curve(protocol, c, mu, distances, d=None, **kwargs):
+    """Key rate of one source at every distance (km, 1-D array): a KeyRateCurve.
+
+    c supplies every channel parameter but the distance.  What depends only
+    on the source (its residue masses, fidelity bound and trigger vector)
+    is computed once for the whole curve.  Extra keyword arguments go to the
+    matching estimator (nu, eta_trigger_det, convention, basis_mu,
+    yield_model as applicable).  The pseudo-number protocols need an
+    integer d >= 1.
+    """
+    distances = _distances(c, distances)
+    if protocol in (PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED):
+        _validate_d(d)  # the non-decoy estimator reads d=None as a WCS source
+    if protocol == WCS_NONDECOY:
+        return _nondecoy_curve(c, distances, mu)
+    if protocol == WCS_DECOY:
+        return _wcs_decoy_curve(c, distances, mu)
+    if protocol == PSP_NONDECOY:
+        return _nondecoy_curve(c, distances, mu, d)
+    if protocol == PSP_PASSIVE_DECOY:
+        return _psp_passive_curve(c, distances, mu, d, **kwargs)
+    if protocol == PSP_TRIGGERED:
+        return _psp_triggered_curve(c, distances, mu, d, **kwargs)
+    raise ValueError("unknown protocol %r" % (protocol,))
 
 
 def keyrate_for_protocol(protocol, c, mu, d=None, **kwargs):
@@ -444,34 +587,44 @@ def keyrate_for_protocol(protocol, c, mu, d=None, **kwargs):
     eta_trigger_det, convention, basis_mu, yield_model as applicable).
     The pseudo-number protocols need an integer d >= 1.
     """
-    if protocol in (PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED):
-        _validate_d(d)  # keyrate_nondecoy reads d=None as a WCS source
-    if protocol == WCS_NONDECOY:
-        return keyrate_nondecoy(c, mu, d=None)
-    if protocol == WCS_DECOY:
-        return keyrate_wcs_decoy(c, mu)
-    if protocol == PSP_NONDECOY:
-        return keyrate_nondecoy(c, mu, d=d)
-    if protocol == PSP_PASSIVE_DECOY:
-        return keyrate_psp_passive(c, mu, d, **kwargs)
-    if protocol == PSP_TRIGGERED:
-        return keyrate_psp_triggered(c, mu, d, **kwargs)
-    raise ValueError("unknown protocol %r" % (protocol,))
+    return keyrate_curve(protocol, c, mu, _distances(c, None), d, **kwargs).result(0)
 
 
-def optimize_mu(c, d, protocol, mu_grid, **kwargs):
+def optimize_mu(c, d, protocol, mu_grid, distances=None, **kwargs):
     """Grid-search the source intensity; deterministic, ties go to smaller mu.
 
     Extra keyword arguments are forwarded to the estimator (nu,
     eta_trigger_det, convention, basis_mu, yield_model as applicable).
-    Returns (mu_star, KeyRateResult at mu_star).
+    Returns (mu_star, KeyRateResult at mu_star).  With distances (km, 1-D)
+    the search runs at each of them and returns (mu_star array,
+    KeyRateCurve); each grid point is one curve evaluation.
     """
     grid = sorted(float(m) for m in mu_grid)
     if not grid:
         raise ValueError("mu_grid must be nonempty")
-    best = None
-    for m in grid:
-        res = keyrate_for_protocol(protocol, c, m, d, **kwargs)
-        if best is None or res.rate > best.rate:
-            best = res
-    return best.mu, best
+    at = _distances(c, distances)
+    curves = (keyrate_curve(protocol, c, m, at, d, **kwargs) for m in grid)
+    curve = reduce(_better_where_larger, curves)
+    if distances is None:
+        res = curve.result(0)
+        return res.mu, res
+    return curve.mu, curve
+
+
+def _better_where_larger(best, curve):
+    """Per distance, curve where its rate is strictly larger than best's, else best.
+
+    Folded over a grid sorted by mu, this keeps the first maximum: a larger
+    mu wins only on a strictly larger rate.
+    """
+    larger = curve.rate > best.rate
+
+    def pick(new, old):
+        return np.where(larger, new, old)
+
+    unreached = np.full(larger.size, np.nan)  # a name one curve's branches never reached
+    names = dict.fromkeys([*best.diagnostics, *curve.diagnostics])
+    return KeyRateCurve(best.distance_km, pick(curve.mu, best.mu), pick(curve.gain, best.gain),
+                        pick(curve.qber, best.qber), pick(curve.rate, best.rate),
+                        {name: pick(curve.diagnostics.get(name, unreached),
+                                    best.diagnostics.get(name, unreached)) for name in names})

@@ -13,6 +13,7 @@ Conventions:
     Y beam splitter: (a, b) -> ((a+i*b)/sqrt(2), (a-i*b)/sqrt(2))
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -24,6 +25,12 @@ from .errors import NumericalDiagnosticError, TruncationError
 # Poisson tail kept below this when choosing cutoffs automatically.
 TAIL_TOL = 1e-14
 GUARD_LEVELS = 2
+# Most entries a truncated photon-number array may hold: (cutoff + 1) per
+# mode, multiplied over the modes (ket and bra modes for a density matrix).
+# Far above what the oracle checks need, it turns an intensity no dense
+# expansion can hold into a TruncationError instead of an endless cutoff
+# search or an allocation that exhausts memory.
+FOCK_MAX_DIM = 2**20
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -41,9 +48,12 @@ def fock_amplitude(alpha, n):
 
     Evaluated in log space so large n and large |alpha| do not overflow.
     alpha and the integer n may be arrays; they broadcast against each other.
-    xlogy(n, |alpha|) is 0 at n = 0, so the vacuum needs no special case.
+    A non-finite alpha is a ValueError.  xlogy(n, |alpha|) is 0 at n = 0, so
+    the vacuum needs no special case.
     """
     alpha = np.asarray(alpha, dtype=complex)
+    if not np.isfinite(alpha).all():
+        raise ValueError("alpha must be finite")
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("photon number must be nonnegative")
@@ -230,11 +240,21 @@ class FockVector:
 
 
 def auto_cutoff(lam, tail_tol=TAIL_TOL):
-    """Smallest N with Poisson(lam) mass above N below tail_tol, plus guard levels."""
+    """Smallest N with Poisson(lam) mass above N below tail_tol, plus guard levels.
+
+    lam must be finite.  An intensity that needs a cutoff of FOCK_MAX_DIM
+    photons or more is a TruncationError, raised before any search.
+    """
+    if not math.isfinite(lam):
+        raise ValueError("intensity must be finite")
     if lam <= 0:
         return GUARD_LEVELS
-    # pdtrc(n, lam) is the Poisson tail P(X > n); the two loops move any
-    # starting guess to the smallest n whose tail is below tail_tol.
+    # pdtrc(n, lam) is the Poisson tail P(X > n).
+    top = FOCK_MAX_DIM - 1 - GUARD_LEVELS
+    if pdtrc(top, lam) >= tail_tol:
+        raise TruncationError(
+            "intensity %.6g needs a cutoff above %d photons" % (lam, FOCK_MAX_DIM - 1))
+    # The two loops move the start guess to the smallest n whose tail is below tail_tol.
     n = int(lam)
     while pdtrc(n, lam) >= tail_tol:
         n += 1
@@ -243,12 +263,21 @@ def auto_cutoff(lam, tail_tol=TAIL_TOL):
     return n + GUARD_LEVELS
 
 
+def _check_fock_size(cutoff, axes):
+    """TruncationError if (cutoff + 1)**axes entries exceed FOCK_MAX_DIM."""
+    if (cutoff + 1) ** axes > FOCK_MAX_DIM:
+        raise TruncationError(
+            "cutoff %d on %d axes needs more than FOCK_MAX_DIM = %d entries"
+            % (cutoff, axes, FOCK_MAX_DIM))
+
+
 def to_fock(state, cutoff=None, tail_tol=TAIL_TOL):
     """Expand a coherent superposition in the photon-number basis.
 
     cutoff=None picks the automatic rule from the largest per-mode |label|^2;
     an explicit cutoff raises TruncationError if the Poisson tail beyond it
-    is not below tail_tol.
+    is not below tail_tol.  An expansion of more than FOCK_MAX_DIM amplitudes
+    is a TruncationError, raised before anything is allocated.
     """
     lam = float(np.max(np.abs(state.labels) ** 2))
     if cutoff is None:
@@ -258,6 +287,7 @@ def to_fock(state, cutoff=None, tail_tol=TAIL_TOL):
             "cutoff %d keeps Poisson tail %.3e above %.3e at intensity %.6g"
             % (cutoff, pdtrc(cutoff, lam), tail_tol, lam)
         )
+    _check_fock_size(cutoff, state.mode_count)
     ns = np.arange(cutoff + 1)
     shape = (cutoff + 1,) * state.mode_count
     amps = np.zeros(shape, dtype=complex)
@@ -375,7 +405,10 @@ class CoherentDyadOperator:
         return complex(np.sum(self.coeffs * np.exp(expo)))
 
     def to_fock_matrix(self, cutoff=None, tail_tol=TAIL_TOL):
-        """Dense density-matrix representation in the number basis."""
+        """Dense density-matrix representation in the number basis.
+
+        A matrix of more than FOCK_MAX_DIM entries is a TruncationError.
+        """
         lam = float(
             max(np.max(np.abs(self.ket_labels) ** 2), np.max(np.abs(self.bra_labels) ** 2))
         )
@@ -383,6 +416,7 @@ class CoherentDyadOperator:
             cutoff = auto_cutoff(lam, tail_tol)
         elif lam > 0 and pdtrc(cutoff, lam) >= tail_tol:
             raise TruncationError("cutoff %d too small for intensity %.6g" % (cutoff, lam))
+        _check_fock_size(cutoff, 2 * self.mode_count)
         ns = np.arange(cutoff + 1)
         dim = (cutoff + 1) ** self.mode_count
         rho = np.zeros((dim, dim), dtype=complex)

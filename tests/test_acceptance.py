@@ -271,10 +271,10 @@ def test_09_distance_sweep_dataset(tmp_path):
 
 def test_10_determinism(tmp_path):
     outs = []
-    for name, workers in (("r1.csv", "8"), ("r2.csv", "8"), ("r3.csv", "1")):
+    for name in ("r1.csv", "r2.csv", "r3.csv"):
         path = tmp_path / name
-        assert cli.main(["fig1", "--out", str(path), "--workers", workers]) == 0
+        assert cli.main(["fig1", "--out", str(path)]) == 0
         outs.append(path.read_bytes())
     ok = outs[0] == outs[1] == outs[2]
-    detail = "three runs (workers 8, 8, 1): byte-identical = %s, %d bytes" % (ok, len(outs[0]))
+    detail = "three runs: byte-identical = %s, %d bytes" % (ok, len(outs[0]))
     assert report(10, ok, detail), detail

@@ -8,7 +8,7 @@ import pytest
 
 from pspsim import (ChannelParams, NumericalDiagnosticError, basis_fidelity_bound,
                     g2_zero_closed, modular_poisson_mass)
-from pspsim import cli
+from pspsim import cli, generation, pns, qkd
 from pspsim.qkd import keyrate_psp_passive
 
 
@@ -97,9 +97,41 @@ def test_fig1_csv_and_manifest(tmp_path, capsys):
 def test_fig1_deterministic_across_workers(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    assert run(["fig1", "--mu-points", "10", "--out", str(a), "--workers", "1"]) == 0
-    assert run(["fig1", "--mu-points", "10", "--out", str(b), "--workers", "8"]) == 0
+    assert run(["fig1", "--mu-points", "10", "--out", str(a)]) == 0
+    assert run(["fig1", "--mu-points", "10", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_workers_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["fig1", "--workers", "2"])
+    assert exc.value.code == 2
+    out = tmp_path / "f4.csv"
+    assert run(["fig4", "--mu-points", "3", "--d-list", "4", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "f4.csv.manifest.json").read_text())
+    assert "workers" not in manifest["resolved_config"]
+
+
+@pytest.mark.parametrize("optimize", [[], ["--optimize-mu"]])
+def test_fig5_residue_passes_do_not_grow_with_distances(tmp_path, monkeypatch, capsys, optimize):
+    # the series at each source mu, its fidelity bound and the trigger vector
+    # are computed once per curve: only the length of the distance table grows
+    calls = []
+    original = pns.residue_masses
+
+    def counted(mu, d):
+        calls.append(np.size(mu))
+        return original(mu, d)
+
+    for module in (pns, qkd, generation):
+        monkeypatch.setattr(module, "residue_masses", counted)
+    counts = []
+    for l_max in ("2", "10"):
+        calls.clear()
+        assert run(["fig5", "--l-max", l_max, "--out", str(tmp_path / "f5.csv")] + optimize) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert max(calls) == 11  # one table row per distance
 
 
 def test_fig1_json_format(tmp_path, capsys):

@@ -57,6 +57,26 @@ def test_residue_masses_edge_cases():
         residue_masses(-0.1, 4)
 
 
+@pytest.mark.parametrize("d", [1, 4, 8, 36, 1100])
+def test_residue_masses_table_equals_scalar_calls(d):
+    # rows stop at different blocks (mu = 30 at d = 1 needs several), and at
+    # mu = 1e-300 every residue above 1 underflows to zero
+    mus = np.concatenate([[0.0, 1e-300, 1e-3], np.arange(0.05, 2.0001, 0.05), [30.0]])
+    table = residue_masses(mus, d)
+    assert table.shape == (mus.size, d)
+    stacked = np.array([residue_masses(float(mu), d) for mu in mus])
+    assert np.array_equal(table, stacked)  # bit for bit
+    if d > 2:
+        assert table[1, 2] == 0.0
+    assert residue_masses(np.array([]), d).shape == (0, d)
+
+
+def test_residue_masses_table_validation():
+    for bad in ([[0.1]], [0.1, math.nan], [0.1, math.inf], [0.1, -0.2]):
+        with pytest.raises(ValueError):
+            residue_masses(np.array(bad), 4)
+
+
 # The cases below test that the series terminates, so they run in a fresh
 # interpreter that the fixture kills on a hang instead of stalling the suite.
 
@@ -91,6 +111,7 @@ def test_underflowing_residue_is_degenerate(isolated):
 def test_series_beyond_term_cap_is_a_truncation_error(isolated):
     # the mode of Poisson(1e300) lies beyond any photon number the series may reach
     assert isolated(raised("residue_masses(1e300, 4)")) == (0, "TruncationError")
+    assert isolated(raised("residue_masses([0.5, 1e300], 4)")) == (0, "TruncationError")
     code, _ = isolated(
         "import sys; from pspsim import cli; "
         "sys.exit(cli.main(['compute', 'normalization', '--mu', '1e300', '--d', '4']))")

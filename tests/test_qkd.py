@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from pspsim import qkd
 from pspsim import (
     ChannelParams,
     DegenerateStateError,
     GenerationParams,
+    KeyRateCurve,
     PSP_NONDECOY,
     PSP_PASSIVE_DECOY,
     PSP_TRIGGERED,
@@ -19,6 +21,7 @@ from pspsim import (
     binary_entropy,
     channel_stats,
     encoded_state,
+    keyrate_curve,
     keyrate_for_protocol,
     keyrate_nondecoy,
     keyrate_psp_passive,
@@ -103,6 +106,29 @@ def test_binary_entropy():
     assert binary_entropy(1.0) == 0.0
     assert abs(binary_entropy(0.25) - 0.8112781244591328) < 1e-14
     assert abs(binary_entropy(0.1) - binary_entropy(0.9)) < 1e-15
+
+
+def test_entropy_and_phase_error_reject_nan():
+    # both used to return nan
+    with pytest.raises(ValueError):
+        binary_entropy(math.nan)
+    with pytest.raises(ValueError):
+        phase_error_upper(0.1, math.nan)
+    with pytest.raises(ValueError):
+        phase_error_upper(math.nan, 0.1)
+    with pytest.raises(ValueError):
+        binary_entropy(np.array([0.1, math.nan]))
+
+
+def test_entropy_and_phase_error_are_elementwise():
+    p = np.array([-0.5, 0.0, 1e-300, 0.11, 0.5, 0.9, 1.0, 2.0])
+    assert binary_entropy(p).tolist() == [binary_entropy(float(v)) for v in p]
+    assert type(binary_entropy(0.11)) is float
+    e_bit = np.array([0.0, 0.04, 0.04, 0.2, 0.6])
+    delta = np.array([0.3, -0.1, 1e-3, 0.7, 0.2])
+    assert phase_error_upper(e_bit, delta).tolist() == [
+        phase_error_upper(float(e), float(dl)) for e, dl in zip(e_bit, delta)]
+    assert type(phase_error_upper(0.04, 1e-3)) is float
 
 
 def test_phase_error_upper():
@@ -253,6 +279,78 @@ def test_psp_triggered_vectorized_matches_per_residue_loop():
     assert positive > 20
 
 
+CURVE_CASES = [
+    (WCS_NONDECOY, 0.01, None, {}),
+    (WCS_DECOY, 0.5, None, {}),
+    (PSP_NONDECOY, 0.03, 8, {}),
+] + [
+    (PSP_PASSIVE_DECOY, mu, d, {"yield_model": model})
+    for mu, d in ((0.08, 4), (0.45, 8), (1.0, 36)) for model in ("exact", "dominant")
+] + [
+    (PSP_TRIGGERED, mu, d, {"nu": 4.0 * d * d, "eta_trigger_det": 0.12,
+                            "convention": convention, "yield_model": model})
+    for mu, d in ((0.08, 4), (0.45, 8), (1.0, 36))
+    for convention in ("paper", "recomputed") for model in ("exact", "dominant")
+] + [
+    # strong basis dependence: the fidelity-bound branch ends these curves
+    (PSP_PASSIVE_DECOY, 2.0, 4, {}),
+    (PSP_TRIGGERED, 2.0, 4, {"nu": 64.0, "eta_trigger_det": 0.12}),
+]
+
+
+@pytest.mark.parametrize("protocol, mu, d, kwargs", CURVE_CASES)
+def test_curve_matches_per_distance_calls(protocol, mu, d, kwargs):
+    # 0 to 600 km runs from positive rates into the vacuous bounds
+    distances = np.arange(0.0, 601.0, 12.0)
+    curve = keyrate_curve(protocol, ChannelParams(), mu, distances, d, **kwargs)
+    assert isinstance(curve, KeyRateCurve)
+    assert curve.rate.shape == distances.shape
+    for i, L in enumerate(distances):
+        expect = keyrate_for_protocol(protocol, ChannelParams(distance_km=L), mu, d, **kwargs)
+        got = curve.result(i)
+        assert got.mu == expect.mu == mu
+        for name in ("gain", "qber", "rate"):
+            assert abs(getattr(got, name) - getattr(expect, name)) \
+                <= 1e-15 * abs(getattr(expect, name)), (L, name)
+        assert got.diagnostics.keys() == expect.diagnostics.keys(), L
+        for name, value in expect.diagnostics.items():
+            if isinstance(value, str):
+                assert got.diagnostics[name] == value
+            else:
+                assert abs(got.diagnostics[name] - value) <= 1e-15 * abs(value), (L, name)
+    assert (curve.rate == 0).any()
+
+
+def test_scalar_estimators_are_the_curve_at_their_distance():
+    c = ChannelParams(distance_km=40.0)
+    at = np.array([40.0])
+    assert keyrate_psp_passive(c, 0.45, 8) == keyrate_curve(
+        PSP_PASSIVE_DECOY, c, 0.45, at, 8).result(0)
+    assert keyrate_psp_triggered(c, 0.45, 8, 256.0, 0.12) == keyrate_curve(
+        PSP_TRIGGERED, c, 0.45, at, 8, nu=256.0, eta_trigger_det=0.12).result(0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_estimators_without_dark_counts_at_extreme_distance():
+    # with y0 = 0 the gain and the yields underflow to 0 far out; the scalar
+    # estimators used to raise ZeroDivisionError there
+    far = ChannelParams(y0=0.0, distance_km=20000.0)
+    assert keyrate_nondecoy(ChannelParams(y0=0.0, distance_km=1000.0), 0.03).rate == 0.0
+    assert keyrate_wcs_decoy(far, 0.5).rate == 0.0
+    assert keyrate_psp_passive(far, 0.45, 8).rate == 0.0
+    assert keyrate_psp_triggered(far, 0.45, 8, 256.0, 0.12).rate == 0.0
+    curve = keyrate_curve(PSP_TRIGGERED, far, 0.45, [0.0, 20000.0], 8, nu=256.0,
+                          eta_trigger_det=0.12)
+    assert curve.rate[0] > 0.0 == curve.rate[1]
+
+
+def test_keyrate_curve_rejects_bad_distances():
+    c = ChannelParams()
+    for distances in ([-1.0, 2.0], [0.0, math.nan], [[1.0]]):
+        with pytest.raises(ValueError, match="distances"):
+            keyrate_curve(WCS_DECOY, c, 0.5, distances)
+
+
 def test_degenerate_residues_raise_only_for_the_exact_yield_model(isolated):
     c = ChannelParams(distance_km=40.0)
     with pytest.raises(DegenerateStateError):
@@ -297,6 +395,40 @@ def test_optimize_mu_behavior():
         optimize_mu(c, None, "unknown", GRID)
     with pytest.raises(ValueError):
         optimize_mu(c, None, WCS_DECOY, [])
+
+
+def test_optimize_mu_over_distances_matches_per_distance_search():
+    distances = np.arange(0.0, 301.0, 20.0)
+    kwargs = {"nu": 256.0, "eta_trigger_det": 0.12}
+    mu_star, curve = optimize_mu(ChannelParams(), 8, PSP_TRIGGERED, GRID, distances, **kwargs)
+    assert mu_star.tolist() == curve.mu.tolist()
+    for i, L in enumerate(distances):
+        m, res = optimize_mu(ChannelParams(distance_km=L), 8, PSP_TRIGGERED, GRID, **kwargs)
+        assert m == mu_star[i]
+        assert abs(res.rate - curve.rate[i]) <= 1e-15 * res.rate
+        assert res.diagnostics.keys() == curve.result(i).diagnostics.keys()
+    # beyond the last positive rate every mu ties at zero: the smallest wins
+    assert curve.rate[-1] == 0.0 and mu_star[-1] == GRID[0]
+
+
+def test_optimize_mu_first_index_tie_break(monkeypatch):
+    # rates rise with mu up to 0.3 and are flat beyond it, so 0.3, 0.4 and the
+    # repeated 0.5 tie; the first (smallest) of them must win at each distance,
+    # and a later mu only on a strictly larger rate
+    def fake_curve(protocol, c, mu, distances, d=None, **kwargs):
+        distances = np.asarray(distances, dtype=float)
+        rate = np.full(distances.size, min(mu, 0.3))
+        rate[0] = mu  # at the first distance the rate keeps rising
+        return KeyRateCurve(distances, np.full(distances.size, mu), rate, rate, rate,
+                            {"vacuous": np.full(distances.size, None, dtype=object)})
+
+    monkeypatch.setattr(qkd, "keyrate_curve", fake_curve)
+    grid = [0.5, 0.1, 0.4, 0.3, 0.5, 0.2]
+    mu_star, curve = optimize_mu(ChannelParams(), None, WCS_DECOY, grid, [0.0, 10.0, 20.0])
+    assert mu_star.tolist() == [0.5, 0.3, 0.3]
+    assert curve.rate.tolist() == [0.5, 0.3, 0.3]
+    m, res = optimize_mu(ChannelParams(distance_km=10.0), None, WCS_DECOY, grid)
+    assert (m, res.rate) == (0.5, 0.5)  # the scalar search sees its one distance first
 
 
 def test_keyrate_for_protocol_dispatch():

@@ -161,6 +161,36 @@ def test_import_skips_scipy_stats_and_linalg(isolated):
                     "'scipy.linalg') if m in sys.modules))") == (0, "[]")
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.5, math.inf)])
+def test_fock_amplitude_rejects_non_finite_alpha(alpha):
+    # used to return nan+nanj
+    with pytest.raises(ValueError, match="finite"):
+        fock_amplitude(alpha, 2)
+    with pytest.raises(ValueError, match="finite"):
+        fock_amplitude(np.array([0.5, alpha]), 2)
+
+
+def test_fock_size_guards(isolated):
+    # auto_cutoff(1e17) never returned (n += 1 cannot move float(n) past 2**53),
+    # auto_cutoff(inf) raised OverflowError, and a two-mode state at intensity
+    # 1e6 asked for about 1e12 amplitudes; each must now fail at once
+    code, out = isolated(
+        "import math\n"
+        "from pspsim import *\n"
+        "from pspsim.states import FOCK_MAX_DIM\n"
+        "calls = [lambda: auto_cutoff(1e17), lambda: auto_cutoff(math.inf),\n"
+        "         lambda: auto_cutoff(math.nan), lambda: to_fock(coherent_state(1e3, 1e3)),\n"
+        "         lambda: to_fock(coherent_state(0.1, 0.1), cutoff=FOCK_MAX_DIM)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__)\n")
+    assert code == 0
+    assert out.split() == ["TruncationError", "ValueError", "ValueError", "TruncationError",
+                           "TruncationError"]
+
+
 def test_to_fock_truncation_guard():
     s = coherent_state(3.0)
     with pytest.raises(TruncationError):
