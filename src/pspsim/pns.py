@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import DegenerateStateError, TruncationError
-from .states import CoherentDyadOperator, CoherentSuperposition
+from .states import CoherentDyadOperator, CoherentSuperposition, log_factorial
 
 # Relative size at which the modular Poisson series stops adding terms.
 SERIES_RTOL = 1e-30
@@ -35,9 +34,6 @@ _MAX_BLOCK = 2**16
 # (one row per distance of a key-rate curve) is summed a group of rows at a
 # time, which keeps its temporaries, and so peak memory, small.
 _TABLE_BLOCK = 2**14
-# log(n!) for the photon numbers of a first block with d <= 64; looking them
-# up gives the same values as gammaln(n + 1) at a fraction of the cost.
-_LOG_FACTORIALS = gammaln(np.arange(_CHUNK * 64) + 1.0)
 
 
 def _validate_d(d):
@@ -90,10 +86,7 @@ def _block(n0, rows, d):
     (pairwise) order for a single series and for every row of a table.
     """
     ns = np.arange(n0, n0 + rows * d)
-    if ns[-1] < _LOG_FACTORIALS.size:
-        log_factorials = _LOG_FACTORIALS[n0:n0 + rows * d]
-    else:
-        log_factorials = gammaln(ns + 1.0)
+    log_factorials = log_factorial(ns)
     return ns.reshape(rows, d).T.copy(), log_factorials.reshape(rows, d).T.copy()
 
 
@@ -236,7 +229,7 @@ def fidelity_to_number_state(p):
     mass = _nonzero_mass(p.mu, p.d, p.j)
     if p.mu == 0:
         return 1.0  # j = 0 at mu = 0 is the vacuum itself
-    pmf = math.exp(float(xlogy(p.j, p.mu)) - p.mu - float(gammaln(p.j + 1.0)))
+    pmf = math.exp(p.j * math.log(p.mu) - p.mu - math.lgamma(p.j + 1.0))
     return pmf / mass
 
 

@@ -156,6 +156,22 @@ def test_fidelity_matches_fock_projection():
         assert abs(fidelity_to_number_state(p) - abs(amps[1]) ** 2) < 1e-11
 
 
+def test_fidelity_matches_scipy_special_formula():
+    # the closed form once read xlogy and gammaln from scipy.special
+    from scipy.special import gammaln, xlogy
+
+    for mu in (1e-6, 0.01, 0.3, 1.0, 7.5, 60.0):
+        for d in (1, 2, 5, 12, 40):
+            for j in sorted({0, 1 % d, d // 2, d - 1}):
+                log_pmf = (float(xlogy(j, mu)), -mu, -float(gammaln(j + 1.0)))
+                expect = math.exp(sum(log_pmf)) / modular_poisson_mass(mu, d, j)
+                got = fidelity_to_number_state(PSPParams(mu=mu, d=d, j=j))
+                # exp turns a difference of an ulp or two in its argument
+                # (math.lgamma against gammaln) into that many ulps of |argument|
+                scale = sum(abs(t) for t in log_pmf)
+                assert abs(got - expect) <= (1e-14 + 2 * np.finfo(float).eps * scale) * expect
+
+
 def test_fidelity_infinite_d_branch():
     assert fidelity_to_number_state(PSPParams(mu=0.4, d=math.inf, j=1)) == 1.0
 

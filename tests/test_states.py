@@ -1,6 +1,7 @@
 """Coherent-superposition machinery against closed forms and the Fock path."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from pspsim import (
     uhlmann_fidelity,
     vacuum_probability,
 )
+from pspsim.states import _LOG_FACTORIALS, log_factorial
 
 
 def test_coherent_overlap_closed_form():
@@ -57,6 +59,68 @@ def test_fock_amplitude_broadcasts_over_alpha():
     assert table[0, 0] == 1.0
     assert not table[0, 1:].any()
     assert fock_amplitude(0.0, 0) == 1.0 and fock_amplitude(0.0, 3) == 0.0
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, np.array([1.0, 2.0]), np.array([True, False])])
+def test_fock_amplitude_rejects_non_integer_n(n):
+    # 2.5 used to give an amplitude for a photon number that does not exist,
+    # and True was read as n = 1
+    with pytest.raises(ValueError, match="integer"):
+        fock_amplitude(0.5, n)
+
+
+def test_log_factorial_table_matches_gammaln():
+    from scipy.special import gammaln
+
+    ns = np.arange(4096)
+    expect = gammaln(ns + 1.0)
+    assert _LOG_FACTORIALS.shape == ns.shape
+    np.testing.assert_allclose(_LOG_FACTORIALS, expect, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(log_factorial(ns), _LOG_FACTORIALS)
+    # past the table, and an array that straddles its end
+    np.testing.assert_array_equal(log_factorial(70000), gammaln(70001.0))
+    np.testing.assert_array_equal(log_factorial(np.array([3, 4095, 4096, 70000])),
+                                  gammaln(np.array([4.0, 4096.0, 4097.0, 70001.0])))
+
+
+def _fock_amplitude_xlogy(alpha, n):
+    """<n|alpha> by the scipy.special xlogy / gammaln formula, and its tolerance.
+
+    The tolerance is 1e-14 relative plus what the table's own difference
+    from gammaln moves the amplitude by: exp turns the one-ulp difference in
+    log(4095!) ~ 3e4 into 1.8e-12 relative.
+    """
+    from scipy.special import gammaln, xlogy
+
+    n = np.asarray(n)
+    r = np.abs(alpha)
+    log_fact = gammaln(n + 1.0)
+    amp = np.exp(-0.5 * r**2 + xlogy(n, r) - 0.5 * log_fact) * np.exp(1j * np.angle(alpha) * n)
+    in_table = np.where(n < 4096, _LOG_FACTORIALS[np.minimum(n, 4095)], log_fact)
+    return amp, (1e-14 + 0.5 * np.abs(in_table - log_fact)) * np.abs(amp)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 4095, 4096, 70000])
+def test_fock_amplitude_matches_xlogy_gammaln_formula(n):
+    # alpha near sqrt(n) keeps the amplitude far from underflow
+    for alpha in (math.sqrt(n) * np.exp(0.3j), 0.8 * math.sqrt(n) + 0.1, 0.7 - 0.2j):
+        expect, tol = _fock_amplitude_xlogy(alpha, n)
+        assert abs(fock_amplitude(alpha, n) - expect) <= tol
+    ns = np.array([0, 3, 4095, 4096, 70000])
+    alphas = np.array([0.5, 60.0 - 20.0j, 64.0, 64.0j, 264.0])
+    expect, tol = _fock_amplitude_xlogy(alphas, ns)
+    assert (np.abs(fock_amplitude(alphas, ns) - expect) <= tol).all()
+
+
+def test_fock_amplitude_is_exact_at_zero_alpha():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fock_amplitude(0.0, 0) == 1.0
+        assert not fock_amplitude(0.0, np.arange(1, 5000)).any()
+        table = fock_amplitude(np.array([0.0, 0.0j, 0.3])[:, None], np.array([0, 1, 4096]))
+    assert table[0, 0] == table[1, 0] == 1.0
+    assert not table[:2, 1:].any()
+    assert abs(table[2, 0] - math.exp(-0.045)) < 1e-15
 
 
 def test_norm_and_inner_product():
@@ -159,6 +223,27 @@ def test_import_skips_scipy_stats_and_linalg(isolated):
     # both are slow to import, and only the oracles in states need scipy.linalg
     assert isolated("import sys, pspsim; print(sorted(m for m in ('scipy.stats', "
                     "'scipy.linalg') if m in sys.modules))") == (0, "[]")
+
+
+def test_production_paths_never_import_scipy(isolated):
+    # scipy.special alone was most of a cold start; only the oracles need scipy
+    code, out = isolated(
+        "import os, sys, tempfile\n"
+        "import pspsim, pspsim.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(loaded())\n"
+        "pspsim.cli.main(['compute', 'g2', '--d', '8', '--mu', '0.05'])\n"
+        "print(loaded())\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    pspsim.cli.main(['fig4', '--mu-points', '3', '--d-list', '4', '8',\n"
+        "                     '--out', os.path.join(tmp, 'fig4.csv')])\n"
+        "    print(loaded())\n"
+        "    pspsim.cli.main(['fig5', '--optimize-mu', '--l-max', '40', '--l-step', '20',\n"
+        "                     '--out', os.path.join(tmp, 'fig5.csv')])\n"
+        "    print(loaded())\n")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("[")] == ["[]"] * 4
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.5, math.inf)])
