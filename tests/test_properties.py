@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 from pspsim import (
     PROTOCOLS,
     PSP_TRIGGERED,
-    WCS_DECOY,
-    WCS_NONDECOY,
     ChannelParams,
     keyrate_curve,
     residue_masses,
     transmission,
 )
 
-# Deterministic and without an example database, so a run leaves no files
-# and fails the same way every time.
+# Derandomized and with no example database, so every run draws the same
+# examples and a failure reproduces as it was seen.
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 DISTANCES = np.linspace(0.0, 400.0, 81)
 
@@ -33,8 +31,7 @@ def test_residue_masses_sum_to_one(mu, d):
 def test_keyrate_never_rises_with_distance_and_stays_below_plob(protocol, mu, d):
     kwargs = {"nu": 4.0 * d * d, "eta_trigger_det": 0.12} if protocol == PSP_TRIGGERED else {}
     c = ChannelParams()
-    source_d = None if protocol in (WCS_NONDECOY, WCS_DECOY) else d
-    rate = keyrate_curve(protocol, c, mu, DISTANCES, source_d, **kwargs).rate
+    rate = keyrate_curve(protocol, c, mu, DISTANCES, d, **kwargs).rate  # the WCS ones ignore d
     assert (np.diff(rate) <= 0.0).all()
     # the repeaterless (PLOB) bound on the secret-key rate per channel use
     assert (rate <= -np.log2(1.0 - transmission(c, DISTANCES))).all()
