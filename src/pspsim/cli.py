@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import NumericalDiagnosticError, TruncationError
 from .pns import PSPParams, fidelity_to_number_state, normalization
-from .metrics import g2_zero_closed, hom
+from .metrics import f2002, g2_zero_closed, hom, p11
 from .generation import GenerationParams, herald_probabilities, trigger_probability
 from .qkd import (
     PROTOCOLS,
@@ -241,9 +241,9 @@ def cmd_dataset(args):
     return EXIT_OK
 
 
-def _hom(args):
-    return hom(PSPParams(mu=args.mu, d=args.d, j=1, delta=args.delta),
-               PSPParams(mu=args.mu2, d=args.d2, j=1, delta=args.delta2))
+def _hom_inputs(args):
+    return (PSPParams(mu=args.mu, d=args.d, j=1, delta=args.delta),
+            PSPParams(mu=args.mu2, d=args.d2, j=1, delta=args.delta2))
 
 
 def _generation(args):
@@ -275,8 +275,8 @@ _HOM_PARAMS = ("mu", "d", "mu2", "d2", "delta", "delta2")
 QUANTITIES = {
     "fidelity": (lambda a: fidelity_to_number_state(PSPParams(mu=a.mu, d=a.d, j=a.j)), _MDJ),
     "g2": (lambda a: g2_zero_closed(a.mu, a.d), ("mu", "d")),
-    "p11": (lambda a: _hom(a).p11, _HOM_PARAMS),
-    "f2002": (lambda a: _hom(a).f2002, _HOM_PARAMS),
+    "p11": (lambda a: p11(*_hom_inputs(a)), _HOM_PARAMS),
+    "f2002": (lambda a: f2002(*_hom_inputs(a)), _HOM_PARAMS),
     "basis-fidelity": (lambda a: basis_fidelity_bound(a.mu, a.d, a.j), _MDJ),
     "normalization": (lambda a: normalization(a.mu, a.d, a.j), _MDJ),
     "herald": (lambda a: herald_probabilities(_generation(a))[a.j], ("mu", "nu", "d", "j")),

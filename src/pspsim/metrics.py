@@ -1,7 +1,9 @@
 """Single-photon quality metrics: g2(0) and two-photon interference.
 
-Both metrics exist twice: a closed form on the coherent expansion and an
-independent number-basis evaluation used as an oracle in the tests.
+Each metric exists twice: a production closed form and an independent
+number-basis evaluation used as an oracle in the tests.  g2 is a phase
+double sum, p11 a set of Gram-matrix vacuum projections on the coherent
+expansion, and f2002 the product of the inputs' one-photon probabilities.
 """
 
 from dataclasses import dataclass
@@ -9,13 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDiagnosticError
-from .pns import normalization, pseudo_number_state
-from .states import (
-    beam_splitter,
-    fock_amplitude,
-    tensor,
-    vacuum_probability,
-)
+from .pns import normalization, photon_number_probability, pseudo_number_state
+from .states import beam_splitter, tensor, vacuum_probabilities
 
 # Residue tolerances: values that must be real / probabilities that must
 # land in [0, 1] may miss by this much before it is an error.
@@ -78,26 +75,36 @@ class HomResult:
     f2002: float
 
 
-def hom(p1, p2):
-    """Interfere two pseudo-number states on an X beam splitter.
+def p11(p1, p2):
+    """Coincidence probability of two pseudo-number states on an X beam splitter.
 
-    p11 is the coincidence probability 1 - P(vac a) - P(vac b) + P(vac ab);
-    f2002 the overlap squared with (|2,0> - |0,2>)/sqrt(2).  Identical
-    inputs bunch (p11 -> 0); d = d' = 1 gives p11 = 0 and
-    f2002 = mu^2 exp(-2 mu) exactly.
+    1 - P(vac a) - P(vac b) + P(vac ab), from the vacuum projections of the
+    output's coherent expansion.  Identical inputs bunch (p11 -> 0), and
+    d = d' = 1 gives p11 = 0.  Equal inputs are built once.
     """
-    out = beam_splitter(tensor(pseudo_number_state(p1), pseudo_number_state(p2)), 0, 1, "X")
-    va = vacuum_probability(out, (0,))
-    vb = vacuum_probability(out, (1,))
-    vab = vacuum_probability(out, (0, 1))
-    p11 = _clamp_unit(1.0 - va - vb + vab, "p11")
-    # (<2,0| - <0,2|)|out>/sqrt(2): one contraction over the output terms.
-    a, b = out.labels.T
-    noon = (fock_amplitude(a, 2) * fock_amplitude(b, 0)
-            - fock_amplitude(a, 0) * fock_amplitude(b, 2))
-    amp = out.coeffs @ noon / np.sqrt(2.0)
-    f2002 = _clamp_unit(float(abs(amp) ** 2), "f2002")
-    return HomResult(p11=p11, f2002=f2002)
+    s1 = pseudo_number_state(p1)
+    s2 = s1 if p2 == p1 else pseudo_number_state(p2)
+    out = beam_splitter(tensor(s1, s2), 0, 1, "X")
+    va, vb, vab = vacuum_probabilities(out, ((0,), (1,), (0, 1)))
+    return _clamp_unit(1.0 - va - vb + vab, "p11")
+
+
+def f2002(p1, p2):
+    """Overlap squared of the X beam-splitter output with (|2,0> - |0,2>)/sqrt(2).
+
+    The splitter sends |1,1> wholly onto that NOON state, and |2,0>, |0,2>
+    onto states orthogonal to it, so F2002 = P1(1) P2(1), the product of
+    the inputs' one-photon probabilities.  Coherent inputs (d = d' = 1) at
+    equal mu give mu^2 exp(-2 mu).
+    """
+    one = photon_number_probability(p1, 1)
+    other = one if p2 == p1 else photon_number_probability(p2, 1)
+    return _clamp_unit(one * other, "f2002")
+
+
+def hom(p1, p2):
+    """Interfere two pseudo-number states on an X beam splitter: p11 and f2002."""
+    return HomResult(p11=p11(p1, p2), f2002=f2002(p1, p2))
 
 
 def hom_fock_oracle(fv):

@@ -218,19 +218,33 @@ def pseudo_number_state(p):
     return CoherentSuperposition(coeffs, labels[:, None])
 
 
+def photon_number_probability(p, n):
+    """|<n|j_d>|^2, the probability that the pseudo-number state holds n photons.
+
+    Closed form: the Poisson(mu) mass at n divided by the modular mass on
+    the support n = j (mod d), and 0 off the support.  The d -> infinity
+    branch is the number state |j> itself.
+    """
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 0):
+        raise ValueError("photon number must be a nonnegative integer")
+    if p.d == math.inf:
+        return 1.0 if n == p.j else 0.0
+    mass = _nonzero_mass(p.mu, p.d, p.j)
+    if n % p.d != p.j:
+        return 0.0
+    if p.mu == 0:
+        return 1.0 if n == 0 else 0.0  # j = 0 at mu = 0 is the vacuum itself
+    pmf = math.exp(n * math.log(p.mu) - p.mu - math.lgamma(n + 1.0))
+    return pmf / mass
+
+
 def fidelity_to_number_state(p):
     """|<j|j_d>|^2, the overlap with the ideal photon-number state.
 
-    Closed form: Poisson(mu) mass at n = j divided by the modular mass on
-    the support n = j (mod d).  The d -> infinity branch returns exactly 1.
+    The n = j case of photon_number_probability; the d -> infinity branch
+    returns exactly 1.
     """
-    if p.d == math.inf:
-        return 1.0
-    mass = _nonzero_mass(p.mu, p.d, p.j)
-    if p.mu == 0:
-        return 1.0  # j = 0 at mu = 0 is the vacuum itself
-    pmf = math.exp(p.j * math.log(p.mu) - p.mu - math.lgamma(p.j + 1.0))
-    return pmf / mass
+    return photon_number_probability(p, p.j)
 
 
 @dataclass(frozen=True)

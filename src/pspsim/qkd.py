@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DegenerateStateError, NumericalDiagnosticError
 from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
 from .pns import _validate_d, _validate_dj, normalization, residue_masses
-from .states import CoherentSuperposition, beam_splitter, vacuum_probability
+from .states import CoherentSuperposition, beam_splitter, vacuum_probabilities
 
 WCS_NONDECOY = "wcs-nondecoy"
 WCS_DECOY = "wcs-decoy"
@@ -307,9 +307,7 @@ def measure_bb84(state, basis):
     if state.mode_count != 2:
         raise ValueError("expected a two-pulse state")
     out = beam_splitter(state, 0, 1, basis)
-    v0 = vacuum_probability(out, (0,))
-    v1 = vacuum_probability(out, (1,))
-    v01 = vacuum_probability(out, (0, 1))
+    v0, v1, v01 = vacuum_probabilities(out, ((0,), (1,), (0, 1)))
     p0 = max(v1 - v01, 0.0)
     p1 = max(v0 - v01, 0.0)
     p_double = max(1.0 - v0 - v1 + v01, 0.0)

@@ -129,21 +129,16 @@ def coherent_state(*alphas):
     return CoherentSuperposition(np.ones(1, dtype=complex), np.array([alphas], dtype=complex))
 
 
-def _pair_exponents(x_labels, y_labels, cross_modes=None):
-    """Matrix of overlap exponents E[i, j] = log <x_i|y_j> over selected modes.
+def _pair_exponents(x_labels, y_labels):
+    """Matrix of overlap exponents E[i, j] = log <x_i|y_j>.
 
     Per-mode exponents are summed before exponentiation, so products over
-    modes never underflow pairwise.  cross_modes selects which modes keep the
-    conj(x)*y cross term; the Gaussian norm factors are always included, which
-    turns the dropped modes into vacuum projections.
+    modes never underflow pairwise.
     """
-    m = x_labels.shape[1]
-    if cross_modes is None:
-        cross_modes = range(m)
     ex = -0.5 * np.sum(np.abs(x_labels) ** 2, axis=1)
     ey = -0.5 * np.sum(np.abs(y_labels) ** 2, axis=1)
     cross = np.zeros((x_labels.shape[0], y_labels.shape[0]), dtype=complex)
-    for mode in cross_modes:
+    for mode in range(x_labels.shape[1]):
         cross += np.conj(x_labels[:, mode])[:, None] * y_labels[None, :, mode]
     return ex[:, None] + ey[None, :] + cross
 
@@ -195,22 +190,54 @@ def beam_splitter(state, mode_a=0, mode_b=1, variant="X"):
 def vacuum_probability(state, modes):
     """<psi| P |psi> with P projecting the listed modes onto vacuum.
 
-    Closed form: the Gram matrix with the cross terms of the projected modes
-    removed.  The state need not be normalized; for a normalized state the
-    result is a probability.
+    The one-projection case of vacuum_probabilities; the state need not be
+    normalized.
     """
-    modes = tuple(modes)
-    for m in modes:
-        if not 0 <= m < state.mode_count:
-            raise ValueError("mode index %d out of range" % m)
-    keep = [m for m in range(state.mode_count) if m not in modes]
-    gram = np.exp(_pair_exponents(state.labels, state.labels, cross_modes=keep))
-    val = complex(np.conj(state.coeffs) @ gram @ state.coeffs)
-    if abs(val.imag) > 1e-10:
-        raise NumericalDiagnosticError(
-            "vacuum projection has imaginary residue %.3e" % val.imag
-        )
-    return float(val.real)
+    return vacuum_probabilities(state, (modes,))[0]
+
+
+def vacuum_probabilities(state, mode_sets):
+    """<psi| P_m |psi> for each tuple of modes m in mode_sets, as a list of floats.
+
+    P_m projects the modes of m onto vacuum.  Closed form: the Gram matrix
+    with the cross terms of the projected modes removed.  The projections
+    share the norm exponents -|a_i|^2/2 - |a_j|^2/2 and one (terms, terms)
+    work buffer, which holds each Gram matrix in turn.  The state need not be
+    normalized; for a normalized state each result is a probability.
+    """
+    mode_sets = [tuple(modes) for modes in mode_sets]
+    for modes in mode_sets:
+        for m in modes:
+            if not 0 <= m < state.mode_count:
+                raise ValueError("mode index %d out of range" % m)
+    labels = state.labels
+    conj_labels = np.conj(labels)
+    ex = -0.5 * np.sum(np.abs(labels) ** 2, axis=1)
+    norm_exponents = ex[:, None] + ex[None, :]
+    gram = np.empty(norm_exponents.shape, dtype=complex)
+    bra = np.conj(state.coeffs)
+    values = []
+    for modes in mode_sets:
+        keep = [m for m in range(state.mode_count) if m not in modes]
+        # Entry by entry (ex_i + ex_j) + cross, with cross summed over the
+        # kept modes in order: the arithmetic of _pair_exponents (up to the
+        # sign of a zero, which exp maps alike), so a value does not depend
+        # on which other mode sets share the call.
+        if keep:
+            np.multiply(conj_labels[:, keep[0], None], labels[None, :, keep[0]], out=gram)
+            for m in keep[1:]:
+                gram += conj_labels[:, m, None] * labels[None, :, m]
+            gram += norm_exponents
+        else:
+            gram[...] = norm_exponents
+        np.exp(gram, out=gram)
+        val = complex(bra @ gram @ state.coeffs)
+        if abs(val.imag) > 1e-10:
+            raise NumericalDiagnosticError(
+                "vacuum projection has imaginary residue %.3e" % val.imag
+            )
+        values.append(float(val.real))
+    return values
 
 
 def project_mode(state, mode, bra):

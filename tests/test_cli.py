@@ -8,7 +8,7 @@ import pytest
 
 from pspsim import (ChannelParams, NumericalDiagnosticError, basis_fidelity_bound,
                     g2_zero_closed, modular_poisson_mass)
-from pspsim import cli, generation, pns, qkd
+from pspsim import cli, generation, metrics, pns, qkd, states
 from pspsim.qkd import keyrate_psp_passive
 
 
@@ -47,6 +47,28 @@ def test_compute_encoding_error_phase_sets(capsys):
                 "--phase-set", "paper-literal"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-parameter"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this quantity must not take that path")
+
+
+@pytest.mark.parametrize("argv, refused, expect", [
+    # F2002 is P1(1) P2(1): no coherent state, no Gram matrix (was the d^4 Gram at d = 40)
+    (["f2002", "--d", "40", "--mu", "8"],
+     [(states, "vacuum_probabilities"), (metrics, "vacuum_probabilities"),
+      (metrics, "pseudo_number_state")], 0.99999999999986944),
+    # p11 needs no one-photon probability
+    (["p11", "--d", "8", "--mu2", "1", "--mu", "0.3"],
+     [(metrics, "photon_number_probability")], 2.7012069332398684e-06),
+], ids=["f2002", "p11"])
+def test_compute_hom_quantities_take_only_their_own_path(monkeypatch, capsys, argv, refused,
+                                                         expect):
+    for module, name in refused:
+        monkeypatch.setattr(module, name, _refuse)
+    assert run(["compute"] + argv) == 0
+    value = json.loads(capsys.readouterr().out.strip().splitlines()[1])["value"]
+    assert abs(value - expect) <= 1e-12 * expect  # the benchmark's query references
 
 
 def test_compute_invalid_parameter(capsys):

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pspsim import (
     NumericalDiagnosticError,
     PSPParams,
+    auto_cutoff,
+    f2002,
     fock_beam_splitter,
     g2_zero_closed,
     g2_zero_oracle,
@@ -17,6 +21,7 @@ from pspsim import (
     tensor,
     to_fock,
 )
+from pspsim import metrics, pns
 from pspsim.metrics import _clamp_unit
 
 
@@ -143,3 +148,43 @@ def test_p11_dip_at_zero_offset():
     assert int(np.argmin(vals)) == 0
     assert int(np.argmax(vals)) == len(deltas) - 1
     assert abs(vals[-1] - 4.2651480440757295e-04) < 1e-12
+
+
+@st.composite
+def psp_params(draw):
+    d = draw(st.integers(1, 6))
+    return PSPParams(mu=draw(st.floats(0.05, 1.2)), d=d, j=draw(st.integers(0, d - 1)),
+                     delta=draw(st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(p1=psp_params(), p2=psp_params())
+@example(p1=PSPParams(mu=0.3, d=1, j=0), p2=PSPParams(mu=0.9, d=1, j=0, delta=0.4))
+def test_f2002_closed_form_matches_fock_oracle(p1, p2):
+    # P1(1) P2(1) against the NOON amplitude of the number-basis output
+    cutoff = auto_cutoff(p1.mu + p2.mu)  # covers the total photon number
+    out = fock_beam_splitter(
+        to_fock(tensor(pseudo_number_state(p1), pseudo_number_state(p2)), cutoff=cutoff),
+        variant="X",
+    )
+    assert abs(f2002(p1, p2) - hom_fock_oracle(out)[1]) <= 1e-12
+
+
+def test_hom_builds_equal_inputs_once(monkeypatch):
+    # one state and one residue pass for p11, one residue pass for f2002
+    calls = {"states": 0, "residues": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "pseudo_number_state",
+                        counted("states", metrics.pseudo_number_state))
+    monkeypatch.setattr(pns, "residue_masses", counted("residues", pns.residue_masses))
+    p = PSPParams(mu=0.4, d=4, j=1)
+    hom(p, p)
+    assert calls == {"states": 1, "residues": 2}
+    hom(p, PSPParams(mu=0.4, d=4, j=1, delta=0.25))
+    assert calls == {"states": 3, "residues": 6}

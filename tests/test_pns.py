@@ -14,6 +14,7 @@ from pspsim import (
     norm,
     normalization,
     normalization_overlap_sum,
+    photon_number_probability,
     pseudo_number_state,
     residue_masses,
     to_fock,
@@ -154,6 +155,24 @@ def test_fidelity_matches_fock_projection():
         p = PSPParams(mu=mu, d=d, j=1)
         amps = to_fock(pseudo_number_state(p)).amplitudes
         assert abs(fidelity_to_number_state(p) - abs(amps[1]) ** 2) < 1e-11
+
+
+def test_photon_number_probability_matches_fock_projection():
+    for mu, d, j, delta in ((0.3, 4, 1, 0.0), (0.8, 3, 0, 0.3), (1.5, 2, 1, 0.7), (0.6, 1, 0, 0.0)):
+        p = PSPParams(mu=mu, d=d, j=j, delta=delta)
+        probs = np.abs(to_fock(pseudo_number_state(p)).amplitudes) ** 2
+        for n, expect in enumerate(probs):
+            got = photon_number_probability(p, n)
+            assert abs(got - expect) < 1e-11
+            if n % d != j:
+                assert got == 0.0
+    assert photon_number_probability(PSPParams(mu=0.0, d=3, j=0), 0) == 1.0
+    assert photon_number_probability(PSPParams(mu=0.0, d=3, j=0), 3) == 0.0
+    assert photon_number_probability(PSPParams(mu=0.4, d=math.inf, j=2), 2) == 1.0
+    assert photon_number_probability(PSPParams(mu=0.4, d=math.inf, j=2), 3) == 0.0
+    for n in (True, -1, 1.0):
+        with pytest.raises(ValueError, match="photon number"):
+            photon_number_probability(PSPParams(mu=0.4, d=4, j=1), n)
 
 
 def test_fidelity_matches_scipy_special_formula():

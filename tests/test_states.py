@@ -1,5 +1,6 @@
 """Coherent-superposition machinery against closed forms and the Fock path."""
 
+import itertools
 import math
 import warnings
 
@@ -25,6 +26,7 @@ from pspsim import (
     tensor,
     to_fock,
     uhlmann_fidelity,
+    vacuum_probabilities,
     vacuum_probability,
 )
 from pspsim.states import _LOG_FACTORIALS, log_factorial
@@ -175,6 +177,34 @@ def test_vacuum_probability_coherent():
     assert abs(vacuum_probability(s, (0,)) - np.exp(-a * a)) < 1e-13
 
 
+def _old_vacuum_probability(state, modes):
+    """The projection as one exponent matrix, zeros plus kept-mode cross terms plus norms."""
+    labels = state.labels
+    ex = -0.5 * np.sum(np.abs(labels) ** 2, axis=1)
+    cross = np.zeros((state.term_count, state.term_count), dtype=complex)
+    for m in range(state.mode_count):
+        if m not in modes:
+            cross += np.conj(labels[:, m])[:, None] * labels[None, :, m]
+    gram = np.exp(ex[:, None] + ex[None, :] + cross)
+    return float(complex(np.conj(state.coeffs) @ gram @ state.coeffs).real)
+
+
+@pytest.mark.parametrize("modes", [2, 3])
+def test_vacuum_probabilities_equal_single_projections_exactly(modes):
+    rng = np.random.default_rng(5 + modes)
+    mode_sets = [m for k in range(modes + 1) for m in itertools.combinations(range(modes), k)]
+    for terms in (1, 4, 9):
+        c = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+        labels = (rng.normal(size=(terms, modes)) + 1j * rng.normal(size=(terms, modes))) * 0.6
+        labels[0, 0] = 0.0  # a vacuum label: norm and cross terms of exactly zero
+        s = CoherentSuperposition(c, labels)
+        together = vacuum_probabilities(s, mode_sets)
+        for k, m in enumerate(mode_sets):
+            assert vacuum_probability(s, m) == together[k] == _old_vacuum_probability(s, m)
+    with pytest.raises(ValueError, match="out of range"):
+        vacuum_probabilities(s, [(0,), (modes,)])
+
+
 def test_project_mode_reduces_modes():
     s = tensor(coherent_state(0.5), coherent_state(0.0))
     r = project_mode(s, 1, coherent_state(0.0))
@@ -241,9 +271,15 @@ def test_production_paths_never_import_scipy(isolated):
         "    print(loaded())\n"
         "    pspsim.cli.main(['fig5', '--optimize-mu', '--l-max', '40', '--l-step', '20',\n"
         "                     '--out', os.path.join(tmp, 'fig5.csv')])\n"
-        "    print(loaded())\n")
+        "    print(loaded())\n"
+        "    pspsim.cli.main(['fig1', '--mu-points', '2', '--out', os.path.join(tmp, 'fig1.csv')])\n"
+        "    print(loaded())\n"
+        "pspsim.cli.main(['compute', 'f2002', '--d', '40'])\n"
+        "print(loaded())\n"
+        "pspsim.cli.main(['compute', 'p11', '--d', '8', '--mu2', '1'])\n"
+        "print(loaded())\n")
     assert code == 0
-    assert [line for line in out.splitlines() if line.startswith("[")] == ["[]"] * 4
+    assert [line for line in out.splitlines() if line.startswith("[")] == ["[]"] * 7
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.5, math.inf)])
