@@ -327,8 +327,7 @@ def cmd_keyrate(args):
         "rate": res.rate,
         "gain": res.gain,
         "qber": res.qber,
-        "diagnostics": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                        for k, v in res.diagnostics.items()},
+        "diagnostics": res.diagnostics,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

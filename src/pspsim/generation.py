@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pns import residue_masses
+from .pns import _validate_d, residue_masses
 from .states import CoherentSuperposition, FockVector, coherent_state, tensor, to_fock
 
 # Exponent conventions for the no-click trigger probability: the reference
@@ -41,8 +41,7 @@ class GenerationParams:
             raise ValueError("mu must be finite and >= 0")
         if not (np.isfinite(self.nu) and self.nu > 0):
             raise ValueError("nu must be finite and > 0")
-        if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
-            raise ValueError("d must be an integer >= 1")
+        _validate_d(self.d)
         if not 0 < self.eta_det <= 1:
             raise ValueError("eta_det must lie in (0, 1]")
         if not self.phase_resolved:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDiagnosticError
-from .pns import normalization, photon_number_probability, pseudo_number_state
+from .pns import _validate_d, normalization, photon_number_probability, pseudo_number_state
 from .states import beam_splitter, tensor, vacuum_probabilities
 
 # Residue tolerances: values that must be real / probabilities that must
@@ -38,8 +38,7 @@ def g2_zero_closed(mu, d):
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError("d must be an integer >= 1")
+    _validate_d(d)
     s = np.arange(d)
     ph = np.exp(2j * np.pi * s / d)
     ex = np.exp(mu * (ph - 1.0))

@@ -36,14 +36,19 @@ _MAX_BLOCK = 2**16
 _TABLE_BLOCK = 2**14
 
 
+def _is_integer(x):
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _validate_d(d):
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
+    if not (_is_integer(d) and d >= 1):
         raise ValueError("d must be an integer >= 1")
 
 
 def _validate_dj(d, j):
     _validate_d(d)
-    if not (isinstance(j, (int, np.integer)) and 0 <= j < d):
+    if not (_is_integer(j) and 0 <= j < d):
         raise ValueError("j must be an integer in [0, d)")
 
 
@@ -197,7 +202,7 @@ class PSPParams:
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise ValueError("mu must be finite and >= 0")
         if self.d == math.inf:
-            if not (isinstance(self.j, (int, np.integer)) and self.j >= 0):
+            if not (_is_integer(self.j) and self.j >= 0):
                 raise ValueError("j must be a nonnegative integer")
         else:
             _validate_dj(self.d, self.j)
@@ -225,7 +230,7 @@ def photon_number_probability(p, n):
     the support n = j (mod d), and 0 off the support.  The d -> infinity
     branch is the number state |j> itself.
     """
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 0):
+    if not (_is_integer(n) and n >= 0):
         raise ValueError("photon number must be a nonnegative integer")
     if p.d == math.inf:
         return 1.0 if n == p.j else 0.0

@@ -13,7 +13,7 @@ Estimators (all lower bounds, floored at zero):
   - pseudo-number source with passive decoy (full residue discrimination),
   - pseudo-number source with the cheap interferometric trigger.
 Each one evaluates a source curve over an array of distances (keyrate_curve);
-the scalar functions are that curve at c.distance_km.
+keyrate_for_protocol is that curve at c.distance_km.
 
 Phase-encoded states split |j_d> across a reference and a signal pulse; the
 basis-dependence of the source enters through a closed-form lower bound on
@@ -168,12 +168,6 @@ def _exp(x):
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def yield_n(c, n):
-    """Detection probability for an n-photon input."""
-    eta = transmission(c)
-    return 1.0 - (1.0 - c.y0) * (1.0 - eta) ** n
-
-
 def channel_stats(c, mu, distances=None):
     """Transmittance, gain Q_mu and QBER E_mu at mean photon number mu.
 
@@ -204,21 +198,20 @@ def pseudo_state_yield(c, mu, d, j, model="exact"):
 
     model="exact" averages Y_n over the conditional distribution
     p(n | j) = d^2 e^{-mu} mu^n / (n! N_{mu,j}); model="dominant" collapses
-    the state to its lowest photon number j (a sensitivity check).
+    the state to its lowest photon number j (a sensitivity check), with the
+    n-photon yield Y_n = 1 - (1 - Y0)(1 - eta)^n.
     """
-    if model == "dominant":
-        return yield_n(c, j)
-    if model != "exact":
-        raise ValueError("model must be 'exact' or 'dominant'")
     _validate_dj(d, j)
+    masses = residue_masses(mu, d) if model == "exact" else None
     eta = transmission(c, _distances(c, None))
-    return float(_state_yields(c, mu, d, [j], residue_masses(mu, d), eta, model)[0, 0])
+    return float(_state_yields(c, mu, d, [j], masses, eta, model)[0, 0])
 
 
 def _state_yields(c, mu, d, js, masses, eta, model):
     """pseudo_state_yield of each residue in js at each transmittance in eta.
 
-    Returns a (len(eta), len(js)) table; masses = residue_masses(mu, d).
+    Returns a (len(eta), len(js)) table; masses = residue_masses(mu, d),
+    which only the exact model reads.
     """
     js = np.atleast_1d(js).tolist()  # Python ints
     if model == "dominant":
@@ -243,11 +236,14 @@ def phase_error_upper(e_bit, delta):
 
     Standard inflation of a bit-error bound by the balance parameter
     Delta = (1 - F)/(2 Y); Delta is clamped to [0, 1/2] and delta = 0
-    returns e_bit unchanged.  NaN in either input is a ValueError.
+    returns e_bit unchanged.  An e_bit outside [0, 1] (NaN and +-inf
+    included), or a NaN delta, is a ValueError.
     """
     e_bit = np.asarray(e_bit, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    _reject_nan(e_bit, delta)
+    _reject_nan(delta)
+    if not ((e_bit >= 0.0) & (e_bit <= 1.0)).all():  # NaN fails both tests
+        raise ValueError("e_bit must lie in [0, 1]")
     delta = np.minimum(np.maximum(delta, 0.0), 0.5)
     root = np.sqrt(np.maximum(delta * (1.0 - delta) * e_bit * (1.0 - e_bit), 0.0))
     e_phase = (e_bit + 4.0 * delta * (1.0 - delta) * (1.0 - 2.0 * e_bit)
@@ -392,13 +388,13 @@ class _Branches:
                             dict(self.diagnostics, vacuous=self.reason))
 
 
-def _positive_mu(mu):
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-
-
 def _nondecoy_curve(c, distances, mu, d=None):
-    _positive_mu(mu)
+    """GLLP non-decoy rate; d=None for a WCS source, else a pseudo-number source.
+
+    R = max(0, -f Q H(E) + Q Omega [1 - H(E/Omega)]),
+    Omega = (Q - P_multi)/Q, with P_multi the source's multi-state weight:
+    1 - e^{-mu}(1 + mu) for WCS, the total j >= 2 residue weight otherwise.
+    """
     st = channel_stats(c, mu, distances)
     if d is None:
         p_multi = 1.0 - math.exp(-mu) * (1.0 + mu)
@@ -415,9 +411,13 @@ def _nondecoy_curve(c, distances, mu, d=None):
 
 
 def _wcs_decoy_curve(c, distances, mu):
-    _positive_mu(mu)
+    """WCS rate with infinite decoy states: exact single-photon statistics.
+
+    R = max(0, -f Q H(E) + Q1 [1 - H(e1)]), Q1 = Y1 mu e^{-mu},
+    e1 = (e0 - e_det) Y0/Y1 + e_det.
+    """
     st = channel_stats(c, mu, distances)
-    y1 = 1.0 - (1.0 - c.y0) * (1.0 - st.eta)  # yield_n(c, 1)
+    y1 = 1.0 - (1.0 - c.y0) * (1.0 - st.eta)  # Y_n at n = 1, as in _state_yields' dominant model
     q1 = y1 * mu * math.exp(-mu)
     e1 = _bit_error(c, y1)
     branches = _Branches(y1.size)
@@ -428,7 +428,14 @@ def _wcs_decoy_curve(c, distances, mu):
 
 
 def _psp_passive_curve(c, distances, mu, d, basis_mu="half", yield_model="exact"):
-    _positive_mu(mu)
+    """Passive-decoy rate with full residue discrimination at the source.
+
+    R = max(0, P1 Y1 [1 - f H(e_b1) - H(e_p1)]) with P1 the j=1 herald
+    weight, Y1 the state's yield, e_b1 its bit error and e_p1 the
+    basis-dependence-inflated phase error via Delta1 = (1 - F1)/(2 Y1).
+    Delta1 > 1/2 or a phase-error bound >= 1/2 makes the bound vacuous and
+    zeroes the rate (recorded in diagnostics).
+    """
     st = channel_stats(c, mu, distances)
     _validate_dj(d, 1)
     masses = residue_masses(mu, d)
@@ -450,7 +457,18 @@ def _psp_passive_curve(c, distances, mu, d, basis_mu="half", yield_model="exact"
 
 def _psp_triggered_curve(c, distances, mu, d, nu, eta_trigger_det, convention=CONVENTION_PAPER,
                          basis_mu="half", yield_model="exact"):
-    _positive_mu(mu)
+    """Rate with only the interferometric trigger distinguishing residues.
+
+    Triggered gains factorize as Q_t(j) = P_j * eta_t(nu, j) * Y(j_d)
+    (source, trigger and channel act independently; recorded as an
+    assumption in the diagnostics).  The j=1 triggered gain is bounded from
+    the trigger contrast, r = Q_t/Q_nt against r0 = eta_t(0)/eta_nt(0):
+
+        Q_t(1) >= (r - r0) Q_nt,   e_b1 <= r E_t Q_nt / Q_t(1)_bound,
+
+    and the phase error inherits the basis-dependence penalty.  Either bound
+    going vacuous zeroes the rate with a diagnostic.
+    """
     g = GenerationParams(mu=mu, nu=nu, d=d, eta_det=eta_trigger_det)
     st = channel_stats(c, mu, distances)
     probs = residue_masses(mu, d)
@@ -495,63 +513,6 @@ def _psp_triggered_curve(c, distances, mu, d, nu, eta_trigger_det, convention=CO
                   + bound * (1.0 - binary_entropy(branches.live_or_zero(e_p1_max))))
 
 
-def keyrate_nondecoy(c, mu, d=None):
-    """GLLP non-decoy rate; d=None for a WCS source, else a pseudo-number source.
-
-    R = max(0, -f Q H(E) + Q Omega [1 - H(E/Omega)]),
-    Omega = (Q - P_multi)/Q, with P_multi the source's multi-state weight:
-    1 - e^{-mu}(1 + mu) for WCS, the total j >= 2 residue weight otherwise.
-    """
-    return _nondecoy_curve(c, _distances(c, None), mu, d).result(0)
-
-
-def keyrate_wcs_decoy(c, mu):
-    """WCS rate with infinite decoy states: exact single-photon statistics.
-
-    R = max(0, -f Q H(E) + Q1 [1 - H(e1)]), Q1 = Y1 mu e^{-mu},
-    e1 = (e0 - e_det) Y0/Y1 + e_det.
-    """
-    return _wcs_decoy_curve(c, _distances(c, None), mu).result(0)
-
-
-def keyrate_psp_passive(c, mu, d, basis_mu="half", yield_model="exact"):
-    """Passive-decoy rate with full residue discrimination at the source.
-
-    R = max(0, P1 Y1 [1 - f H(e_b1) - H(e_p1)]) with P1 the j=1 herald
-    weight, Y1 the state's yield, e_b1 its bit error and e_p1 the
-    basis-dependence-inflated phase error via Delta1 = (1 - F1)/(2 Y1).
-    Delta1 > 1/2 or a phase-error bound >= 1/2 makes the bound vacuous and
-    zeroes the rate (recorded in diagnostics).
-    """
-    return _psp_passive_curve(c, _distances(c, None), mu, d, basis_mu, yield_model).result(0)
-
-
-def keyrate_psp_triggered(
-    c,
-    mu,
-    d,
-    nu,
-    eta_trigger_det,
-    convention=CONVENTION_PAPER,
-    basis_mu="half",
-    yield_model="exact",
-):
-    """Rate with only the interferometric trigger distinguishing residues.
-
-    Triggered gains factorize as Q_t(j) = P_j * eta_t(nu, j) * Y(j_d)
-    (source, trigger and channel act independently; recorded as an
-    assumption in the diagnostics).  The j=1 triggered gain is bounded from
-    the trigger contrast, r = Q_t/Q_nt against r0 = eta_t(0)/eta_nt(0):
-
-        Q_t(1) >= (r - r0) Q_nt,   e_b1 <= r E_t Q_nt / Q_t(1)_bound,
-
-    and the phase error inherits the basis-dependence penalty.  Either bound
-    going vacuous zeroes the rate with a diagnostic.
-    """
-    return _psp_triggered_curve(c, _distances(c, None), mu, d, nu, eta_trigger_det, convention,
-                                basis_mu, yield_model).result(0)
-
-
 def keyrate_curve(protocol, c, mu, distances, d=None, **kwargs):
     """Key rate of one source at every distance (km, 1-D array): a KeyRateCurve.
 
@@ -559,12 +520,16 @@ def keyrate_curve(protocol, c, mu, distances, d=None, **kwargs):
     on the source (its residue masses, fidelity bound and trigger vector)
     is computed once for the whole curve.  Extra keyword arguments go to the
     matching estimator (nu, eta_trigger_det, convention, basis_mu,
-    yield_model as applicable).  The pseudo-number protocols need an
-    integer d >= 1.
+    yield_model as applicable).  mu must be positive, and the
+    pseudo-number protocols need an integer d >= 1.
     """
     distances = _distances(c, distances)
+    if protocol not in PROTOCOLS:
+        raise ValueError("unknown protocol %r" % (protocol,))
     if protocol in (PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED):
         _validate_d(d)  # the non-decoy estimator reads d=None as a WCS source
+    if mu <= 0:
+        raise ValueError("mu must be positive")
     if protocol == WCS_NONDECOY:
         return _nondecoy_curve(c, distances, mu)
     if protocol == WCS_DECOY:
@@ -573,13 +538,11 @@ def keyrate_curve(protocol, c, mu, distances, d=None, **kwargs):
         return _nondecoy_curve(c, distances, mu, d)
     if protocol == PSP_PASSIVE_DECOY:
         return _psp_passive_curve(c, distances, mu, d, **kwargs)
-    if protocol == PSP_TRIGGERED:
-        return _psp_triggered_curve(c, distances, mu, d, **kwargs)
-    raise ValueError("unknown protocol %r" % (protocol,))
+    return _psp_triggered_curve(c, distances, mu, d, **kwargs)
 
 
 def keyrate_for_protocol(protocol, c, mu, d=None, **kwargs):
-    """Dispatch one key-rate evaluation by protocol name.
+    """Key rate of one protocol at c.distance_km: row 0 of its keyrate_curve.
 
     Extra keyword arguments go to the matching estimator (nu,
     eta_trigger_det, convention, basis_mu, yield_model as applicable).

@@ -9,7 +9,6 @@ import pytest
 from pspsim import (ChannelParams, NumericalDiagnosticError, basis_fidelity_bound,
                     g2_zero_closed, modular_poisson_mass)
 from pspsim import cli, generation, metrics, pns, qkd, states
-from pspsim.qkd import keyrate_psp_passive
 
 
 def run(argv):
@@ -201,7 +200,8 @@ def test_fig5_rows_and_rates(tmp_path, capsys):
     assert protocols == {"wcs-decoy", "psp-passive", "psp-triggered"}
     assert len(rows) == 7 * 3
     by_key = {(r[0], r[1], r[4]): float(r[5]) for r in rows}
-    expect = keyrate_psp_passive(ChannelParams(distance_km=40.0), 0.45, 8).rate
+    expect = qkd.keyrate_for_protocol(qkd.PSP_PASSIVE_DECOY, ChannelParams(distance_km=40.0),
+                                      0.45, 8).rate
     assert abs(by_key[("psp-passive", "8", "40")] - expect) < 1e-15
 
 

@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from pspsim import (
+    PSP_NONDECOY,
+    ChannelParams,
+    GenerationParams,
     PSPParams,
     auto_cutoff,
     fidelity_to_number_state,
+    g2_zero_closed,
+    herald_probabilities,
+    keyrate_for_protocol,
     loss_channel,
     modular_poisson_mass,
     norm,
@@ -211,6 +217,23 @@ def test_param_validation():
         PSPParams(mu=0.1, d=0, j=0)
     with pytest.raises(ValueError):
         PSPParams(mu=0.1, d=4, j=4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: normalization(0.5, True, 0),
+    lambda: modular_poisson_mass(0.5, 4, True),
+    lambda: g2_zero_closed(0.5, True),
+    lambda: herald_probabilities(GenerationParams(0.5, 100.0, True)),
+    lambda: keyrate_for_protocol(PSP_NONDECOY, ChannelParams(), 0.1, True),
+    lambda: PSPParams(mu=0.5, d=True, j=0),
+    lambda: PSPParams(mu=0.5, d=4, j=True),
+    lambda: PSPParams(mu=0.5, d=math.inf, j=True),
+], ids=["normalization", "modular_poisson_mass", "g2_zero_closed", "GenerationParams",
+        "keyrate_for_protocol", "PSPParams-d", "PSPParams-j", "PSPParams-inf-j"])
+def test_bool_is_no_integer_d_or_j(call):
+    # these raised an untyped TypeError from np.zeros(True), or read True as 1
+    with pytest.raises(ValueError, match="must be .*integer"):
+        call()
 
 
 def test_loss_exact_operator_trace_and_hermiticity():

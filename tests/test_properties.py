@@ -9,6 +9,7 @@ from pspsim import (
     PSP_TRIGGERED,
     ChannelParams,
     keyrate_curve,
+    pseudo_state_yield,
     residue_masses,
     transmission,
 )
@@ -23,6 +24,15 @@ DISTANCES = np.linspace(0.0, 400.0, 81)
 @given(mu=st.floats(0.0, 300.0), d=st.integers(1, 64))
 def test_residue_masses_sum_to_one(mu, d):
     assert abs(residue_masses(mu, d).sum() - 1.0) <= 1e-12
+
+
+@PROPERTY
+@given(mu=st.floats(1e-3, 300.0), d=st.integers(1, 64), data=st.data(),
+       distance=st.floats(0.0, 400.0), model=st.sampled_from(["exact", "dominant"]))
+def test_pseudo_state_yield_is_a_probability(mu, d, data, distance, model):
+    j = data.draw(st.integers(0, d - 1), label="j")
+    y = pseudo_state_yield(ChannelParams(distance_km=distance), mu, d, j, model)
+    assert 0.0 <= y <= 1.0
 
 
 @PROPERTY

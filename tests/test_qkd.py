@@ -23,10 +23,6 @@ from pspsim import (
     encoded_state,
     keyrate_curve,
     keyrate_for_protocol,
-    keyrate_nondecoy,
-    keyrate_psp_passive,
-    keyrate_psp_triggered,
-    keyrate_wcs_decoy,
     measure_bb84,
     modular_poisson_mass,
     norm,
@@ -36,11 +32,12 @@ from pspsim import (
     pseudo_state_yield,
     transmission,
     trigger_probability,
-    yield_n,
 )
 
 GRID = np.arange(0.05, 2.0001, 0.05)
 SMALL_GRID = np.arange(0.002, 0.06, 0.002)
+# The triggered source's meter intensity and trigger-detector efficiency at d = 8.
+TRIGGER = {"nu": 256.0, "eta_trigger_det": 0.12}
 
 
 def test_transmission():
@@ -49,12 +46,19 @@ def test_transmission():
     assert abs(transmission(c) - 0.045 * 10 ** (-0.42)) < 1e-15
 
 
+def n_photon_yield(c, n):
+    """Y_n = 1 - (1 - Y0)(1 - eta)^n, the detection probability of n photons."""
+    return 1.0 - (1.0 - c.y0) * (1.0 - transmission(c)) ** n
+
+
 def test_yield_n_closed_form():
+    # the dominant model collapses |j_d> to j photons, whatever mu and d are
     c = ChannelParams(distance_km=40.0)
-    eta = transmission(c)
+    eta = 0.045 * 10 ** (-0.84)
     for n in range(5):
-        expect = 1.0 - (1.0 - c.y0) * (1.0 - eta) ** n
-        assert abs(yield_n(c, n) - expect) < 1e-16
+        expect = 1.0 - (1.0 - 1.7e-6) * (1.0 - eta) ** n
+        for mu, d in ((0.45, 8), (2.0, 5)):
+            assert abs(pseudo_state_yield(c, mu, d, n, "dominant") - expect) < 1e-16
 
 
 def test_channel_stats_short_and_long_distance():
@@ -72,9 +76,9 @@ def test_estimators_reject_non_finite_mu():
         with pytest.raises(ValueError):
             channel_stats(c, mu)
         with pytest.raises(ValueError):
-            keyrate_wcs_decoy(c, mu)
+            keyrate_for_protocol(WCS_DECOY, c, mu)
         with pytest.raises(ValueError):
-            keyrate_psp_triggered(c, mu, 8, 256.0, 0.12)
+            keyrate_for_protocol(PSP_TRIGGERED, c, mu, 8, **TRIGGER)
 
 
 def test_pseudo_state_yield_matches_series_oracle():
@@ -86,7 +90,7 @@ def test_pseudo_state_yield_matches_series_oracle():
         total = 0.0
         for n in range(j, 400, d):
             p = math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
-            total += p * yield_n(c, n)
+            total += p * n_photon_yield(c, n)
         oracle = total / mass
         lib = pseudo_state_yield(c, mu, d, j)
         assert abs(lib - oracle) < 1e-14
@@ -95,9 +99,18 @@ def test_pseudo_state_yield_matches_series_oracle():
 def test_pseudo_state_yield_frozen_point_and_dominant_model():
     c = ChannelParams(distance_km=40.0)
     assert abs(pseudo_state_yield(c, 0.45, 8, 1) - 6.506168144914004e-03) < 1e-15
-    assert pseudo_state_yield(c, 0.45, 8, 1, model="dominant") == yield_n(c, 1)
+    assert pseudo_state_yield(c, 0.45, 8, 1, model="dominant") == n_photon_yield(c, 1)
     with pytest.raises(ValueError):
         pseudo_state_yield(c, 0.45, 8, 1, model="other")
+
+
+@pytest.mark.parametrize("model", ["exact", "dominant"])
+@pytest.mark.parametrize("d, j", [(8, -1), (8, 12), (8, 8), (8, 2.5), (8, True), (0, 0),
+                                  (8.0, 1)])
+def test_pseudo_state_yield_rejects_bad_d_and_j(model, d, j):
+    # the dominant model used to ignore d and j: -0.00654 at j = -1, 0.0753 at j = 12
+    with pytest.raises(ValueError, match="must be an integer"):
+        pseudo_state_yield(ChannelParams(distance_km=40.0), 0.45, d, j, model)
 
 
 def test_binary_entropy():
@@ -116,6 +129,12 @@ def test_entropy_and_phase_error_reject_nan():
         phase_error_upper(0.1, math.nan)
     with pytest.raises(ValueError):
         phase_error_upper(math.nan, 0.1)
+    # an e_bit that is no probability used to give NaN (+-inf) or a number (2.0 -> 0.92)
+    for e_bit in (math.inf, -math.inf, 2.0, -0.1, 1.0 + 1e-12, np.array([0.1, 1.5])):
+        with pytest.raises(ValueError, match="e_bit"):
+            phase_error_upper(e_bit, 0.1)
+    assert phase_error_upper(np.array([0.0, 1.0]), 0.1).tolist() == [
+        phase_error_upper(0.0, 0.1), phase_error_upper(1.0, 0.1)]
     with pytest.raises(ValueError):
         binary_entropy(np.array([0.1, math.nan]))
 
@@ -200,7 +219,7 @@ def test_nondecoy_optimized_frozen_point_and_cutoff():
 
 
 def test_wcs_decoy_frozen_point():
-    res = keyrate_wcs_decoy(ChannelParams(distance_km=20.0), 0.5)
+    res = keyrate_for_protocol(WCS_DECOY, ChannelParams(distance_km=20.0), 0.5)
     assert abs(res.rate - 2.0299986611564962e-03) < 1e-14
     assert res.gain > 0 and 0 < res.qber < 0.5
 
@@ -212,27 +231,27 @@ def test_psp_passive_frozen_points():
         (40.0, 1.0, 36, 1.3087567975131505e-03),
     )
     for L, mu, d, rate in expect:
-        res = keyrate_psp_passive(ChannelParams(distance_km=L), mu, d)
+        res = keyrate_for_protocol(PSP_PASSIVE_DECOY, ChannelParams(distance_km=L), mu, d)
         assert abs(res.rate - rate) < 1e-14
 
 
 def test_psp_passive_basis_mu_options_agree_at_large_d():
     c = ChannelParams(distance_km=40.0)
-    half = keyrate_psp_passive(c, 1.0, 36, basis_mu="half")
-    full = keyrate_psp_passive(c, 1.0, 36, basis_mu="full")
+    half = keyrate_for_protocol(PSP_PASSIVE_DECOY, c, 1.0, 36, basis_mu="half")
+    full = keyrate_for_protocol(PSP_PASSIVE_DECOY, c, 1.0, 36, basis_mu="full")
     assert abs(half.rate - full.rate) < 1e-9 * half.rate
 
 
 def test_psp_triggered_frozen_point_and_upper_bound():
     c = ChannelParams(distance_km=40.0)
-    trig = keyrate_psp_triggered(c, 0.45, 8, 256.0, 0.12)
+    trig = keyrate_for_protocol(PSP_TRIGGERED, c, 0.45, 8, **TRIGGER)
     assert abs(trig.rate - 1.0108523319818162e-03) < 1e-14
     for L in (0.0, 20.0, 40.0, 60.0):
         ch = ChannelParams(distance_km=L)
-        passive = keyrate_psp_passive(ch, 0.45, 8)
+        passive = keyrate_for_protocol(PSP_PASSIVE_DECOY, ch, 0.45, 8)
         for convention in ("paper", "recomputed"):
-            t = keyrate_psp_triggered(ch, 0.45, 8, 256.0, 0.12,
-                                      convention=convention)
+            t = keyrate_for_protocol(PSP_TRIGGERED, ch, 0.45, 8, **TRIGGER,
+                                     convention=convention)
             assert t.rate <= passive.rate + 1e-15
 
 
@@ -268,8 +287,8 @@ def test_psp_triggered_vectorized_matches_per_residue_loop():
             ("exact", "dominant"), ("paper", "recomputed"), (0.0, 40.0, 100.0),
             (0.05, 0.45, 2.0), (4, 8, 36)):
         c = ChannelParams(distance_km=L)
-        res = keyrate_psp_triggered(c, mu, d, 4.0 * d * d, 0.12, convention,
-                                    yield_model=yield_model)
+        res = keyrate_for_protocol(PSP_TRIGGERED, c, mu, d, nu=4.0 * d * d, eta_trigger_det=0.12,
+                                   convention=convention, yield_model=yield_model)
         q_t, q_nt, rate = triggered_by_loop(c, mu, d, 4.0 * d * d, 0.12, convention,
                                             yield_model)
         assert abs(res.diagnostics["q_t_mu"] - q_t) <= 1e-15 * q_t
@@ -321,13 +340,33 @@ def test_curve_matches_per_distance_calls(protocol, mu, d, kwargs):
     assert (curve.rate == 0).any()
 
 
+def passive_by_parts(c, mu, d):
+    """(y1, rate) of the passive-decoy estimator from the per-state public functions."""
+    y1 = pseudo_state_yield(c, mu, d, 1)
+    e_b1 = (c.e0 - c.e_det) * (c.y0 / y1) + c.e_det
+    delta1 = (1.0 - basis_fidelity_bound(mu / 2.0, d, 1)) / (2.0 * y1)
+    e_p1 = phase_error_upper(e_b1, delta1)
+    rate = modular_poisson_mass(mu, d, 1) * y1 * (
+        1.0 - c.f * binary_entropy(e_b1) - binary_entropy(e_p1))
+    return y1, rate
+
+
 def test_scalar_estimators_are_the_curve_at_their_distance():
-    c = ChannelParams(distance_km=40.0)
-    at = np.array([40.0])
-    assert keyrate_psp_passive(c, 0.45, 8) == keyrate_curve(
-        PSP_PASSIVE_DECOY, c, 0.45, at, 8).result(0)
-    assert keyrate_psp_triggered(c, 0.45, 8, 256.0, 0.12) == keyrate_curve(
-        PSP_TRIGGERED, c, 0.45, at, 8, nu=256.0, eta_trigger_det=0.12).result(0)
+    # keyrate_for_protocol reads c.distance_km, and a curve row does not depend
+    # on the other distances of the curve
+    curve = keyrate_curve(PSP_PASSIVE_DECOY, ChannelParams(), 0.45, [0.0, 40.0, 80.0], 8)
+    trig = keyrate_curve(PSP_TRIGGERED, ChannelParams(), 0.45, [0.0, 40.0, 80.0], 8, **TRIGGER)
+    for i, L in enumerate((0.0, 40.0, 80.0)):
+        c = ChannelParams(distance_km=L)
+        y1, rate = passive_by_parts(c, 0.45, 8)
+        res = keyrate_for_protocol(PSP_PASSIVE_DECOY, c, 0.45, 8)
+        assert res == curve.result(i)
+        assert abs(res.diagnostics["y1"] - y1) <= 1e-15 * y1
+        assert abs(res.rate - rate) <= 1e-15 * rate
+        _, _, rate = triggered_by_loop(c, 0.45, 8, 256.0, 0.12, "paper", "exact")
+        res = keyrate_for_protocol(PSP_TRIGGERED, c, 0.45, 8, **TRIGGER)
+        assert res == trig.result(i)
+        assert abs(res.rate - rate) <= 1e-15 * rate
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -335,12 +374,12 @@ def test_estimators_without_dark_counts_at_extreme_distance():
     # with y0 = 0 the gain and the yields underflow to 0 far out; the scalar
     # estimators used to raise ZeroDivisionError there
     far = ChannelParams(y0=0.0, distance_km=20000.0)
-    assert keyrate_nondecoy(ChannelParams(y0=0.0, distance_km=1000.0), 0.03).rate == 0.0
-    assert keyrate_wcs_decoy(far, 0.5).rate == 0.0
-    assert keyrate_psp_passive(far, 0.45, 8).rate == 0.0
-    assert keyrate_psp_triggered(far, 0.45, 8, 256.0, 0.12).rate == 0.0
-    curve = keyrate_curve(PSP_TRIGGERED, far, 0.45, [0.0, 20000.0], 8, nu=256.0,
-                          eta_trigger_det=0.12)
+    assert keyrate_for_protocol(
+        WCS_NONDECOY, ChannelParams(y0=0.0, distance_km=1000.0), 0.03).rate == 0.0
+    assert keyrate_for_protocol(WCS_DECOY, far, 0.5).rate == 0.0
+    assert keyrate_for_protocol(PSP_PASSIVE_DECOY, far, 0.45, 8).rate == 0.0
+    assert keyrate_for_protocol(PSP_TRIGGERED, far, 0.45, 8, **TRIGGER).rate == 0.0
+    curve = keyrate_curve(PSP_TRIGGERED, far, 0.45, [0.0, 20000.0], 8, **TRIGGER)
     assert curve.rate[0] > 0.0 == curve.rate[1]
 
 
@@ -362,13 +401,14 @@ def test_degenerate_residues_raise_only_for_the_exact_yield_model(isolated):
         "c = ChannelParams(distance_km=40.0)\n"
         "for model in ('exact', 'dominant'):\n"
         "    for call in (lambda: pseudo_state_yield(c, 1e-200, 4, 2, model),\n"
-        "                 lambda: keyrate_psp_triggered(c, 1e-200, 4, 64.0, 0.12,\n"
-        "                                               yield_model=model).rate):\n"
+        "                 lambda: keyrate_for_protocol(PSP_TRIGGERED, c, 1e-200, 4, nu=64.0,\n"
+        "                                              eta_trigger_det=0.12,\n"
+        "                                              yield_model=model).rate):\n"
         "        try:\n"
         "            print(repr(call()))\n"
         "        except DegenerateStateError:\n"
         "            print('DegenerateStateError')\n"
-        "print(repr(yield_n(c, 2)))\n")
+        "print(repr(1.0 - (1.0 - c.y0) * (1.0 - transmission(c)) ** 2))\n")
     lines = out.splitlines()
     assert code == 0
     assert lines[:2] == ["DegenerateStateError"] * 2
@@ -378,7 +418,7 @@ def test_degenerate_residues_raise_only_for_the_exact_yield_model(isolated):
 
 def test_psp_triggered_gain_bound_consistency():
     c = ChannelParams(distance_km=40.0)
-    res = keyrate_psp_triggered(c, 0.45, 8, 256.0, 0.12)
+    res = keyrate_for_protocol(PSP_TRIGGERED, c, 0.45, 8, **TRIGGER)
     diag = res.diagnostics
     assert diag["q_t_j1_bound"] <= diag["q_t_j1_exact"] + 1e-18
 
@@ -387,7 +427,7 @@ def test_optimize_mu_behavior():
     c = ChannelParams(distance_km=20.0)
     mu_star, res = optimize_mu(c, None, WCS_DECOY, GRID)
     assert abs(mu_star - 0.5) < 1e-12
-    assert res.rate == keyrate_wcs_decoy(c, 0.5).rate
+    assert res.rate == keyrate_for_protocol(WCS_DECOY, c, 0.5).rate
     mu36, _ = optimize_mu(ChannelParams(distance_km=40.0), 36, PSP_PASSIVE_DECOY,
                           [0.8, 0.9, 1.0, 1.1])
     assert mu36 == 1.0
@@ -431,12 +471,24 @@ def test_optimize_mu_first_index_tie_break(monkeypatch):
     assert (m, res.rate) == (0.5, 0.5)  # the scalar search sees its one distance first
 
 
+def gllp_by_hand(c, mu, p_multi):
+    """The GLLP non-decoy rate from the channel's gain and QBER."""
+    st = channel_stats(c, mu)
+    omega = (st.q_mu - p_multi) / st.q_mu
+    return max(0.0, -c.f * st.q_mu * binary_entropy(st.e_mu)
+               + st.q_mu * omega * (1.0 - binary_entropy(st.e_mu / omega)))
+
+
 def test_keyrate_for_protocol_dispatch():
     c = ChannelParams(distance_km=10.0)
-    assert keyrate_for_protocol(WCS_NONDECOY, c, 0.01).rate == \
-        keyrate_nondecoy(c, 0.01).rate
-    assert keyrate_for_protocol(PSP_NONDECOY, c, 0.1, 8).rate == \
-        keyrate_nondecoy(c, 0.1, d=8).rate
+    wcs_multi = 1.0 - math.exp(-0.01) * (1.0 + 0.01)
+    rate = keyrate_for_protocol(WCS_NONDECOY, c, 0.01).rate
+    assert rate > 0.0
+    assert rate == gllp_by_hand(c, 0.01, wcs_multi)
+    psp_multi = sum(modular_poisson_mass(0.03, 8, j) for j in range(2, 8))
+    rate = keyrate_for_protocol(PSP_NONDECOY, c, 0.03, 8).rate
+    assert rate > 0.0
+    assert abs(rate - gllp_by_hand(c, 0.03, psp_multi)) <= 1e-15 * rate
     with pytest.raises(ValueError):
         keyrate_for_protocol("unknown", c, 0.1)
 
@@ -453,10 +505,10 @@ def test_psp_protocols_require_integer_d(protocol, d):
 def test_rates_are_nonnegative():
     for L in (0.0, 50.0, 120.0):
         c = ChannelParams(distance_km=L)
-        assert keyrate_nondecoy(c, 0.1).rate >= 0.0
-        assert keyrate_wcs_decoy(c, 0.5).rate >= 0.0
-        assert keyrate_psp_passive(c, 0.45, 8).rate >= 0.0
-        assert keyrate_psp_triggered(c, 0.45, 8, 256.0, 0.12).rate >= 0.0
+        assert keyrate_for_protocol(WCS_NONDECOY, c, 0.1).rate >= 0.0
+        assert keyrate_for_protocol(WCS_DECOY, c, 0.5).rate >= 0.0
+        assert keyrate_for_protocol(PSP_PASSIVE_DECOY, c, 0.45, 8).rate >= 0.0
+        assert keyrate_for_protocol(PSP_TRIGGERED, c, 0.45, 8, **TRIGGER).rate >= 0.0
 
 
 @pytest.mark.parametrize("field", ["f", "eta_bob", "y0", "e0", "e_det", "alpha_db_per_km",
