@@ -6,6 +6,7 @@ double sum, p11 a set of Gram-matrix vacuum projections on the coherent
 expansion, and f2002 the product of the inputs' one-photon probabilities.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ def g2_zero_closed(mu, d):
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
+    if not math.isfinite(mu):  # before the phase sum, which would warn on it
+        raise ValueError("mu must be finite")
     _validate_d(d)
     s = np.arange(d)
     ph = np.exp(2j * np.pi * s / d)

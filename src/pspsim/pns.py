@@ -34,6 +34,9 @@ _MAX_BLOCK = 2**16
 # (one row per distance of a key-rate curve) is summed a group of rows at a
 # time, which keeps its temporaries, and so peak memory, small.
 _TABLE_BLOCK = 2**14
+# A term whose log lies below this is exactly 0.0 (exp underflows to zero
+# below about -745.13); the gap leaves ample room for rounding.
+_LOG_ZERO = -800.0
 
 
 def _is_integer(x):
@@ -56,17 +59,34 @@ def residue_masses(mu, d):
     """Poisson(mu) masses M_r summed over photon numbers n = r (mod d), r = 0..d-1.
 
     mu may be a 1-D array; the result is then a (len(mu), d) table whose row
-    i equals residue_masses(mu[i], d) bit for bit (long tables are summed a
-    group of rows at a time, see _TABLE_BLOCK).
+    i equals residue_masses(mu[i], d) bit for bit.
     One log-space pass over blocks of 64 d consecutive photon numbers (fewer
     at d > 1024), each laid out residue-major so that row r of the block
     holds its n = r (mod d).
+    A table evaluates only a block's leading columns that can hold a nonzero
+    term at its largest live mu (_head_width); every term past them is
+    exactly 0.0, so the sums are those of the whole block.  It is summed a
+    group of rows at a time, sized so that a group's (rows, d, head width)
+    temporary holds at most _TABLE_BLOCK terms at the table's largest mu.
     A row's pass stops once past the distribution mode with every residue's
     last term at or below SERIES_RTOL of its running sum (so residues that
     underflow to zero terminate), and raises TruncationError rather than
     reach photon numbers above SERIES_MAX_N.
     """
     _validate_d(d)
+    values = _validate_mu(mu)
+    rows = min(_CHUNK, max(1, _MAX_BLOCK // d))
+    if np.ndim(mu) == 0:  # without a table's row bookkeeping, which fig1's many calls would pay
+        return _residue_row(values[0], d, rows)
+    top = max(values, default=0.0)
+    width = _head_width(0, rows, d, top) if top > 0 else rows
+    group = max(1, _TABLE_BLOCK // (width * d))
+    groups = [_residue_rows(values[i:i + group], d, rows) for i in range(0, len(values), group)]
+    return np.concatenate(groups) if groups else np.zeros((0, d))
+
+
+def _validate_mu(mu):
+    """mu, a number or a 1-D array, as a list of floats, each checked finite and >= 0."""
     mus = np.asarray(mu, dtype=float)
     if mus.ndim > 1:
         raise ValueError("mu must be a number or a 1-D array")
@@ -75,12 +95,7 @@ def residue_masses(mu, d):
         raise ValueError("mu must be finite")
     if any(m < 0 for m in values):
         raise ValueError("mu must be nonnegative")
-    rows = min(_CHUNK, max(1, _MAX_BLOCK // d))
-    if mus.ndim == 0:  # without a table's row bookkeeping, which fig1's many calls would pay
-        return _residue_row(values[0], d, rows)
-    group = max(1, _TABLE_BLOCK // (rows * d))
-    groups = [_residue_rows(values[i:i + group], d, rows) for i in range(0, len(values), group)]
-    return np.concatenate(groups) if groups else np.zeros((0, d))
+    return values
 
 
 def _block(n0, rows, d):
@@ -135,18 +150,37 @@ def _residue_rows(values, d, rows):
         if n0 > SERIES_MAX_N:
             raise _truncated(live_mu[0], d)
         ns, log_factorials = _block(n0, rows, d)
-        # in place: the (live rows, d, rows) block is the one array of its size
-        terms = np.multiply.outer(log_mu, ns)
+        width = _head_width(n0, rows, d, live_mu.max())
+        # in place: the (live rows, d, width) head is the one array of its size
+        terms = np.multiply.outer(log_mu, ns[:, :width])
         terms -= live_mu[:, None, None]
-        terms -= log_factorials
+        terms -= log_factorials[:, :width]
         np.exp(terms, out=terms)
         sums += terms.sum(axis=2)
         n0 += rows * d
-        done = (live_mu < n0 - d) & (terms[:, :, -1] <= SERIES_RTOL * sums).all(axis=1)
+        done = live_mu < n0 - d
+        if width == rows:  # else the block's last column is all zeros, which passes
+            done &= (terms[:, :, -1] <= SERIES_RTOL * sums).all(axis=1)
         totals[live[done]] = sums[done]
         keep = ~done
         live, live_mu, log_mu, sums = live[keep], live_mu[keep], log_mu[keep], sums[keep]
     return totals
+
+
+def _head_width(n0, rows, d, mu):
+    """Leading columns of the block at n0 that can hold a nonzero term at any mu' <= mu.
+
+    Column c holds photon numbers n0 + c d .. n0 + c d + d - 1.  Past the
+    mode the log-term n log mu - mu - log(n!) falls as n grows and rises as
+    mu grows, so from the first column whose smallest n has it below
+    _LOG_ZERO at mu on, every term is exactly 0.0.  The width is rounded up
+    to a multiple of 8: numpy's pairwise sum keeps 8 accumulators for rows
+    of 8 to 128 terms, so the head sums in the same order as the whole row.
+    """
+    firsts = np.arange(n0, n0 + rows * d, d)
+    zero = (firsts > mu) & (firsts * math.log(mu) - mu - log_factorial(firsts) < _LOG_ZERO)
+    cut = int(np.argmax(zero)) if zero.any() else rows
+    return min(rows, -(-max(cut, 1) // 8) * 8)
 
 
 def modular_poisson_mass(mu, d, j):

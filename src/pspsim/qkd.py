@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, NumericalDiagnosticError
 from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
-from .pns import _validate_d, _validate_dj, normalization, residue_masses
+from .pns import _validate_d, _validate_dj, _validate_mu, normalization, residue_masses
 from .states import CoherentSuperposition, beam_splitter, vacuum_probabilities
 
 WCS_NONDECOY = "wcs-nondecoy"
@@ -202,6 +202,7 @@ def pseudo_state_yield(c, mu, d, j, model="exact"):
     n-photon yield Y_n = 1 - (1 - Y0)(1 - eta)^n.
     """
     _validate_dj(d, j)
+    _validate_mu(mu)  # the dominant model reads no residue mass, whose series checks it
     masses = residue_masses(mu, d) if model == "exact" else None
     eta = transmission(c, _distances(c, None))
     return float(_state_yields(c, mu, d, [j], masses, eta, model)[0, 0])
@@ -282,7 +283,8 @@ def encoded_state(mu, d, j, k):
     """
     if d % 4:
         raise ValueError("d must be divisible by 4")
-    if not (isinstance(k, (int, np.integer)) or float(k).is_integer()):
+    if isinstance(k, (bool, np.bool_)) or not (
+            isinstance(k, (int, np.integer)) or float(k).is_integer()):
         raise ValueError("phase index k must be an integer")
     k = int(k)
     n = normalization(2.0 * mu, d, j)
@@ -324,6 +326,8 @@ def basis_fidelity_bound(mu, d, j):
         raise ValueError("d must be divisible by 4")
     if mu < 0:
         raise ValueError("mu must be nonnegative")
+    if not math.isfinite(mu):  # before the phase sum, which would warn on it
+        raise ValueError("mu must be finite")
     q = np.arange(d)
     winv = np.exp(-2j * np.pi * q / d)
     terms = (

@@ -1,6 +1,7 @@
 """g2(0) and Hong-Ou-Mandel numbers: closed forms against the Fock oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def test_g2_rejects_bad_parameters():
         g2_zero_closed(-1.0, 4)
     with pytest.raises(ValueError):
         g2_zero_closed(0.5, 0)
+
+
+@pytest.mark.parametrize("mu", [math.inf, math.nan])
+def test_g2_rejects_non_finite_mu_without_warning(mu):
+    # the phase sum used to run first and print a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mu must be finite"):
+            g2_zero_closed(mu, 8)
 
 
 def test_g2_oracle_rejects_two_mode_states():

@@ -1,5 +1,7 @@
 """Physical invariants as property tests over the production paths."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from pspsim import (
     residue_masses,
     transmission,
 )
+from pspsim.states import log_factorial
 
 # Derandomized and with no example database, so every run draws the same
 # examples and a failure reproduces as it was seen.
@@ -24,6 +27,52 @@ DISTANCES = np.linspace(0.0, 400.0, 81)
 @given(mu=st.floats(0.0, 300.0), d=st.integers(1, 64))
 def test_residue_masses_sum_to_one(mu, d):
     assert abs(residue_masses(mu, d).sum() - 1.0) <= 1e-12
+
+
+def full_block_table(mus, d):
+    """residue_masses(mus, d) for a 1-D mus, evaluating every term of every block.
+
+    Blocks of 64 d photon numbers (fewer at d > 1024), residue-major, summed
+    a group of at most 2**14 // (64 d) rows at a time, with no column skipped.
+    """
+    rows = min(64, max(1, 2**16 // d))
+    group = max(1, 2**14 // (rows * d))
+    return np.concatenate([full_block_rows(mus[i:i + group], d, rows)
+                           for i in range(0, len(mus), group)])
+
+
+def full_block_rows(values, d, rows):
+    totals = np.zeros((len(values), d))
+    totals[values == 0, 0] = 1.0
+    live = np.flatnonzero(values > 0)
+    live_mu = values[live]
+    log_mu = np.array([math.log(m) for m in live_mu.tolist()])
+    sums = np.zeros((live.size, d))
+    n0 = 0
+    while live.size:
+        ns = np.arange(n0, n0 + rows * d)
+        log_factorials = log_factorial(ns).reshape(rows, d).T.copy()
+        terms = np.multiply.outer(log_mu, ns.reshape(rows, d).T.copy())
+        terms -= live_mu[:, None, None]
+        terms -= log_factorials
+        np.exp(terms, out=terms)
+        sums += terms.sum(axis=2)
+        n0 += rows * d
+        done = (live_mu < n0 - d) & (terms[:, :, -1] <= 1e-30 * sums).all(axis=1)
+        totals[live[done]] = sums[done]
+        live, live_mu, log_mu, sums = live[~done], live_mu[~done], log_mu[~done], sums[~done]
+    return totals
+
+
+@PROPERTY
+@given(extra=st.lists(st.floats(1e-3, 300.0), max_size=10),
+       d=st.one_of(st.integers(1, 64), st.just(1100)), data=st.data())
+def test_residue_mass_table_is_the_full_block_arithmetic(extra, d, data):
+    # a group's largest mu sets how many columns of a block are evaluated for
+    # all of its rows; mu = 30 at d = 1 needs several blocks, and at d = 1100 a
+    # block has 59 rows of photon numbers, not 64
+    mus = np.array(data.draw(st.permutations(extra + [0.0, 1e-300, 30.0]), label="mus"))
+    assert np.array_equal(residue_masses(mus, d), full_block_table(mus, d))  # bit for bit
 
 
 @PROPERTY

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,15 @@ def test_pseudo_state_yield_rejects_bad_d_and_j(model, d, j):
         pseudo_state_yield(ChannelParams(distance_km=40.0), 0.45, d, j, model)
 
 
+@pytest.mark.parametrize("mu, message", [(-1.0, "nonnegative"), (math.nan, "finite"),
+                                         (math.inf, "finite")])
+@pytest.mark.parametrize("model", ["exact", "dominant"])
+def test_pseudo_state_yield_rejects_bad_mu(model, mu, message):
+    # the dominant model used to ignore mu and return 0.0065062 for each
+    with pytest.raises(ValueError, match="mu must be " + message):
+        pseudo_state_yield(ChannelParams(distance_km=40.0), mu, 8, 1, model)
+
+
 def test_binary_entropy():
     assert binary_entropy(0.5) == 1.0
     assert binary_entropy(0.0) == 0.0
@@ -173,6 +183,17 @@ def test_encoded_state_norm():
         assert abs(norm(s) - 1.0) < 1e-12
 
 
+def test_encoded_state_rejects_bool_phase_index():
+    # True used to build the k = 1 state
+    for k in (True, np.True_, 1.5):
+        with pytest.raises(ValueError, match="phase index"):
+            encoded_state(0.45, 8, 1, k)
+    integral = encoded_state(0.45, 8, 1, 2.0)
+    two = encoded_state(0.45, 8, 1, 2)
+    assert np.array_equal(integral.coeffs, two.coeffs)
+    assert np.array_equal(integral.labels, two.labels)
+
+
 def test_measure_bb84_deterministic_ports():
     mu, d = 0.45, 8
     k0, ky0, k1, ky1 = phase_set(d)
@@ -206,6 +227,15 @@ def test_basis_fidelity_bound_limits():
         basis_fidelity_bound(0.3, 6, 1)
     with pytest.raises(ValueError):
         basis_fidelity_bound(-0.1, 4, 1)
+
+
+@pytest.mark.parametrize("mu", [math.inf, math.nan])
+def test_basis_fidelity_bound_rejects_non_finite_mu_without_warning(mu):
+    # the phase sum used to run first and print up to four RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mu must be finite"):
+            basis_fidelity_bound(mu, 8, 1)
 
 
 def test_nondecoy_optimized_frozen_point_and_cutoff():
