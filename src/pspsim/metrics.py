@@ -36,6 +36,8 @@ def g2_zero_closed(mu, d):
     w^{2(q-q')}, which combines with the coefficient phase w^{q'-q} to the
     net factor w^{q-q'}; pairing the opposite sign instead fails the Fock
     cross-check for every d >= 3.  d = 1 is the coherent state, returns 1.
+    At small mu the sums cancel to noise around a tiny true value: a result
+    down to -UNIT_RESIDUE_TOL reads 0, one below it is a numerical failure.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -53,7 +55,9 @@ def g2_zero_closed(mu, d):
         raise NumericalDiagnosticError(
             "g2 numerator residue %.3e exceeds tolerance" % val.imag
         )
-    return float(val.real)
+    if val.real < -UNIT_RESIDUE_TOL:
+        raise NumericalDiagnosticError("g2 = %.6e is negative" % val.real)
+    return max(float(val.real), 0.0)
 
 
 def g2_zero_oracle(fv):

@@ -55,11 +55,13 @@ def _validate_dj(d, j):
         raise ValueError("j must be an integer in [0, d)")
 
 
-def residue_masses(mu, d):
+def residue_masses(mu, d, residues=None):
     """Poisson(mu) masses M_r summed over photon numbers n = r (mod d), r = 0..d-1.
 
     mu may be a 1-D array; the result is then a (len(mu), d) table whose row
-    i equals residue_masses(mu[i], d) bit for bit.
+    i equals residue_masses(mu[i], d) bit for bit.  residues (a list of r in
+    [0, d)) keeps only those columns, in that order; a table computes only
+    them, and each equals the full table's column bit for bit.
     One log-space pass over blocks of 64 d consecutive photon numbers (fewer
     at d > 1024), each laid out residue-major so that row r of the block
     holds its n = r (mod d).
@@ -76,13 +78,21 @@ def residue_masses(mu, d):
     _validate_d(d)
     values = _validate_mu(mu)
     rows = min(_CHUNK, max(1, _MAX_BLOCK // d))
-    if np.ndim(mu) == 0:  # without a table's row bookkeeping, which fig1's many calls would pay
+    if np.ndim(mu) == 0 and residues is None:  # no table bookkeeping: fig1 makes 2,400 calls
         return _residue_row(values[0], d, rows)
+    js = np.arange(d) if residues is None else np.asarray(residues)
+    integers = js.dtype.kind in "iu" or js.size == 0  # a bool or float is no residue
+    if not (js.ndim == 1 and integers and np.all((0 <= js) & (js < d))):
+        raise ValueError("residues must be a list of integers in [0, d)")
+    js = js.astype(int)
+    if np.ndim(mu) == 0:
+        return _residue_row(values[0], d, rows)[js]
     top = max(values, default=0.0)
     width = _head_width(0, rows, d, top) if top > 0 else rows
-    group = max(1, _TABLE_BLOCK // (width * d))
-    groups = [_residue_rows(values[i:i + group], d, rows) for i in range(0, len(values), group)]
-    return np.concatenate(groups) if groups else np.zeros((0, d))
+    group = max(1, _TABLE_BLOCK // (width * max(js.size, 1)))
+    groups = [_residue_rows(values[i:i + group], d, rows, js)
+              for i in range(0, len(values), group)]
+    return np.concatenate(groups) if groups else np.zeros((0, js.size))
 
 
 def _validate_mu(mu):
@@ -136,25 +146,31 @@ def _residue_row(mu, d, rows):
     raise _truncated(mu, d)
 
 
-def _residue_rows(values, d, rows):
-    """residue_masses table for a list of valid mu values: _residue_row for each, in one pass."""
-    totals = np.zeros((len(values), d))
-    totals[[i for i, m in enumerate(values) if m == 0], 0] = 1.0
+def _residue_rows(values, d, rows, js):
+    """residue_masses table for a list of valid mu values: _residue_row for each, in one pass.
+
+    Only the residues js are summed.  Each residue's terms are summed on their
+    own; and once past the mode, a residue whose last term passes the
+    termination test adds nothing an ulp can see in a later block (its terms
+    fall with n), so testing js alone ends each column on the full table's bits.
+    """
+    totals = np.zeros((len(values), js.size))
+    totals[np.ix_([i for i, m in enumerate(values) if m == 0], js == 0)] = 1.0
     # Rows still summing: their indices, mu, log(mu) and running sums.
     live = np.array([i for i, m in enumerate(values) if m > 0], dtype=int)
     live_mu = np.array([values[i] for i in live])
     log_mu = np.array([math.log(m) for m in live_mu.tolist()])  # math.log, as _residue_row
-    sums = np.zeros((live.size, d))
+    sums = np.zeros((live.size, js.size))
     n0 = 0
     while live.size:
         if n0 > SERIES_MAX_N:
             raise _truncated(live_mu[0], d)
         ns, log_factorials = _block(n0, rows, d)
         width = _head_width(n0, rows, d, live_mu.max())
-        # in place: the (live rows, d, width) head is the one array of its size
-        terms = np.multiply.outer(log_mu, ns[:, :width])
+        # in place: the (live rows, residues, width) head is the one array of its size
+        terms = np.multiply.outer(log_mu, ns[js, :width])
         terms -= live_mu[:, None, None]
-        terms -= log_factorials[:, :width]
+        terms -= log_factorials[js, :width]
         np.exp(terms, out=terms)
         sums += terms.sum(axis=2)
         n0 += rows * d

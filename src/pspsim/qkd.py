@@ -12,8 +12,8 @@ Estimators (all lower bounds, floored at zero):
   - WCS with infinite decoy states,
   - pseudo-number source with passive decoy (full residue discrimination),
   - pseudo-number source with the cheap interferometric trigger.
-Each one evaluates a source curve over an array of distances (keyrate_curve);
-keyrate_for_protocol is that curve at c.distance_km.
+Each one evaluates a source over a (mu, distance) surface at once; keyrate_curve
+is one mu's row of it, and optimize_mu takes the best mu at each distance.
 
 Phase-encoded states split |j_d> across a reference and a signal pulse; the
 basis-dependence of the source enters through a closed-form lower bound on
@@ -23,13 +23,13 @@ penalty the standard way (Delta = (1 - F)/(2 Y)).
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import reduce
 
 import numpy as np
 
 from .errors import DegenerateStateError, NumericalDiagnosticError
 from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
-from .pns import _validate_d, _validate_dj, _validate_mu, normalization, residue_masses
+from .pns import (_TABLE_BLOCK, _validate_d, _validate_dj, _validate_mu, normalization,
+                  residue_masses)
 from .states import CoherentSuperposition, beam_splitter, vacuum_probabilities
 
 WCS_NONDECOY = "wcs-nondecoy"
@@ -165,7 +165,7 @@ def _distances(c, distances):
 
 def _exp(x):
     """math.exp at each entry of the array x (numpy's exp differs from it in the last digit)."""
-    return np.array([math.exp(v) for v in x.tolist()])
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def channel_stats(c, mu, distances=None):
@@ -173,16 +173,17 @@ def channel_stats(c, mu, distances=None):
 
     A pseudo-number source partitions the same Poisson photon statistics by
     residue, so Q_mu and E_mu hold for it and for a weak coherent source alike.
-    distances (km, 1-D) makes every field an array over them, in place of
-    the values at c.distance_km.
+    distances (km, 1-D) gives arrays over them in place of the values at
+    c.distance_km, and a column mu, shape (m, 1), (m, len(distances)) tables.
     """
-    if not (math.isfinite(mu) and mu >= 0):
+    mus = np.asarray(mu, dtype=float)
+    if not (np.isfinite(mus).all() and (mus >= 0).all()):
         raise ValueError("mu must be finite and nonnegative")
     eta = transmission(c, _distances(c, distances))  # an array, even for c.distance_km alone
-    survival = _exp(-eta * mu)
+    survival = _exp(-eta * mus)
     q = c.y0 + 1.0 - survival
     e = np.where(q > 0, _ratio(c.e0 * c.y0 + c.e_det * (1.0 - survival), q), c.e0)
-    if distances is None:
+    if distances is None and mus.ndim == 0:
         return ChannelStats(eta=float(eta[0]), q_mu=float(q[0]), e_mu=float(e[0]))
     return ChannelStats(eta=eta, q_mu=q, e_mu=e)
 
@@ -203,27 +204,30 @@ def pseudo_state_yield(c, mu, d, j, model="exact"):
     """
     _validate_dj(d, j)
     _validate_mu(mu)  # the dominant model reads no residue mass, whose series checks it
-    masses = residue_masses(mu, d) if model == "exact" else None
+    masses = residue_masses(mu, d)[None] if model == "exact" else None
     eta = transmission(c, _distances(c, None))
-    return float(_state_yields(c, mu, d, [j], masses, eta, model)[0, 0])
+    return float(_state_yields(c, np.array([[mu]]), d, [j], masses, eta, model)[0, 0, 0])
 
 
-def _state_yields(c, mu, d, js, masses, eta, model):
-    """pseudo_state_yield of each residue in js at each transmittance in eta.
+def _state_yields(c, mus, d, js, masses, eta, model):
+    """pseudo_state_yield of each residue in js at each intensity in mus and transmittance in eta.
 
-    Returns a (len(eta), len(js)) table; masses = residue_masses(mu, d),
-    which only the exact model reads.
+    An (m, len(eta), len(js)) table for the column mus, shape (m, 1); masses =
+    residue_masses(mus[:, 0], d), which only the exact model reads.
     """
     js = np.atleast_1d(js).tolist()  # Python ints
     if model == "dominant":
         # Python's power per entry: numpy's array power differs from it in the last digit
-        return np.array([[1.0 - (1.0 - c.y0) * (1.0 - e) ** n for n in js] for e in eta.tolist()])
+        table = np.array([[1.0 - (1.0 - c.y0) * (1.0 - e) ** n for n in js] for e in eta.tolist()])
+        return np.broadcast_to(table, (len(mus),) + table.shape)
     if model != "exact":
         raise ValueError("model must be 'exact' or 'dominant'")
-    mass = masses[js]
+    mass = masses[:, js]
     if not np.all(mass):
+        mu = mus[np.argmin(mass.all(axis=1)), 0]
         raise DegenerateStateError("state with j=%s is degenerate at mu=%.6g" % (js, mu))
-    survival = _exp(-mu * eta)[:, None] * residue_masses(mu * (1.0 - eta), d)[:, js] / mass
+    lost = residue_masses((mus * (1.0 - eta)).ravel(), d, js).reshape(len(mus), eta.size, -1)
+    survival = _exp(-mus * eta)[:, :, None] * lost / mass[:, None, :]
     return 1.0 - (1.0 - c.y0) * survival
 
 
@@ -341,16 +345,16 @@ def basis_fidelity_bound(mu, d, j):
     return min(max(val, 0.0), 1.0)
 
 
-def _basis_pulse_mu(mu, basis_mu):
-    """Per-pulse mean photon number at which the fidelity bound is evaluated.
+def _source_fidelity(mu, d, basis_mu):
+    """basis_fidelity_bound(mu', d, 1) of a j = 1 source with mean photon number mu.
 
-    "half" treats mu as the total of the prepared state (pulses carry mu/2
-    each, so the bound's N_{2 mu'} matches N_mu); "full" evaluates at mu.
+    "half" treats mu as the total of the prepared state, so the pulses carry
+    mu' = mu/2 each (the bound's N_{2 mu'} matches N_mu); "full" takes mu' = mu.
     """
     if basis_mu == "half":
-        return mu / 2.0
+        return basis_fidelity_bound(mu / 2.0, d, 1)
     if basis_mu == "full":
-        return mu
+        return basis_fidelity_bound(mu, d, 1)
     raise ValueError("basis_mu must be 'half' or 'full'")
 
 
@@ -360,16 +364,17 @@ def _basis_pulse_mu(mu, basis_mu):
 
 
 class _Branches:
-    """Which distances of one curve the vacuity tests have ended so far, and why.
+    """Which (mu, distance) points of one surface the vacuity tests have ended so far, and why.
 
-    keep() records diagnostics, NaN at the distances already ended, so each
-    distance's result lists only the names its branch reached; end() ends
-    the live distances where a test failed.
+    Each estimator maps a column mus, shape (m, 1), to a KeyRateCurve of
+    (m, len(distances)) tables.  keep() records diagnostics, NaN at the points
+    already ended, so each point's result lists only the names its branch
+    reached; end() ends the live points where a test failed.
     """
 
-    def __init__(self, n):
-        self.live = np.ones(n, dtype=bool)
-        self.reason = np.full(n, None, dtype=object)
+    def __init__(self, shape):
+        self.live = np.ones(shape, dtype=bool)
+        self.reason = np.full(shape, None, dtype=object)
         self.diagnostics = {}
 
     def keep(self, **values):
@@ -382,56 +387,56 @@ class _Branches:
         self.live &= ~failed
 
     def live_or_zero(self, x):
-        """x at the live distances, 0 at the ended ones: a safe entropy or penalty input."""
+        """x at the live points, 0 at the ended ones: a safe entropy or penalty input."""
         return np.where(self.live, x, 0.0)
 
-    def curve(self, distances, mu, gain, qber, rate):
-        """The KeyRateCurve; an ended distance, or a negative rate, reads rate 0."""
+    def surface(self, distances, mus, gain, qber, rate):
+        """The (mu, distance) KeyRateCurve; an ended point, or a negative rate, reads rate 0."""
         rate = np.where(self.live & (rate > 0.0), rate, 0.0)
-        return KeyRateCurve(distances, np.full(distances.size, float(mu)), gain, qber, rate,
+        return KeyRateCurve(distances, np.broadcast_to(mus, rate.shape), gain, qber, rate,
                             dict(self.diagnostics, vacuous=self.reason))
 
 
-def _nondecoy_curve(c, distances, mu, d=None):
+def _nondecoy_curve(c, distances, mus, d=None):
     """GLLP non-decoy rate; d=None for a WCS source, else a pseudo-number source.
 
     R = max(0, -f Q H(E) + Q Omega [1 - H(E/Omega)]),
     Omega = (Q - P_multi)/Q, with P_multi the source's multi-state weight:
     1 - e^{-mu}(1 + mu) for WCS, the total j >= 2 residue weight otherwise.
     """
-    st = channel_stats(c, mu, distances)
+    st = channel_stats(c, mus, distances)
     if d is None:
-        p_multi = 1.0 - math.exp(-mu) * (1.0 + mu)
+        p_multi = 1.0 - _exp(-mus) * (1.0 + mus)
     else:
-        p_multi = float(residue_masses(mu, d)[2:].sum())
-    branches = _Branches(st.q_mu.size)
+        p_multi = residue_masses(mus[:, 0], d, range(2, d)).sum(axis=1, keepdims=True)
+    branches = _Branches(st.q_mu.shape)
     omega = _ratio(st.q_mu - p_multi, st.q_mu)
     branches.keep(p_multi=p_multi, omega=omega)
     e_over_omega = _ratio(st.e_mu, omega)
     branches.end((omega <= 0.0) | (e_over_omega >= 0.5), "multiphoton fraction overwhelms the gain")
     rate = (-c.f * st.q_mu * binary_entropy(st.e_mu)
             + st.q_mu * omega * (1.0 - binary_entropy(branches.live_or_zero(e_over_omega))))
-    return branches.curve(distances, mu, st.q_mu, st.e_mu, rate)
+    return branches.surface(distances, mus, st.q_mu, st.e_mu, rate)
 
 
-def _wcs_decoy_curve(c, distances, mu):
+def _wcs_decoy_curve(c, distances, mus):
     """WCS rate with infinite decoy states: exact single-photon statistics.
 
     R = max(0, -f Q H(E) + Q1 [1 - H(e1)]), Q1 = Y1 mu e^{-mu},
     e1 = (e0 - e_det) Y0/Y1 + e_det.
     """
-    st = channel_stats(c, mu, distances)
+    st = channel_stats(c, mus, distances)
     y1 = 1.0 - (1.0 - c.y0) * (1.0 - st.eta)  # Y_n at n = 1, as in _state_yields' dominant model
-    q1 = y1 * mu * math.exp(-mu)
+    q1 = y1 * mus * _exp(-mus)
     e1 = _bit_error(c, y1)
-    branches = _Branches(y1.size)
+    branches = _Branches(st.q_mu.shape)
     branches.keep(y1=y1, q1=q1, e1=e1)
     priv = np.where(e1 < 0.5, 1.0 - binary_entropy(e1), 0.0)
     rate = -c.f * st.q_mu * binary_entropy(st.e_mu) + q1 * priv
-    return branches.curve(distances, mu, st.q_mu, st.e_mu, rate)
+    return branches.surface(distances, mus, st.q_mu, st.e_mu, rate)
 
 
-def _psp_passive_curve(c, distances, mu, d, basis_mu="half", yield_model="exact"):
+def _psp_passive_curve(c, distances, mus, d, basis_mu="half", yield_model="exact"):
     """Passive-decoy rate with full residue discrimination at the source.
 
     R = max(0, P1 Y1 [1 - f H(e_b1) - H(e_p1)]) with P1 the j=1 herald
@@ -440,15 +445,15 @@ def _psp_passive_curve(c, distances, mu, d, basis_mu="half", yield_model="exact"
     Delta1 > 1/2 or a phase-error bound >= 1/2 makes the bound vacuous and
     zeroes the rate (recorded in diagnostics).
     """
-    st = channel_stats(c, mu, distances)
+    st = channel_stats(c, mus, distances)
     _validate_dj(d, 1)
-    masses = residue_masses(mu, d)
-    p1 = float(masses[1])
-    y1 = _state_yields(c, mu, d, [1], masses, st.eta, yield_model)[:, 0]
+    masses = residue_masses(mus[:, 0], d)
+    p1 = masses[:, 1:2]
+    y1 = _state_yields(c, mus, d, [1], masses, st.eta, yield_model)[:, :, 0]
     e_b1 = _bit_error(c, y1)
-    f1 = basis_fidelity_bound(_basis_pulse_mu(mu, basis_mu), d, 1)
+    f1 = np.array([[_source_fidelity(mu, d, basis_mu)] for mu in mus[:, 0].tolist()])
     delta1 = _ratio(1.0 - f1, 2.0 * y1)
-    branches = _Branches(y1.size)
+    branches = _Branches(y1.shape)
     branches.keep(p1=p1, y1=y1, e_b1=e_b1, f1=f1, delta1=delta1)
     branches.end(delta1 > 0.5, "basis dependence too strong for the fidelity bound")
     e_p1 = phase_error_upper(branches.live_or_zero(e_b1), branches.live_or_zero(delta1))
@@ -456,10 +461,10 @@ def _psp_passive_curve(c, distances, mu, d, basis_mu="half", yield_model="exact"
     branches.diagnostics["e_p1"] = e_p1
     branches.end(e_p1 >= 0.5, "phase-error bound >= 1/2")
     rate = p1 * y1 * (1.0 - c.f * binary_entropy(e_b1) - binary_entropy(e_p1))
-    return branches.curve(distances, mu, st.q_mu, st.e_mu, rate)
+    return branches.surface(distances, mus, st.q_mu, st.e_mu, rate)
 
 
-def _psp_triggered_curve(c, distances, mu, d, nu, eta_trigger_det, convention=CONVENTION_PAPER,
+def _psp_triggered_curve(c, distances, mus, d, nu, eta_trigger_det, convention=CONVENTION_PAPER,
                          basis_mu="half", yield_model="exact"):
     """Rate with only the interferometric trigger distinguishing residues.
 
@@ -473,26 +478,30 @@ def _psp_triggered_curve(c, distances, mu, d, nu, eta_trigger_det, convention=CO
     and the phase error inherits the basis-dependence penalty.  Either bound
     going vacuous zeroes the rate with a diagnostic.
     """
-    g = GenerationParams(mu=mu, nu=nu, d=d, eta_det=eta_trigger_det)
-    st = channel_stats(c, mu, distances)
-    probs = residue_masses(mu, d)
-    residues = np.arange(d)
-    # (distance, residue) tables in C order, where numpy sums each row in the
-    # same (pairwise) order as a single residue vector
-    yields = np.ascontiguousarray(_state_yields(c, mu, d, residues, probs, st.eta, yield_model))
-    errors = _bit_error(c, yields)
-    eta_t = trigger_probability(g, residues, convention)
-    q_t = probs * eta_t * yields
-    q_nt = probs * (1.0 - eta_t) * yields
-    q_t_mu = q_t.sum(axis=1)
-    q_nt_mu = q_nt.sum(axis=1)
-    e_t_mu = np.where(q_t_mu > 0, _ratio((q_t * errors).sum(axis=1), q_t_mu), c.e0)
-    branches = _Branches(q_t_mu.size)
-    branches.keep(q_t_mu=q_t_mu, q_nt_mu=q_nt_mu, e_t_mu=e_t_mu,
-                  q_t_j1_exact=q_t[:, 1] if d > 1 else 0.0)
-    branches.diagnostics["factorization"] = np.full(
-        q_t_mu.size, "gain = herald weight * trigger * state yield", dtype=object)
-    result = lambda rate: branches.curve(distances, mu, q_t_mu, e_t_mu, rate)  # noqa: E731
+    # the trigger vector depends on nu, d and the detector, not on mu
+    g = GenerationParams(mu=float(mus[0, 0]), nu=nu, d=d, eta_det=eta_trigger_det)
+    probs = residue_masses(mus[:, 0], d)  # checks every mu
+    eta_t = trigger_probability(g, np.arange(d), convention)
+    eta = transmission(c, distances)
+    # (mu, distance, residue) tables of at most _TABLE_BLOCK entries, in C order, where
+    # numpy sums each row in the (pairwise) order of a single residue vector
+    block = max(1, _TABLE_BLOCK // (eta.size * d))
+    parts = []
+    for i in range(0, len(mus), block):
+        p = probs[i:i + block, None, :]
+        yields = np.ascontiguousarray(_state_yields(c, mus[i:i + block], d, range(d), p[:, 0],
+                                                    eta, yield_model))
+        q_t, q_nt = p * eta_t * yields, p * (1.0 - eta_t) * yields
+        parts.append((q_t.sum(axis=2), q_nt.sum(axis=2), (q_t * _bit_error(c, yields)).sum(axis=2),
+                      q_t[:, :, 1:2].sum(axis=2), yields[:, :, 1:2].sum(axis=2)))  # 0 at d = 1
+    q_t_mu, q_nt_mu, error_sum, q_t_j1, y_j1 = map(np.concatenate, zip(*parts))
+    del parts, yields, q_t, q_nt  # the blocks, before the (mu, distance) stage
+    e_t_mu = np.where(q_t_mu > 0, _ratio(error_sum, q_t_mu), c.e0)
+    branches = _Branches(q_t_mu.shape)
+    branches.keep(q_t_mu=q_t_mu, q_nt_mu=q_nt_mu, e_t_mu=e_t_mu, q_t_j1_exact=q_t_j1)
+    factorization = branches.diagnostics["factorization"] = np.empty(q_t_mu.shape, dtype=object)
+    factorization.fill("gain = herald weight * trigger * state yield")  # one str for every entry
+    result = lambda rate: branches.surface(distances, mus, q_t_mu, e_t_mu, rate)  # noqa: E731
     branches.end((q_t_mu <= 0.0) | (q_nt_mu <= 0.0), "triggered or non-triggered gain vanished")
     r = _ratio(q_t_mu, q_nt_mu)
     r0 = _ratio(eta_t[0], 1.0 - eta_t[0])
@@ -502,12 +511,14 @@ def _psp_triggered_curve(c, distances, mu, d, nu, eta_trigger_det, convention=CO
     e_b1_max = _ratio(r * e_t_mu * q_nt_mu, bound)
     branches.keep(e_b1_max=e_b1_max)
     branches.end(e_b1_max >= 0.5, "bit-error bound >= 1/2")
-    if not branches.live.any():
-        # like a single distance, a curve asks for the fidelity bound (and its
-        # d divisible by 4) only if some distance reaches it
+    reached = branches.live.any(axis=1)
+    if not reached.any():
+        # like a single point, a surface asks for the fidelity bound (and its
+        # d divisible by 4) only at the mu that some distance reaches it at
         return result(0.0)
-    f1 = basis_fidelity_bound(_basis_pulse_mu(mu, basis_mu), d, 1)
-    delta1 = _ratio(1.0 - f1, 2.0 * yields[:, 1])
+    f1 = np.full(mus.shape, np.nan)
+    f1[reached, 0] = [_source_fidelity(mu, d, basis_mu) for mu in mus[reached, 0].tolist()]
+    delta1 = _ratio(1.0 - f1, 2.0 * y_j1)
     branches.keep(f1=f1, delta1=delta1)
     branches.end(delta1 > 0.5, "basis dependence too strong for the fidelity bound")
     e_p1_max = phase_error_upper(branches.live_or_zero(e_b1_max), branches.live_or_zero(delta1))
@@ -515,6 +526,23 @@ def _psp_triggered_curve(c, distances, mu, d, nu, eta_trigger_det, convention=CO
     branches.end(e_p1_max >= 0.5, "phase-error bound >= 1/2")
     return result(-c.f * q_t_mu * binary_entropy(e_t_mu)
                   + bound * (1.0 - binary_entropy(branches.live_or_zero(e_p1_max))))
+
+
+def _rate_surface(protocol, c, mus, distances, d, **kwargs):
+    """Key rates of one protocol: a KeyRateCurve of (len(mus), len(distances)) tables."""
+    if protocol not in PROTOCOLS:
+        raise ValueError("unknown protocol %r" % (protocol,))
+    if protocol in (PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED):
+        _validate_d(d)  # the non-decoy estimator reads d=None as a WCS source
+    if any(mu <= 0 for mu in mus):
+        raise ValueError("mu must be positive")
+    mus = np.array(mus, dtype=float)[:, None]
+    if protocol in (WCS_NONDECOY, PSP_NONDECOY):
+        return _nondecoy_curve(c, distances, mus, d if protocol == PSP_NONDECOY else None)
+    if protocol == WCS_DECOY:
+        return _wcs_decoy_curve(c, distances, mus)
+    estimator = _psp_passive_curve if protocol == PSP_PASSIVE_DECOY else _psp_triggered_curve
+    return estimator(c, distances, mus, d, **kwargs)
 
 
 def keyrate_curve(protocol, c, mu, distances, d=None, **kwargs):
@@ -527,22 +555,7 @@ def keyrate_curve(protocol, c, mu, distances, d=None, **kwargs):
     yield_model as applicable).  mu must be positive, and the
     pseudo-number protocols need an integer d >= 1.
     """
-    distances = _distances(c, distances)
-    if protocol not in PROTOCOLS:
-        raise ValueError("unknown protocol %r" % (protocol,))
-    if protocol in (PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED):
-        _validate_d(d)  # the non-decoy estimator reads d=None as a WCS source
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if protocol == WCS_NONDECOY:
-        return _nondecoy_curve(c, distances, mu)
-    if protocol == WCS_DECOY:
-        return _wcs_decoy_curve(c, distances, mu)
-    if protocol == PSP_NONDECOY:
-        return _nondecoy_curve(c, distances, mu, d)
-    if protocol == PSP_PASSIVE_DECOY:
-        return _psp_passive_curve(c, distances, mu, d, **kwargs)
-    return _psp_triggered_curve(c, distances, mu, d, **kwargs)
+    return optimize_mu(c, d, protocol, [mu], _distances(c, distances), **kwargs)[1]
 
 
 def keyrate_for_protocol(protocol, c, mu, d=None, **kwargs):
@@ -562,34 +575,21 @@ def optimize_mu(c, d, protocol, mu_grid, distances=None, **kwargs):
     eta_trigger_det, convention, basis_mu, yield_model as applicable).
     Returns (mu_star, KeyRateResult at mu_star).  With distances (km, 1-D)
     the search runs at each of them and returns (mu_star array,
-    KeyRateCurve); each grid point is one curve evaluation.
+    KeyRateCurve).  The protocol is evaluated once, over the whole (grid,
+    distance) surface; each distance then takes the first maximum of its
+    rate along the sorted grid, so a larger mu wins only on a strictly
+    larger rate.
     """
     grid = sorted(float(m) for m in mu_grid)
     if not grid:
         raise ValueError("mu_grid must be nonempty")
-    at = _distances(c, distances)
-    curves = (keyrate_curve(protocol, c, m, at, d, **kwargs) for m in grid)
-    curve = reduce(_better_where_larger, curves)
+    surface = _rate_surface(protocol, c, grid, _distances(c, distances), d, **kwargs)
+    best = np.argmax(surface.rate, axis=0)[None, :]
+    pick = lambda table: np.take_along_axis(table, best, axis=0)[0]  # noqa: E731
+    curve = KeyRateCurve(surface.distance_km, pick(surface.mu), pick(surface.gain),
+                         pick(surface.qber), pick(surface.rate),
+                         {name: pick(values) for name, values in surface.diagnostics.items()})
     if distances is None:
         res = curve.result(0)
         return res.mu, res
     return curve.mu, curve
-
-
-def _better_where_larger(best, curve):
-    """Per distance, curve where its rate is strictly larger than best's, else best.
-
-    Folded over a grid sorted by mu, this keeps the first maximum: a larger
-    mu wins only on a strictly larger rate.
-    """
-    larger = curve.rate > best.rate
-
-    def pick(new, old):
-        return np.where(larger, new, old)
-
-    unreached = np.full(larger.size, np.nan)  # a name one curve's branches never reached
-    names = dict.fromkeys([*best.diagnostics, *curve.diagnostics])
-    return KeyRateCurve(best.distance_km, pick(curve.mu, best.mu), pick(curve.gain, best.gain),
-                        pick(curve.qber, best.qber), pick(curve.rate, best.rate),
-                        {name: pick(curve.diagnostics.get(name, unreached),
-                                    best.diagnostics.get(name, unreached)) for name in names})

@@ -136,13 +136,14 @@ def test_workers_flag_is_gone(tmp_path, capsys):
 @pytest.mark.parametrize("optimize", [[], ["--optimize-mu"]])
 def test_fig5_residue_passes_do_not_grow_with_distances(tmp_path, monkeypatch, capsys, optimize):
     # the series at each source mu, its fidelity bound and the trigger vector
-    # are computed once per curve: only the length of the distance table grows
+    # are computed once per curve, and the whole mu grid is one surface: only
+    # the length of the (mu, distance) table grows
     calls = []
     original = pns.residue_masses
 
-    def counted(mu, d):
+    def counted(mu, d, residues=None):
         calls.append(np.size(mu))
-        return original(mu, d)
+        return original(mu, d, residues)
 
     for module in (pns, qkd, generation):
         monkeypatch.setattr(module, "residue_masses", counted)
@@ -152,7 +153,26 @@ def test_fig5_residue_passes_do_not_grow_with_distances(tmp_path, monkeypatch, c
         assert run(["fig5", "--l-max", l_max, "--out", str(tmp_path / "f5.csv")] + optimize) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
-    assert max(calls) == 11  # one table row per distance
+    assert max(calls) == 11 * (40 if optimize else 1)  # one table row per (mu, distance)
+
+
+def test_fig5_optimizer_evaluates_each_source_once(tmp_path, monkeypatch, capsys):
+    # the 40-point mu grid is one (mu, distance) surface per source curve: 7
+    # estimator evaluations for the 7 curves, where a per-mu search makes 280
+    calls = []
+
+    def counted(name, estimator):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return estimator(*args, **kwargs)
+        return wrapper
+
+    for name in ("_nondecoy_curve", "_wcs_decoy_curve", "_psp_passive_curve",
+                 "_psp_triggered_curve"):
+        monkeypatch.setattr(qkd, name, counted(name, getattr(qkd, name)))
+    assert run(["fig5", "--optimize-mu", "--l-max", "2", "--out", str(tmp_path / "f5.csv")]) == 0
+    assert sorted(calls) == ["_psp_passive_curve"] * 3 + ["_psp_triggered_curve"] * 3 + [
+        "_wcs_decoy_curve"]
 
 
 def test_fig1_json_format(tmp_path, capsys):

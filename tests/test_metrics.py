@@ -52,6 +52,41 @@ def test_g2_small_mu_power_law():
         assert abs(g2_zero_closed(mu, d) / expect - 1.0) < 0.02
 
 
+def residue_series_g2(mu, d):
+    """g2 of |1_d> as M_{d-1} M_1 / M_0^2 from 50-digit residue sums of Poisson(mu).
+
+    <n(n-1)> = mu^2 M_{d-1} / M_1 and <n> = mu M_0 / M_1 on the support
+    n = 1 (mod d): a sum of positive terms, with nothing to cancel.
+    """
+    import mpmath  # the test extra's referee; imported here so that only these tests need it
+
+    with mpmath.workdps(50):
+        m = mpmath.mpf(mu)
+        masses = [mpmath.fsum(mpmath.exp(-m) * m**n / mpmath.factorial(n)
+                              for n in range(r, 400, d)) for r in range(d)]
+        return float(masses[d - 1] * masses[1] / masses[0] ** 2)
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_g2_cancellation_noise_reads_zero_not_negative(d):
+    # the phase sums cancel to noise: -6.7e-19 at d = 8, -1.3e-18 at d = 12,
+    # where the true values are 2.0e-20 and 2.5e-32
+    exact = residue_series_g2(0.01, d)
+    value = g2_zero_closed(0.01, d)
+    assert value >= 0.0
+    assert abs(value - exact) < 1e-16
+    # the referee agrees with the phase sums where they do not cancel
+    assert abs(residue_series_g2(0.01, 4) - g2_zero_closed(0.01, 4)) < 1e-17
+
+
+def test_g2_far_below_zero_is_a_numerical_failure(monkeypatch):
+    # scaling the normalization by 1e8 lifts the d = 8 noise of -6.7e-19 past the tolerance
+    monkeypatch.setattr(metrics, "normalization",
+                        lambda mu, d, j: 1e8 * pns.normalization(mu, d, j))
+    with pytest.raises(NumericalDiagnosticError, match="negative"):
+        g2_zero_closed(0.01, 8)
+
+
 def test_g2_rejects_bad_parameters():
     with pytest.raises(ValueError):
         g2_zero_closed(-1.0, 4)

@@ -82,6 +82,15 @@ def test_residue_masses_table_validation():
     for bad in ([[0.1]], [0.1, math.nan], [0.1, math.inf], [0.1, -0.2]):
         with pytest.raises(ValueError):
             residue_masses(np.array(bad), 4)
+    for residues in ([4], [-1], [[1]], [1.0], [True]):
+        with pytest.raises(ValueError, match="residues"):
+            residue_masses(np.array([0.5]), 4, residues)
+
+
+def test_residue_subset_of_one_mu_and_of_an_empty_table():
+    assert residue_masses(0.5, 8, [3, 1]).tolist() == residue_masses(0.5, 8)[[3, 1]].tolist()
+    assert residue_masses(0.0, 4, [1, 0]).tolist() == [0.0, 1.0]
+    assert residue_masses(np.array([]), 4, [1]).shape == (0, 1)
 
 
 # The cases below test that the series terminates, so they run in a fresh

@@ -76,6 +76,18 @@ def test_residue_mass_table_is_the_full_block_arithmetic(extra, d, data):
 
 
 @PROPERTY
+@given(extra=st.lists(st.floats(1e-3, 300.0), max_size=10), d=st.integers(1, 64),
+       data=st.data())
+def test_residue_subset_is_the_full_table_columns(extra, d, data):
+    # a subset tests only its own residues for the end of the series; past the
+    # mode the later terms of a residue it ends early cannot move a bit of it.
+    # mu = 100 d spans several blocks of 64 d photon numbers.
+    mus = np.array(data.draw(st.permutations(extra + [0.0, 1e-300, 100.0 * d]), label="mus"))
+    js = data.draw(st.lists(st.integers(0, d - 1), max_size=d), label="js")
+    assert np.array_equal(residue_masses(mus, d, js), residue_masses(mus, d)[:, js])
+
+
+@PROPERTY
 @given(mu=st.floats(1e-3, 300.0), d=st.integers(1, 64), data=st.data(),
        distance=st.floats(0.0, 400.0), model=st.sampled_from(["exact", "dominant"]))
 def test_pseudo_state_yield_is_a_probability(mu, d, data, distance, model):

@@ -485,20 +485,112 @@ def test_optimize_mu_first_index_tie_break(monkeypatch):
     # rates rise with mu up to 0.3 and are flat beyond it, so 0.3, 0.4 and the
     # repeated 0.5 tie; the first (smallest) of them must win at each distance,
     # and a later mu only on a strictly larger rate
-    def fake_curve(protocol, c, mu, distances, d=None, **kwargs):
-        distances = np.asarray(distances, dtype=float)
-        rate = np.full(distances.size, min(mu, 0.3))
-        rate[0] = mu  # at the first distance the rate keeps rising
-        return KeyRateCurve(distances, np.full(distances.size, mu), rate, rate, rate,
-                            {"vacuous": np.full(distances.size, None, dtype=object)})
+    def fake_surface(protocol, c, mus, distances, d=None, **kwargs):
+        mu = np.broadcast_to(np.array(mus)[:, None], (len(mus), distances.size))
+        rate = np.minimum(mu, 0.3)
+        rate[:, 0] = mu[:, 0]  # at the first distance the rate keeps rising
+        return KeyRateCurve(distances, mu, rate, rate, rate,
+                            {"vacuous": np.full(mu.shape, None, dtype=object)})
 
-    monkeypatch.setattr(qkd, "keyrate_curve", fake_curve)
+    monkeypatch.setattr(qkd, "_rate_surface", fake_surface)
     grid = [0.5, 0.1, 0.4, 0.3, 0.5, 0.2]
     mu_star, curve = optimize_mu(ChannelParams(), None, WCS_DECOY, grid, [0.0, 10.0, 20.0])
     assert mu_star.tolist() == [0.5, 0.3, 0.3]
     assert curve.rate.tolist() == [0.5, 0.3, 0.3]
     m, res = optimize_mu(ChannelParams(distance_km=10.0), None, WCS_DECOY, grid)
     assert (m, res.rate) == (0.5, 0.5)  # the scalar search sees its one distance first
+
+
+def folded_optimum(protocol, c, d, grid, distances, **kwargs):
+    """optimize_mu as a fold of one keyrate_curve per grid point, sorted by mu.
+
+    At each distance a later mu replaces the best so far only on a strictly
+    larger rate, so the first maximum wins; a diagnostic that one curve's
+    branches never reached reads NaN.
+    """
+    best = None
+    for mu in sorted(float(m) for m in grid):
+        curve = keyrate_curve(protocol, c, mu, distances, d, **kwargs)
+        if best is None:
+            best = curve
+            continue
+        larger = curve.rate > best.rate
+        unreached = np.full(larger.size, np.nan)
+        names = dict.fromkeys([*best.diagnostics, *curve.diagnostics])
+        best = KeyRateCurve(
+            best.distance_km, *(np.where(larger, getattr(curve, f), getattr(best, f))
+                                for f in ("mu", "gain", "qber", "rate")),
+            {name: np.where(larger, curve.diagnostics.get(name, unreached),
+                            best.diagnostics.get(name, unreached)) for name in names})
+    return best
+
+
+TWO_PATH_CASES = [
+    (WCS_NONDECOY, None, {}),
+    (WCS_DECOY, None, {}),
+] + [(PSP_NONDECOY, d, {}) for d in (4, 8, 36)] + [
+    (PSP_PASSIVE_DECOY, d, {"basis_mu": basis_mu, "yield_model": model})
+    for d in (4, 8, 36) for basis_mu, model in (("half", "exact"), ("full", "dominant"))
+] + [
+    (PSP_TRIGGERED, d, {"nu": 4.0 * d * d, "eta_trigger_det": 0.12, "convention": convention,
+                        "basis_mu": basis_mu, "yield_model": model})
+    for d in (4, 8, 36) for convention, basis_mu, model in (
+        ("paper", "half", "exact"), ("recomputed", "full", "dominant"))
+]
+# one distance, a curve from positive rates into the vacuous bounds, distances
+# where the triggered bounds end some mu before the fidelity bound, and ones
+# where every mu of the grid has rate 0, so the smallest must win
+TWO_PATH_DISTANCES = ([0.0], np.arange(0.0, 101.0), [260.0, 280.0], [400.0, 500.0, 1000.0])
+
+
+@pytest.mark.parametrize("protocol, d, kwargs", TWO_PATH_CASES)
+def test_optimize_mu_surface_equals_the_per_mu_fold(protocol, d, kwargs, monkeypatch):
+    grid = SMALL_GRID if protocol in (WCS_NONDECOY, PSP_NONDECOY) else GRID
+    bounds = []  # the mu of every fidelity-bound evaluation
+
+    def recorded(mu, d, j):
+        bounds.append(mu)
+        return basis_fidelity_bound(mu, d, j)
+
+    monkeypatch.setattr(qkd, "basis_fidelity_bound", recorded)
+    positive = 0
+    for distances in TWO_PATH_DISTANCES:
+        mu_star, got = optimize_mu(ChannelParams(), d, protocol, grid, distances, **kwargs)
+        surface_bounds = sorted(bounds)
+        bounds.clear()
+        expect = folded_optimum(protocol, ChannelParams(), d, grid, distances, **kwargs)
+        assert surface_bounds == sorted(bounds)  # evaluated at the same mu, so failing there too
+        bounds.clear()
+        assert mu_star is got.mu
+        for name in ("mu", "gain", "qber", "rate"):  # bit for bit
+            assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
+        assert got.diagnostics.keys() == expect.diagnostics.keys()
+        for name, values in expect.diagnostics.items():
+            if values.dtype == object:  # the vacuous reasons and the factorization note
+                assert got.diagnostics[name].tolist() == values.tolist(), name
+            else:  # the same NaN pattern and the same bits elsewhere
+                assert got.diagnostics[name].tobytes() == values.tobytes(), name
+        positive += int((got.rate > 0).sum())
+    assert positive > 0
+    assert (got.rate == 0).all() and (got.mu == min(grid)).all()  # the far distances
+
+
+@pytest.mark.parametrize("distances, reached", [([400.0, 1000.0], False), ([0.0, 400.0], True),
+                                                (np.arange(0.0, 101.0), True)])
+def test_optimize_mu_asks_for_the_fidelity_bound_where_the_fold_does(distances, reached):
+    # the bound needs d divisible by 4; the triggered estimator asks for it
+    # only at the mu that some distance reaches it at
+    kwargs = {"nu": 144.0, "eta_trigger_det": 0.12}
+    for search in (lambda: optimize_mu(ChannelParams(), 6, PSP_TRIGGERED, GRID, distances,
+                                       **kwargs)[1],
+                   lambda: folded_optimum(PSP_TRIGGERED, ChannelParams(), 6, GRID, distances,
+                                          **kwargs)):
+        if reached:
+            with pytest.raises(ValueError, match="divisible by 4"):
+                search()
+        else:
+            curve = search()
+            assert (curve.rate == 0).all() and "f1" not in curve.diagnostics
 
 
 def gllp_by_hand(c, mu, p_multi):
