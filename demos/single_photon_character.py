@@ -9,10 +9,11 @@ import numpy as np
 
 from pspsim import (
     PSPParams,
+    f2002,
     fidelity_to_number_state,
     g2_zero_closed,
     g2_zero_oracle,
-    hom,
+    p11,
     pseudo_number_state,
     to_fock,
 )
@@ -47,8 +48,8 @@ print("HOM with identical sources (j=1)")
 print("   mu   d    p11            f2002")
 for d in (4, 8):
     for mu in (0.1, 0.4, 1.0):
-        r = hom(PSPParams(mu=mu, d=d, j=1), PSPParams(mu=mu, d=d, j=1))
-        print("%6.2f %3d   %12.6e   %.10f" % (mu, d, r.p11, r.f2002))
+        p = PSPParams(mu=mu, d=d, j=1)
+        print("%6.2f %3d   %12.6e   %.10f" % (mu, d, p11(p, p), f2002(p, p)))
 
 # Offsetting one source around the circle leaves f2002 untouched but
 # modulates the coincidence rate; the dip sits at zero offset.
@@ -57,5 +58,5 @@ print()
 print("source offset scan at mu=%.1f d=%d (delta in circle steps)" % (mu, d))
 print(" delta    p11            f2002")
 for delta in np.linspace(0.0, 0.5, 6):
-    r = hom(PSPParams(mu=mu, d=d, j=1), PSPParams(mu=mu, d=d, j=1, delta=delta))
-    print("%6.2f   %12.6e   %.12f" % (delta, r.p11, r.f2002))
+    p, shifted = PSPParams(mu=mu, d=d, j=1), PSPParams(mu=mu, d=d, j=1, delta=delta)
+    print("%6.2f   %12.6e   %.12f" % (delta, p11(p, shifted), f2002(p, shifted)))

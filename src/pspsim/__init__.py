@@ -11,11 +11,9 @@ from .generation import (
     trigger_probability,
 )
 from .metrics import (
-    HomResult,
     f2002,
     g2_zero_closed,
     g2_zero_oracle,
-    hom,
     hom_fock_oracle,
     p11,
 )
@@ -75,7 +73,6 @@ from .states import (
     to_fock,
     uhlmann_fidelity,
     vacuum_probabilities,
-    vacuum_probability,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import NumericalDiagnosticError, TruncationError
 from .pns import PSPParams, fidelity_to_number_state, normalization
-from .metrics import f2002, g2_zero_closed, hom, p11
+from .metrics import f2002, g2_zero_closed, p11
 from .generation import GenerationParams, herald_probabilities, trigger_probability
 from .qkd import (
     PROTOCOLS,
@@ -159,11 +159,10 @@ def _fig1_rows(cfg):
     for d in d_list:
         for mu in map(float, mus):
             p = PSPParams(mu=mu, d=d, j=1)
-            r = hom(p, p)
             rows += [("fidelity", d, mu, fidelity_to_number_state(p)),
                      ("g2", d, mu, g2_zero_closed(mu, d)),
-                     ("p11", d, mu, r.p11),
-                     ("f2002", d, mu, r.f2002)]
+                     ("p11", d, mu, p11(p, p)),
+                     ("f2002", d, mu, f2002(p, p))]
     return ("quantity", "d", "mu", "value"), rows, resolved
 
 

@@ -7,24 +7,12 @@ expansion, and f2002 the product of the inputs' one-photon probabilities.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalDiagnosticError
+from .errors import REAL_RESIDUE_TOL, UNIT_RESIDUE_TOL, NumericalDiagnosticError, _clamp_unit
 from .pns import _validate_d, normalization, photon_number_probability, pseudo_number_state
 from .states import beam_splitter, tensor, vacuum_probabilities
-
-# Residue tolerances: values that must be real / probabilities that must
-# land in [0, 1] may miss by this much before it is an error.
-REAL_RESIDUE_TOL = 1e-10
-UNIT_RESIDUE_TOL = 1e-12
-
-
-def _clamp_unit(x, name):
-    if x < -UNIT_RESIDUE_TOL or x > 1.0 + UNIT_RESIDUE_TOL:
-        raise NumericalDiagnosticError("%s = %.6e falls outside [0, 1]" % (name, x))
-    return min(max(x, 0.0), 1.0)
 
 
 def g2_zero_closed(mu, d):
@@ -73,14 +61,6 @@ def g2_zero_oracle(fv):
     return pairs / mean**2
 
 
-@dataclass(frozen=True)
-class HomResult:
-    """Hong-Ou-Mandel output: coincidence rate and NOON fidelity."""
-
-    p11: float
-    f2002: float
-
-
 def p11(p1, p2):
     """Coincidence probability of two pseudo-number states on an X beam splitter.
 
@@ -90,7 +70,7 @@ def p11(p1, p2):
     """
     s1 = pseudo_number_state(p1)
     s2 = s1 if p2 == p1 else pseudo_number_state(p2)
-    out = beam_splitter(tensor(s1, s2), 0, 1, "X")
+    out = beam_splitter(tensor(s1, s2), "X")
     va, vb, vab = vacuum_probabilities(out, ((0,), (1,), (0, 1)))
     return _clamp_unit(1.0 - va - vb + vab, "p11")
 
@@ -106,11 +86,6 @@ def f2002(p1, p2):
     one = photon_number_probability(p1, 1)
     other = one if p2 == p1 else photon_number_probability(p2, 1)
     return _clamp_unit(one * other, "f2002")
-
-
-def hom(p1, p2):
-    """Interfere two pseudo-number states on an X beam splitter: p11 and f2002."""
-    return HomResult(p11=p11(p1, p2), f2002=f2002(p1, p2))
 
 
 def hom_fock_oracle(fv):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateStateError, NumericalDiagnosticError
+from .errors import DegenerateStateError, _clamp_unit
 from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
 from .pns import (_TABLE_BLOCK, _validate_d, _validate_dj, _validate_mu, normalization,
                   residue_masses)
@@ -261,15 +261,22 @@ def phase_error_upper(e_bit, delta):
 # ---------------------------------------------------------------------------
 
 
+def _validate_encoding_d(d):
+    """ValueError unless d is an integer >= 1 divisible by 4, as the BB84 phases need."""
+    _validate_d(d)
+    if d % 4:
+        raise ValueError("d must be divisible by 4")
+
+
 def phase_set(d, which=PHASE_SET_STANDARD):
     """BB84 phase indices k (phi = 2 pi k / d) for the four signal states.
 
     standard: {0, d/4, d/2, 3d/4}, two conjugate bases.
     paper-literal: {0, d/4, d/2, 3d/8}, which needs d divisible by 8; the
     fourth state is then not the conjugate-basis partner of the second.
+    d must be an integer >= 1 divisible by 4.
     """
-    if d % 4:
-        raise ValueError("d must be divisible by 4")
+    _validate_encoding_d(d)
     if which == PHASE_SET_STANDARD:
         return [0, d // 4, d // 2, 3 * d // 4]
     if which == PHASE_SET_PAPER_LITERAL:
@@ -283,10 +290,10 @@ def encoded_state(mu, d, j, k):
     """Two-pulse encoding of |j_d> with relative phase 2 pi k / d.
 
     N^{-1/2}_{2mu,j} sum_q w^{-jq} |sqrt(mu) w^q>_r |sqrt(mu) w^{q+k}>_s;
-    each pulse carries mu, the underlying state carries 2 mu.
+    each pulse carries mu, the underlying state carries 2 mu.  d must be an
+    integer >= 1 divisible by 4.
     """
-    if d % 4:
-        raise ValueError("d must be divisible by 4")
+    _validate_encoding_d(d)
     if isinstance(k, (bool, np.bool_)) or not (
             isinstance(k, (int, np.integer)) or float(k).is_integer()):
         raise ValueError("phase index k must be an integer")
@@ -304,16 +311,16 @@ def measure_bb84(state, basis):
 
     Returns (p_click_port0, p_click_port1, p_double, p_none), exclusive
     events that sum to one.  basis "X" uses the plain 50:50 splitter,
-    "Y" the one with a quarter-wave phase on the signal arm.
+    "Y" the one with a quarter-wave phase on the signal arm.  Each click
+    probability is clamped to [0, 1]; one that misses it by more than
+    UNIT_RESIDUE_TOL is a NumericalDiagnosticError.
     """
     if state.mode_count != 2:
         raise ValueError("expected a two-pulse state")
-    out = beam_splitter(state, 0, 1, basis)
+    out = beam_splitter(state, basis)
     v0, v1, v01 = vacuum_probabilities(out, ((0,), (1,), (0, 1)))
-    p0 = max(v1 - v01, 0.0)
-    p1 = max(v0 - v01, 0.0)
-    p_double = max(1.0 - v0 - v1 + v01, 0.0)
-    return p0, p1, p_double, v01
+    return (_clamp_unit(v1 - v01, "p_click_port0"), _clamp_unit(v0 - v01, "p_click_port1"),
+            _clamp_unit(1.0 - v0 - v1 + v01, "p_double"), v01)
 
 
 def basis_fidelity_bound(mu, d, j):
@@ -322,12 +329,12 @@ def basis_fidelity_bound(mu, d, j):
     F >= d |sum_q w^{jq} e^{-2mu + mu w^{-q}} (e^{i mu w^{-q}} + i e^{-i mu w^{-q}})|
          / (sqrt(2) N_{2mu,j})
 
-    mu is the per-pulse mean photon number (the encoded state carries 2 mu).
-    Values above 1 + 1e-9 are a numerical failure; the result is clamped
-    to [0, 1].
+    mu is the per-pulse mean photon number (the encoded state carries 2 mu),
+    and d an integer >= 1 divisible by 4.  The result is clamped to [0, 1];
+    one that misses it by more than UNIT_RESIDUE_TOL is a
+    NumericalDiagnosticError.
     """
-    if d % 4:
-        raise ValueError("d must be divisible by 4")
+    _validate_encoding_d(d)
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     if not math.isfinite(mu):  # before the phase sum, which would warn on it
@@ -340,9 +347,7 @@ def basis_fidelity_bound(mu, d, j):
         * (np.exp(1j * mu * winv) + 1j * np.exp(-1j * mu * winv))
     )
     val = d * abs(np.sum(terms)) / (math.sqrt(2.0) * normalization(2.0 * mu, d, j))
-    if val > 1.0 + 1e-9:
-        raise NumericalDiagnosticError("fidelity bound %.12f exceeds 1" % val)
-    return min(max(val, 0.0), 1.0)
+    return _clamp_unit(val, "fidelity bound")
 
 
 def _source_fidelity(mu, d, basis_mu):

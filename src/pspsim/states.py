@@ -19,10 +19,13 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import NumericalDiagnosticError, TruncationError
+from .errors import REAL_RESIDUE_TOL, NumericalDiagnosticError, TruncationError
 
-# Poisson tail kept below this when choosing cutoffs automatically.
+# Poisson tail every photon-number cutoff must keep below this.
 TAIL_TOL = 1e-14
+# Most input mass the number-basis beam splitter may find on total photon
+# numbers above its cutoff, where the truncated unitary distorts the state.
+LEAK_TOL = 1e-8
 GUARD_LEVELS = 2
 # Most entries a truncated photon-number array may hold: (cutoff + 1) per
 # mode, multiplied over the modes (ket and bra modes for a density matrix).
@@ -165,35 +168,23 @@ def tensor(x, y):
     return CoherentSuperposition(coeffs, np.hstack([lx, ly]))
 
 
-def beam_splitter(state, mode_a=0, mode_b=1, variant="X"):
-    """50:50 beam splitter between two modes; a pure relabeling of terms.
+def beam_splitter(state, variant="X"):
+    """50:50 beam splitter between modes 0 and 1; a pure relabeling of terms.
 
     variant "X": (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2))
     variant "Y": (a, b) -> ((a+i*b)/sqrt(2), (a-i*b)/sqrt(2))
+    Any further modes pass through; a one-mode state is a ValueError.
     """
     if variant not in ("X", "Y"):
         raise ValueError("variant must be 'X' or 'Y'")
-    if mode_a == mode_b:
-        raise ValueError("beam splitter needs two distinct modes")
-    for m in (mode_a, mode_b):
-        if not 0 <= m < state.mode_count:
-            raise ValueError("mode index %d out of range" % m)
+    if state.mode_count < 2:
+        raise ValueError("beam splitter needs at least two modes")
     s = 1j if variant == "Y" else 1.0
+    a, b = state.labels[:, 0], state.labels[:, 1]
     labels = np.array(state.labels)
-    a = labels[:, mode_a].copy()
-    b = labels[:, mode_b].copy()
-    labels[:, mode_a] = (a + s * b) / _SQRT2
-    labels[:, mode_b] = (a - s * b) / _SQRT2
+    labels[:, 0] = (a + s * b) / _SQRT2
+    labels[:, 1] = (a - s * b) / _SQRT2
     return CoherentSuperposition(state.coeffs, labels)
-
-
-def vacuum_probability(state, modes):
-    """<psi| P |psi> with P projecting the listed modes onto vacuum.
-
-    The one-projection case of vacuum_probabilities; the state need not be
-    normalized.
-    """
-    return vacuum_probabilities(state, (modes,))[0]
 
 
 def vacuum_probabilities(state, mode_sets):
@@ -203,7 +194,8 @@ def vacuum_probabilities(state, mode_sets):
     with the cross terms of the projected modes removed.  The projections
     share the norm exponents -|a_i|^2/2 - |a_j|^2/2 and one (terms, terms)
     work buffer, which holds each Gram matrix in turn.  The state need not be
-    normalized; for a normalized state each result is a probability.
+    normalized; for a normalized state each result is a probability.  An
+    imaginary part above REAL_RESIDUE_TOL is a NumericalDiagnosticError.
     """
     mode_sets = [tuple(modes) for modes in mode_sets]
     for modes in mode_sets:
@@ -232,7 +224,7 @@ def vacuum_probabilities(state, mode_sets):
             gram[...] = norm_exponents
         np.exp(gram, out=gram)
         val = complex(bra @ gram @ state.coeffs)
-        if abs(val.imag) > 1e-10:
+        if abs(val.imag) > REAL_RESIDUE_TOL:
             raise NumericalDiagnosticError(
                 "vacuum projection has imaginary residue %.3e" % val.imag
             )
@@ -288,8 +280,8 @@ class FockVector:
         return self.amplitudes.ndim
 
 
-def auto_cutoff(lam, tail_tol=TAIL_TOL):
-    """Smallest N with Poisson(lam) mass above N below tail_tol, plus guard levels.
+def auto_cutoff(lam):
+    """Smallest N with Poisson(lam) mass above N below TAIL_TOL, plus guard levels.
 
     lam must be finite.  An intensity that needs a cutoff of FOCK_MAX_DIM
     photons or more is a TruncationError, raised before any search.
@@ -302,45 +294,52 @@ def auto_cutoff(lam, tail_tol=TAIL_TOL):
 
     # pdtrc(n, lam) is the Poisson tail P(X > n).
     top = FOCK_MAX_DIM - 1 - GUARD_LEVELS
-    if pdtrc(top, lam) >= tail_tol:
+    if pdtrc(top, lam) >= TAIL_TOL:
         raise TruncationError(
             "intensity %.6g needs a cutoff above %d photons" % (lam, FOCK_MAX_DIM - 1))
-    # The two loops move the start guess to the smallest n whose tail is below tail_tol.
+    # The two loops move the start guess to the smallest n whose tail is below TAIL_TOL.
     n = int(lam)
-    while pdtrc(n, lam) >= tail_tol:
+    while pdtrc(n, lam) >= TAIL_TOL:
         n += 1
-    while n > 0 and pdtrc(n - 1, lam) < tail_tol:
+    while n > 0 and pdtrc(n - 1, lam) < TAIL_TOL:
         n -= 1
     return n + GUARD_LEVELS
 
 
-def _check_fock_size(cutoff, axes):
-    """TruncationError if (cutoff + 1)**axes entries exceed FOCK_MAX_DIM."""
+def _resolve_cutoff(cutoff, axes, *labels):
+    """The cutoff of a number-basis array with `axes` axes over coherent labels.
+
+    None picks auto_cutoff(lam) at the largest |label|^2 lam of the label
+    arrays.  An explicit cutoff whose Poisson tail at lam is not below
+    TAIL_TOL, or (cutoff + 1)**axes entries above FOCK_MAX_DIM, is a
+    TruncationError.
+    """
+    lam = max(float(np.max(np.abs(arr) ** 2)) for arr in labels)
+    if cutoff is None:
+        cutoff = auto_cutoff(lam)
+    elif lam > 0:
+        from scipy.special import pdtrc  # oracle-only; kept out of the import path
+
+        tail = pdtrc(cutoff, lam)
+        if tail >= TAIL_TOL:
+            raise TruncationError("cutoff %d keeps Poisson tail %.3e above %.3e at intensity %.6g"
+                                  % (cutoff, tail, TAIL_TOL, lam))
     if (cutoff + 1) ** axes > FOCK_MAX_DIM:
         raise TruncationError(
             "cutoff %d on %d axes needs more than FOCK_MAX_DIM = %d entries"
             % (cutoff, axes, FOCK_MAX_DIM))
+    return cutoff
 
 
-def to_fock(state, cutoff=None, tail_tol=TAIL_TOL):
+def to_fock(state, cutoff=None):
     """Expand a coherent superposition in the photon-number basis.
 
     cutoff=None picks the automatic rule from the largest per-mode |label|^2;
     an explicit cutoff raises TruncationError if the Poisson tail beyond it
-    is not below tail_tol.  An expansion of more than FOCK_MAX_DIM amplitudes
+    is not below TAIL_TOL.  An expansion of more than FOCK_MAX_DIM amplitudes
     is a TruncationError, raised before anything is allocated.
     """
-    from scipy.special import pdtrc  # oracle-only; kept out of the import path
-
-    lam = float(np.max(np.abs(state.labels) ** 2))
-    if cutoff is None:
-        cutoff = auto_cutoff(lam, tail_tol)
-    elif lam > 0 and pdtrc(cutoff, lam) >= tail_tol:
-        raise TruncationError(
-            "cutoff %d keeps Poisson tail %.3e above %.3e at intensity %.6g"
-            % (cutoff, pdtrc(cutoff, lam), tail_tol, lam)
-        )
-    _check_fock_size(cutoff, state.mode_count)
+    cutoff = _resolve_cutoff(cutoff, state.mode_count, state.labels)
     ns = np.arange(cutoff + 1)
     shape = (cutoff + 1,) * state.mode_count
     amps = np.zeros(shape, dtype=complex)
@@ -382,33 +381,25 @@ def _bs_unitary(cutoff, variant):
     return expm(gen)
 
 
-def fock_beam_splitter(fv, mode_a=0, mode_b=1, variant="X", leak_tol=1e-8):
-    """50:50 beam splitter in the number basis (two-mode states only).
+def fock_beam_splitter(fv, variant="X"):
+    """50:50 beam splitter between modes 0 and 1 in the number basis (two-mode states only).
 
     Flags truncation overflow when the input mass on total photon numbers
-    above the cutoff boundary exceeds leak_tol; those components would be
+    above the cutoff boundary exceeds LEAK_TOL; those components would be
     distorted by the truncated unitary.
     """
     if fv.mode_count != 2:
         raise ValueError("number-basis beam splitter supports exactly two modes")
     if variant not in ("X", "Y"):
         raise ValueError("variant must be 'X' or 'Y'")
-    if {mode_a, mode_b} != {0, 1}:
-        raise ValueError("mode indices must be 0 and 1")
-    amps = fv.amplitudes
-    if mode_a == 1:
-        amps = amps.T
     c = fv.cutoff
     n1, n2 = np.meshgrid(np.arange(c + 1), np.arange(c + 1), indexing="ij")
-    leak = float(np.sum(np.abs(amps[n1 + n2 > c]) ** 2))
-    if leak > leak_tol:
+    leak = float(np.sum(np.abs(fv.amplitudes[n1 + n2 > c]) ** 2))
+    if leak > LEAK_TOL:
         raise TruncationError(
-            "mass %.3e beyond the conserved-number boundary exceeds %.3e" % (leak, leak_tol)
+            "mass %.3e beyond the conserved-number boundary exceeds %.3e" % (leak, LEAK_TOL)
         )
-    out = (_bs_unitary(c, variant) @ amps.reshape(-1)).reshape(c + 1, c + 1)
-    if mode_a == 1:
-        out = out.T
-    return FockVector(out)
+    return FockVector((_bs_unitary(c, variant) @ fv.amplitudes.reshape(-1)).reshape(c + 1, c + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +448,13 @@ class CoherentDyadOperator:
         )
         return complex(np.sum(self.coeffs * np.exp(expo)))
 
-    def to_fock_matrix(self, cutoff=None, tail_tol=TAIL_TOL):
+    def to_fock_matrix(self, cutoff=None):
         """Dense density-matrix representation in the number basis.
 
-        A matrix of more than FOCK_MAX_DIM entries is a TruncationError.
+        The cutoff follows to_fock's rule over the ket and bra labels; a
+        matrix of more than FOCK_MAX_DIM entries is a TruncationError.
         """
-        from scipy.special import pdtrc  # oracle-only; kept out of the import path
-
-        lam = float(
-            max(np.max(np.abs(self.ket_labels) ** 2), np.max(np.abs(self.bra_labels) ** 2))
-        )
-        if cutoff is None:
-            cutoff = auto_cutoff(lam, tail_tol)
-        elif lam > 0 and pdtrc(cutoff, lam) >= tail_tol:
-            raise TruncationError("cutoff %d too small for intensity %.6g" % (cutoff, lam))
-        _check_fock_size(cutoff, 2 * self.mode_count)
+        cutoff = _resolve_cutoff(cutoff, 2 * self.mode_count, self.ket_labels, self.bra_labels)
         ns = np.arange(cutoff + 1)
         dim = (cutoff + 1) ** self.mode_count
         rho = np.zeros((dim, dim), dtype=complex)

@@ -26,19 +26,20 @@ from pspsim import (
     basis_fidelity_bound,
     cpm_output,
     encoded_state,
+    f2002,
     fidelity_to_number_state,
     fock_beam_splitter,
     fock_inner,
     g2_zero_closed,
     g2_zero_oracle,
     herald_probabilities,
-    hom,
     hom_fock_oracle,
     kerr_output_fock,
     loss_channel,
     norm,
     normalization,
     optimize_mu,
+    p11,
     phase_set,
     pseudo_number_state,
     tensor,
@@ -66,10 +67,9 @@ def test_01_dual_representation_equivalence():
         fv = to_fock(s)
         worst = max(worst, abs(norm(s) - math.sqrt(float(np.sum(np.abs(fv.amplitudes) ** 2)))))
         worst = max(worst, abs(g2_zero_closed(mu, d) - g2_zero_oracle(fv)))
-        r = hom(p, p)
         out = fock_beam_splitter(to_fock(tensor(s, s)), variant="X")
         p11_o, f2002_o = hom_fock_oracle(out)
-        worst = max(worst, abs(r.p11 - p11_o), abs(r.f2002 - f2002_o))
+        worst = max(worst, abs(p11(p, p) - p11_o), abs(f2002(p, p) - f2002_o))
     elapsed = time.monotonic() - start
     ok = worst < 1e-8 and elapsed < 10.0
     detail = "closed vs Fock paths, 50 draws: worst |diff| = %.3e, %.2f s" % (worst, elapsed)
@@ -112,11 +112,10 @@ def test_03_antibunching_structure():
 def test_04_hom_interference():
     coherent_ok = True
     for mu in (0.1, 0.5, 1.0):
-        r = hom(PSPParams(mu=mu, d=1, j=0), PSPParams(mu=mu, d=1, j=0))
-        coherent_ok &= r.p11 < 1e-12
-        coherent_ok &= abs(r.f2002 - mu**2 * math.exp(-2 * mu)) < 1e-10
-    floor = min(hom(PSPParams(mu=float(m), d=8, j=1),
-                    PSPParams(mu=float(m), d=8, j=1)).f2002
+        p = PSPParams(mu=mu, d=1, j=0)
+        coherent_ok &= p11(p, p) < 1e-12
+        coherent_ok &= abs(f2002(p, p) - mu**2 * math.exp(-2 * mu)) < 1e-10
+    floor = min(f2002(PSPParams(mu=float(m), d=8, j=1), PSPParams(mu=float(m), d=8, j=1))
                 for m in np.linspace(0.02, 1.0, 30))
     ok = coherent_ok and floor >= 0.95
     detail = "coherent inputs: p11=0 and f2002=mu^2 e^-2mu: %s; d=8 f2002 floor %.4f over mu<=1" % (

@@ -16,14 +16,14 @@ from pspsim import (
     fock_beam_splitter,
     g2_zero_closed,
     g2_zero_oracle,
-    hom,
     hom_fock_oracle,
+    p11,
     pseudo_number_state,
     tensor,
     to_fock,
 )
 from pspsim import metrics, pns
-from pspsim.metrics import _clamp_unit
+from pspsim.errors import _clamp_unit
 
 
 def test_g2_equals_one_for_plain_coherent():
@@ -114,15 +114,17 @@ def test_clamp_guard():
     assert _clamp_unit(-1e-14, "x") == 0.0
     with pytest.raises(NumericalDiagnosticError):
         _clamp_unit(1.01, "x")
+    with pytest.raises(NumericalDiagnosticError):
+        _clamp_unit(math.nan, "x")
 
 
 def test_hom_identical_frozen_points():
-    r = hom(PSPParams(mu=0.4, d=4, j=1), PSPParams(mu=0.4, d=4, j=1))
-    assert abs(r.p11 - 2.6657594135306805e-04) < 1e-15
-    assert abs(r.f2002 - 0.999573466218153) < 1e-12
-    r8 = hom(PSPParams(mu=0.1, d=8, j=1), PSPParams(mu=0.1, d=8, j=1))
-    assert r8.p11 < 1e-13
-    assert r8.f2002 > 1.0 - 1e-9
+    p = PSPParams(mu=0.4, d=4, j=1)
+    assert abs(p11(p, p) - 2.6657594135306805e-04) < 1e-15
+    assert abs(f2002(p, p) - 0.999573466218153) < 1e-12
+    p8 = PSPParams(mu=0.1, d=8, j=1)
+    assert p11(p8, p8) < 1e-13
+    assert f2002(p8, p8) > 1.0 - 1e-9
 
 
 def test_hom_matches_fock_oracle():
@@ -133,14 +135,13 @@ def test_hom_matches_fock_oracle():
         delta = float(rng.uniform(0.0, 1.0))
         p1 = PSPParams(mu=mu, d=d, j=1)
         p2 = PSPParams(mu=mu, d=d, j=1, delta=delta)
-        r = hom(p1, p2)
         out = fock_beam_splitter(
             to_fock(tensor(pseudo_number_state(p1), pseudo_number_state(p2))),
             variant="X",
         )
         p11_o, f2002_o = hom_fock_oracle(out)
-        assert abs(r.p11 - p11_o) < 1e-10
-        assert abs(r.f2002 - f2002_o) < 1e-10
+        assert abs(p11(p1, p2) - p11_o) < 1e-10
+        assert abs(f2002(p1, p2) - f2002_o) < 1e-10
 
 
 def test_hom_coherent_inputs():
@@ -148,17 +149,15 @@ def test_hom_coherent_inputs():
     # the NOON weight is mu^2 e^(-2 mu)
     for mu in (0.1, 0.6):
         p = PSPParams(mu=mu, d=1, j=0)
-        r = hom(p, p)
-        assert r.p11 < 1e-12
-        assert abs(r.f2002 - mu**2 * math.exp(-2 * mu)) < 1e-10
+        assert p11(p, p) < 1e-12
+        assert abs(f2002(p, p) - mu**2 * math.exp(-2 * mu)) < 1e-10
 
 
 def test_f2002_does_not_depend_on_source_offset():
     vals = []
     for delta in np.linspace(0.0, 0.5, 9):
-        r = hom(PSPParams(mu=0.4, d=4, j=1),
-                PSPParams(mu=0.4, d=4, j=1, delta=float(delta)))
-        vals.append(r.f2002)
+        vals.append(f2002(PSPParams(mu=0.4, d=4, j=1),
+                          PSPParams(mu=0.4, d=4, j=1, delta=float(delta))))
     assert max(vals) - min(vals) < 1e-12
 
 
@@ -187,9 +186,8 @@ def test_p11_dip_at_zero_offset():
     deltas = np.linspace(0.0, 0.5, 9)
     vals = []
     for delta in deltas:
-        r = hom(PSPParams(mu=0.4, d=4, j=1),
-                PSPParams(mu=0.4, d=4, j=1, delta=float(delta)))
-        vals.append(r.p11)
+        vals.append(p11(PSPParams(mu=0.4, d=4, j=1),
+                        PSPParams(mu=0.4, d=4, j=1, delta=float(delta))))
     assert int(np.argmin(vals)) == 0
     assert int(np.argmax(vals)) == len(deltas) - 1
     assert abs(vals[-1] - 4.2651480440757295e-04) < 1e-12
@@ -229,7 +227,10 @@ def test_hom_builds_equal_inputs_once(monkeypatch):
                         counted("states", metrics.pseudo_number_state))
     monkeypatch.setattr(pns, "residue_masses", counted("residues", pns.residue_masses))
     p = PSPParams(mu=0.4, d=4, j=1)
-    hom(p, p)
+    p11(p, p)
+    f2002(p, p)
     assert calls == {"states": 1, "residues": 2}
-    hom(p, PSPParams(mu=0.4, d=4, j=1, delta=0.25))
+    q = PSPParams(mu=0.4, d=4, j=1, delta=0.25)
+    p11(p, q)
+    f2002(p, q)
     assert calls == {"states": 3, "residues": 6}

@@ -13,6 +13,7 @@ from pspsim import (
     DegenerateStateError,
     GenerationParams,
     KeyRateCurve,
+    NumericalDiagnosticError,
     PSP_NONDECOY,
     PSP_PASSIVE_DECOY,
     PSP_TRIGGERED,
@@ -177,6 +178,24 @@ def test_phase_set_values_and_validation():
         phase_set(8, "other")
 
 
+ENCODINGS = {
+    "phase_set": phase_set,
+    "encoded_state": lambda d: encoded_state(0.45, d, 1, 0),
+    "basis_fidelity_bound": lambda d: basis_fidelity_bound(0.3, d, 1),
+}
+
+
+@pytest.mark.parametrize("d, message", [(0, "integer >= 1"), (-8, "integer >= 1"),
+                                        (8.0, "integer >= 1"), (True, "integer >= 1"),
+                                        (6, "divisible by 4")])
+@pytest.mark.parametrize("name", sorted(ENCODINGS))
+def test_encodings_need_a_positive_integer_d_divisible_by_4(name, d, message):
+    # phase_set(0) returned [0, 0, 0, 0], phase_set(-8) [0, -2, -4, -6] and
+    # phase_set(8.0) float indices; True was read as 1
+    with pytest.raises(ValueError, match=message):
+        ENCODINGS[name](d)
+
+
 def test_encoded_state_norm():
     for k in (0, 2, 4, 6):
         s = encoded_state(0.45, 8, 1, k)
@@ -206,6 +225,26 @@ def test_measure_bb84_deterministic_ports():
     # conjugate basis: both ports equally likely
     p0, p1, _, _ = measure_bb84(encoded_state(mu, d, 1, k0), "Y")
     assert abs(p0 - p1) < 1e-12
+
+
+def test_measure_bb84_clamps_rounding_only(monkeypatch):
+    # a click probability of -1e-9 used to read 0.0 as silently as one of -1e-13
+    state = encoded_state(0.45, 8, 1, 0)
+    monkeypatch.setattr(qkd, "vacuum_probabilities", lambda out, sets: [0.5, 0.5, 0.5 + 1e-13])
+    assert measure_bb84(state, "X")[:2] == (0.0, 0.0)
+    monkeypatch.setattr(qkd, "vacuum_probabilities", lambda out, sets: [0.5, 0.5, 0.5 + 1e-9])
+    with pytest.raises(NumericalDiagnosticError, match="p_click_port0"):
+        measure_bb84(state, "X")
+
+
+def test_basis_fidelity_bound_rejects_excess_beyond_rounding(monkeypatch):
+    # a raw bound in (1 + 1e-12, 1 + 1e-9] used to read 1.0
+    assert basis_fidelity_bound(0.01, 8, 0) == 1.0
+    normalization = qkd.normalization
+    monkeypatch.setattr(qkd, "normalization",
+                        lambda mu, d, j: (1.0 - 1e-10) * normalization(mu, d, j))
+    with pytest.raises(NumericalDiagnosticError, match="fidelity bound"):
+        basis_fidelity_bound(0.01, 8, 0)
 
 
 def test_basis_fidelity_bound_frozen_values():
