@@ -22,7 +22,6 @@ from .pns import (
     PSPParams,
     fidelity_to_number_state,
     loss_channel,
-    modular_poisson_mass,
     normalization,
     normalization_overlap_sum,
     photon_number_probability,

@@ -157,10 +157,10 @@ def _fig1_rows(cfg):
     d_list = resolved["d_list"] = cfg.get("d-list", [4, 8, 12], int)
     rows = []
     for d in d_list:
-        for mu in map(float, mus):
-            p = PSPParams(mu=mu, d=d, j=1)
+        for mu, g2 in zip(map(float, mus), g2_zero_closed(mus, d).tolist()):
+            p = PSPParams(mu=mu, d=d, j=1)  # its residue mass serves all three metrics
             rows += [("fidelity", d, mu, fidelity_to_number_state(p)),
-                     ("g2", d, mu, g2_zero_closed(mu, d)),
+                     ("g2", d, mu, g2),
                      ("p11", d, mu, p11(p, p)),
                      ("f2002", d, mu, f2002(p, p))]
     return ("quantity", "d", "mu", "value"), rows, resolved
@@ -170,8 +170,9 @@ def _fig4_rows(cfg):
     mus, resolved = _mu_grid(cfg, 0.001, 1.0)
     d_list = resolved["d_list"] = cfg.get("d-list", [4, 8], int)
     j_list = resolved["j_list"] = cfg.get("j-list", [0, 1], int)
-    rows = [("basis_fidelity", d, j, float(mu), basis_fidelity_bound(float(mu), d, j))
-            for d in d_list for j in j_list for mu in mus]
+    rows = [("basis_fidelity", d, j, float(mu), value)
+            for d in d_list for j in j_list
+            for mu, value in zip(mus, basis_fidelity_bound(mus, d, j).tolist())]
     return ("quantity", "d", "j", "mu", "value"), rows, resolved
 
 

@@ -6,12 +6,11 @@ double sum, p11 a set of Gram-matrix vacuum projections on the coherent
 expansion, and f2002 the product of the inputs' one-photon probabilities.
 """
 
-import math
-
 import numpy as np
 
 from .errors import REAL_RESIDUE_TOL, UNIT_RESIDUE_TOL, NumericalDiagnosticError, _clamp_unit
-from .pns import _validate_d, normalization, photon_number_probability, pseudo_number_state
+from .pns import (_mu_array, _validate_d, normalization, photon_number_probability,
+                  pseudo_number_state)
 from .states import beam_splitter, tensor, vacuum_probabilities
 
 
@@ -26,26 +25,30 @@ def g2_zero_closed(mu, d):
     cross-check for every d >= 3.  d = 1 is the coherent state, returns 1.
     At small mu the sums cancel to noise around a tiny true value: a result
     down to -UNIT_RESIDUE_TOL reads 0, one below it is a numerical failure.
+    mu may be a 1-D array: one residue table serves the normalizations, the
+    phase sums stay one per mu, and each entry equals the scalar call's bits.
     """
-    if mu <= 0:
+    mus = _mu_array(mu)
+    if (mus <= 0).any():
         raise ValueError("mu must be positive")
-    if not math.isfinite(mu):  # before the phase sum, which would warn on it
+    if not np.isfinite(mus).all():  # before the phase sums, which would warn on it
         raise ValueError("mu must be finite")
     _validate_d(d)
     s = np.arange(d)
     ph = np.exp(2j * np.pi * s / d)
-    ex = np.exp(mu * (ph - 1.0))
-    a = d * np.sum(ph * ex)
-    b = d * np.sum(ex)
-    n = normalization(mu, d, 1 % d)
-    val = n * a / (b * b)
-    if abs(val.imag) > REAL_RESIDUE_TOL * max(1.0, abs(val.real)):
-        raise NumericalDiagnosticError(
-            "g2 numerator residue %.3e exceeds tolerance" % val.imag
-        )
-    if val.real < -UNIT_RESIDUE_TOL:
-        raise NumericalDiagnosticError("g2 = %.6e is negative" % val.real)
-    return max(float(val.real), 0.0)
+    values = []
+    for m, n in zip(mus.ravel().tolist(), np.ravel(normalization(mus, d, 1 % d)).tolist()):
+        ex = np.exp(m * (ph - 1.0))
+        a, b = d * np.sum(ph * ex), d * np.sum(ex)
+        val = n * a / (b * b)
+        if abs(val.imag) > REAL_RESIDUE_TOL * max(1.0, abs(val.real)):
+            raise NumericalDiagnosticError(
+                "g2 numerator residue %.3e exceeds tolerance" % val.imag
+            )
+        if val.real < -UNIT_RESIDUE_TOL:
+            raise NumericalDiagnosticError("g2 = %.6e is negative" % val.real)
+        values.append(max(float(val.real), 0.0))
+    return np.array(values) if mus.ndim else values[0]
 
 
 def g2_zero_oracle(fv):

@@ -13,6 +13,7 @@ because it cancels catastrophically at small mu.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,10 +59,10 @@ def _validate_dj(d, j):
 def residue_masses(mu, d, residues=None):
     """Poisson(mu) masses M_r summed over photon numbers n = r (mod d), r = 0..d-1.
 
-    mu may be a 1-D array; the result is then a (len(mu), d) table whose row
-    i equals residue_masses(mu[i], d) bit for bit.  residues (a list of r in
-    [0, d)) keeps only those columns, in that order; a table computes only
-    them, and each equals the full table's column bit for bit.
+    mu may be a 1-D array; the result is then a (len(mu), d) table, and a
+    number mu is row 0 of a one-row table.  residues (a list of r in [0, d))
+    keeps only those columns, in that order; only they are computed, and
+    each equals the full table's column bit for bit.
     One log-space pass over blocks of 64 d consecutive photon numbers (fewer
     at d > 1024), each laid out residue-major so that row r of the block
     holds its n = r (mod d).
@@ -78,29 +79,36 @@ def residue_masses(mu, d, residues=None):
     _validate_d(d)
     values = _validate_mu(mu)
     rows = min(_CHUNK, max(1, _MAX_BLOCK // d))
-    if np.ndim(mu) == 0 and residues is None:  # no table bookkeeping: fig1 makes 2,400 calls
-        return _residue_row(values[0], d, rows)
     js = np.arange(d) if residues is None else np.asarray(residues)
     integers = js.dtype.kind in "iu" or js.size == 0  # a bool or float is no residue
     if not (js.ndim == 1 and integers and np.all((0 <= js) & (js < d))):
         raise ValueError("residues must be a list of integers in [0, d)")
     js = js.astype(int)
-    if np.ndim(mu) == 0:
-        return _residue_row(values[0], d, rows)[js]
     top = max(values, default=0.0)
     width = _head_width(0, rows, d, top) if top > 0 else rows
     group = max(1, _TABLE_BLOCK // (width * max(js.size, 1)))
     groups = [_residue_rows(values[i:i + group], d, rows, js)
               for i in range(0, len(values), group)]
-    return np.concatenate(groups) if groups else np.zeros((0, js.size))
+    table = np.concatenate(groups) if groups else np.zeros((0, js.size))
+    return table if np.ndim(mu) else table[0]
+
+
+def _mu_array(mu):
+    """mu, a number or a 1-D array, as a float array; a bool in it is a
+    ValueError (numpy would read True as 1.0)."""
+    raw = mu if isinstance(mu, np.ndarray) else np.asarray(mu, dtype=object)
+    if raw.dtype.kind == "b" or raw.dtype.kind == "O" and any(
+            isinstance(m, (bool, np.bool_)) for m in raw.ravel().tolist()):
+        raise ValueError("mu must be a number, not a bool")
+    mus = np.asarray(mu, dtype=float)
+    if mus.ndim > 1:
+        raise ValueError("mu must be a number or a 1-D array")
+    return mus
 
 
 def _validate_mu(mu):
     """mu, a number or a 1-D array, as a list of floats, each checked finite and >= 0."""
-    mus = np.asarray(mu, dtype=float)
-    if mus.ndim > 1:
-        raise ValueError("mu must be a number or a 1-D array")
-    values = mus.ravel().tolist()
+    values = _mu_array(mu).ravel().tolist()
     if not all(math.isfinite(m) for m in values):
         raise ValueError("mu must be finite")
     if any(m < 0 for m in values):
@@ -108,46 +116,8 @@ def _validate_mu(mu):
     return values
 
 
-def _block(n0, rows, d):
-    """Photon numbers n0 .. n0 + rows d - 1 and their log(n!), residue-major.
-
-    Row r of each (d, rows) array holds the block's n = r (mod d) in
-    increasing order, contiguously, so a sum along it is taken in the same
-    (pairwise) order for a single series and for every row of a table.
-    """
-    ns = np.arange(n0, n0 + rows * d)
-    log_factorials = log_factorial(ns)
-    return ns.reshape(rows, d).T.copy(), log_factorials.reshape(rows, d).T.copy()
-
-
-def _truncated(mu, d):
-    return TruncationError("modular Poisson series at mu=%.6g, d=%d needs photon numbers above %d"
-                           % (mu, d, SERIES_MAX_N))
-
-
-def _residue_row(mu, d, rows):
-    """residue_masses at one valid mu."""
-    totals = np.zeros(d)
-    if mu == 0:
-        totals[0] = 1.0
-        return totals
-    # math.log, not np.log: the two differ in the last digit on some CPUs,
-    # and a table's rows must equal this series
-    log_mu = math.log(mu)
-    n0 = 0
-    while n0 <= SERIES_MAX_N:
-        ns, log_factorials = _block(n0, rows, d)
-        terms = np.exp(ns * log_mu - mu - log_factorials)
-        totals += terms.sum(axis=1)
-        n0 += rows * d
-        # n0 - d is residue 0's last photon number, the smallest of the d.
-        if n0 - d > mu and (terms[:, -1] <= SERIES_RTOL * totals).all():
-            return totals
-    raise _truncated(mu, d)
-
-
 def _residue_rows(values, d, rows, js):
-    """residue_masses table for a list of valid mu values: _residue_row for each, in one pass.
+    """residue_masses table for a list of valid mu values, in one pass.
 
     Only the residues js are summed.  Each residue's terms are summed on their
     own; and once past the mode, a residue whose last term passes the
@@ -159,13 +129,19 @@ def _residue_rows(values, d, rows, js):
     # Rows still summing: their indices, mu, log(mu) and running sums.
     live = np.array([i for i, m in enumerate(values) if m > 0], dtype=int)
     live_mu = np.array([values[i] for i in live])
-    log_mu = np.array([math.log(m) for m in live_mu.tolist()])  # math.log, as _residue_row
+    # math.log: np.log differs from it in the last digit on some CPUs
+    log_mu = np.array([math.log(m) for m in live_mu.tolist()])
     sums = np.zeros((live.size, js.size))
     n0 = 0
     while live.size:
         if n0 > SERIES_MAX_N:
-            raise _truncated(live_mu[0], d)
-        ns, log_factorials = _block(n0, rows, d)
+            raise TruncationError("modular Poisson series at mu=%.6g, d=%d needs photon numbers "
+                                  "above %d" % (live_mu[0], d, SERIES_MAX_N))
+        # the block residue-major, as (d, rows): row r holds its n = r (mod d); log(n!)
+        # over the whole block, since whether it comes from the table depends on all of it
+        ns = np.arange(n0, n0 + rows * d)
+        log_factorials = log_factorial(ns).reshape(rows, d).T
+        ns = ns.reshape(rows, d).T
         width = _head_width(n0, rows, d, live_mu.max())
         # in place: the (live rows, residues, width) head is the one array of its size
         terms = np.multiply.outer(log_mu, ns[js, :width])
@@ -199,21 +175,18 @@ def _head_width(n0, rows, d, mu):
     return min(rows, -(-max(cut, 1) // 8) * 8)
 
 
-def modular_poisson_mass(mu, d, j):
-    """Sum of Poisson(mu) masses over photon numbers n = j (mod d)."""
-    _validate_dj(d, j)
-    return float(residue_masses(mu, d)[j])
-
-
 def _nonzero_mass(mu, d, j):
-    mass = modular_poisson_mass(mu, d, j)
-    if mass == 0.0:
-        raise DegenerateStateError("state with j=%d is degenerate at mu=%.6g" % (j, mu))
-    return mass
+    """M_j at mu, a number or a 1-D array; a zero mass is a DegenerateStateError."""
+    _validate_dj(d, j)
+    mass = residue_masses(mu, d, [j])[..., 0]
+    if not mass.all():
+        raise DegenerateStateError("state with j=%d is degenerate at mu=%.6g"
+                                   % (j, np.ravel(mu)[np.argmin(mass)]))
+    return mass if mass.ndim else float(mass)
 
 
 def normalization(mu, d, j):
-    """Normalization N = d^2 e^{-mu} sum_{n = j mod d} mu^n / n!.
+    """Normalization N = d^2 e^{-mu} sum_{n = j mod d} mu^n / n!; an array for a 1-D mu.
 
     Raises DegenerateStateError when the state has zero norm (j != 0 at
     mu = 0, or a residue mass that underflows to zero).
@@ -249,6 +222,7 @@ class PSPParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        _mu_array(self.mu)  # a bool is no mu
         if not (np.isfinite(self.mu) and self.mu >= 0):
             raise ValueError("mu must be finite and >= 0")
         if self.d == math.inf:
@@ -261,12 +235,18 @@ class PSPParams:
         if self.j != 0 and self.mu == 0:
             raise DegenerateStateError("j=%d requires mu > 0" % self.j)
 
+    @cached_property
+    def mass(self):
+        """M_j at finite d, from one residue pass per instance; not a field, so
+        equality, hash, repr and dataclasses.replace ignore it."""
+        return _nonzero_mass(self.mu, self.d, self.j)
+
 
 def pseudo_number_state(p):
     """Construct |j_d> as a d-term coherent superposition (normalized)."""
     if p.d == math.inf:
         raise ValueError("the d -> infinity limit has no finite coherent expansion")
-    n = normalization(p.mu, p.d, p.j)
+    n = p.d * p.d * p.mass  # normalization(p.mu, p.d, p.j)
     q = np.arange(p.d)
     coeffs = np.exp(-2j * np.pi * p.j * q / p.d) / np.sqrt(n)
     labels = np.sqrt(p.mu) * np.exp(2j * np.pi * (q + p.delta) / p.d)
@@ -284,7 +264,7 @@ def photon_number_probability(p, n):
         raise ValueError("photon number must be a nonnegative integer")
     if p.d == math.inf:
         return 1.0 if n == p.j else 0.0
-    mass = _nonzero_mass(p.mu, p.d, p.j)
+    mass = p.mass
     if n % p.d != p.j:
         return 0.0
     if p.mu == 0:
@@ -330,7 +310,7 @@ def loss_channel(p, eta):
     if p.d == math.inf:
         raise ValueError("loss channel needs a finite coherent expansion")
     d = p.d
-    mass = _nonzero_mass(p.mu, d, p.j)
+    mass = p.mass
     n = d * d * mass
     qq, qp = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     decay = np.exp((np.exp(2j * np.pi * (qq - qp) / d) - 1.0) * p.mu * (1.0 - eta))

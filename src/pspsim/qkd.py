@@ -26,10 +26,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateStateError, _clamp_unit
+from .errors import DegenerateStateError, NumericalDiagnosticError, _clamp_unit
 from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
-from .pns import (_TABLE_BLOCK, _validate_d, _validate_dj, _validate_mu, normalization,
-                  residue_masses)
+from .pns import (_TABLE_BLOCK, _mu_array, _validate_d, _validate_dj, _validate_mu,
+                  normalization, residue_masses)
 from .states import CoherentSuperposition, beam_splitter, vacuum_probabilities
 
 WCS_NONDECOY = "wcs-nondecoy"
@@ -331,27 +331,36 @@ def basis_fidelity_bound(mu, d, j):
 
     mu is the per-pulse mean photon number (the encoded state carries 2 mu),
     and d an integer >= 1 divisible by 4.  The result is clamped to [0, 1];
-    one that misses it by more than UNIT_RESIDUE_TOL is a
-    NumericalDiagnosticError.
+    one that misses it by more than UNIT_RESIDUE_TOL, or a phase sum that
+    overflows (mu above about 700), is a NumericalDiagnosticError.  mu may be
+    a 1-D array: one residue table serves the normalizations, the phase sums
+    stay one per mu, and each entry equals the scalar call's bits.
     """
     _validate_encoding_d(d)
-    if mu < 0:
+    mus = _mu_array(mu)
+    if (mus < 0).any():
         raise ValueError("mu must be nonnegative")
-    if not math.isfinite(mu):  # before the phase sum, which would warn on it
+    if not np.isfinite(mus).all():  # before the phase sums, which would warn on it
         raise ValueError("mu must be finite")
     q = np.arange(d)
     winv = np.exp(-2j * np.pi * q / d)
-    terms = (
-        np.exp(2j * np.pi * j * q / d)
-        * np.exp(-2.0 * mu + mu * winv)
-        * (np.exp(1j * mu * winv) + 1j * np.exp(-1j * mu * winv))
-    )
-    val = d * abs(np.sum(terms)) / (math.sqrt(2.0) * normalization(2.0 * mu, d, j))
-    return _clamp_unit(val, "fidelity bound")
+    values = []
+    for m, n in zip(mus.ravel().tolist(), np.ravel(normalization(2.0 * mus, d, j)).tolist()):
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+            terms = (
+                np.exp(2j * np.pi * j * q / d)
+                * np.exp(-2.0 * m + m * winv)
+                * (np.exp(1j * m * winv) + 1j * np.exp(-1j * m * winv))
+            )
+            s = d * abs(np.sum(terms))
+        if not math.isfinite(s):
+            raise NumericalDiagnosticError("fidelity bound phase sum overflows at mu=%.6g" % m)
+        values.append(_clamp_unit(s / (math.sqrt(2.0) * n), "fidelity bound"))
+    return np.array(values) if mus.ndim else values[0]
 
 
 def _source_fidelity(mu, d, basis_mu):
-    """basis_fidelity_bound(mu', d, 1) of a j = 1 source with mean photon number mu.
+    """basis_fidelity_bound(mu', d, 1) of a j = 1 source at each mean photon number in mu.
 
     "half" treats mu as the total of the prepared state, so the pulses carry
     mu' = mu/2 each (the bound's N_{2 mu'} matches N_mu); "full" takes mu' = mu.
@@ -456,7 +465,7 @@ def _psp_passive_curve(c, distances, mus, d, basis_mu="half", yield_model="exact
     p1 = masses[:, 1:2]
     y1 = _state_yields(c, mus, d, [1], masses, st.eta, yield_model)[:, :, 0]
     e_b1 = _bit_error(c, y1)
-    f1 = np.array([[_source_fidelity(mu, d, basis_mu)] for mu in mus[:, 0].tolist()])
+    f1 = _source_fidelity(mus[:, 0], d, basis_mu)[:, None]
     delta1 = _ratio(1.0 - f1, 2.0 * y1)
     branches = _Branches(y1.shape)
     branches.keep(p1=p1, y1=y1, e_b1=e_b1, f1=f1, delta1=delta1)
@@ -522,7 +531,7 @@ def _psp_triggered_curve(c, distances, mus, d, nu, eta_trigger_det, convention=C
         # d divisible by 4) only at the mu that some distance reaches it at
         return result(0.0)
     f1 = np.full(mus.shape, np.nan)
-    f1[reached, 0] = [_source_fidelity(mu, d, basis_mu) for mu in mus[reached, 0].tolist()]
+    f1[reached, 0] = _source_fidelity(mus[reached, 0], d, basis_mu)
     delta1 = _ratio(1.0 - f1, 2.0 * y_j1)
     branches.keep(f1=f1, delta1=delta1)
     branches.end(delta1 > 0.5, "basis dependence too strong for the fidelity bound")
@@ -585,6 +594,7 @@ def optimize_mu(c, d, protocol, mu_grid, distances=None, **kwargs):
     rate along the sorted grid, so a larger mu wins only on a strictly
     larger rate.
     """
+    _mu_array(mu_grid)  # a bool is no mu
     grid = sorted(float(m) for m in mu_grid)
     if not grid:
         raise ValueError("mu_grid must be nonempty")

@@ -56,9 +56,12 @@ def log_factorial(n):
 
 
 def coherent_overlap(a, b):
-    """Overlap <a|b> of two single-mode coherent states (elementwise on arrays)."""
+    """Overlap <a|b> of two single-mode coherent states (elementwise on arrays);
+    a non-finite amplitude is a ValueError."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("coherent amplitudes must be finite")
     out = np.exp(-0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2) + np.conj(a) * b)
     return out[()]
 
@@ -81,9 +84,10 @@ def fock_amplitude(alpha, n):
     if (n < 0).any():
         raise ValueError("photon number must be nonnegative")
     r = np.abs(alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # r**2 overflows to inf above |alpha| ~ 1e154, where the amplitude is exactly 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n_log_r = np.where(n == 0, 0.0, n * np.log(r))
-    log_mag = -0.5 * r**2 + n_log_r - 0.5 * log_factorial(n)
+        log_mag = -0.5 * r**2 + n_log_r - 0.5 * log_factorial(n)
     return (np.exp(log_mag) * np.exp(1j * np.angle(alpha) * n))[()]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pspsim import (ChannelParams, NumericalDiagnosticError, basis_fidelity_bound,
-                    g2_zero_closed, modular_poisson_mass)
+                    g2_zero_closed, residue_masses)
 from pspsim import cli, generation, metrics, pns, qkd, states
 
 
@@ -154,6 +154,26 @@ def test_fig5_residue_passes_do_not_grow_with_distances(tmp_path, monkeypatch, c
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
     assert max(calls) == 11 * (40 if optimize else 1)  # one table row per (mu, distance)
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["fig1", "--mu-points", "4", "--d-list", "4", "8"], 2 * 4 + 2),
+    (["fig4", "--mu-points", "4", "--d-list", "4", "8", "--j-list", "0", "1"], 4),
+])
+def test_figure_residue_passes(tmp_path, monkeypatch, capsys, argv, passes):
+    # fig1: one pass per (d, mu) point, which its fidelity, p11 and f2002
+    # share, plus one g2 table per d; fig4: one bound table per (d, j)
+    calls = []
+    original = pns._residue_rows
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(pns, "_residue_rows", counted)
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == passes
+    assert max(calls) == 4  # a table holds a whole mu grid
 
 
 def test_fig5_optimizer_evaluates_each_source_once(tmp_path, monkeypatch, capsys):
@@ -307,7 +327,7 @@ def test_compute_herald_rejects_residue_out_of_range(capsys, j):
 def test_compute_herald_value(capsys):
     assert run(["compute", "herald", "--mu", "0.3", "--d", "4", "--j", "1"]) == 0
     assert float(capsys.readouterr().out.splitlines()[0]) == \
-        modular_poisson_mass(0.3, 4, 1)
+        residue_masses(0.3, 4)[1]
 
 
 def test_config_format_is_checked(tmp_path, capsys):

@@ -12,6 +12,7 @@ from pspsim import (
     NumericalDiagnosticError,
     PSPParams,
     auto_cutoff,
+    basis_fidelity_bound,
     f2002,
     fock_beam_splitter,
     g2_zero_closed,
@@ -101,6 +102,40 @@ def test_g2_rejects_non_finite_mu_without_warning(mu):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="mu must be finite"):
             g2_zero_closed(mu, 8)
+
+
+# fig1's and fig4's default mu grids, and fig5's per-pulse mu/2 grid
+ARRAY_GRIDS = [np.logspace(math.log10(0.01), math.log10(20.0), 200),
+               np.logspace(math.log10(0.001), math.log10(1.0), 200),
+               np.arange(0.05, 2.0001, 0.05) / 2.0]
+
+
+@pytest.mark.parametrize("grid", ARRAY_GRIDS, ids=["fig1", "fig4", "fig5-half"])
+@pytest.mark.parametrize("d", [4, 8, 12, 36])
+@pytest.mark.parametrize("metric", [
+    lambda mu, d: g2_zero_closed(mu, d),
+    lambda mu, d: basis_fidelity_bound(mu, d, 0),
+    lambda mu, d: basis_fidelity_bound(mu, d, 1),
+], ids=["g2", "basis-fidelity-j0", "basis-fidelity-j1"])
+def test_array_mu_equals_the_scalar_calls(metric, d, grid):
+    # one residue table per call; the phase sums stay one per mu, so every
+    # entry keeps the scalar call's bits, and the first scalar failure (g2 at
+    # d = 36 on the fig1 grid) is the array's
+    values, first_error = [], None
+    for mu in grid.tolist():
+        try:
+            values.append(metric(mu, d))
+        except NumericalDiagnosticError as exc:
+            first_error = first_error or str(exc)
+            values.append(None)
+    if first_error is None:
+        assert metric(grid, d).tobytes() == np.array(values).tobytes()
+    else:
+        with pytest.raises(NumericalDiagnosticError) as raised:
+            metric(grid, d)
+        assert str(raised.value) == first_error
+    ok = [v is not None for v in values]
+    assert metric(grid[ok], d).tobytes() == np.array([v for v in values if v is not None]).tobytes()
 
 
 def test_g2_oracle_rejects_two_mode_states():
@@ -214,7 +249,8 @@ def test_f2002_closed_form_matches_fock_oracle(p1, p2):
 
 
 def test_hom_builds_equal_inputs_once(monkeypatch):
-    # one state and one residue pass for p11, one residue pass for f2002
+    # one state for p11, and one residue pass per PSPParams, which p11 and f2002 share
+    # (the pass is cached on the instance)
     calls = {"states": 0, "residues": 0}
 
     def counted(name, func):
@@ -229,8 +265,8 @@ def test_hom_builds_equal_inputs_once(monkeypatch):
     p = PSPParams(mu=0.4, d=4, j=1)
     p11(p, p)
     f2002(p, p)
-    assert calls == {"states": 1, "residues": 2}
+    assert calls == {"states": 1, "residues": 1}
     q = PSPParams(mu=0.4, d=4, j=1, delta=0.25)
     p11(p, q)
     f2002(p, q)
-    assert calls == {"states": 3, "residues": 6}
+    assert calls == {"states": 3, "residues": 2}

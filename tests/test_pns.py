@@ -7,26 +7,30 @@ import pytest
 
 from pspsim import (
     PSP_NONDECOY,
+    WCS_DECOY,
     ChannelParams,
     GenerationParams,
     PSPParams,
     auto_cutoff,
+    basis_fidelity_bound,
     fidelity_to_number_state,
     g2_zero_closed,
     herald_probabilities,
     keyrate_for_protocol,
     loss_channel,
-    modular_poisson_mass,
     norm,
     normalization,
     normalization_overlap_sum,
+    optimize_mu,
     photon_number_probability,
     pseudo_number_state,
+    pseudo_state_yield,
     residue_masses,
     to_fock,
     uhlmann_fidelity,
 )
 from pspsim import cli
+from test_properties import full_block_table
 
 
 def mass_direct(mu, d, j, terms=400):
@@ -43,7 +47,7 @@ def test_modular_poisson_mass_direct_and_complete():
             assert masses.shape == (d,)
             for j in range(d):
                 assert abs(masses[j] - mass_direct(mu, d, j)) < 1e-14
-                assert modular_poisson_mass(mu, d, j) == masses[j]
+                assert residue_masses(mu, d, [j])[0] == masses[j]
             assert abs(masses.sum() - 1.0) < 1e-12
 
 
@@ -67,12 +71,14 @@ def test_residue_masses_edge_cases():
 @pytest.mark.parametrize("d", [1, 4, 8, 36, 1100])
 def test_residue_masses_table_equals_scalar_calls(d):
     # rows stop at different blocks (mu = 30 at d = 1 needs several), and at
-    # mu = 1e-300 every residue above 1 underflows to zero
+    # mu = 1e-300 every residue above 1 underflows to zero; a number mu is
+    # row 0 of a one-row table, and both are the full-block arithmetic
     mus = np.concatenate([[0.0, 1e-300, 1e-3], np.arange(0.05, 2.0001, 0.05), [30.0]])
     table = residue_masses(mus, d)
     assert table.shape == (mus.size, d)
+    assert np.array_equal(table, full_block_table(mus, d))  # bit for bit
     stacked = np.array([residue_masses(float(mu), d) for mu in mus])
-    assert np.array_equal(table, stacked)  # bit for bit
+    assert np.array_equal(stacked, full_block_table(mus, d))
     if d > 2:
         assert table[1, 2] == 0.0
     assert residue_masses(np.array([]), d).shape == (0, d)
@@ -99,7 +105,7 @@ def test_residue_subset_of_one_mu_and_of_an_empty_table():
 
 @pytest.mark.parametrize("call, expect", [
     # the residue's running sum is so small that SERIES_RTOL times it underflows
-    ("modular_poisson_mass(1e-300, 4, 1)", 1e-300),
+    ("float(residue_masses(1e-300, 4)[1])", 1e-300),
     ("normalization(1e-100, 4, 3)", 16.0 * 1e-300 / 6.0),
 ])
 def test_series_terminates_at_tiny_mu(isolated, call, expect):
@@ -116,7 +122,7 @@ def raised(call):
 
 @pytest.mark.parametrize("mu", ["float('nan')", "float('inf')"])
 def test_series_rejects_non_finite_mu(isolated, mu):
-    assert isolated(raised("modular_poisson_mass(%s, 4, 1)" % mu)) == (0, "ValueError")
+    assert isolated(raised("residue_masses(%s, 4, [1])" % mu)) == (0, "ValueError")
 
 
 def test_underflowing_residue_is_degenerate(isolated):
@@ -198,7 +204,7 @@ def test_fidelity_matches_scipy_special_formula():
         for d in (1, 2, 5, 12, 40):
             for j in sorted({0, 1 % d, d // 2, d - 1}):
                 log_pmf = (float(xlogy(j, mu)), -mu, -float(gammaln(j + 1.0)))
-                expect = math.exp(sum(log_pmf)) / modular_poisson_mass(mu, d, j)
+                expect = math.exp(sum(log_pmf)) / residue_masses(mu, d)[j]
                 got = fidelity_to_number_state(PSPParams(mu=mu, d=d, j=j))
                 # exp turns a difference of an ulp or two in its argument
                 # (math.lgamma against gammaln) into that many ulps of |argument|
@@ -212,7 +218,7 @@ def test_fidelity_infinite_d_branch():
 
 def test_generation_probability_distribution():
     mu, d = 0.3, 4
-    probs = [modular_poisson_mass(mu, d, j) for j in range(d)]
+    probs = residue_masses(mu, d).tolist()
     assert abs(sum(probs) - 1.0) < 1e-12
     assert abs(probs[1] - 0.22226046781366693) < 1e-12
     for j in range(d):
@@ -230,19 +236,37 @@ def test_param_validation():
 
 @pytest.mark.parametrize("call", [
     lambda: normalization(0.5, True, 0),
-    lambda: modular_poisson_mass(0.5, 4, True),
+    lambda: normalization(0.5, 4, True),
     lambda: g2_zero_closed(0.5, True),
     lambda: herald_probabilities(GenerationParams(0.5, 100.0, True)),
     lambda: keyrate_for_protocol(PSP_NONDECOY, ChannelParams(), 0.1, True),
     lambda: PSPParams(mu=0.5, d=True, j=0),
     lambda: PSPParams(mu=0.5, d=4, j=True),
     lambda: PSPParams(mu=0.5, d=math.inf, j=True),
-], ids=["normalization", "modular_poisson_mass", "g2_zero_closed", "GenerationParams",
+], ids=["normalization", "normalization-j", "g2_zero_closed", "GenerationParams",
         "keyrate_for_protocol", "PSPParams-d", "PSPParams-j", "PSPParams-inf-j"])
 def test_bool_is_no_integer_d_or_j(call):
     # these raised an untyped TypeError from np.zeros(True), or read True as 1
     with pytest.raises(ValueError, match="must be .*integer"):
         call()
+
+
+@pytest.mark.parametrize("call, arrays", [
+    (lambda mu: residue_masses(mu, 4), True),
+    (lambda mu: normalization(mu, 4, 1), True),
+    (lambda mu: g2_zero_closed(mu, 4), True),
+    (lambda mu: basis_fidelity_bound(mu, 8, 1), True),
+    (lambda mu: optimize_mu(ChannelParams(), None, WCS_DECOY, mu), True),
+    (lambda mu: PSPParams(mu=mu, d=8, j=1), False),
+    (lambda mu: keyrate_for_protocol(WCS_DECOY, ChannelParams(), mu), False),
+    (lambda mu: pseudo_state_yield(ChannelParams(), mu, 4, 1, "dominant"), False),
+], ids=["residue_masses", "normalization", "g2_zero_closed", "basis_fidelity_bound",
+        "optimize_mu", "PSPParams", "keyrate_for_protocol", "pseudo_state_yield"])
+def test_bool_is_no_mu(call, arrays):
+    # each read True as mu = 1 and returned a value for it
+    for mu in [True, np.True_] + ([np.array([True, False]), [0.5, True]] if arrays else []):
+        with pytest.raises(ValueError, match="mu must be a number, not a bool"):
+            call(mu)
 
 
 def test_loss_exact_operator_trace_and_hermiticity():

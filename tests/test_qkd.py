@@ -26,12 +26,12 @@ from pspsim import (
     keyrate_curve,
     keyrate_for_protocol,
     measure_bb84,
-    modular_poisson_mass,
     norm,
     optimize_mu,
     phase_error_upper,
     phase_set,
     pseudo_state_yield,
+    residue_masses,
     transmission,
     trigger_probability,
 )
@@ -88,7 +88,7 @@ def test_pseudo_state_yield_matches_series_oracle():
     for (L, mu, d, j) in ((40.0, 0.45, 8, 1), (20.0, 0.08, 4, 1),
                           (60.0, 1.0, 36, 1), (40.0, 0.45, 8, 0)):
         c = ChannelParams(distance_km=L)
-        mass = modular_poisson_mass(mu, d, j)
+        mass = residue_masses(mu, d)[j]
         total = 0.0
         for n in range(j, 400, d):
             p = math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
@@ -277,6 +277,16 @@ def test_basis_fidelity_bound_rejects_non_finite_mu_without_warning(mu):
             basis_fidelity_bound(mu, 8, 1)
 
 
+@pytest.mark.parametrize("mu", [800.0, np.array([0.3, 800.0])])
+def test_basis_fidelity_bound_overflow_is_a_numerical_failure_without_warning(mu):
+    # past mu ~ 710 the phase sum overflows; it used to warn twice and then
+    # fail on "fidelity bound = nan"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalDiagnosticError, match="overflows at mu=800"):
+            basis_fidelity_bound(mu, 8, 1)
+
+
 def test_nondecoy_optimized_frozen_point_and_cutoff():
     c = ChannelParams(distance_km=20.0)
     mu_star, res = optimize_mu(c, None, WCS_NONDECOY, SMALL_GRID)
@@ -327,7 +337,7 @@ def test_psp_triggered_frozen_point_and_upper_bound():
 def triggered_by_loop(c, mu, d, nu, eta_det, convention, yield_model):
     """(q_t_mu, q_nt_mu, rate) of the triggered estimator, one residue at a time."""
     g = GenerationParams(mu=mu, nu=nu, d=d, eta_det=eta_det)
-    probs = [modular_poisson_mass(mu, d, j) for j in range(d)]
+    probs = residue_masses(mu, d).tolist()
     yields = [pseudo_state_yield(c, mu, d, j, yield_model) for j in range(d)]
     eta_t = [trigger_probability(g, j, convention) for j in range(d)]
     q_t = [p * t * y for p, t, y in zip(probs, eta_t, yields)]
@@ -415,7 +425,7 @@ def passive_by_parts(c, mu, d):
     e_b1 = (c.e0 - c.e_det) * (c.y0 / y1) + c.e_det
     delta1 = (1.0 - basis_fidelity_bound(mu / 2.0, d, 1)) / (2.0 * y1)
     e_p1 = phase_error_upper(e_b1, delta1)
-    rate = modular_poisson_mass(mu, d, 1) * y1 * (
+    rate = residue_masses(mu, d)[1] * y1 * (
         1.0 - c.f * binary_entropy(e_b1) - binary_entropy(e_p1))
     return y1, rate
 
@@ -588,7 +598,7 @@ def test_optimize_mu_surface_equals_the_per_mu_fold(protocol, d, kwargs, monkeyp
     bounds = []  # the mu of every fidelity-bound evaluation
 
     def recorded(mu, d, j):
-        bounds.append(mu)
+        bounds.extend(np.ravel(mu).tolist())  # a curve asks for a whole mu column at once
         return basis_fidelity_bound(mu, d, j)
 
     monkeypatch.setattr(qkd, "basis_fidelity_bound", recorded)
@@ -646,7 +656,7 @@ def test_keyrate_for_protocol_dispatch():
     rate = keyrate_for_protocol(WCS_NONDECOY, c, 0.01).rate
     assert rate > 0.0
     assert rate == gllp_by_hand(c, 0.01, wcs_multi)
-    psp_multi = sum(modular_poisson_mass(0.03, 8, j) for j in range(2, 8))
+    psp_multi = sum(residue_masses(0.03, 8)[2:].tolist())
     rate = keyrate_for_protocol(PSP_NONDECOY, c, 0.03, 8).rate
     assert rate > 0.0
     assert abs(rate - gllp_by_hand(c, 0.03, psp_multi)) <= 1e-15 * rate

@@ -290,6 +290,25 @@ def test_fock_amplitude_rejects_non_finite_alpha(alpha):
         fock_amplitude(np.array([0.5, alpha]), 2)
 
 
+@pytest.mark.parametrize("a, b", [(math.inf, 0.0), (math.nan, 0.0), (0.5, complex(0.0, math.inf)),
+                                  (np.array([0.5, math.nan]), 0.5)])
+def test_coherent_overlap_rejects_non_finite_amplitudes(a, b):
+    # inf warned "invalid value", and nan returned nan+nanj
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            coherent_overlap(a, b)
+
+
+def test_fock_amplitude_at_huge_alpha_is_zero_without_warning():
+    # |alpha|**2 overflows to inf, which used to warn on the way to the amplitude 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fock_amplitude(1e200, 3) == 0.0
+        assert fock_amplitude(1e200j, 0) == 0.0
+        assert (fock_amplitude(np.array([1e200, 0.5]), 2) == [0.0, fock_amplitude(0.5, 2)]).all()
+
+
 def test_fock_size_guards(isolated):
     # auto_cutoff(1e17) never returned (n += 1 cannot move float(n) past 2**53),
     # auto_cutoff(inf) raised OverflowError, and a two-mode state at intensity
