@@ -38,6 +38,10 @@ _TABLE_BLOCK = 2**14
 # A term whose log lies below this is exactly 0.0 (exp underflows to zero
 # below about -745.13); the gap leaves ample room for rounding.
 _LOG_ZERO = -800.0
+# log(2^-56): a positive term at most 2^-56 times the double it is added to
+# lies below an eighth of an ulp of it (or underflows to 0.0), so the sum keeps
+# every bit; the factor 4 to half an ulp covers the log-space rounding.
+_LOG_NEGLIGIBLE = -56.0 * math.log(2.0)
 
 
 def _is_integer(x):
@@ -66,11 +70,13 @@ def residue_masses(mu, d, residues=None):
     One log-space pass over blocks of 64 d consecutive photon numbers (fewer
     at d > 1024), each laid out residue-major so that row r of the block
     holds its n = r (mod d).
-    A table evaluates only a block's leading columns that can hold a nonzero
-    term at its largest live mu (_head_width); every term past them is
-    exactly 0.0, so the sums are those of the whole block.  It is summed a
-    group of rows at a time, sized so that a group's (rows, d, head width)
-    temporary holds at most _TABLE_BLOCK terms at the table's largest mu.
+    A table evaluates only a block's leading columns whose terms can change a
+    bit of a sum at its largest live mu (_head_width): past them every term
+    is exactly 0.0, or below half an ulp of a term that numpy's pairwise row
+    sum has already added to the same accumulator, so the sums are those of
+    the whole block.  It is summed a group of rows at a time, sized so that a
+    group's (rows, residues, head width) temporary holds at most _TABLE_BLOCK
+    terms at the table's largest mu.
     A row's pass stops once past the distribution mode with every residue's
     last term at or below SERIES_RTOL of its running sum (so residues that
     underflow to zero terminate), and raises TruncationError rather than
@@ -84,54 +90,60 @@ def residue_masses(mu, d, residues=None):
     if not (js.ndim == 1 and integers and np.all((0 <= js) & (js < d))):
         raise ValueError("residues must be a list of integers in [0, d)")
     js = js.astype(int)
-    top = max(values, default=0.0)
-    width = _head_width(0, rows, d, top) if top > 0 else rows
+    top = values.max(initial=0.0)
+    width = _head_width(min(js.tolist(), default=0), rows, d, top) if top > 0 else rows
     group = max(1, _TABLE_BLOCK // (width * max(js.size, 1)))
     groups = [_residue_rows(values[i:i + group], d, rows, js)
-              for i in range(0, len(values), group)]
+              for i in range(0, values.size, group)]
     table = np.concatenate(groups) if groups else np.zeros((0, js.size))
     return table if np.ndim(mu) else table[0]
 
 
-def _mu_array(mu):
-    """mu, a number or a 1-D array, as a float array; a bool in it is a
-    ValueError (numpy would read True as 1.0)."""
+def _as_float(mu):
+    """mu, a number or an array of any shape, as a float array; a bool in it is
+    a ValueError (numpy would read True as 1.0)."""
     raw = mu if isinstance(mu, np.ndarray) else np.asarray(mu, dtype=object)
     if raw.dtype.kind == "b" or raw.dtype.kind == "O" and any(
             isinstance(m, (bool, np.bool_)) for m in raw.ravel().tolist()):
         raise ValueError("mu must be a number, not a bool")
-    mus = np.asarray(mu, dtype=float)
+    return np.asarray(mu, dtype=float)
+
+
+def _mu_array(mu):
+    """mu, a number or a 1-D array, as a float array (_as_float)."""
+    mus = _as_float(mu)
     if mus.ndim > 1:
         raise ValueError("mu must be a number or a 1-D array")
     return mus
 
 
 def _validate_mu(mu):
-    """mu, a number or a 1-D array, as a list of floats, each checked finite and >= 0."""
-    values = _mu_array(mu).ravel().tolist()
-    if not all(math.isfinite(m) for m in values):
+    """mu, a number or a 1-D array, as a 1-D float array, checked finite and >= 0."""
+    values = _mu_array(mu).ravel()
+    if not np.isfinite(values).all():
         raise ValueError("mu must be finite")
-    if any(m < 0 for m in values):
+    if (values < 0).any():
         raise ValueError("mu must be nonnegative")
     return values
 
 
 def _residue_rows(values, d, rows, js):
-    """residue_masses table for a list of valid mu values, in one pass.
+    """residue_masses table for a 1-D array of valid mu values, in one pass.
 
     Only the residues js are summed.  Each residue's terms are summed on their
     own; and once past the mode, a residue whose last term passes the
     termination test adds nothing an ulp can see in a later block (its terms
     fall with n), so testing js alone ends each column on the full table's bits.
     """
-    totals = np.zeros((len(values), js.size))
-    totals[np.ix_([i for i, m in enumerate(values) if m == 0], js == 0)] = 1.0
+    totals = np.zeros((values.size, js.size))
+    totals[np.ix_(np.flatnonzero(values == 0), js == 0)] = 1.0
     # Rows still summing: their indices, mu, log(mu) and running sums.
-    live = np.array([i for i, m in enumerate(values) if m > 0], dtype=int)
-    live_mu = np.array([values[i] for i in live])
+    live = np.flatnonzero(values > 0)
+    live_mu = values[live]
     # math.log: np.log differs from it in the last digit on some CPUs
     log_mu = np.array([math.log(m) for m in live_mu.tolist()])
     sums = np.zeros((live.size, js.size))
+    first = min(js.tolist(), default=0)  # the block's smallest residue summed
     n0 = 0
     while live.size:
         if n0 > SERIES_MAX_N:
@@ -142,7 +154,7 @@ def _residue_rows(values, d, rows, js):
         ns = np.arange(n0, n0 + rows * d)
         log_factorials = log_factorial(ns).reshape(rows, d).T
         ns = ns.reshape(rows, d).T
-        width = _head_width(n0, rows, d, live_mu.max())
+        width = _head_width(n0 + first, rows, d, float(live_mu.max()))
         # in place: the (live rows, residues, width) head is the one array of its size
         terms = np.multiply.outer(log_mu, ns[js, :width])
         terms -= live_mu[:, None, None]
@@ -151,7 +163,9 @@ def _residue_rows(values, d, rows, js):
         sums += terms.sum(axis=2)
         n0 += rows * d
         done = live_mu < n0 - d
-        if width == rows:  # else the block's last column is all zeros, which passes
+        # a cut head leaves out only terms, here and in later blocks, that change
+        # no bit of a sum, so only a full-width block has its last column tested
+        if width == rows:
             done &= (terms[:, :, -1] <= SERIES_RTOL * sums).all(axis=1)
         totals[live[done]] = sums[done]
         keep = ~done
@@ -159,20 +173,38 @@ def _residue_rows(values, d, rows, js):
     return totals
 
 
-def _head_width(n0, rows, d, mu):
-    """Leading columns of the block at n0 that can hold a nonzero term at any mu' <= mu.
+def _head_width(first, rows, d, mu):
+    """Leading columns of a block whose terms can change a bit of a row sum at any mu' <= mu.
 
-    Column c holds photon numbers n0 + c d .. n0 + c d + d - 1.  Past the
-    mode the log-term n log mu - mu - log(n!) falls as n grows and rises as
-    mu grows, so from the first column whose smallest n has it below
-    _LOG_ZERO at mu on, every term is exactly 0.0.  The width is rounded up
-    to a multiple of 8: numpy's pairwise sum keeps 8 accumulators for rows
-    of 8 to 128 terms, so the head sums in the same order as the whole row.
+    Column c holds the photon numbers first + c d, first + c d + 1, ..., of
+    the residues summed, first being the smallest of them.  The term ratio
+    t(n + k) / t(n) = mu^k n! / (n + k)! falls as n grows and rises with mu,
+    so a test at mu on a column's smallest n bounds every later column, every
+    residue and every row mu' <= mu.  The width is the least of:
+
+    - 1, if t(first + d) <= 2^-56 t(first): all later columns together are
+      then below half an ulp of column 0, whichever order numpy adds them in;
+    - the first multiple w >= 8 of 8 with t(m + 8 d) <= 2^-56 t(m) at
+      m = first + (w - 8) d: numpy's pairwise sum keeps 8 accumulators for rows
+      of 8 to 128 terms, and each dropped term of column c then goes into the
+      accumulator that already holds column c - 8, at least 2^56 times larger,
+      so it moves no bit of it;
+    - the first column past the mode whose log-term n log mu - mu - log(n!)
+      lies below _LOG_ZERO, rounded up to a multiple of 8: from it on, every
+      term is exactly 0.0.
+
+    Only a ratio to a term the sum keeps is bit-exact: a term that is small
+    but not zero can still move the last bit of a small mass.
     """
-    firsts = np.arange(n0, n0 + rows * d, d)
-    zero = (firsts > mu) & (firsts * math.log(mu) - mu - log_factorial(firsts) < _LOG_ZERO)
+    firsts = np.arange(first, first + rows * d, d)
+    logs = firsts * math.log(mu) - mu - log_factorial(firsts)
+    if rows > 1 and logs[1] - logs[0] <= _LOG_NEGLIGIBLE:
+        return 1
+    falls = logs[8::8] - logs[:-8:8] <= _LOG_NEGLIGIBLE  # at w = 8, 16, ... below rows
+    negligible = 8 * (int(np.argmax(falls)) + 1) if falls.any() else rows
+    zero = (firsts > mu) & (logs < _LOG_ZERO)
     cut = int(np.argmax(zero)) if zero.any() else rows
-    return min(rows, -(-max(cut, 1) // 8) * 8)
+    return min(rows, negligible, -(-max(cut, 1) // 8) * 8)
 
 
 def _nonzero_mass(mu, d, j):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, NumericalDiagnosticError, _clamp_unit
 from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
-from .pns import (_TABLE_BLOCK, _mu_array, _validate_d, _validate_dj, _validate_mu,
+from .pns import (_TABLE_BLOCK, _as_float, _mu_array, _validate_d, _validate_dj, _validate_mu,
                   normalization, residue_masses)
 from .states import CoherentSuperposition, beam_splitter, vacuum_probabilities
 
@@ -176,7 +176,7 @@ def channel_stats(c, mu, distances=None):
     distances (km, 1-D) gives arrays over them in place of the values at
     c.distance_km, and a column mu, shape (m, 1), (m, len(distances)) tables.
     """
-    mus = np.asarray(mu, dtype=float)
+    mus = _as_float(mu)  # a number, a 1-D array or a column; a bool is no mu
     if not (np.isfinite(mus).all() and (mus >= 0).all()):
         raise ValueError("mu must be finite and nonnegative")
     eta = transmission(c, _distances(c, distances))  # an array, even for c.distance_km alone
@@ -298,6 +298,7 @@ def encoded_state(mu, d, j, k):
             isinstance(k, (int, np.integer)) or float(k).is_integer()):
         raise ValueError("phase index k must be an integer")
     k = int(k)
+    _mu_array(mu)  # a bool is no mu, though 2.0 * True is a float
     n = normalization(2.0 * mu, d, j)
     q = np.arange(d)
     coeffs = np.exp(-2j * np.pi * j * q / d) / np.sqrt(n)

@@ -29,7 +29,7 @@ from pspsim import (
     to_fock,
     uhlmann_fidelity,
 )
-from pspsim import cli
+from pspsim import cli, pns
 from test_properties import full_block_table
 
 
@@ -82,6 +82,14 @@ def test_residue_masses_table_equals_scalar_calls(d):
     if d > 2:
         assert table[1, 2] == 0.0
     assert residue_masses(np.array([]), d).shape == (0, d)
+
+
+def test_block_heads_end_where_no_term_can_change_a_bit():
+    # mu = 2, every residue: at d = 36 a block's second column is below 2^-56
+    # of its first, and at d = 4 and 8 its ninth below 2^-56 of its first, so
+    # the heads are 1, 8 and 8 columns; a head padded to every column that
+    # holds a nonzero term would be 8, 56 and 32
+    assert [pns._head_width(0, 64, d, 2.0) for d in (36, 4, 8)] == [1, 8, 8]
 
 
 def test_residue_masses_table_validation():

@@ -72,6 +72,17 @@ def test_channel_stats_short_and_long_distance():
     assert abs(far.e_mu - 0.5) < 1e-3
 
 
+def test_channel_stats_rejects_bool_mu():
+    # True used to give the gain and QBER at mu = 1, as a number and as a column
+    c = ChannelParams()
+    for mu in (True, np.True_, np.array([[True]]), np.array([True, False]), [[0.5], [True]]):
+        with pytest.raises(ValueError, match="bool"):
+            channel_stats(c, mu)
+    column = channel_stats(c, np.array([[0.5], [1.0]]), np.array([0.0, 50.0]))
+    assert column.q_mu.shape == (2, 2)
+    assert column.q_mu[1, 0] == channel_stats(ChannelParams(distance_km=0.0), 1.0).q_mu
+
+
 def test_estimators_reject_non_finite_mu():
     c = ChannelParams(distance_km=20.0)
     for mu in (math.nan, math.inf):
@@ -200,6 +211,14 @@ def test_encoded_state_norm():
     for k in (0, 2, 4, 6):
         s = encoded_state(0.45, 8, 1, k)
         assert abs(norm(s) - 1.0) < 1e-12
+
+
+def test_encoded_state_rejects_bool_mu():
+    # True used to build the 8-term state at mu = 1: 2.0 * True is a float
+    for mu in (True, np.True_):
+        with pytest.raises(ValueError, match="bool"):
+            encoded_state(mu, 8, 1, 0)
+    assert abs(norm(encoded_state(1.0, 8, 1, 0)) - 1.0) < 1e-12
 
 
 def test_encoded_state_rejects_bool_phase_index():
