@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalDiagnosticError, TruncationError
-from .pns import PSPParams, fidelity_to_number_state, normalization
+from .pns import (PSPParams, _params_on_grid, fidelity_to_number_state, normalization,
+                  photon_number_probability)
 from .metrics import f2002, g2_zero_closed, p11
 from .generation import GenerationParams, herald_probabilities, trigger_probability
 from .qkd import (
@@ -157,12 +158,14 @@ def _fig1_rows(cfg):
     d_list = resolved["d_list"] = cfg.get("d-list", [4, 8, 12], int)
     rows = []
     for d in d_list:
-        for mu, g2 in zip(map(float, mus), g2_zero_closed(mus, d).tolist()):
-            p = PSPParams(mu=mu, d=d, j=1)  # its residue mass serves all three metrics
-            rows += [("fidelity", d, mu, fidelity_to_number_state(p)),
-                     ("g2", d, mu, g2),
-                     ("p11", d, mu, p11(p, p)),
-                     ("f2002", d, mu, f2002(p, p))]
+        g2s = g2_zero_closed(mus, d).tolist()
+        # j = 1 % d, the state on n = 1 (mod d), which is the coherent state at
+        # d = 1; one M_j table serves every point's fidelity, p11 and f2002
+        for p, g2 in zip(_params_on_grid(mus, d, 1 % d), g2s):
+            rows += [("fidelity", d, p.mu, photon_number_probability(p, 1)),
+                     ("g2", d, p.mu, g2),
+                     ("p11", d, p.mu, p11(p, p)),
+                     ("f2002", d, p.mu, f2002(p, p))]
     return ("quantity", "d", "mu", "value"), rows, resolved
 
 
@@ -242,8 +245,10 @@ def cmd_dataset(args):
 
 
 def _hom_inputs(args):
-    return (PSPParams(mu=args.mu, d=args.d, j=1, delta=args.delta),
-            PSPParams(mu=args.mu2, d=args.d2, j=1, delta=args.delta2))
+    # one-photon states: j = 1 % d, which is 0 at d = 1; PSPParams refuses a d below 1
+    return tuple(PSPParams(mu=mu, d=d, j=1 % d if d > 0 else 1, delta=delta)
+                 for mu, d, delta in ((args.mu, args.d, args.delta),
+                                      (args.mu2, args.d2, args.delta2)))
 
 
 def _generation(args):

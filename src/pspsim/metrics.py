@@ -3,7 +3,9 @@
 Each metric exists twice: a production closed form and an independent
 number-basis evaluation used as an oracle in the tests.  g2 is a phase
 double sum, p11 a set of Gram-matrix vacuum projections on the coherent
-expansion, and f2002 the product of the inputs' one-photon probabilities.
+expansion (for equal inputs, exponentiated only on the rows the input
+exchange does not repeat), and f2002 the product of the inputs' one-photon
+probabilities.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import numpy as np
 from .errors import REAL_RESIDUE_TOL, UNIT_RESIDUE_TOL, NumericalDiagnosticError, _clamp_unit
 from .pns import (_mu_array, _validate_d, normalization, photon_number_probability,
                   pseudo_number_state)
-from .states import beam_splitter, tensor, vacuum_probabilities
+from .states import _vacuum_projections, beam_splitter, tensor, vacuum_probabilities
 
 
 def g2_zero_closed(mu, d):
@@ -69,12 +71,20 @@ def p11(p1, p2):
 
     1 - P(vac a) - P(vac b) + P(vac ab), from the vacuum projections of the
     output's coherent expansion.  Identical inputs bunch (p11 -> 0), and
-    d = d' = 1 gives p11 = 0.  Equal inputs are built once.
+    d = d' = 1 gives p11 = 0.  Equal inputs are built once, and their output
+    is symmetric under the input exchange, which repeats each Gram matrix
+    row (q1, q2) as row (q2, q1) with its columns exchanged: only the rows
+    q1 <= q2 are exponentiated, and every value keeps the bits of the full
+    Gram matrices.
     """
     s1 = pseudo_number_state(p1)
-    s2 = s1 if p2 == p1 else pseudo_number_state(p2)
-    out = beam_splitter(tensor(s1, s2), "X")
-    va, vb, vab = vacuum_probabilities(out, ((0,), (1,), (0, 1)))
+    sets = ((0,), (1,), (0, 1))
+    if p2 == p1:
+        out = beam_splitter(tensor(s1, s1), "X")
+        va, vb, vab = _vacuum_projections(out, sets, exchange=p1.d)
+    else:
+        out = beam_splitter(tensor(s1, pseudo_number_state(p2)), "X")
+        va, vb, vab = vacuum_probabilities(out, sets)
     return _clamp_unit(1.0 - va - vb + vab, "p11")
 
 
@@ -92,13 +102,14 @@ def f2002(p1, p2):
 
 
 def hom_fock_oracle(fv):
-    """(p11, f2002) read off a two-mode number-basis output state."""
+    """(p11, f2002) read off a two-mode number-basis output state.
+
+    p11 is the coincidence sum over photon numbers n_a, n_b >= 1, a sum of
+    nonnegative terms that shares no vacuum projection with p11.
+    """
     if fv.mode_count != 2:
         raise ValueError("expected a two-mode state")
     p = np.abs(fv.amplitudes) ** 2
-    va = float(np.sum(p[0, :]))
-    vb = float(np.sum(p[:, 0]))
-    vab = float(p[0, 0])
-    p11 = 1.0 - va - vb + vab
+    p11 = float(np.sum(p[1:, 1:]))
     amp = (fv.amplitudes[2, 0] - fv.amplitudes[0, 2]) / np.sqrt(2.0)
     return p11, float(abs(amp) ** 2)

@@ -274,6 +274,18 @@ class PSPParams:
         return _nonzero_mass(self.mu, self.d, self.j)
 
 
+def _params_on_grid(mus, d, j):
+    """PSPParams(mu, d, j) for each mu of a 1-D grid, their masses read from one
+    residue table.  A table row has the bits of a one-mu pass (residue_masses),
+    so each instance's mass property is seeded with what it would compute."""
+    params = []
+    for mu, mass in zip(np.asarray(mus, dtype=float).tolist(), _nonzero_mass(mus, d, j).tolist()):
+        p = PSPParams(mu=mu, d=d, j=j)
+        vars(p)["mass"] = mass  # where cached_property keeps it
+        params.append(p)
+    return params
+
+
 def pseudo_number_state(p):
     """Construct |j_d> as a d-term coherent superposition (normalized)."""
     if p.d == math.inf:

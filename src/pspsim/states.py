@@ -201,16 +201,62 @@ def vacuum_probabilities(state, mode_sets):
     normalized; for a normalized state each result is a probability.  An
     imaginary part above REAL_RESIDUE_TOL is a NumericalDiagnosticError.
     """
+    return _vacuum_projections(state, mode_sets)
+
+
+@lru_cache(maxsize=64)
+def _exchange_layout(d):
+    """Row and column maps of the input exchange on d^2 terms i = q1 d + q2.
+
+    Returns the rows with q1 <= q2 in increasing order, which hold each
+    exchange orbit once, and the permutation i -> q2 d + q1.
+    """
+    q1, q2 = np.triu_indices(d)
+    swap = np.arange(d * d).reshape(d, d).T.ravel()
+    return q1 * d + q2, swap
+
+
+def _unfold_exchange(gram, d):
+    """Complete a Gram matrix whose rows q1 <= q2 lie packed at its head.
+
+    Each block of rows (q1, q1..d-1) moves to its place, the last block
+    first, so no block overwrites one still to move.  Row (q1, q2 < q1) is
+    then row (q2, q1) with its columns exchanged.
+    """
+    for q1 in range(d - 1, 0, -1):
+        start = q1 * d - q1 * (q1 - 1) // 2
+        gram[q1 * d + q1:(q1 + 1) * d] = gram[start:start + d - q1]
+    swap = _exchange_layout(d)[1]
+    for q1 in range(1, d):
+        # rows (0..q1-1, q1) lie above rows (q1, 0..q1-1): the views never overlap
+        gram[q1:q1 * d:d].take(swap, axis=1, out=gram[q1 * d:q1 * d + q1], mode="clip")
+
+
+def _vacuum_projections(state, mode_sets, exchange=None):
+    """vacuum_probabilities; exchange = d declares the state exchange symmetric.
+
+    That is the state beam_splitter(tensor(s, s), "X") of a d-term s, whose
+    terms i = q1 d + q2 the input exchange q1 <-> q2 maps to P i = q2 d + q1:
+    it keeps every mode-0 label bit for bit (x + y == y + x) and negates
+    every mode-1 label exactly, so every Gram matrix has G[P i, P j] ==
+    G[i, j] bit for bit.  Only the d (d + 1) / 2 rows q1 <= q2 are then
+    exponentiated, packed at the head of the one Gram buffer, and
+    _unfold_exchange fills the rest; each value keeps the bits of the
+    full-Gram evaluation.
+    """
     mode_sets = [tuple(modes) for modes in mode_sets]
     for modes in mode_sets:
         for m in modes:
             if not 0 <= m < state.mode_count:
                 raise ValueError("mode index %d out of range" % m)
     labels = state.labels
-    conj_labels = np.conj(labels)
+    n = state.term_count
+    rows = slice(None) if exchange is None else _exchange_layout(exchange)[0]
+    conj_labels = np.conj(labels[rows])
     ex = -0.5 * np.sum(np.abs(labels) ** 2, axis=1)
-    norm_exponents = ex[:, None] + ex[None, :]
-    gram = np.empty(norm_exponents.shape, dtype=complex)
+    norm_exponents = ex[rows, None] + ex[None, :]
+    gram = np.empty((n, n), dtype=complex)
+    head = gram[:norm_exponents.shape[0]]
     bra = np.conj(state.coeffs)
     values = []
     for modes in mode_sets:
@@ -220,13 +266,15 @@ def vacuum_probabilities(state, mode_sets):
         # sign of a zero, which exp maps alike), so a value does not depend
         # on which other mode sets share the call.
         if keep:
-            np.multiply(conj_labels[:, keep[0], None], labels[None, :, keep[0]], out=gram)
+            np.multiply(conj_labels[:, keep[0], None], labels[None, :, keep[0]], out=head)
             for m in keep[1:]:
-                gram += conj_labels[:, m, None] * labels[None, :, m]
-            gram += norm_exponents
+                head += conj_labels[:, m, None] * labels[None, :, m]
+            head += norm_exponents
         else:
-            gram[...] = norm_exponents
-        np.exp(gram, out=gram)
+            head[...] = norm_exponents
+        np.exp(head, out=head)
+        if exchange is not None:
+            _unfold_exchange(gram, exchange)
         val = complex(bra @ gram @ state.coeffs)
         if abs(val.imag) > REAL_RESIDUE_TOL:
             raise NumericalDiagnosticError(

@@ -23,6 +23,34 @@ def test_compute_g2_coherent(capsys):
     assert payload["value"] == 1.0
 
 
+@pytest.mark.parametrize("mu", [0.01, 0.7, 5.0])
+def test_compute_hom_quantities_of_coherent_inputs(capsys, mu):
+    # at d = 1 the one-photon state is the coherent state (j = 1 % d = 0):
+    # it never gives a coincidence, and its F2002 is mu^2 e^(-2 mu)
+    assert run(["compute", "p11", "--d", "1", "--mu", str(mu)]) == 0
+    assert 0.0 <= json.loads(capsys.readouterr().out.splitlines()[1])["value"] <= 1e-15
+    assert run(["compute", "f2002", "--d", "1", "--mu", str(mu)]) == 0
+    value = json.loads(capsys.readouterr().out.splitlines()[1])["value"]
+    assert value == pytest.approx(mu**2 * np.exp(-2 * mu), rel=1e-14, abs=0)
+
+
+def test_fig1_of_coherent_states(tmp_path, capsys):
+    # d = 1: g2 = 1 and p11 = 0 at every mu, and the fidelity column is the
+    # one-photon probability mu e^(-mu), as for every other d; the summed
+    # Poisson mass M_0 is a few ulp from 1 (1 + 4.2e-15 at mu = 20), which
+    # g2 reads as is and p11 as twice its excess
+    out = tmp_path / "f1.csv"
+    assert run(["fig1", "--d-list", "1", "--mu-points", "7", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 * 7
+    for row in rows:
+        mu, value = float(row["mu"]), float(row["value"])
+        expect = {"fidelity": mu * np.exp(-mu), "g2": 1.0, "p11": 0.0,
+                  "f2002": mu**2 * np.exp(-2 * mu)}[row["quantity"]]
+        assert abs(value - expect) <= 1e-14 * (expect or 1.0)
+
+
 def test_compute_fidelity_value(capsys):
     assert run(["compute", "fidelity", "--mu", "0.1", "--d", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -157,12 +185,12 @@ def test_fig5_residue_passes_do_not_grow_with_distances(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (["fig1", "--mu-points", "4", "--d-list", "4", "8"], 2 * 4 + 2),
+    (["fig1", "--mu-points", "4", "--d-list", "4", "8"], 2 * 2),
     (["fig4", "--mu-points", "4", "--d-list", "4", "8", "--j-list", "0", "1"], 4),
 ])
 def test_figure_residue_passes(tmp_path, monkeypatch, capsys, argv, passes):
-    # fig1: one pass per (d, mu) point, which its fidelity, p11 and f2002
-    # share, plus one g2 table per d; fig4: one bound table per (d, j)
+    # fig1: per d, one g2 table and one M_1 table, whose rows its fidelity,
+    # p11 and f2002 share; fig4: one bound table per (d, j)
     calls = []
     original = pns._residue_rows
 

@@ -13,17 +13,22 @@ from pspsim import (
     PSPParams,
     auto_cutoff,
     basis_fidelity_bound,
+    beam_splitter,
+    coherent_state,
+    encoded_state,
     f2002,
     fock_beam_splitter,
     g2_zero_closed,
     g2_zero_oracle,
     hom_fock_oracle,
+    measure_bb84,
     p11,
     pseudo_number_state,
     tensor,
     to_fock,
+    vacuum_probabilities,
 )
-from pspsim import metrics, pns
+from pspsim import metrics, pns, states
 from pspsim.errors import _clamp_unit
 
 
@@ -270,3 +275,47 @@ def test_hom_builds_equal_inputs_once(monkeypatch):
     p11(p, q)
     f2002(p, q)
     assert calls == {"states": 3, "residues": 2}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 12])
+def test_exchange_symmetric_projections_equal_full_gram(d):
+    # only the rows q1 <= q2 are exponentiated; the rest are copies, so every
+    # projection keeps the bits of the full Gram matrix
+    sets = ((0,), (1,), (0, 1))
+    for delta in (0.0, 0.37):
+        for mu in np.logspace(-3, math.log10(20.0), 15):
+            s = pseudo_number_state(PSPParams(mu=float(mu), d=d, j=1 % d, delta=delta))
+            out = beam_splitter(tensor(s, s), "X")
+            assert (states._vacuum_projections(out, sets, exchange=d)
+                    == vacuum_probabilities(out, sets))
+
+
+def test_only_equal_hom_inputs_take_the_exchange_path(monkeypatch):
+    seen = []
+    original = states._vacuum_projections
+
+    def recorded(state, mode_sets, exchange=None):
+        seen.append(exchange)
+        return original(state, mode_sets, exchange)
+
+    monkeypatch.setattr(metrics, "_vacuum_projections", recorded)
+    monkeypatch.setattr(states, "_vacuum_projections", recorded)
+    p = PSPParams(mu=0.4, d=4, j=1)
+    p11(p, p)
+    assert seen == [4]
+    p11(p, PSPParams(mu=0.4, d=4, j=1, delta=0.25))
+    p11(p, PSPParams(mu=0.5, d=4, j=1))
+    p11(p, PSPParams(mu=0.4, d=8, j=1))
+    measure_bb84(encoded_state(0.45, 8, 1, 0), "X")
+    assert seen == [4, None, None, None, None]
+
+
+def test_hom_fock_oracle_sums_coincidences():
+    # the oracle's p11 is the nonnegative sum over n_a, n_b >= 1; on the
+    # output of identical coherent inputs it is 0 up to the number-basis
+    # splitter's rounding (about 6e-14 here)
+    out = fock_beam_splitter(to_fock(tensor(coherent_state(0.6), coherent_state(0.6))), "X")
+    p11_o, _ = hom_fock_oracle(out)
+    p = np.abs(out.amplitudes) ** 2
+    assert 0.0 <= p11_o < 1e-12
+    assert abs(p11_o - (1.0 - p[0, :].sum() - p[:, 0].sum() + p[0, 0])) < 1e-12
