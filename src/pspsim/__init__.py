@@ -23,7 +23,6 @@ from .pns import (
     fidelity_to_number_state,
     loss_channel,
     normalization,
-    normalization_overlap_sum,
     photon_number_probability,
     pseudo_number_state,
     residue_masses,
@@ -67,7 +66,6 @@ from .states import (
     fock_inner,
     inner_product,
     norm,
-    project_mode,
     tensor,
     to_fock,
     uhlmann_fidelity,

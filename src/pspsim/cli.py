@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalDiagnosticError, TruncationError
-from .pns import (PSPParams, _params_on_grid, fidelity_to_number_state, normalization,
-                  photon_number_probability)
+from .pns import (PSPParams, _params_on_grid, _validate_dj, fidelity_to_number_state,
+                  normalization, photon_number_probability)
 from .metrics import f2002, g2_zero_closed, p11
 from .generation import GenerationParams, herald_probabilities, trigger_probability
 from .qkd import (
@@ -253,8 +253,7 @@ def _hom_inputs(args):
 
 def _generation(args):
     g = GenerationParams(mu=args.mu, nu=args.nu, d=args.d, eta_det=args.eta_det)
-    if not 0 <= args.j < args.d:  # herald indexes by j: -1 would read residue d - 1
-        raise ValueError("j must be an integer in [0, d)")
+    _validate_dj(g.d, args.j)  # herald indexes by j: -1 would read residue d - 1
     return g
 
 

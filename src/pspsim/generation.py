@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pns import _validate_d, residue_masses
+from .errors import _index, _real
+from .pns import _validate_dj, residue_masses
 from .states import CoherentSuperposition, FockVector, coherent_state, tensor, to_fock
 
 # Exponent conventions for the no-click trigger probability: the reference
@@ -37,12 +38,12 @@ class GenerationParams:
     eta_det: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError("mu must be finite and >= 0")
-        if not (np.isfinite(self.nu) and self.nu > 0):
-            raise ValueError("nu must be finite and > 0")
-        _validate_d(self.d)
-        if not 0 < self.eta_det <= 1:
+        if _real(self.mu, "mu").ndim or self.mu < 0:
+            raise ValueError("mu must be a number >= 0")
+        if _real(self.nu, "nu").ndim or self.nu <= 0:
+            raise ValueError("nu must be a number > 0")
+        _validate_dj(self.d)
+        if _real(self.eta_det, "eta_det").ndim or not 0 < self.eta_det <= 1:
             raise ValueError("eta_det must lie in (0, 1]")
         if not self.phase_resolved:
             warnings.warn(
@@ -93,8 +94,6 @@ def trigger_probability(g, j, convention=CONVENTION_PAPER):
     """
     if convention not in _DIVISORS:
         raise ValueError("convention must be 'paper' or 'recomputed'")
-    j = np.asarray(j)
-    if not (np.issubdtype(j.dtype, np.integer) and np.all((0 <= j) & (j < g.d))):
-        raise ValueError("j must be an integer in [0, d)")
+    j = _index(j, g.d, "j")
     gap = 2.0 - 2.0 * np.cos(2 * np.pi * (j - 1) / g.d)
     return np.exp(-g.eta_det * g.nu * gap / _DIVISORS[convention])[()]

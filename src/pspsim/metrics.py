@@ -11,8 +11,7 @@ probabilities.
 import numpy as np
 
 from .errors import REAL_RESIDUE_TOL, UNIT_RESIDUE_TOL, NumericalDiagnosticError, _clamp_unit
-from .pns import (_mu_array, _validate_d, normalization, photon_number_probability,
-                  pseudo_number_state)
+from .pns import _mu, _validate_dj, normalization, photon_number_probability, pseudo_number_state
 from .states import _vacuum_projections, beam_splitter, tensor, vacuum_probabilities
 
 
@@ -24,18 +23,18 @@ def g2_zero_closed(mu, d):
     w^{q-q'} factor.  The quadrature moment <a'|a^+a^+aa|a> contributes
     w^{2(q-q')}, which combines with the coefficient phase w^{q'-q} to the
     net factor w^{q-q'}; pairing the opposite sign instead fails the Fock
-    cross-check for every d >= 3.  d = 1 is the coherent state, returns 1.
+    cross-check for every d >= 3.  d = 1 is the coherent state, whose exact
+    g2 is 1; the closed form returns the summed residue mass M_0 there, a few
+    ulp from 1 (1.0000000000000042 at mu = 20).
     At small mu the sums cancel to noise around a tiny true value: a result
     down to -UNIT_RESIDUE_TOL reads 0, one below it is a numerical failure.
     mu may be a 1-D array: one residue table serves the normalizations, the
     phase sums stay one per mu, and each entry equals the scalar call's bits.
     """
-    mus = _mu_array(mu)
+    mus = _mu(mu)  # finite before the phase sums, which would warn on it
     if (mus <= 0).any():
         raise ValueError("mu must be positive")
-    if not np.isfinite(mus).all():  # before the phase sums, which would warn on it
-        raise ValueError("mu must be finite")
-    _validate_d(d)
+    _validate_dj(d)
     s = np.arange(d)
     ph = np.exp(2j * np.pi * s / d)
     values = []

@@ -7,8 +7,7 @@ The state with d phases, index j and mean-photon-number parameter mu is
 
 whose photon-number support is n = j (mod d).  Everything physical reduces
 to modular sums of Poisson masses, which is how the normalization is
-computed; the equivalent phase double sum survives only as a cross-check
-because it cancels catastrophically at small mu.
+computed.
 """
 
 import math
@@ -17,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateStateError, TruncationError
+from .errors import DegenerateStateError, TruncationError, _index, _real
 from .states import CoherentDyadOperator, CoherentSuperposition, log_factorial
 
 # Relative size at which the modular Poisson series stops adding terms.
@@ -44,20 +43,21 @@ _LOG_ZERO = -800.0
 _LOG_NEGLIGIBLE = -56.0 * math.log(2.0)
 
 
-def _is_integer(x):
-    """True for a Python or numpy integer; a bool is not one."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _validate_d(d):
-    if not (_is_integer(d) and d >= 1):
+def _validate_dj(d, j=0):
+    """ValueError unless d is an integer >= 1 and j one integer in [0, d); a bool is
+    neither.  j = 0 lies in [0, d) for every such d, so _validate_dj(d) checks d alone."""
+    if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and d >= 1):
         raise ValueError("d must be an integer >= 1")
+    if _index(j, d, "j").ndim:
+        raise ValueError("j must be one integer")
 
 
-def _validate_dj(d, j):
-    _validate_d(d)
-    if not (_is_integer(j) and 0 <= j < d):
-        raise ValueError("j must be an integer in [0, d)")
+def _mu(mu):
+    """mu, a number or a 1-D array, as a float array (errors._real)."""
+    mus = _real(mu, "mu")
+    if mus.ndim > 1:
+        raise ValueError("mu must be a number or a 1-D array")
+    return mus
 
 
 def residue_masses(mu, d, residues=None):
@@ -82,14 +82,14 @@ def residue_masses(mu, d, residues=None):
     underflow to zero terminate), and raises TruncationError rather than
     reach photon numbers above SERIES_MAX_N.
     """
-    _validate_d(d)
-    values = _validate_mu(mu)
+    _validate_dj(d)
+    values = _mu(mu).ravel()
+    if (values < 0).any():
+        raise ValueError("mu must be nonnegative")
     rows = min(_CHUNK, max(1, _MAX_BLOCK // d))
-    js = np.arange(d) if residues is None else np.asarray(residues)
-    integers = js.dtype.kind in "iu" or js.size == 0  # a bool or float is no residue
-    if not (js.ndim == 1 and integers and np.all((0 <= js) & (js < d))):
+    js = np.arange(d) if residues is None else _index(residues, d, "residues")
+    if js.ndim != 1:
         raise ValueError("residues must be a list of integers in [0, d)")
-    js = js.astype(int)
     top = values.max(initial=0.0)
     width = _head_width(min(js.tolist(), default=0), rows, d, top) if top > 0 else rows
     group = max(1, _TABLE_BLOCK // (width * max(js.size, 1)))
@@ -97,34 +97,6 @@ def residue_masses(mu, d, residues=None):
               for i in range(0, values.size, group)]
     table = np.concatenate(groups) if groups else np.zeros((0, js.size))
     return table if np.ndim(mu) else table[0]
-
-
-def _as_float(mu):
-    """mu, a number or an array of any shape, as a float array; a bool in it is
-    a ValueError (numpy would read True as 1.0)."""
-    raw = mu if isinstance(mu, np.ndarray) else np.asarray(mu, dtype=object)
-    if raw.dtype.kind == "b" or raw.dtype.kind == "O" and any(
-            isinstance(m, (bool, np.bool_)) for m in raw.ravel().tolist()):
-        raise ValueError("mu must be a number, not a bool")
-    return np.asarray(mu, dtype=float)
-
-
-def _mu_array(mu):
-    """mu, a number or a 1-D array, as a float array (_as_float)."""
-    mus = _as_float(mu)
-    if mus.ndim > 1:
-        raise ValueError("mu must be a number or a 1-D array")
-    return mus
-
-
-def _validate_mu(mu):
-    """mu, a number or a 1-D array, as a 1-D float array, checked finite and >= 0."""
-    values = _mu_array(mu).ravel()
-    if not np.isfinite(values).all():
-        raise ValueError("mu must be finite")
-    if (values < 0).any():
-        raise ValueError("mu must be nonnegative")
-    return values
 
 
 def _residue_rows(values, d, rows, js):
@@ -226,19 +198,6 @@ def normalization(mu, d, j):
     return d * d * _nonzero_mass(mu, d, j)
 
 
-def normalization_overlap_sum(mu, d, j):
-    """The same normalization from the phase double sum over coherent overlaps.
-
-    sum_{q,q'} w^{j(q'-q)} exp(mu (w^{q-q'} - 1)); numerically unstable for
-    mu well below 0.1 (cancellation), retained as a cross-check only.
-    """
-    _validate_dj(d, j)
-    s = np.arange(d)
-    ph = np.exp(2j * np.pi * s / d)
-    val = d * np.sum(np.exp(-2j * np.pi * j * s / d) * np.exp(mu * (ph - 1.0)))
-    return float(val.real)
-
-
 @dataclass(frozen=True)
 class PSPParams:
     """Parameters of one pseudo-number state.
@@ -254,16 +213,14 @@ class PSPParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        _mu_array(self.mu)  # a bool is no mu
-        if not (np.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError("mu must be finite and >= 0")
-        if self.d == math.inf:
-            if not (_is_integer(self.j) and self.j >= 0):
-                raise ValueError("j must be a nonnegative integer")
-        else:
+        if _real(self.mu, "mu").ndim or self.mu < 0:
+            raise ValueError("mu must be a number >= 0")
+        if self.d != math.inf:
             _validate_dj(self.d, self.j)
-        if not np.isfinite(self.delta):
-            raise ValueError("delta must be finite")
+        elif _index(self.j, self.d, "j").ndim:
+            raise ValueError("j must be one integer")
+        if _real(self.delta, "delta").ndim:
+            raise ValueError("delta must be a number")
         if self.j != 0 and self.mu == 0:
             raise DegenerateStateError("j=%d requires mu > 0" % self.j)
 
@@ -304,8 +261,8 @@ def photon_number_probability(p, n):
     the support n = j (mod d), and 0 off the support.  The d -> infinity
     branch is the number state |j> itself.
     """
-    if not (_is_integer(n) and n >= 0):
-        raise ValueError("photon number must be a nonnegative integer")
+    if _index(n, math.inf, "photon number").ndim:
+        raise ValueError("photon number must be one integer")
     if p.d == math.inf:
         return 1.0 if n == p.j else 0.0
     mass = p.mass
@@ -349,7 +306,7 @@ def loss_channel(p, eta):
     The output stays a d^2-term dyad sum over attenuated labels, with the
     lost intensity mu(1-eta) appearing as an overlap decay between branches.
     """
-    if not 0 < eta <= 1:
+    if _real(eta, "eta").ndim or not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     if p.d == math.inf:
         raise ValueError("loss channel needs a finite coherent expansion")

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateStateError, NumericalDiagnosticError, _clamp_unit
+from .errors import DegenerateStateError, NumericalDiagnosticError, _clamp_unit, _real
 from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
-from .pns import (_TABLE_BLOCK, _as_float, _mu_array, _validate_d, _validate_dj, _validate_mu,
-                  normalization, residue_masses)
+from .pns import _TABLE_BLOCK, _mu, _validate_dj, normalization, residue_masses
 from .states import CoherentSuperposition, beam_splitter, vacuum_probabilities
 
 WCS_NONDECOY = "wcs-nondecoy"
@@ -48,7 +47,7 @@ class ChannelParams:
     """Fiber-channel and receiver parameters (defaults: the GYS experiment).
 
     eta_bob includes Bob's detector efficiency.  e0 is the error rate of dark
-    counts (1/2 for a random click).  Every field must be finite.
+    counts (1/2 for a random click).  Every field must be a finite number.
     """
 
     f: float = 1.16
@@ -62,8 +61,8 @@ class ChannelParams:
     def __post_init__(self):
         # NaN fails no range test below, and max(0, nan) would read as a zero rate
         for spec in fields(self):
-            if not math.isfinite(getattr(self, spec.name)):
-                raise ValueError("%s must be finite" % spec.name)
+            if _real(getattr(self, spec.name), spec.name).ndim:
+                raise ValueError("%s must be a number" % spec.name)
         if not 0 < self.eta_bob <= 1:
             raise ValueError("eta_bob must lie in (0, 1]")
         if not 0 <= self.y0 < 1:
@@ -122,18 +121,13 @@ class KeyRateCurve:
                              float(self.rate[i]), diag)
 
 
-def _reject_nan(*arrays):
-    if any(np.isnan(a).any() for a in arrays):
-        raise ValueError("input must not be NaN")
-
-
 def binary_entropy(p):
     """H(p) in bits; 0 outside the open interval (0, 1).
 
-    p may be an array (the result is then elementwise); NaN is a ValueError.
+    p may be an array (the result is then elementwise); a bool or a
+    non-finite p is a ValueError.
     """
-    p = np.asarray(p, dtype=float)
-    _reject_nan(p)
+    p = _real(p, "p")
     inside = (p > 0.0) & (p < 1.0)
     q = np.where(inside, p, 0.5)
     h = np.where(inside, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
@@ -157,9 +151,9 @@ def _distances(c, distances):
     """distances as a checked 1-D float array; None means (c.distance_km,)."""
     if distances is None:
         return np.array([c.distance_km])
-    at = np.asarray(distances, dtype=float)
-    if at.ndim != 1 or not (np.isfinite(at).all() and (at >= 0).all()):
-        raise ValueError("distances must be a 1-D array of finite nonnegative values")
+    at = _real(distances, "distances")
+    if at.ndim != 1 or (at < 0).any():
+        raise ValueError("distances must be a 1-D array of nonnegative values")
     return at
 
 
@@ -176,9 +170,9 @@ def channel_stats(c, mu, distances=None):
     distances (km, 1-D) gives arrays over them in place of the values at
     c.distance_km, and a column mu, shape (m, 1), (m, len(distances)) tables.
     """
-    mus = _as_float(mu)  # a number, a 1-D array or a column; a bool is no mu
-    if not (np.isfinite(mus).all() and (mus >= 0).all()):
-        raise ValueError("mu must be finite and nonnegative")
+    mus = _real(mu, "mu")  # a number, a 1-D array or a column
+    if (mus < 0).any():
+        raise ValueError("mu must be nonnegative")
     eta = transmission(c, _distances(c, distances))  # an array, even for c.distance_km alone
     survival = _exp(-eta * mus)
     q = c.y0 + 1.0 - survival
@@ -203,7 +197,8 @@ def pseudo_state_yield(c, mu, d, j, model="exact"):
     n-photon yield Y_n = 1 - (1 - Y0)(1 - eta)^n.
     """
     _validate_dj(d, j)
-    _validate_mu(mu)  # the dominant model reads no residue mass, whose series checks it
+    if (_mu(mu) < 0).any():  # the dominant model reads no residue mass, whose series checks it
+        raise ValueError("mu must be nonnegative")
     masses = residue_masses(mu, d)[None] if model == "exact" else None
     eta = transmission(c, _distances(c, None))
     return float(_state_yields(c, np.array([[mu]]), d, [j], masses, eta, model)[0, 0, 0])
@@ -241,13 +236,12 @@ def phase_error_upper(e_bit, delta):
 
     Standard inflation of a bit-error bound by the balance parameter
     Delta = (1 - F)/(2 Y); Delta is clamped to [0, 1/2] and delta = 0
-    returns e_bit unchanged.  An e_bit outside [0, 1] (NaN and +-inf
-    included), or a NaN delta, is a ValueError.
+    returns e_bit unchanged.  A bool or non-finite input, or an e_bit
+    outside [0, 1], is a ValueError.
     """
-    e_bit = np.asarray(e_bit, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    _reject_nan(delta)
-    if not ((e_bit >= 0.0) & (e_bit <= 1.0)).all():  # NaN fails both tests
+    e_bit = _real(e_bit, "e_bit")
+    delta = _real(delta, "delta")
+    if not ((e_bit >= 0.0) & (e_bit <= 1.0)).all():
         raise ValueError("e_bit must lie in [0, 1]")
     delta = np.minimum(np.maximum(delta, 0.0), 0.5)
     root = np.sqrt(np.maximum(delta * (1.0 - delta) * e_bit * (1.0 - e_bit), 0.0))
@@ -263,7 +257,7 @@ def phase_error_upper(e_bit, delta):
 
 def _validate_encoding_d(d):
     """ValueError unless d is an integer >= 1 divisible by 4, as the BB84 phases need."""
-    _validate_d(d)
+    _validate_dj(d)
     if d % 4:
         raise ValueError("d must be divisible by 4")
 
@@ -298,7 +292,7 @@ def encoded_state(mu, d, j, k):
             isinstance(k, (int, np.integer)) or float(k).is_integer()):
         raise ValueError("phase index k must be an integer")
     k = int(k)
-    _mu_array(mu)  # a bool is no mu, though 2.0 * True is a float
+    _mu(mu)  # a bool is no mu, though 2.0 * True is a float
     n = normalization(2.0 * mu, d, j)
     q = np.arange(d)
     coeffs = np.exp(-2j * np.pi * j * q / d) / np.sqrt(n)
@@ -338,11 +332,9 @@ def basis_fidelity_bound(mu, d, j):
     stay one per mu, and each entry equals the scalar call's bits.
     """
     _validate_encoding_d(d)
-    mus = _mu_array(mu)
+    mus = _mu(mu)  # finite before the phase sums, which would warn on it
     if (mus < 0).any():
         raise ValueError("mu must be nonnegative")
-    if not np.isfinite(mus).all():  # before the phase sums, which would warn on it
-        raise ValueError("mu must be finite")
     q = np.arange(d)
     winv = np.exp(-2j * np.pi * q / d)
     values = []
@@ -548,9 +540,7 @@ def _rate_surface(protocol, c, mus, distances, d, **kwargs):
     if protocol not in PROTOCOLS:
         raise ValueError("unknown protocol %r" % (protocol,))
     if protocol in (PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED):
-        _validate_d(d)  # the non-decoy estimator reads d=None as a WCS source
-    if any(mu <= 0 for mu in mus):
-        raise ValueError("mu must be positive")
+        _validate_dj(d)  # the non-decoy estimator reads d=None as a WCS source
     mus = np.array(mus, dtype=float)[:, None]
     if protocol in (WCS_NONDECOY, PSP_NONDECOY):
         return _nondecoy_curve(c, distances, mus, d if protocol == PSP_NONDECOY else None)
@@ -595,10 +585,11 @@ def optimize_mu(c, d, protocol, mu_grid, distances=None, **kwargs):
     rate along the sorted grid, so a larger mu wins only on a strictly
     larger rate.
     """
-    _mu_array(mu_grid)  # a bool is no mu
-    grid = sorted(float(m) for m in mu_grid)
+    grid = sorted(_mu(mu_grid).tolist())
     if not grid:
         raise ValueError("mu_grid must be nonempty")
+    if grid[0] <= 0:
+        raise ValueError("mu must be positive")
     surface = _rate_surface(protocol, c, grid, _distances(c, distances), d, **kwargs)
     best = np.argmax(surface.rate, axis=0)[None, :]
     pick = lambda table: np.take_along_axis(table, best, axis=0)[0]  # noqa: E731

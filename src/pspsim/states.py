@@ -2,10 +2,10 @@
 
 A state is stored as a list of weighted coherent terms
 c_1 |a_11, a_12, ...> + c_2 |a_21, a_22, ...> + ...; overlaps, 50:50 beam
-splitters, vacuum projections and single-mode bra contractions all have
-closed forms in the labels, so nothing here is truncated.  A photon-number
-(Fock) representation with an explicit cutoff is provided alongside as an
-independent oracle: the two paths share no formulas beyond <n|alpha>.
+splitters and vacuum projections all have closed forms in the labels, so
+nothing here is truncated.  A photon-number (Fock) representation with an
+explicit cutoff is provided alongside as an independent oracle: the two
+paths share no formulas beyond <n|alpha>.
 
 Conventions:
     <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a)*b)
@@ -282,25 +282,6 @@ def _vacuum_projections(state, mode_sets, exchange=None):
             )
         values.append(float(val.real))
     return values
-
-
-def project_mode(state, mode, bra):
-    """Contract one mode with a single-mode bra superposition.
-
-    Returns the unnormalized superposition <bra|_mode |state> on the
-    remaining modes; its norm squared is the probability weight of the
-    projection when state and bra are normalized.
-    """
-    if bra.mode_count != 1:
-        raise ValueError("bra must be a single-mode state")
-    if state.mode_count < 2:
-        raise ValueError("cannot project out the only mode")
-    if not 0 <= mode < state.mode_count:
-        raise ValueError("mode index %d out of range" % mode)
-    ov = np.exp(_pair_exponents(bra.labels, state.labels[:, [mode]]))
-    factors = np.conj(bra.coeffs) @ ov
-    labels = np.delete(state.labels, mode, axis=1)
-    return CoherentSuperposition(state.coeffs * factors, labels)
 
 
 # ---------------------------------------------------------------------------

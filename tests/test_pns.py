@@ -13,20 +13,23 @@ from pspsim import (
     PSPParams,
     auto_cutoff,
     basis_fidelity_bound,
+    binary_entropy,
     fidelity_to_number_state,
     g2_zero_closed,
     herald_probabilities,
+    keyrate_curve,
     keyrate_for_protocol,
     loss_channel,
     norm,
     normalization,
-    normalization_overlap_sum,
     optimize_mu,
+    phase_error_upper,
     photon_number_probability,
     pseudo_number_state,
     pseudo_state_yield,
     residue_masses,
     to_fock,
+    transmission,
     uhlmann_fidelity,
 )
 from pspsim import cli, pns
@@ -160,13 +163,18 @@ def test_series_beyond_term_cap_is_a_truncation_error(isolated):
     assert code == cli.EXIT_NUMERICAL
 
 
-def test_normalization_series_vs_overlap_sum():
-    for mu in (0.1, 0.5, 2.0, 8.0):
-        for d in (2, 4, 8, 12):
-            for j in (0, 1):
-                a = normalization(mu, d, j)
-                b = normalization_overlap_sum(mu, d, j)
-                assert abs(a - b) < 1e-10 * abs(a)
+def test_normalization_series_vs_direct_sum():
+    import mpmath  # the test extra's referee; imported here so that only this test needs it
+
+    # d^2 e^{-mu} sum_{n = j mod d} mu^n / n! summed term by term to 60 digits
+    with mpmath.workdps(60):
+        for mu in (0.1, 0.5, 2.0, 8.0):
+            m = mpmath.mpf(mu)
+            for d in (2, 4, 8, 12):
+                for j in (0, 1):
+                    exact = d * d * mpmath.fsum(mpmath.exp(-m) * m**n / mpmath.factorial(n)
+                                                for n in range(j, 200, d))
+                    assert abs(normalization(mu, d, j) - exact) < 1e-13 * exact
 
 
 def test_pseudo_number_state_is_normalized():
@@ -252,6 +260,9 @@ def test_param_validation():
         PSPParams(mu=0.1, d=0, j=0)
     with pytest.raises(ValueError):
         PSPParams(mu=0.1, d=4, j=4)
+    # numpy's "truth value of an array is ambiguous" used to be the message
+    with pytest.raises(ValueError, match="mu must be a number"):
+        PSPParams(mu=[0.1, 0.2], d=4, j=1)
 
 
 @pytest.mark.parametrize("call", [
@@ -280,13 +291,38 @@ def test_bool_is_no_integer_d_or_j(call):
     (lambda mu: PSPParams(mu=mu, d=8, j=1), False),
     (lambda mu: keyrate_for_protocol(WCS_DECOY, ChannelParams(), mu), False),
     (lambda mu: pseudo_state_yield(ChannelParams(), mu, 4, 1, "dominant"), False),
+    (lambda mu: GenerationParams(mu=mu, nu=100.0, d=4), False),
 ], ids=["residue_masses", "normalization", "g2_zero_closed", "basis_fidelity_bound",
-        "optimize_mu", "PSPParams", "keyrate_for_protocol", "pseudo_state_yield"])
+        "optimize_mu", "PSPParams", "keyrate_for_protocol", "pseudo_state_yield",
+        "GenerationParams"])
 def test_bool_is_no_mu(call, arrays):
     # each read True as mu = 1 and returned a value for it
     for mu in [True, np.True_] + ([np.array([True, False]), [0.5, True]] if arrays else []):
         with pytest.raises(ValueError, match="mu must be a number, not a bool"):
             call(mu)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("nu", lambda v: GenerationParams(mu=0.1, nu=v, d=1)),
+    ("eta_det", lambda v: GenerationParams(mu=0.1, nu=100.0, d=4, eta_det=v)),
+    ("distance_km", lambda v: ChannelParams(distance_km=v)),
+    ("eta_bob", lambda v: ChannelParams(eta_bob=v)),
+    ("delta", lambda v: PSPParams(mu=0.1, d=8, delta=v)),
+    ("eta", lambda v: loss_channel(PSPParams(mu=0.1, d=4), v)),
+    ("distances", lambda v: transmission(ChannelParams(), [v])),
+    ("distances", lambda v: keyrate_curve(WCS_DECOY, ChannelParams(), 0.5, [v])),
+    ("e_bit", lambda v: phase_error_upper(v, 0.1)),
+    ("p", lambda v: binary_entropy(v)),
+], ids=["GenerationParams-nu", "GenerationParams-eta_det", "ChannelParams-distance_km",
+        "ChannelParams-eta_bob", "PSPParams-delta", "loss_channel", "transmission",
+        "keyrate_curve", "phase_error_upper", "binary_entropy"])
+def test_bool_is_no_real_parameter(name, call):
+    # each read True as 1: the trigger fired with probability 1 at nu = 1,
+    # loss_channel gave weights (1.0, 0.0), distances read 1 km, and
+    # phase_error_upper(True, 0.1) gave 0.64
+    for value in (True, np.True_):
+        with pytest.raises(ValueError, match=name + " must be a number, not a bool"):
+            call(value)
 
 
 def test_loss_exact_operator_trace_and_hermiticity():

@@ -22,7 +22,6 @@ from pspsim import (
     inner_product,
     loss_channel,
     norm,
-    project_mode,
     tensor,
     to_fock,
     uhlmann_fidelity,
@@ -204,13 +203,6 @@ def test_vacuum_probabilities_equal_single_projections_exactly(modes):
             assert alone == together[k] == _old_vacuum_probability(s, m)
     with pytest.raises(ValueError, match="out of range"):
         vacuum_probabilities(s, [(0,), (modes,)])
-
-
-def test_project_mode_reduces_modes():
-    s = tensor(coherent_state(0.5), coherent_state(0.0))
-    r = project_mode(s, 1, coherent_state(0.0))
-    assert r.mode_count == 1
-    assert abs(norm(r) - 1.0) < 1e-13
 
 
 def test_to_fock_reproduces_inner_products():
