@@ -30,7 +30,7 @@ from . import __version__
 from .errors import NumericalDiagnosticError, TruncationError
 from .pns import (PSPParams, _params_on_grid, _validate_dj, fidelity_to_number_state,
                   normalization, photon_number_probability)
-from .metrics import f2002, g2_zero_closed, p11
+from .metrics import _equal_input_p11, f2002, g2_zero_closed, p11
 from .generation import GenerationParams, herald_probabilities, trigger_probability
 from .qkd import (
     PROTOCOLS,
@@ -161,10 +161,11 @@ def _fig1_rows(cfg):
         g2s = g2_zero_closed(mus, d).tolist()
         # j = 1 % d, the state on n = 1 (mod d), which is the coherent state at
         # d = 1; one M_j table serves every point's fidelity, p11 and f2002
-        for p, g2 in zip(_params_on_grid(mus, d, 1 % d), g2s):
+        params = _params_on_grid(mus, d, 1 % d)
+        for p, g2, hom in zip(params, g2s, _equal_input_p11(params)):
             rows += [("fidelity", d, p.mu, photon_number_probability(p, 1)),
                      ("g2", d, p.mu, g2),
-                     ("p11", d, p.mu, p11(p, p)),
+                     ("p11", d, p.mu, hom),
                      ("f2002", d, p.mu, f2002(p, p))]
     return ("quantity", "d", "mu", "value"), rows, resolved
 

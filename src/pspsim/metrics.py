@@ -3,16 +3,17 @@
 Each metric exists twice: a production closed form and an independent
 number-basis evaluation used as an oracle in the tests.  g2 is a phase
 double sum, p11 a set of Gram-matrix vacuum projections on the coherent
-expansion (for equal inputs, exponentiated only on the rows the input
-exchange does not repeat), and f2002 the product of the inputs' one-photon
-probabilities.
+expansion (for equal inputs, one pass over a whole mu grid that
+exponentiates only the Gram entries the input exchange does not repeat),
+and f2002 the product of the inputs' one-photon probabilities.
 """
 
 import numpy as np
 
 from .errors import REAL_RESIDUE_TOL, UNIT_RESIDUE_TOL, NumericalDiagnosticError, _clamp_unit
-from .pns import _mu, _validate_dj, normalization, photon_number_probability, pseudo_number_state
-from .states import _vacuum_projections, beam_splitter, tensor, vacuum_probabilities
+from .pns import (_circles, _mu, _validate_dj, normalization, photon_number_probability,
+                  pseudo_number_state)
+from .states import _equal_input_projections, beam_splitter, tensor, vacuum_probabilities
 
 
 def g2_zero_closed(mu, d):
@@ -70,21 +71,28 @@ def p11(p1, p2):
 
     1 - P(vac a) - P(vac b) + P(vac ab), from the vacuum projections of the
     output's coherent expansion.  Identical inputs bunch (p11 -> 0), and
-    d = d' = 1 gives p11 = 0.  Equal inputs are built once, and their output
-    is symmetric under the input exchange, which repeats each Gram matrix
-    row (q1, q2) as row (q2, q1) with its columns exchanged: only the rows
-    q1 <= q2 are exponentiated, and every value keeps the bits of the full
-    Gram matrices.
+    d = d' = 1 gives p11 = 0.  Equal inputs take _equal_input_p11 on a
+    one-point list: the output is symmetric under the input exchange, so
+    only the Gram entries that exchange does not repeat are exponentiated,
+    and every value keeps the bits of the full Gram matrices.
     """
-    s1 = pseudo_number_state(p1)
-    sets = ((0,), (1,), (0, 1))
     if p2 == p1:
-        out = beam_splitter(tensor(s1, s1), "X")
-        va, vb, vab = _vacuum_projections(out, sets, exchange=p1.d)
-    else:
-        out = beam_splitter(tensor(s1, pseudo_number_state(p2)), "X")
-        va, vb, vab = vacuum_probabilities(out, sets)
+        return _equal_input_p11([p1])[0]
+    out = beam_splitter(tensor(pseudo_number_state(p1), pseudo_number_state(p2)), "X")
+    va, vb, vab = vacuum_probabilities(out, ((0,), (1,), (0, 1)))
     return _clamp_unit(1.0 - va - vb + vab, "p11")
+
+
+def _equal_input_p11(params):
+    """[p11(p, p) for p in params] for PSPParams that share d, j and delta, bit for bit.
+
+    One pass over the list: the inputs' coefficients and labels come from
+    one _circles call, and their outputs' vacuum projections from
+    _equal_input_projections, which exponentiates each distinct Gram entry
+    once per point.  Each point is clamped as its projections arrive.
+    """
+    return [_clamp_unit(1.0 - va - vb + vab, "p11")
+            for va, vb, vab in _equal_input_projections(*_circles(params))]
 
 
 def f2002(p1, p2):

@@ -215,7 +215,7 @@ class PSPParams:
     def __post_init__(self):
         if _real(self.mu, "mu").ndim or self.mu < 0:
             raise ValueError("mu must be a number >= 0")
-        if self.d != math.inf:
+        if np.ndim(self.d) or self.d != math.inf:  # an array d is no integer either
             _validate_dj(self.d, self.j)
         elif _index(self.j, self.d, "j").ndim:
             raise ValueError("j must be one integer")
@@ -245,13 +245,23 @@ def _params_on_grid(mus, d, j):
 
 def pseudo_number_state(p):
     """Construct |j_d> as a d-term coherent superposition (normalized)."""
+    coeffs, labels = _circles([p])
+    return CoherentSuperposition(coeffs[0], labels[0][:, None])
+
+
+def _circles(params):
+    """Coefficients and labels of pseudo_number_state(p) for each p of a list of
+    PSPParams that share d, j and delta, as two (len(params), d) arrays; row k
+    goes through the arithmetic of pseudo_number_state(params[k]) elementwise."""
+    p = params[0]
     if p.d == math.inf:
         raise ValueError("the d -> infinity limit has no finite coherent expansion")
-    n = p.d * p.d * p.mass  # normalization(p.mu, p.d, p.j)
+    n = p.d * p.d * np.array([x.mass for x in params])  # normalization(mu, d, j)
     q = np.arange(p.d)
-    coeffs = np.exp(-2j * np.pi * p.j * q / p.d) / np.sqrt(n)
-    labels = np.sqrt(p.mu) * np.exp(2j * np.pi * (q + p.delta) / p.d)
-    return CoherentSuperposition(coeffs, labels[:, None])
+    coeffs = np.exp(-2j * np.pi * p.j * q / p.d) / np.sqrt(n)[:, None]
+    mus = np.array([x.mu for x in params])
+    labels = np.sqrt(mus)[:, None] * np.exp(2j * np.pi * (q + p.delta) / p.d)
+    return coeffs, labels
 
 
 def photon_number_probability(p, n):

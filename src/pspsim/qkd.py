@@ -585,9 +585,10 @@ def optimize_mu(c, d, protocol, mu_grid, distances=None, **kwargs):
     rate along the sorted grid, so a larger mu wins only on a strictly
     larger rate.
     """
-    grid = sorted(_mu(mu_grid).tolist())
-    if not grid:
-        raise ValueError("mu_grid must be nonempty")
+    grid = _mu(mu_grid)
+    if grid.ndim != 1 or not grid.size:  # a number is no grid: sorted() would fail on it
+        raise ValueError("mu_grid must be a nonempty 1-D list of numbers")
+    grid = sorted(grid.tolist())
     if grid[0] <= 0:
         raise ValueError("mu must be positive")
     surface = _rate_surface(protocol, c, grid, _distances(c, distances), d, **kwargs)

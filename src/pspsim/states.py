@@ -33,6 +33,11 @@ GUARD_LEVELS = 2
 # expansion can hold into a TruncationError instead of an endless cutoff
 # search or an allocation that exhausts memory.
 FOCK_MAX_DIM = 2**20
+# Most output terms (points times d^2) whose coefficients and labels
+# _equal_input_projections builds at once: a point's Gram work dwarfs its
+# share of the build from a few points on, and larger blocks only raise the
+# peak memory.
+_PAIR_BLOCK = 2**8
 
 _SQRT2 = np.sqrt(2.0)
 # log(n!) for n < 4096, the photon numbers of a first residue-mass block with
@@ -184,11 +189,14 @@ def beam_splitter(state, variant="X"):
     if state.mode_count < 2:
         raise ValueError("beam splitter needs at least two modes")
     s = 1j if variant == "Y" else 1.0
-    a, b = state.labels[:, 0], state.labels[:, 1]
     labels = np.array(state.labels)
-    labels[:, 0] = (a + s * b) / _SQRT2
-    labels[:, 1] = (a - s * b) / _SQRT2
+    labels[:, 0], labels[:, 1] = _split(state.labels[:, 0], state.labels[:, 1], s)
     return CoherentSuperposition(state.coeffs, labels)
+
+
+def _split(a, b, s):
+    """The splitter's output labels (a + s b)/sqrt(2) and (a - s b)/sqrt(2), elementwise."""
+    return (a + s * b) / _SQRT2, (a - s * b) / _SQRT2
 
 
 def vacuum_probabilities(state, mode_sets):
@@ -201,62 +209,16 @@ def vacuum_probabilities(state, mode_sets):
     normalized; for a normalized state each result is a probability.  An
     imaginary part above REAL_RESIDUE_TOL is a NumericalDiagnosticError.
     """
-    return _vacuum_projections(state, mode_sets)
-
-
-@lru_cache(maxsize=64)
-def _exchange_layout(d):
-    """Row and column maps of the input exchange on d^2 terms i = q1 d + q2.
-
-    Returns the rows with q1 <= q2 in increasing order, which hold each
-    exchange orbit once, and the permutation i -> q2 d + q1.
-    """
-    q1, q2 = np.triu_indices(d)
-    swap = np.arange(d * d).reshape(d, d).T.ravel()
-    return q1 * d + q2, swap
-
-
-def _unfold_exchange(gram, d):
-    """Complete a Gram matrix whose rows q1 <= q2 lie packed at its head.
-
-    Each block of rows (q1, q1..d-1) moves to its place, the last block
-    first, so no block overwrites one still to move.  Row (q1, q2 < q1) is
-    then row (q2, q1) with its columns exchanged.
-    """
-    for q1 in range(d - 1, 0, -1):
-        start = q1 * d - q1 * (q1 - 1) // 2
-        gram[q1 * d + q1:(q1 + 1) * d] = gram[start:start + d - q1]
-    swap = _exchange_layout(d)[1]
-    for q1 in range(1, d):
-        # rows (0..q1-1, q1) lie above rows (q1, 0..q1-1): the views never overlap
-        gram[q1:q1 * d:d].take(swap, axis=1, out=gram[q1 * d:q1 * d + q1], mode="clip")
-
-
-def _vacuum_projections(state, mode_sets, exchange=None):
-    """vacuum_probabilities; exchange = d declares the state exchange symmetric.
-
-    That is the state beam_splitter(tensor(s, s), "X") of a d-term s, whose
-    terms i = q1 d + q2 the input exchange q1 <-> q2 maps to P i = q2 d + q1:
-    it keeps every mode-0 label bit for bit (x + y == y + x) and negates
-    every mode-1 label exactly, so every Gram matrix has G[P i, P j] ==
-    G[i, j] bit for bit.  Only the d (d + 1) / 2 rows q1 <= q2 are then
-    exponentiated, packed at the head of the one Gram buffer, and
-    _unfold_exchange fills the rest; each value keeps the bits of the
-    full-Gram evaluation.
-    """
     mode_sets = [tuple(modes) for modes in mode_sets]
     for modes in mode_sets:
         for m in modes:
             if not 0 <= m < state.mode_count:
                 raise ValueError("mode index %d out of range" % m)
     labels = state.labels
-    n = state.term_count
-    rows = slice(None) if exchange is None else _exchange_layout(exchange)[0]
-    conj_labels = np.conj(labels[rows])
+    conj_labels = np.conj(labels)
     ex = -0.5 * np.sum(np.abs(labels) ** 2, axis=1)
-    norm_exponents = ex[rows, None] + ex[None, :]
-    gram = np.empty((n, n), dtype=complex)
-    head = gram[:norm_exponents.shape[0]]
+    norm_exponents = ex[:, None] + ex[None, :]
+    gram = np.empty(norm_exponents.shape, dtype=complex)
     bra = np.conj(state.coeffs)
     values = []
     for modes in mode_sets:
@@ -266,22 +228,120 @@ def _vacuum_projections(state, mode_sets, exchange=None):
         # sign of a zero, which exp maps alike), so a value does not depend
         # on which other mode sets share the call.
         if keep:
-            np.multiply(conj_labels[:, keep[0], None], labels[None, :, keep[0]], out=head)
+            np.multiply(conj_labels[:, keep[0], None], labels[None, :, keep[0]], out=gram)
             for m in keep[1:]:
-                head += conj_labels[:, m, None] * labels[None, :, m]
-            head += norm_exponents
+                gram += conj_labels[:, m, None] * labels[None, :, m]
+            gram += norm_exponents
         else:
-            head[...] = norm_exponents
-        np.exp(head, out=head)
-        if exchange is not None:
-            _unfold_exchange(gram, exchange)
-        val = complex(bra @ gram @ state.coeffs)
-        if abs(val.imag) > REAL_RESIDUE_TOL:
-            raise NumericalDiagnosticError(
-                "vacuum projection has imaginary residue %.3e" % val.imag
-            )
-        values.append(float(val.real))
+            gram[...] = norm_exponents
+        np.exp(gram, out=gram)
+        values.append(_projection(bra, gram, state.coeffs))
     return values
+
+
+def _projection(bra, gram, ket):
+    """The real number bra @ gram @ ket; an imaginary part above REAL_RESIDUE_TOL is a
+    NumericalDiagnosticError."""
+    val = complex(bra @ gram @ ket)
+    if abs(val.imag) > REAL_RESIDUE_TOL:
+        raise NumericalDiagnosticError("vacuum projection has imaginary residue %.3e" % val.imag)
+    return float(val.real)
+
+
+@lru_cache(maxsize=64)
+def _exchange_layout(d):
+    """Index maps of the input exchange on d^2 terms i = q1 d + q2.
+
+    Returns the rows with q1 <= q2 in increasing order, which hold each
+    exchange orbit once; the permutation i -> q2 d + q1; and the orbit of
+    each term, its position among those rows.
+    """
+    q1, q2 = np.triu_indices(d)
+    orbit = np.empty((d, d), dtype=np.intp)
+    orbit[q1, q2] = orbit[q2, q1] = np.arange(q1.size)
+    swap = np.arange(d * d).reshape(d, d).T.ravel()
+    return q1 * d + q2, swap, orbit.ravel()
+
+
+def _unfold_exchange(packed, gram, d):
+    """Fill a Gram matrix from its rows q1 <= q2, which packed holds in increasing order.
+
+    Row (q1, q2 >= q1) is copied from packed; row (q1, q2 < q1) is then row
+    (q2, q1) with its columns exchanged.
+    """
+    _, swap, orbit = _exchange_layout(d)
+    packed.take(orbit, axis=0, out=gram, mode="clip")
+    for q1 in range(1, d):
+        # rows (0..q1-1, q1) lie above rows (q1, 0..q1-1): the views never overlap
+        gram[q1:q1 * d:d].take(swap, axis=1, out=gram[q1 * d:q1 * d + q1], mode="clip")
+
+
+def _equal_input_outputs(coeffs, labels):
+    """Coefficients (points, d^2) and labels (points, d^2, 2) of
+    beam_splitter(tensor(s, s), "X") for the one-mode state s of each row of
+    coeffs and labels, (points, d) arrays, by the elementwise arithmetic of
+    tensor and beam_splitter."""
+    points, d = coeffs.shape
+    kets = (coeffs[:, :, None] * coeffs[:, None, :]).reshape(points, d * d)  # np.outer
+    out = np.empty((points, d, d, 2), dtype=complex)
+    out[..., 0], out[..., 1] = _split(labels[:, :, None], labels[:, None, :], 1.0)
+    return kets, out.reshape(points, d * d, 2)
+
+
+def _equal_input_projections(coeffs, labels):
+    """vacuum_probabilities(beam_splitter(tensor(s, s), "X"), ((0,), (1,), (0, 1)))
+    for the one-mode state s of each row of coeffs and labels, (points, d) arrays.
+
+    Yields one (va, vb, vab) per row, in order, each value with the bits of
+    that call.  The outputs' coefficients and labels come a block of rows at
+    a time from _equal_input_outputs.  The input exchange maps an output
+    term i = q1 d + q2 to q2 d + q1; it keeps every mode-0 label
+    (x + y == y + x) and every norm exponent bit for bit, and negates every
+    mode-1 label exactly.  So the Gram matrix of (0,), which keeps mode 1,
+    repeats row (q1, q2) as row (q2, q1) with its columns exchanged: only
+    its d (d + 1) / 2 rows q1 <= q2 are exponentiated, into one packed
+    buffer, and _unfold_exchange spreads them over the one Gram buffer.
+    Those of (1,) and (0, 1) depend on the exchange orbits of row and column
+    alone: each is one orbit-by-orbit block, exponentiated once and gathered
+    along columns into the packed buffer, then along rows into the Gram
+    buffer.  Each row keeps its own contraction and its residue check.
+    """
+    points, d = coeffs.shape
+    n = d * d
+    rows, _, orbit = _exchange_layout(d)
+    m = rows.size
+    gram = np.empty((n, n), dtype=complex)
+    packed = np.empty((m, n), dtype=complex)
+    # the norm exponents, then the orbit block, lie in the Gram buffer; each
+    # is used up before the Gram matrix is written over it
+    norm_exponents = gram.reshape(-1).view(float)[:m * n].reshape(m, n)
+    block = gram.reshape(-1)[:m * m].reshape(m, m)
+    step = max(1, _PAIR_BLOCK // n)
+
+    def spread(bra, ket):  # the projection of the exponents in the orbit block
+        np.exp(block, out=block)
+        block.take(orbit, axis=1, out=packed, mode="clip")
+        packed.take(orbit, axis=0, out=gram, mode="clip")
+        return _projection(bra, gram, ket)
+
+    for start in range(0, points, step):
+        kets, out = _equal_input_outputs(coeffs[start:start + step], labels[start:start + step])
+        ex = -0.5 * np.sum(np.abs(out) ** 2, axis=2)
+        for ket, bra, lab, e in zip(kets, np.conj(kets), out, ex):
+            reps = lab[rows]  # one term of each orbit
+            conj_reps = np.conj(reps)
+            np.add(e[rows, None], e[None, :], out=norm_exponents)
+            orbit_exponents = norm_exponents[:, rows]
+            np.multiply(conj_reps[:, 1, None], lab[None, :, 1], out=packed)
+            packed += norm_exponents
+            np.exp(packed, out=packed)
+            _unfold_exchange(packed, gram, d)
+            va = _projection(bra, gram, ket)
+            np.multiply(conj_reps[:, 0, None], reps[None, :, 0], out=block)
+            block += orbit_exponents
+            vb = spread(bra, ket)
+            block[...] = orbit_exponents
+            yield va, vb, spread(bra, ket)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from pspsim import (
     to_fock,
     vacuum_probabilities,
 )
-from pspsim import metrics, pns, states
+from pspsim import metrics, pns, qkd, states
 from pspsim.errors import _clamp_unit
 
 
@@ -254,9 +254,10 @@ def test_f2002_closed_form_matches_fock_oracle(p1, p2):
 
 
 def test_hom_builds_equal_inputs_once(monkeypatch):
-    # one state for p11, and one residue pass per PSPParams, which p11 and f2002 share
-    # (the pass is cached on the instance)
-    calls = {"states": 0, "residues": 0}
+    # equal inputs: one pass over a one-point list, no state object, and one
+    # residue pass per PSPParams, which p11 and f2002 share (the pass is cached
+    # on the instance); unequal inputs build both states
+    calls = {"circles": 0, "states": 0, "residues": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -264,50 +265,97 @@ def test_hom_builds_equal_inputs_once(monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(metrics, "_circles", counted("circles", metrics._circles))
     monkeypatch.setattr(metrics, "pseudo_number_state",
                         counted("states", metrics.pseudo_number_state))
     monkeypatch.setattr(pns, "residue_masses", counted("residues", pns.residue_masses))
     p = PSPParams(mu=0.4, d=4, j=1)
     p11(p, p)
     f2002(p, p)
-    assert calls == {"states": 1, "residues": 1}
+    assert calls == {"circles": 1, "states": 0, "residues": 1}
     q = PSPParams(mu=0.4, d=4, j=1, delta=0.25)
     p11(p, q)
     f2002(p, q)
-    assert calls == {"states": 3, "residues": 2}
+    assert calls == {"circles": 1, "states": 2, "residues": 2}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+HOM_SETS = ((0,), (1,), (0, 1))
+
+
+def _assert_equal_input_bits(params):
+    # the one-pass evaluator against the object path, point by point and bit for bit
+    got = list(states._equal_input_projections(*pns._circles(params)))
+    assert len(got) == len(params)
+    for p, values in zip(params, got):
+        s = pseudo_number_state(p)
+        assert values == tuple(vacuum_probabilities(beam_splitter(tensor(s, s), "X"), HOM_SETS))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 12])
 def test_exchange_symmetric_projections_equal_full_gram(d):
-    # only the rows q1 <= q2 are exponentiated; the rest are copies, so every
-    # projection keeps the bits of the full Gram matrix
-    sets = ((0,), (1,), (0, 1))
+    # only the Gram entries the input exchange does not repeat are
+    # exponentiated, the rest are copies, so every projection keeps the bits
+    # of the full Gram matrix
     for delta in (0.0, 0.37):
-        for mu in np.logspace(-3, math.log10(20.0), 15):
-            s = pseudo_number_state(PSPParams(mu=float(mu), d=d, j=1 % d, delta=delta))
+        _assert_equal_input_bits([PSPParams(mu=float(mu), d=d, j=1 % d, delta=delta)
+                                  for mu in np.logspace(-3, math.log10(20.0), 15)])
+
+
+@pytest.mark.parametrize("d", [4, 8, 12])
+def test_equal_input_projections_on_the_fig1_grid(d):
+    # fig1's default grid, with its masses read from one table as fig1 reads them
+    _assert_equal_input_bits(pns._params_on_grid(ARRAY_GRIDS[0], d, 1))
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 8, 12])
+def test_equal_input_states_have_the_object_paths_bits(d):
+    # rows of one many-point pass against the one-point objects: the inputs'
+    # coefficients and labels, and the outputs' of tensor and beam_splitter
+    for delta in (0.0, 0.37):
+        params = [PSPParams(mu=float(mu), d=d, j=1 % d, delta=delta)
+                  for mu in np.logspace(-3, math.log10(20.0), 9)]
+        coeffs, labels = pns._circles(params)
+        kets, outputs = states._equal_input_outputs(coeffs, labels)
+        for k, p in enumerate(params):
+            s = pseudo_number_state(p)
             out = beam_splitter(tensor(s, s), "X")
-            assert (states._vacuum_projections(out, sets, exchange=d)
-                    == vacuum_probabilities(out, sets))
+            assert _bits(coeffs[k]) == _bits(s.coeffs)
+            assert _bits(labels[k]) == _bits(s.labels[:, 0])
+            assert _bits(kets[k]) == _bits(out.coeffs)
+            assert _bits(outputs[k]) == _bits(out.labels)
+
+
+def test_fig1_p11_column_is_the_one_point_calls():
+    params = pns._params_on_grid(ARRAY_GRIDS[0][::20], 8, 1)
+    assert metrics._equal_input_p11(params) == [p11(p, p) for p in params]
 
 
 def test_only_equal_hom_inputs_take_the_exchange_path(monkeypatch):
     seen = []
-    original = states._vacuum_projections
 
-    def recorded(state, mode_sets, exchange=None):
-        seen.append(exchange)
-        return original(state, mode_sets, exchange)
+    def recorded(name, func):
+        def wrapper(*args):
+            seen.append(name)
+            return func(*args)
+        return wrapper
 
-    monkeypatch.setattr(metrics, "_vacuum_projections", recorded)
-    monkeypatch.setattr(states, "_vacuum_projections", recorded)
+    monkeypatch.setattr(metrics, "_equal_input_projections",
+                        recorded("equal", states._equal_input_projections))
+    for module in (metrics, qkd):
+        monkeypatch.setattr(module, "vacuum_probabilities",
+                            recorded("full", states.vacuum_probabilities))
     p = PSPParams(mu=0.4, d=4, j=1)
     p11(p, p)
-    assert seen == [4]
+    assert seen == ["equal"]
     p11(p, PSPParams(mu=0.4, d=4, j=1, delta=0.25))
     p11(p, PSPParams(mu=0.5, d=4, j=1))
     p11(p, PSPParams(mu=0.4, d=8, j=1))
     measure_bb84(encoded_state(0.45, 8, 1, 0), "X")
-    assert seen == [4, None, None, None, None]
+    assert seen == ["equal", "full", "full", "full", "full"]
 
 
 def test_hom_fock_oracle_sums_coincidences():

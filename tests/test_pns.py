@@ -282,6 +282,14 @@ def test_bool_is_no_integer_d_or_j(call):
         call()
 
 
+@pytest.mark.parametrize("d", [np.array([4, 8]), np.array([math.inf, 4.0]), [4, 8]],
+                         ids=["int-array", "inf-array", "list"])
+def test_psp_params_rejects_a_sequence_of_d(d):
+    # an array d failed on numpy's "truth value of an array is ambiguous"
+    with pytest.raises(ValueError, match="d must be an integer >= 1"):
+        PSPParams(mu=0.5, d=d, j=1)
+
+
 @pytest.mark.parametrize("call, arrays", [
     (lambda mu: residue_masses(mu, 4), True),
     (lambda mu: normalization(mu, 4, 1), True),

@@ -535,6 +535,14 @@ def test_optimize_mu_behavior():
         optimize_mu(c, None, WCS_DECOY, [])
 
 
+@pytest.mark.parametrize("grid", [0.5, 1, np.float64(0.5), np.array(0.5)],
+                         ids=["float", "int", "float64", "0-d-array"])
+def test_optimize_mu_rejects_a_number_for_its_grid(grid):
+    # sorted() raised an untyped TypeError ("'float' object is not iterable")
+    with pytest.raises(ValueError, match="mu_grid must be"):
+        optimize_mu(ChannelParams(), None, WCS_DECOY, grid)
+
+
 def test_optimize_mu_over_distances_matches_per_distance_search():
     distances = np.arange(0.0, 301.0, 20.0)
     kwargs = {"nu": 256.0, "eta_trigger_det": 0.12}
