@@ -28,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalDiagnosticError, TruncationError
-from .pns import (PSPParams, _params_on_grid, _validate_dj, fidelity_to_number_state,
-                  normalization, photon_number_probability)
-from .metrics import _equal_input_p11, f2002, g2_zero_closed, p11
+from .pns import (PSPParams, _nonzero_mass, _support_probability, _validate_dj,
+                  fidelity_to_number_state, normalization)
+from .metrics import _equal_input_p11, _noon_overlap, f2002, g2_zero_closed, p11
 from .generation import GenerationParams, herald_probabilities, trigger_probability
 from .qkd import (
     PROTOCOLS,
@@ -161,12 +161,12 @@ def _fig1_rows(cfg):
         g2s = g2_zero_closed(mus, d).tolist()
         # j = 1 % d, the state on n = 1 (mod d), which is the coherent state at
         # d = 1; one M_j table serves every point's fidelity, p11 and f2002
-        params = _params_on_grid(mus, d, 1 % d)
-        for p, g2, hom in zip(params, g2s, _equal_input_p11(params)):
-            rows += [("fidelity", d, p.mu, photon_number_probability(p, 1)),
-                     ("g2", d, p.mu, g2),
-                     ("p11", d, p.mu, hom),
-                     ("f2002", d, p.mu, f2002(p, p))]
+        masses = _nonzero_mass(mus, d, 1 % d)
+        homs = _equal_input_p11(mus, masses, d, 1 % d, 0.0)
+        for mu, mass, g2, hom in zip(mus.tolist(), masses.tolist(), g2s, homs):
+            one = _support_probability(mu, mass, 1)  # photon_number_probability(p, 1)
+            rows += [("fidelity", d, mu, one), ("g2", d, mu, g2), ("p11", d, mu, hom),
+                     ("f2002", d, mu, _noon_overlap(one, one))]
     return ("quantity", "d", "mu", "value"), rows, resolved
 
 

@@ -3,16 +3,16 @@
 Each metric exists twice: a production closed form and an independent
 number-basis evaluation used as an oracle in the tests.  g2 is a phase
 double sum, p11 a set of Gram-matrix vacuum projections on the coherent
-expansion (for equal inputs, one pass over a whole mu grid that
-exponentiates only the Gram entries the input exchange does not repeat),
-and f2002 the product of the inputs' one-photon probabilities.
+expansion (for equal inputs, one pass over a mu grid and its M_j table
+that exponentiates only the Gram entries the input exchange does not
+repeat), and f2002 the product of the inputs' one-photon probabilities.
 """
 
 import numpy as np
 
 from .errors import REAL_RESIDUE_TOL, UNIT_RESIDUE_TOL, NumericalDiagnosticError, _clamp_unit
-from .pns import (_circles, _mu, _validate_dj, normalization, photon_number_probability,
-                  pseudo_number_state)
+from .pns import (_circle_inputs, _circles, _mu, _validate_dj, normalization,
+                  photon_number_probability, pseudo_number_state)
 from .states import _equal_input_projections, beam_splitter, tensor, vacuum_probabilities
 
 
@@ -29,24 +29,23 @@ def g2_zero_closed(mu, d):
     ulp from 1 (1.0000000000000042 at mu = 20).
     At small mu the sums cancel to noise around a tiny true value: a result
     down to -UNIT_RESIDUE_TOL reads 0, one below it is a numerical failure.
-    mu may be a 1-D array: one residue table serves the normalizations, the
-    phase sums stay one per mu, and each entry equals the scalar call's bits.
+    mu may be a 1-D array: one residue table serves the normalizations, one
+    (len(mu), d) array the phase sums, and each entry equals the scalar call's bits.
     """
     mus = _mu(mu)  # finite before the phase sums, which would warn on it
     if (mus <= 0).any():
         raise ValueError("mu must be positive")
     _validate_dj(d)
-    s = np.arange(d)
-    ph = np.exp(2j * np.pi * s / d)
+    ph = np.exp(2j * np.pi * np.arange(d) / d)
+    norms = np.ravel(normalization(mus, d, 1 % d)).tolist()
+    ex = np.exp(np.multiply.outer(mus.ravel(), ph - 1.0))
     values = []
-    for m, n in zip(mus.ravel().tolist(), np.ravel(normalization(mus, d, 1 % d)).tolist()):
-        ex = np.exp(m * (ph - 1.0))
-        a, b = d * np.sum(ph * ex), d * np.sum(ex)
+    # n a / b^2 per mu on numpy scalars: as arrays it moves some last bits
+    for n, a, b in zip(norms, d * np.sum(ph * ex, axis=1), d * np.sum(ex, axis=1)):
         val = n * a / (b * b)
         if abs(val.imag) > REAL_RESIDUE_TOL * max(1.0, abs(val.real)):
-            raise NumericalDiagnosticError(
-                "g2 numerator residue %.3e exceeds tolerance" % val.imag
-            )
+            raise NumericalDiagnosticError("g2 numerator residue %.3e exceeds tolerance"
+                                           % val.imag)
         if val.real < -UNIT_RESIDUE_TOL:
             raise NumericalDiagnosticError("g2 = %.6e is negative" % val.real)
         values.append(max(float(val.real), 0.0))
@@ -72,27 +71,28 @@ def p11(p1, p2):
     1 - P(vac a) - P(vac b) + P(vac ab), from the vacuum projections of the
     output's coherent expansion.  Identical inputs bunch (p11 -> 0), and
     d = d' = 1 gives p11 = 0.  Equal inputs take _equal_input_p11 on a
-    one-point list: the output is symmetric under the input exchange, so
+    one-point grid: the output is symmetric under the input exchange, so
     only the Gram entries that exchange does not repeat are exponentiated,
     and every value keeps the bits of the full Gram matrices.
     """
     if p2 == p1:
-        return _equal_input_p11([p1])[0]
+        return _equal_input_p11(*_circle_inputs(p1))[0]
     out = beam_splitter(tensor(pseudo_number_state(p1), pseudo_number_state(p2)), "X")
     va, vb, vab = vacuum_probabilities(out, ((0,), (1,), (0, 1)))
     return _clamp_unit(1.0 - va - vb + vab, "p11")
 
 
-def _equal_input_p11(params):
-    """[p11(p, p) for p in params] for PSPParams that share d, j and delta, bit for bit.
+def _equal_input_p11(mus, masses, d, j, delta):
+    """[p11(p, p) for p = PSPParams(mu, d, j, delta) at each mu of a 1-D grid whose
+    M_j are masses (_nonzero_mass)], bit for bit.
 
-    One pass over the list: the inputs' coefficients and labels come from
+    One pass over the grid: the inputs' coefficients and labels come from
     one _circles call, and their outputs' vacuum projections from
     _equal_input_projections, which exponentiates each distinct Gram entry
     once per point.  Each point is clamped as its projections arrive.
     """
     return [_clamp_unit(1.0 - va - vb + vab, "p11")
-            for va, vb, vab in _equal_input_projections(*_circles(params))]
+            for va, vb, vab in _equal_input_projections(*_circles(mus, masses, d, j, delta))]
 
 
 def f2002(p1, p2):
@@ -104,7 +104,11 @@ def f2002(p1, p2):
     equal mu give mu^2 exp(-2 mu).
     """
     one = photon_number_probability(p1, 1)
-    other = one if p2 == p1 else photon_number_probability(p2, 1)
+    return _noon_overlap(one, one if p2 == p1 else photon_number_probability(p2, 1))
+
+
+def _noon_overlap(one, other):
+    """F2002 from the inputs' one-photon probabilities, clamped to [0, 1]."""
     return _clamp_unit(one * other, "f2002")
 
 

@@ -231,36 +231,26 @@ class PSPParams:
         return _nonzero_mass(self.mu, self.d, self.j)
 
 
-def _params_on_grid(mus, d, j):
-    """PSPParams(mu, d, j) for each mu of a 1-D grid, their masses read from one
-    residue table.  A table row has the bits of a one-mu pass (residue_masses),
-    so each instance's mass property is seeded with what it would compute."""
-    params = []
-    for mu, mass in zip(np.asarray(mus, dtype=float).tolist(), _nonzero_mass(mus, d, j).tolist()):
-        p = PSPParams(mu=mu, d=d, j=j)
-        vars(p)["mass"] = mass  # where cached_property keeps it
-        params.append(p)
-    return params
+def _circle_inputs(p):
+    """_circles' one-point arguments for p; d -> infinity is refused before p.mass is read."""
+    if p.d == math.inf:
+        raise ValueError("the d -> infinity limit has no finite coherent expansion")
+    return np.array([p.mu]), np.array([p.mass]), p.d, p.j, p.delta
 
 
 def pseudo_number_state(p):
     """Construct |j_d> as a d-term coherent superposition (normalized)."""
-    coeffs, labels = _circles([p])
+    coeffs, labels = _circles(*_circle_inputs(p))
     return CoherentSuperposition(coeffs[0], labels[0][:, None])
 
 
-def _circles(params):
-    """Coefficients and labels of pseudo_number_state(p) for each p of a list of
-    PSPParams that share d, j and delta, as two (len(params), d) arrays; row k
-    goes through the arithmetic of pseudo_number_state(params[k]) elementwise."""
-    p = params[0]
-    if p.d == math.inf:
-        raise ValueError("the d -> infinity limit has no finite coherent expansion")
-    n = p.d * p.d * np.array([x.mass for x in params])  # normalization(mu, d, j)
-    q = np.arange(p.d)
-    coeffs = np.exp(-2j * np.pi * p.j * q / p.d) / np.sqrt(n)[:, None]
-    mus = np.array([x.mu for x in params])
-    labels = np.sqrt(mus)[:, None] * np.exp(2j * np.pi * (q + p.delta) / p.d)
+def _circles(mus, masses, d, j, delta):
+    """Coefficients and labels of pseudo_number_state(PSPParams(mu, d, j, delta))
+    for each mu of a 1-D grid, whose M_j are masses (_nonzero_mass), as two
+    (len(mus), d) arrays; row k goes through the one-point arithmetic elementwise."""
+    q = np.arange(d)
+    coeffs = np.exp(-2j * np.pi * j * q / d) / np.sqrt(d * d * masses)[:, None]
+    labels = np.sqrt(mus)[:, None] * np.exp(2j * np.pi * (q + delta) / d)
     return coeffs, labels
 
 
@@ -280,8 +270,13 @@ def photon_number_probability(p, n):
         return 0.0
     if p.mu == 0:
         return 1.0 if n == 0 else 0.0  # j = 0 at mu = 0 is the vacuum itself
-    pmf = math.exp(n * math.log(p.mu) - p.mu - math.lgamma(n + 1.0))
-    return pmf / mass
+    return _support_probability(p.mu, mass, n)
+
+
+def _support_probability(mu, mass, n):
+    """Pois(mu; n) / mass at mu > 0: the probability of n photons on the support
+    of a state whose residue mass is mass."""
+    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1.0)) / mass
 
 
 def fidelity_to_number_state(p):

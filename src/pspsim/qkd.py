@@ -306,8 +306,8 @@ def measure_bb84(state, basis):
 
     Returns (p_click_port0, p_click_port1, p_double, p_none), exclusive
     events that sum to one.  basis "X" uses the plain 50:50 splitter,
-    "Y" the one with a quarter-wave phase on the signal arm.  Each click
-    probability is clamped to [0, 1]; one that misses it by more than
+    "Y" the one with a quarter-wave phase on the signal arm.  Each of the
+    four is clamped to [0, 1]; one that misses it by more than
     UNIT_RESIDUE_TOL is a NumericalDiagnosticError.
     """
     if state.mode_count != 2:
@@ -315,7 +315,7 @@ def measure_bb84(state, basis):
     out = beam_splitter(state, basis)
     v0, v1, v01 = vacuum_probabilities(out, ((0,), (1,), (0, 1)))
     return (_clamp_unit(v1 - v01, "p_click_port0"), _clamp_unit(v0 - v01, "p_click_port1"),
-            _clamp_unit(1.0 - v0 - v1 + v01, "p_double"), v01)
+            _clamp_unit(1.0 - v0 - v1 + v01, "p_double"), _clamp_unit(v01, "p_none"))
 
 
 def basis_fidelity_bound(mu, d, j):
@@ -328,8 +328,8 @@ def basis_fidelity_bound(mu, d, j):
     and d an integer >= 1 divisible by 4.  The result is clamped to [0, 1];
     one that misses it by more than UNIT_RESIDUE_TOL, or a phase sum that
     overflows (mu above about 700), is a NumericalDiagnosticError.  mu may be
-    a 1-D array: one residue table serves the normalizations, the phase sums
-    stay one per mu, and each entry equals the scalar call's bits.
+    a 1-D array: one residue table serves the normalizations, one (len(mu), d)
+    array the phase sums, and each entry equals the scalar call's bits.
     """
     _validate_encoding_d(d)
     mus = _mu(mu)  # finite before the phase sums, which would warn on it
@@ -337,17 +337,17 @@ def basis_fidelity_bound(mu, d, j):
         raise ValueError("mu must be nonnegative")
     q = np.arange(d)
     winv = np.exp(-2j * np.pi * q / d)
+    norms = np.ravel(normalization(2.0 * mus, d, j)).tolist()
+    m = mus.reshape(-1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+        sums = np.sum(np.exp(2j * np.pi * j * q / d) * np.exp(-2.0 * m + m * winv)
+                      * (np.exp(1j * m * winv) + 1j * np.exp(-1j * m * winv)), axis=1)
     values = []
-    for m, n in zip(mus.ravel().tolist(), np.ravel(normalization(2.0 * mus, d, j)).tolist()):
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
-            terms = (
-                np.exp(2j * np.pi * j * q / d)
-                * np.exp(-2.0 * m + m * winv)
-                * (np.exp(1j * m * winv) + 1j * np.exp(-1j * m * winv))
-            )
-            s = d * abs(np.sum(terms))
+    # the modulus per entry: numpy's array abs differs from the scalar one in the last bit
+    for mu_k, z, n in zip(mus.ravel().tolist(), sums, norms):
+        s = d * abs(z)
         if not math.isfinite(s):
-            raise NumericalDiagnosticError("fidelity bound phase sum overflows at mu=%.6g" % m)
+            raise NumericalDiagnosticError("fidelity bound phase sum overflows at mu=%.6g" % mu_k)
         values.append(_clamp_unit(s / (math.sqrt(2.0) * n), "fidelity bound"))
     return np.array(values) if mus.ndim else values[0]
 

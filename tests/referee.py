@@ -1,0 +1,128 @@
+"""An mpmath referee for pspsim's values, evaluated from their definitions.
+
+Every value is worked out at 60 significant digits along a route that
+shares no code with pspsim:
+
+- residue masses M_r(mu) = sum over n = r (mod d) of e^-mu mu^n / n!, a
+  direct Poisson sum, and the normalization N = d^2 M_j;
+- the n-photon probability of the pseudo-number state |j_d>, Pois(mu; n)/M_j
+  on its support n = j (mod d) and 0 off it, which gives the fidelity
+  (n = j) and f2002 = P1(1) P2(1).
+
+Run as a script on a fig1 CSV, it prints each cell it covers (fidelity and
+f2002) that misses RTOL against the referee, as cell, value, referee and
+relative error, then a one-line count:
+
+    python tests/referee.py fig1.csv
+"""
+
+import csv
+import functools
+import math
+import sys
+
+import mpmath
+
+DPS = 60
+RTOL = 1e-13
+
+
+@functools.lru_cache(maxsize=None)
+def residue_masses(mu, d):
+    """(M_0, ..., M_{d-1}) at the float mu as mpf, from the direct Poisson sum.
+
+    Past n = 2 mu each term is at most half the one before, so the tail of
+    every residue lies below twice the current term.  The sum stops once that
+    term is below 10^-DPS of the smallest residue as it stood when the tail
+    test began (at n >= d, so that every residue holds a term); the sums only
+    grow, so that floor is below every final mass.
+    """
+    with mpmath.workdps(DPS + 10):
+        x = mpmath.mpf(mu)
+        sums = [mpmath.mpf(0)] * d
+        if x == 0:
+            return (mpmath.mpf(1),) + tuple(sums[1:])
+        term, n, cut = mpmath.exp(-x), 0, None
+        while cut is None or term >= cut:
+            sums[n % d] += term
+            n += 1
+            term = term * x / n
+            if cut is None and n >= d and n > 2 * x:
+                cut = min(sums) * mpmath.mpf(10) ** -DPS
+        return tuple(sums)
+
+
+def normalization(mu, d, j):
+    """N_{mu,j} = d^2 M_j(mu)."""
+    with mpmath.workdps(DPS):
+        return d * d * residue_masses(mu, d)[j]
+
+
+def poisson(mu, n):
+    """Pois(mu; n) = e^-mu mu^n / n! at the float mu."""
+    with mpmath.workdps(DPS):
+        x = mpmath.mpf(mu)
+        return mpmath.exp(-x) * x**n / mpmath.factorial(n)
+
+
+def photon_probability(mu, d, j, n):
+    """|<n|j_d>|^2: Pois(mu; n) / M_j on the support n = j (mod d), else 0."""
+    if n % d != j:
+        return mpmath.mpf(0)
+    with mpmath.workdps(DPS):
+        return poisson(mu, n) / residue_masses(mu, d)[j]
+
+
+def fidelity(mu, d, j):
+    """|<j|j_d>|^2 = Pois(mu; j) / M_j."""
+    return photon_probability(mu, d, j, j)
+
+
+def f2002(mu1, d1, j1, mu2, d2, j2):
+    """P1(1) P2(1), the product of the inputs' one-photon probabilities."""
+    with mpmath.workdps(DPS):
+        return photon_probability(mu1, d1, j1, 1) * photon_probability(mu2, d2, j2, 1)
+
+
+def relative_error(value, ref):
+    """|value - ref| / |ref| in doubles, with ref rounded to the nearest double
+    (a relative move of at most 2^-53); inf for a nonzero value where ref is 0."""
+    r = float(ref)
+    if r == 0.0:
+        return 0.0 if value == 0.0 else math.inf
+    return abs(value - r) / abs(r)
+
+
+def fig1_cell(quantity, d, mu):
+    """Referee of a covered fig1 cell, or None: the "fidelity" column holds the
+    one-photon probability of j = 1 % d, and f2002 is its square."""
+    if quantity == "fidelity":
+        return photon_probability(mu, d, 1 % d, 1)
+    if quantity == "f2002":
+        return f2002(mu, d, 1 % d, mu, d, 1 % d)
+    return None
+
+
+def check_fig1(path, out=sys.stdout):
+    """Print each covered cell of the fig1 CSV at path that misses RTOL; return their number."""
+    checked = missed = 0
+    with open(path, newline="") as f:
+        for row in csv.DictReader(f):
+            d, mu, value = int(row["d"]), float(row["mu"]), float(row["value"])
+            ref = fig1_cell(row["quantity"], d, mu)
+            if ref is None:
+                continue
+            checked += 1
+            err = relative_error(value, ref)
+            if not err <= RTOL:
+                missed += 1
+                out.write("%s d=%d mu=%r, %r, %s, %.3e\n"
+                          % (row["quantity"], d, mu, value, mpmath.nstr(ref, 20), err))
+    out.write("%d of %d covered cells miss rtol %g\n" % (missed, checked, RTOL))
+    return missed
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/referee.py fig1.csv")
+    sys.exit(1 if check_fig1(sys.argv[1]) else 0)

@@ -1,5 +1,6 @@
 """g2(0) and Hong-Ou-Mandel numbers: closed forms against the Fock oracle."""
 
+import argparse
 import math
 import warnings
 
@@ -17,18 +18,20 @@ from pspsim import (
     coherent_state,
     encoded_state,
     f2002,
+    fidelity_to_number_state,
     fock_beam_splitter,
     g2_zero_closed,
     g2_zero_oracle,
     hom_fock_oracle,
     measure_bb84,
     p11,
+    photon_number_probability,
     pseudo_number_state,
     tensor,
     to_fock,
     vacuum_probabilities,
 )
-from pspsim import metrics, pns, qkd, states
+from pspsim import cli, metrics, pns, qkd, states
 from pspsim.errors import _clamp_unit
 
 
@@ -123,7 +126,7 @@ ARRAY_GRIDS = [np.logspace(math.log10(0.01), math.log10(20.0), 200),
     lambda mu, d: basis_fidelity_bound(mu, d, 1),
 ], ids=["g2", "basis-fidelity-j0", "basis-fidelity-j1"])
 def test_array_mu_equals_the_scalar_calls(metric, d, grid):
-    # one residue table per call; the phase sums stay one per mu, so every
+    # one residue table and one (len(mu), d) phase-sum array per call; every
     # entry keeps the scalar call's bits, and the first scalar failure (g2 at
     # d = 36 on the fig1 grid) is the array's
     values, first_error = [], None
@@ -141,6 +144,35 @@ def test_array_mu_equals_the_scalar_calls(metric, d, grid):
         assert str(raised.value) == first_error
     ok = [v is not None for v in values]
     assert metric(grid[ok], d).tobytes() == np.array([v for v in values if v is not None]).tobytes()
+
+
+def _g2_per_mu(mu, d):
+    # the one-mu phase sums that the (len(mu), d) array replaced, kept as its bit reference
+    ph = np.exp(2j * np.pi * np.arange(d) / d)
+    ex = np.exp(mu * (ph - 1.0))
+    a, b = d * np.sum(ph * ex), d * np.sum(ex)
+    return max(float((pns.normalization(mu, d, 1 % d) * a / (b * b)).real), 0.0)
+
+
+def _bound_per_mu(mu, d, j):
+    q = np.arange(d)
+    winv = np.exp(-2j * np.pi * q / d)
+    terms = (np.exp(2j * np.pi * j * q / d) * np.exp(-2.0 * mu + mu * winv)
+             * (np.exp(1j * mu * winv) + 1j * np.exp(-1j * mu * winv)))
+    n = pns.normalization(2.0 * mu, d, j)
+    return _clamp_unit(d * abs(np.sum(terms)) / (math.sqrt(2.0) * n), "bound")
+
+
+@pytest.mark.parametrize("grid", ARRAY_GRIDS, ids=["fig1", "fig4", "fig5-half"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
+def test_array_phase_sums_keep_the_per_mu_bits(d, grid):
+    mus = grid.tolist()
+    expect = np.array([_g2_per_mu(mu, d) for mu in mus])
+    assert g2_zero_closed(grid, d).tobytes() == expect.tobytes()
+    if d % 4 == 0:
+        for j in range(4):
+            assert (basis_fidelity_bound(grid, d, j).tobytes()
+                    == np.array([_bound_per_mu(mu, d, j) for mu in mus]).tobytes())
 
 
 def test_g2_oracle_rejects_two_mode_states():
@@ -254,7 +286,7 @@ def test_f2002_closed_form_matches_fock_oracle(p1, p2):
 
 
 def test_hom_builds_equal_inputs_once(monkeypatch):
-    # equal inputs: one pass over a one-point list, no state object, and one
+    # equal inputs: one pass over one-point arrays, no state object, and one
     # residue pass per PSPParams, which p11 and f2002 share (the pass is cached
     # on the instance); unequal inputs build both states
     calls = {"circles": 0, "states": 0, "residues": 0}
@@ -286,12 +318,17 @@ def _bits(a):
 HOM_SETS = ((0,), (1,), (0, 1))
 
 
-def _assert_equal_input_bits(params):
+def _circle_grid(mus, d, delta):
+    # _circles on a mu grid, its masses read from one table as fig1 reads them
+    return pns._circles(mus, pns._nonzero_mass(mus, d, 1 % d), d, 1 % d, delta)
+
+
+def _assert_equal_input_bits(mus, d, delta=0.0):
     # the one-pass evaluator against the object path, point by point and bit for bit
-    got = list(states._equal_input_projections(*pns._circles(params)))
-    assert len(got) == len(params)
-    for p, values in zip(params, got):
-        s = pseudo_number_state(p)
+    got = list(states._equal_input_projections(*_circle_grid(mus, d, delta)))
+    assert len(got) == len(mus)
+    for mu, values in zip(mus.tolist(), got):
+        s = pseudo_number_state(PSPParams(mu=mu, d=d, j=1 % d, delta=delta))
         assert values == tuple(vacuum_probabilities(beam_splitter(tensor(s, s), "X"), HOM_SETS))
 
 
@@ -301,14 +338,12 @@ def test_exchange_symmetric_projections_equal_full_gram(d):
     # exponentiated, the rest are copies, so every projection keeps the bits
     # of the full Gram matrix
     for delta in (0.0, 0.37):
-        _assert_equal_input_bits([PSPParams(mu=float(mu), d=d, j=1 % d, delta=delta)
-                                  for mu in np.logspace(-3, math.log10(20.0), 15)])
+        _assert_equal_input_bits(np.logspace(-3, math.log10(20.0), 15), d, delta)
 
 
 @pytest.mark.parametrize("d", [4, 8, 12])
 def test_equal_input_projections_on_the_fig1_grid(d):
-    # fig1's default grid, with its masses read from one table as fig1 reads them
-    _assert_equal_input_bits(pns._params_on_grid(ARRAY_GRIDS[0], d, 1))
+    _assert_equal_input_bits(ARRAY_GRIDS[0], d)
 
 
 @pytest.mark.parametrize("d", [1, 3, 4, 8, 12])
@@ -316,12 +351,11 @@ def test_equal_input_states_have_the_object_paths_bits(d):
     # rows of one many-point pass against the one-point objects: the inputs'
     # coefficients and labels, and the outputs' of tensor and beam_splitter
     for delta in (0.0, 0.37):
-        params = [PSPParams(mu=float(mu), d=d, j=1 % d, delta=delta)
-                  for mu in np.logspace(-3, math.log10(20.0), 9)]
-        coeffs, labels = pns._circles(params)
+        mus = np.logspace(-3, math.log10(20.0), 9)
+        coeffs, labels = _circle_grid(mus, d, delta)
         kets, outputs = states._equal_input_outputs(coeffs, labels)
-        for k, p in enumerate(params):
-            s = pseudo_number_state(p)
+        for k, mu in enumerate(mus.tolist()):
+            s = pseudo_number_state(PSPParams(mu=mu, d=d, j=1 % d, delta=delta))
             out = beam_splitter(tensor(s, s), "X")
             assert _bits(coeffs[k]) == _bits(s.coeffs)
             assert _bits(labels[k]) == _bits(s.labels[:, 0])
@@ -330,8 +364,39 @@ def test_equal_input_states_have_the_object_paths_bits(d):
 
 
 def test_fig1_p11_column_is_the_one_point_calls():
-    params = pns._params_on_grid(ARRAY_GRIDS[0][::20], 8, 1)
-    assert metrics._equal_input_p11(params) == [p11(p, p) for p in params]
+    mus = ARRAY_GRIDS[0][::20]
+    for delta in (0.0, 0.37):
+        got = metrics._equal_input_p11(mus, pns._nonzero_mass(mus, 8, 1), 8, 1, delta)
+        params = [PSPParams(mu=mu, d=8, j=1, delta=delta) for mu in mus.tolist()]
+        assert got == [p11(p, p) for p in params]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
+def test_every_fig1_column_is_the_one_point_calls(monkeypatch, d):
+    # fig1's rows on a 10-point slice of its default grid against the public
+    # one-point calls, bit for bit; its "fidelity" column is the one-photon
+    # probability, the fidelity itself at d >= 2 (at d = 1, j = 0 holds n = 0)
+    mus = ARRAY_GRIDS[0][::20]
+    monkeypatch.setattr(cli, "_mu_grid", lambda cfg, lo, hi: (mus, {}))
+    _, rows, _ = cli._fig1_rows(cli._Config(argparse.Namespace(d_list=[d]), "fig1"))
+    expect = []
+    for mu in mus.tolist():
+        p = PSPParams(mu=mu, d=d, j=1 % d)
+        one = photon_number_probability(p, 1)
+        if d > 1:
+            assert one == fidelity_to_number_state(p)
+        expect += [("fidelity", d, mu, one), ("g2", d, mu, g2_zero_closed(mu, d)),
+                   ("p11", d, mu, p11(p, p)), ("f2002", d, mu, f2002(p, p))]
+    assert _bits(np.array([r[2:] for r in rows])) == _bits(np.array([r[2:] for r in expect]))
+    assert [r[:2] for r in rows] == [r[:2] for r in expect]
+
+
+def test_infinite_d_is_refused_before_its_mass_is_read():
+    p = PSPParams(mu=0.4, d=math.inf, j=1)
+    for call in (lambda: pseudo_number_state(p), lambda: p11(p, p),
+                 lambda: p11(PSPParams(mu=0.4, d=4, j=1), p)):
+        with pytest.raises(ValueError, match="d -> infinity limit has no finite coherent"):
+            call()
 
 
 def test_only_equal_hom_inputs_take_the_exchange_path(monkeypatch):

@@ -87,18 +87,6 @@ def test_residue_masses_table_equals_scalar_calls(d):
     assert residue_masses(np.array([]), d).shape == (0, d)
 
 
-@pytest.mark.parametrize("d", [4, 8, 12])
-def test_grid_params_hold_their_own_mass(d):
-    # the default fig1 grid: each mass read from the one table has the bits
-    # of the instance's own pass, and the seeded cache is no field
-    mus = np.logspace(math.log10(0.01), math.log10(20.0), 200)
-    params = pns._params_on_grid(mus, d, 1)
-    for mu, p in zip(mus.tolist(), params):
-        fresh = PSPParams(mu=mu, d=d, j=1)
-        assert p.mass == fresh.mass
-        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
-
-
 def test_block_heads_end_where_no_term_can_change_a_bit():
     # mu = 2, every residue: at d = 36 a block's second column is below 2^-56
     # of its first, and at d = 4 and 8 its ninth below 2^-56 of its first, so

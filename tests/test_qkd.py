@@ -256,6 +256,16 @@ def test_measure_bb84_clamps_rounding_only(monkeypatch):
         measure_bb84(state, "X")
 
 
+def test_measure_bb84_clamps_p_none_like_the_clicks(monkeypatch):
+    # p_none was returned as computed, -3.36e-9 at (0.05, 12, 6, 9) in basis Y
+    state = encoded_state(0.45, 8, 1, 0)
+    monkeypatch.setattr(qkd, "vacuum_probabilities", lambda out, sets: [0.25, 0.25, -1e-13])
+    assert measure_bb84(state, "X")[3] == 0.0
+    monkeypatch.setattr(qkd, "vacuum_probabilities", lambda out, sets: [0.25, 0.25, -1e-9])
+    with pytest.raises(NumericalDiagnosticError, match="p_none"):
+        measure_bb84(state, "X")
+
+
 def test_basis_fidelity_bound_rejects_excess_beyond_rounding(monkeypatch):
     # a raw bound in (1 + 1e-12, 1 + 1e-9] used to read 1.0
     assert basis_fidelity_bound(0.01, 8, 0) == 1.0

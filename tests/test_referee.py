@@ -1,0 +1,91 @@
+"""Fresh pspsim values against the mpmath referee at rtol 1e-13, with no atol.
+
+Covered: residue masses and normalization for every residue, the fidelity,
+the one-photon probability and f2002, on fig1's default mu grid, fig4's
+2 mu grid (its bound reads N_{2mu,j}) and fig5's mu grid, for each d below.
+"""
+
+import io
+import math
+import os
+
+import numpy as np
+import pytest
+
+import referee
+from pspsim import (PSPParams, f2002, fidelity_to_number_state, normalization,
+                    photon_number_probability, residue_masses)
+
+GRIDS = {
+    "fig1": np.logspace(math.log10(0.01), math.log10(20.0), 200),
+    "fig4-2mu": 2.0 * np.logspace(math.log10(0.001), math.log10(1.0), 200),
+    "fig5": np.arange(0.05, 2.0001, 0.05),
+}
+DS = [1, 2, 4, 8, 12, 36, 40]
+FIG1_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "fig1.csv")
+
+
+def _assert_close(values, refs, what):
+    errors = [referee.relative_error(v, r) for v, r in zip(values, refs)]
+    assert len(errors) == len(refs)
+    k = int(np.argmax(errors))
+    assert errors[k] <= referee.RTOL, "%s: cell %d is %r, referee %s, relative error %.3e" % (
+        what, k, values[k], refs[k], errors[k])
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("grid", GRIDS)
+def test_residue_masses_and_normalization(grid, d):
+    mus = GRIDS[grid]
+    refs = [referee.residue_masses(mu, d) for mu in mus.tolist()]
+    _assert_close(residue_masses(mus, d).ravel().tolist(), [m for row in refs for m in row],
+                  "residue_masses")
+    for j in range(d):
+        _assert_close(normalization(mus, d, j).tolist(),
+                      [referee.normalization(mu, d, j) for mu in mus.tolist()],
+                      "normalization j=%d" % j)
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("grid", GRIDS)
+def test_one_photon_state_fidelity_and_f2002(grid, d):
+    # the j = 1 % d state of fig1; unequal f2002 inputs pair each point with
+    # the next point at the next d
+    j = 1 % d
+    mus = GRIDS[grid].tolist()
+    params = [PSPParams(mu=mu, d=d, j=j) for mu in mus]
+    _assert_close([fidelity_to_number_state(p) for p in params],
+                  [referee.fidelity(mu, d, j) for mu in mus], "fidelity")
+    _assert_close([photon_number_probability(p, 1) for p in params],
+                  [referee.photon_probability(mu, d, j, 1) for mu in mus], "P(1)")
+    _assert_close([f2002(p, p) for p in params],
+                  [referee.f2002(mu, d, j, mu, d, j) for mu in mus], "f2002")
+    d2 = DS[(DS.index(d) + 1) % len(DS)]
+    others = [PSPParams(mu=mu, d=d2, j=1 % d2) for mu in mus[1:]]
+    _assert_close([f2002(p, q) for p, q in zip(params, others)],
+                  [referee.f2002(p.mu, d, j, q.mu, d2, q.j) for p, q in zip(params, others)],
+                  "f2002 unequal")
+
+
+@pytest.mark.parametrize("d", DS)
+def test_fidelity_of_every_j_on_the_fig5_grid(d):
+    mus = GRIDS["fig5"].tolist()
+    _assert_close([fidelity_to_number_state(PSPParams(mu=mu, d=d, j=j))
+                   for j in range(d) for mu in mus],
+                  [referee.fidelity(mu, d, j) for j in range(d) for mu in mus], "fidelity")
+
+
+def test_script_finds_no_miss_in_the_fig1_golden():
+    out = io.StringIO()
+    assert referee.check_fig1(FIG1_GOLDEN, out) == 0
+    assert out.getvalue() == "0 of 1200 covered cells miss rtol 1e-13\n"
+
+
+def test_script_prints_a_missed_cell(tmp_path):
+    path = tmp_path / "fig1.csv"
+    path.write_text("quantity,d,mu,value\nfidelity,4,0.5,0.25\ng2,4,0.5,0.25\n")
+    out = io.StringIO()
+    assert referee.check_fig1(str(path), out) == 1
+    first, last = out.getvalue().splitlines()
+    assert first.startswith("fidelity d=4 mu=0.5, 0.25, 0.9")
+    assert last == "1 of 1 covered cells miss rtol 1e-13"
