@@ -1,8 +1,6 @@
 """Exception types shared across the package, the residue tolerances behind them, and
 the one input policy: what a real number and a residue index must be."""
 
-import math
-
 import numpy as np
 
 # Residue tolerances: values that must be real / probabilities that must
@@ -34,14 +32,12 @@ def _clamp_unit(x, name):
 def _real(x, name):
     """x, a number or an array of any shape, as a float array.  A bool in it is a
     ValueError (numpy would read True as 1.0), and so is a non-finite entry."""
-    scalar = isinstance(x, float) or type(x) is int  # no bool, and math.isfinite reads it
-    if not scalar:
-        raw = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
-        if raw.dtype.kind == "b" or raw.dtype.kind == "O" and any(
-                isinstance(v, (bool, np.bool_)) for v in raw.ravel().tolist()):
-            raise ValueError("%s must be a number, not a bool" % name)
+    raw = x if isinstance(x, np.ndarray) else np.asarray(x, dtype=object)
+    if raw.dtype.kind == "b" or raw.dtype.kind == "O" and any(
+            isinstance(v, (bool, np.bool_)) for v in raw.ravel().tolist()):
+        raise ValueError("%s must be a number, not a bool" % name)
     values = np.asarray(x, dtype=float)
-    if not (math.isfinite(x) if scalar else np.isfinite(values).all()):
+    if not np.isfinite(values).all():
         raise ValueError("%s must be finite" % name)
     return values
 

@@ -12,7 +12,6 @@ computed.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +33,6 @@ _MAX_BLOCK = 2**16
 # (one row per distance of a key-rate curve) is summed a group of rows at a
 # time, which keeps its temporaries, and so peak memory, small.
 _TABLE_BLOCK = 2**14
-# A term whose log lies below this is exactly 0.0 (exp underflows to zero
-# below about -745.13); the gap leaves ample room for rounding.
-_LOG_ZERO = -800.0
 # log(2^-56): a positive term at most 2^-56 times the double it is added to
 # lies below an eighth of an ulp of it (or underflows to 0.0), so the sum keeps
 # every bit; the factor 4 to half an ulp covers the log-space rounding.
@@ -72,11 +68,11 @@ def residue_masses(mu, d, residues=None):
     holds its n = r (mod d).
     A table evaluates only a block's leading columns whose terms can change a
     bit of a sum at its largest live mu (_head_width): past them every term
-    is exactly 0.0, or below half an ulp of a term that numpy's pairwise row
-    sum has already added to the same accumulator, so the sums are those of
-    the whole block.  It is summed a group of rows at a time, sized so that a
-    group's (rows, residues, head width) temporary holds at most _TABLE_BLOCK
-    terms at the table's largest mu.
+    is below half an ulp of a term that numpy's pairwise row sum has already
+    added to the same accumulator, so the sums are those of the whole block.
+    It is summed a group of rows at a time, sized so that a group's (rows,
+    residues, head width) temporary holds at most _TABLE_BLOCK terms at the
+    table's largest mu.
     A row's pass stops once past the distribution mode with every residue's
     last term at or below SERIES_RTOL of its running sum (so residues that
     underflow to zero terminate), and raises TruncationError rather than
@@ -152,7 +148,7 @@ def _head_width(first, rows, d, mu):
     the residues summed, first being the smallest of them.  The term ratio
     t(n + k) / t(n) = mu^k n! / (n + k)! falls as n grows and rises with mu,
     so a test at mu on a column's smallest n bounds every later column, every
-    residue and every row mu' <= mu.  The width is the least of:
+    residue and every row mu' <= mu.  The width is the first of:
 
     - 1, if t(first + d) <= 2^-56 t(first): all later columns together are
       then below half an ulp of column 0, whichever order numpy adds them in;
@@ -161,9 +157,7 @@ def _head_width(first, rows, d, mu):
       of 8 to 128 terms, and each dropped term of column c then goes into the
       accumulator that already holds column c - 8, at least 2^56 times larger,
       so it moves no bit of it;
-    - the first column past the mode whose log-term n log mu - mu - log(n!)
-      lies below _LOG_ZERO, rounded up to a multiple of 8: from it on, every
-      term is exactly 0.0.
+    - rows, the whole block, when neither holds.
 
     Only a ratio to a term the sum keeps is bit-exact: a term that is small
     but not zero can still move the last bit of a small mass.
@@ -173,10 +167,7 @@ def _head_width(first, rows, d, mu):
     if rows > 1 and logs[1] - logs[0] <= _LOG_NEGLIGIBLE:
         return 1
     falls = logs[8::8] - logs[:-8:8] <= _LOG_NEGLIGIBLE  # at w = 8, 16, ... below rows
-    negligible = 8 * (int(np.argmax(falls)) + 1) if falls.any() else rows
-    zero = (firsts > mu) & (logs < _LOG_ZERO)
-    cut = int(np.argmax(zero)) if zero.any() else rows
-    return min(rows, negligible, -(-max(cut, 1) // 8) * 8)
+    return 8 * (int(np.argmax(falls)) + 1) if falls.any() else rows
 
 
 def _nonzero_mass(mu, d, j):
@@ -224,18 +215,12 @@ class PSPParams:
         if self.j != 0 and self.mu == 0:
             raise DegenerateStateError("j=%d requires mu > 0" % self.j)
 
-    @cached_property
-    def mass(self):
-        """M_j at finite d, from one residue pass per instance; not a field, so
-        equality, hash, repr and dataclasses.replace ignore it."""
-        return _nonzero_mass(self.mu, self.d, self.j)
-
 
 def _circle_inputs(p):
-    """_circles' one-point arguments for p; d -> infinity is refused before p.mass is read."""
+    """_circles' one-point arguments for p; d -> infinity is refused before M_j is read."""
     if p.d == math.inf:
         raise ValueError("the d -> infinity limit has no finite coherent expansion")
-    return np.array([p.mu]), np.array([p.mass]), p.d, p.j, p.delta
+    return np.array([p.mu]), np.array([_nonzero_mass(p.mu, p.d, p.j)]), p.d, p.j, p.delta
 
 
 def pseudo_number_state(p):
@@ -265,7 +250,7 @@ def photon_number_probability(p, n):
         raise ValueError("photon number must be one integer")
     if p.d == math.inf:
         return 1.0 if n == p.j else 0.0
-    mass = p.mass
+    mass = _nonzero_mass(p.mu, p.d, p.j)
     if n % p.d != p.j:
         return 0.0
     if p.mu == 0:
@@ -316,7 +301,7 @@ def loss_channel(p, eta):
     if p.d == math.inf:
         raise ValueError("loss channel needs a finite coherent expansion")
     d = p.d
-    mass = p.mass
+    mass = _nonzero_mass(p.mu, d, p.j)
     n = d * d * mass
     qq, qp = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     decay = np.exp((np.exp(2j * np.pi * (qq - qp) / d) - 1.0) * p.mu * (1.0 - eta))

@@ -152,8 +152,8 @@ def _distances(c, distances):
     if distances is None:
         return np.array([c.distance_km])
     at = _real(distances, "distances")
-    if at.ndim != 1 or (at < 0).any():
-        raise ValueError("distances must be a 1-D array of nonnegative values")
+    if at.ndim != 1 or not at.size or (at < 0).any():
+        raise ValueError("distances must be a nonempty 1-D array of nonnegative values")
     return at
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import REAL_RESIDUE_TOL, NumericalDiagnosticError, TruncationError
+from .errors import REAL_RESIDUE_TOL, NumericalDiagnosticError, TruncationError, _index
 
 # Poisson tail every photon-number cutoff must keep below this.
 TAIL_TOL = 1e-14
@@ -33,6 +33,10 @@ GUARD_LEVELS = 2
 # expansion can hold into a TruncationError instead of an endless cutoff
 # search or an allocation that exhausts memory.
 FOCK_MAX_DIM = 2**20
+# Most entries a Gram matrix of coherent terms may hold: d <= 64 for the d^4
+# entries of equal-input p11.  A larger matrix is a TruncationError before it
+# is allocated, not a MemoryError or an exhausted host.
+GRAM_MAX_ENTRIES = 2**24
 # Most output terms (points times d^2) whose coefficients and labels
 # _equal_input_projections builds at once: a point's Gram work dwarfs its
 # share of the build from a few points on, and larger blocks only raise the
@@ -141,26 +145,39 @@ def coherent_state(*alphas):
     return CoherentSuperposition(np.ones(1, dtype=complex), np.array([alphas], dtype=complex))
 
 
-def _pair_exponents(x_labels, y_labels):
-    """Matrix of overlap exponents E[i, j] = log <x_i|y_j>.
+def _pair_exponents(x_labels, y_labels, modes=None):
+    """Matrix of overlap exponents E[i, j] = log <x_i|y_j>, with cross terms
+    conj(x_im) y_jm of the listed modes only (all by default).
 
-    Per-mode exponents are summed before exponentiation, so products over
-    modes never underflow pairwise.
+    The norm exponents -|x_i|^2/2 - |y_j|^2/2 span every mode, so leaving a
+    mode out projects it onto vacuum.  Per-mode exponents are summed before
+    exponentiation, so products over modes never underflow pairwise.  A
+    matrix of more than GRAM_MAX_ENTRIES entries is a TruncationError,
+    raised before it is allocated.
     """
+    _check_gram(x_labels.shape[0] * y_labels.shape[0])
     ex = -0.5 * np.sum(np.abs(x_labels) ** 2, axis=1)
     ey = -0.5 * np.sum(np.abs(y_labels) ** 2, axis=1)
     cross = np.zeros((x_labels.shape[0], y_labels.shape[0]), dtype=complex)
-    for mode in range(x_labels.shape[1]):
+    for mode in range(x_labels.shape[1]) if modes is None else modes:
         cross += np.conj(x_labels[:, mode])[:, None] * y_labels[None, :, mode]
-    return ex[:, None] + ey[None, :] + cross
+    cross += ex[:, None] + ey[None, :]
+    return cross
+
+
+def _check_gram(entries):
+    """TruncationError if a Gram matrix of this many entries exceeds GRAM_MAX_ENTRIES."""
+    if entries > GRAM_MAX_ENTRIES:
+        raise TruncationError("a Gram matrix of %d entries exceeds GRAM_MAX_ENTRIES = %d"
+                              % (entries, GRAM_MAX_ENTRIES))
 
 
 def inner_product(x, y):
     """Exact inner product <x|y> of two superpositions on equal mode counts."""
     if x.mode_count != y.mode_count:
         raise ValueError("mode-count mismatch: %d vs %d" % (x.mode_count, y.mode_count))
-    gram = np.exp(_pair_exponents(x.labels, y.labels))
-    return complex(np.conj(x.coeffs) @ gram @ y.coeffs)
+    gram = _pair_exponents(x.labels, y.labels)
+    return complex(np.conj(x.coeffs) @ np.exp(gram, out=gram) @ y.coeffs)
 
 
 def norm(x):
@@ -203,39 +220,20 @@ def vacuum_probabilities(state, mode_sets):
     """<psi| P_m |psi> for each tuple of modes m in mode_sets, as a list of floats.
 
     P_m projects the modes of m onto vacuum.  Closed form: the Gram matrix
-    with the cross terms of the projected modes removed.  The projections
-    share the norm exponents -|a_i|^2/2 - |a_j|^2/2 and one (terms, terms)
-    work buffer, which holds each Gram matrix in turn.  The state need not be
-    normalized; for a normalized state each result is a probability.  An
+    with the cross terms of the projected modes removed (_pair_exponents
+    over the kept modes).  The state need not be normalized; for a
+    normalized state each result is a probability.  A mode outside
+    [0, mode_count), or one that is not an integer, is a ValueError; an
     imaginary part above REAL_RESIDUE_TOL is a NumericalDiagnosticError.
     """
-    mode_sets = [tuple(modes) for modes in mode_sets]
-    for modes in mode_sets:
-        for m in modes:
-            if not 0 <= m < state.mode_count:
-                raise ValueError("mode index %d out of range" % m)
-    labels = state.labels
-    conj_labels = np.conj(labels)
-    ex = -0.5 * np.sum(np.abs(labels) ** 2, axis=1)
-    norm_exponents = ex[:, None] + ex[None, :]
-    gram = np.empty(norm_exponents.shape, dtype=complex)
+    projected = [_index(tuple(modes), state.mode_count, "mode indices").tolist()
+                 for modes in mode_sets]
     bra = np.conj(state.coeffs)
     values = []
-    for modes in mode_sets:
+    for modes in projected:
         keep = [m for m in range(state.mode_count) if m not in modes]
-        # Entry by entry (ex_i + ex_j) + cross, with cross summed over the
-        # kept modes in order: the arithmetic of _pair_exponents (up to the
-        # sign of a zero, which exp maps alike), so a value does not depend
-        # on which other mode sets share the call.
-        if keep:
-            np.multiply(conj_labels[:, keep[0], None], labels[None, :, keep[0]], out=gram)
-            for m in keep[1:]:
-                gram += conj_labels[:, m, None] * labels[None, :, m]
-            gram += norm_exponents
-        else:
-            gram[...] = norm_exponents
-        np.exp(gram, out=gram)
-        values.append(_projection(bra, gram, state.coeffs))
+        gram = _pair_exponents(state.labels, state.labels, keep)
+        values.append(_projection(bra, np.exp(gram, out=gram), state.coeffs))
     return values
 
 
@@ -248,7 +246,6 @@ def _projection(bra, gram, ket):
     return float(val.real)
 
 
-@lru_cache(maxsize=64)
 def _exchange_layout(d):
     """Index maps of the input exchange on d^2 terms i = q1 d + q2.
 
@@ -263,13 +260,12 @@ def _exchange_layout(d):
     return q1 * d + q2, swap, orbit.ravel()
 
 
-def _unfold_exchange(packed, gram, d):
+def _unfold_exchange(packed, gram, d, swap, orbit):
     """Fill a Gram matrix from its rows q1 <= q2, which packed holds in increasing order.
 
     Row (q1, q2 >= q1) is copied from packed; row (q1, q2 < q1) is then row
-    (q2, q1) with its columns exchanged.
+    (q2, q1) with its columns exchanged.  swap and orbit are _exchange_layout(d)'s.
     """
-    _, swap, orbit = _exchange_layout(d)
     packed.take(orbit, axis=0, out=gram, mode="clip")
     for q1 in range(1, d):
         # rows (0..q1-1, q1) lie above rows (q1, 0..q1-1): the views never overlap
@@ -304,11 +300,14 @@ def _equal_input_projections(coeffs, labels):
     Those of (1,) and (0, 1) depend on the exchange orbits of row and column
     alone: each is one orbit-by-orbit block, exponentiated once and gathered
     along columns into the packed buffer, then along rows into the Gram
-    buffer.  Each row keeps its own contraction and its residue check.
+    buffer.  Each row keeps its own contraction and its residue check.  A d^4
+    above GRAM_MAX_ENTRIES is a TruncationError, raised before any buffer is
+    allocated.
     """
     points, d = coeffs.shape
     n = d * d
-    rows, _, orbit = _exchange_layout(d)
+    _check_gram(n * n)
+    rows, swap, orbit = _exchange_layout(d)
     m = rows.size
     gram = np.empty((n, n), dtype=complex)
     packed = np.empty((m, n), dtype=complex)
@@ -335,7 +334,7 @@ def _equal_input_projections(coeffs, labels):
             np.multiply(conj_reps[:, 1, None], lab[None, :, 1], out=packed)
             packed += norm_exponents
             np.exp(packed, out=packed)
-            _unfold_exchange(packed, gram, d)
+            _unfold_exchange(packed, gram, d, swap, orbit)
             va = _projection(bra, gram, ket)
             np.multiply(conj_reps[:, 0, None], reps[None, :, 0], out=block)
             block += orbit_exponents

@@ -204,6 +204,34 @@ def test_figure_residue_passes(tmp_path, monkeypatch, capsys, argv, passes):
     assert max(calls) == 4  # a table holds a whole mu grid
 
 
+@pytest.mark.parametrize("argv, passes", [
+    (["fidelity", "--d", "8"], 1),
+    (["p11", "--d", "8"], 1),
+    (["p11", "--d", "8", "--mu2", "1"], 2),
+    (["f2002", "--d", "40", "--mu", "8"], 1),
+])
+def test_query_residue_passes(monkeypatch, capsys, argv, passes):
+    # a single-point query reads each distinct input's M_j once, in one pass
+    calls = []
+    original = pns._residue_rows
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(pns, "_residue_rows", counted)
+    assert run(["compute"] + argv) == 0
+    assert calls == [1] * passes
+
+
+def test_gram_beyond_its_limit_exits_4(monkeypatch, capsys):
+    # d = 4: both p11 paths need 256 Gram entries, refused before allocation
+    monkeypatch.setattr(states, "GRAM_MAX_ENTRIES", 255)
+    for extra in ([], ["--mu2", "1"]):
+        assert run(["compute", "p11", "--d", "4"] + extra) == 4
+        assert "GRAM_MAX_ENTRIES" in capsys.readouterr().err
+
+
 def test_fig5_optimizer_evaluates_each_source_once(tmp_path, monkeypatch, capsys):
     # the 40-point mu grid is one (mu, distance) surface per source curve: 7
     # estimator evaluations for the 7 curves, where a per-mu search makes 280

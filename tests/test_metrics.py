@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pspsim import (
     NumericalDiagnosticError,
     PSPParams,
+    TruncationError,
     auto_cutoff,
     basis_fidelity_bound,
     beam_splitter,
@@ -287,8 +288,7 @@ def test_f2002_closed_form_matches_fock_oracle(p1, p2):
 
 def test_hom_builds_equal_inputs_once(monkeypatch):
     # equal inputs: one pass over one-point arrays, no state object, and one
-    # residue pass per PSPParams, which p11 and f2002 share (the pass is cached
-    # on the instance); unequal inputs build both states
+    # residue pass each for p11 and f2002; unequal inputs build both states
     calls = {"circles": 0, "states": 0, "residues": 0}
 
     def counted(name, func):
@@ -304,11 +304,24 @@ def test_hom_builds_equal_inputs_once(monkeypatch):
     p = PSPParams(mu=0.4, d=4, j=1)
     p11(p, p)
     f2002(p, p)
-    assert calls == {"circles": 1, "states": 0, "residues": 1}
+    assert calls == {"circles": 1, "states": 0, "residues": 2}
     q = PSPParams(mu=0.4, d=4, j=1, delta=0.25)
     p11(p, q)
     f2002(p, q)
-    assert calls == {"circles": 1, "states": 2, "residues": 2}
+    assert calls == {"circles": 1, "states": 2, "residues": 6}
+
+
+def test_p11_gram_beyond_its_limit_is_refused(monkeypatch):
+    # d = 4: equal inputs need a d^4 = 256-entry Gram matrix, unequal ones
+    # (d d')^2 = 256 entries; a limit of 255 refuses both before allocating
+    p, q = PSPParams(mu=0.4, d=4, j=1), PSPParams(mu=0.5, d=4, j=1)
+    expect = p11(p, p), p11(p, q)
+    monkeypatch.setattr(states, "GRAM_MAX_ENTRIES", 255)
+    for pair in ((p, p), (p, q)):
+        with pytest.raises(TruncationError, match="GRAM_MAX_ENTRIES"):
+            p11(*pair)
+    monkeypatch.setattr(states, "GRAM_MAX_ENTRIES", 256)
+    assert (p11(p, p), p11(p, q)) == expect
 
 
 def _bits(a):

@@ -496,6 +496,14 @@ def test_keyrate_curve_rejects_bad_distances():
     for distances in ([-1.0, 2.0], [0.0, math.nan], [[1.0]]):
         with pytest.raises(ValueError, match="distances"):
             keyrate_curve(WCS_DECOY, c, 0.5, distances)
+    # an empty grid: the triggered source divided by zero, the passive one
+    # failed a reshape, and the others returned empty curves
+    for protocol in (WCS_NONDECOY, WCS_DECOY, PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED):
+        kwargs = TRIGGER if protocol == PSP_TRIGGERED else {}
+        with pytest.raises(ValueError, match="distances"):
+            keyrate_curve(protocol, c, 0.45, np.array([]), 8, **kwargs)
+        with pytest.raises(ValueError, match="distances"):
+            optimize_mu(c, 8, protocol, GRID, distances=np.array([]), **kwargs)
 
 
 def test_degenerate_residues_raise_only_for_the_exact_yield_model(isolated):

@@ -27,6 +27,7 @@ from pspsim import (
     uhlmann_fidelity,
     vacuum_probabilities,
 )
+from pspsim import states
 from pspsim.states import _LOG_FACTORIALS, log_factorial
 
 
@@ -201,8 +202,48 @@ def test_vacuum_probabilities_equal_single_projections_exactly(modes):
         for k, m in enumerate(mode_sets):
             alone = vacuum_probabilities(s, [m])[0]
             assert alone == together[k] == _old_vacuum_probability(s, m)
-    with pytest.raises(ValueError, match="out of range"):
-        vacuum_probabilities(s, [(0,), (modes,)])
+    # the package's index policy: a bool, a float and a mode past the last
+    # are refused, where True and 1.0 read as mode 1 and 1.5 as no mode at all
+    for bad in ((modes,), (True,), (1.0,), (1.5,)):
+        with pytest.raises(ValueError, match="mode indices"):
+            vacuum_probabilities(s, [(0,), bad])
+
+
+def _old_pair_exponents(x_labels, y_labels):
+    """The overlap exponents as one expression, norms plus cross terms summed from zeros."""
+    ex = -0.5 * np.sum(np.abs(x_labels) ** 2, axis=1)
+    ey = -0.5 * np.sum(np.abs(y_labels) ** 2, axis=1)
+    cross = np.zeros((x_labels.shape[0], y_labels.shape[0]), dtype=complex)
+    for mode in range(x_labels.shape[1]):
+        cross += np.conj(x_labels[:, mode])[:, None] * y_labels[None, :, mode]
+    return ex[:, None] + ey[None, :] + cross
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_inner_product_keeps_the_one_expression_bits(modes):
+    # the kernel adds the norms to the summed cross terms in place: a + b == b + a
+    rng = np.random.default_rng(11 + modes)
+    for terms in ((1, 3), (4, 4), (7, 2)):
+        x, y = [CoherentSuperposition(
+            rng.normal(size=t) + 1j * rng.normal(size=t),
+            (rng.normal(size=(t, modes)) + 1j * rng.normal(size=(t, modes))) * 0.7)
+            for t in terms]
+        labels = np.array(x.labels)
+        labels[0, 0] = 0.0  # a vacuum label: norm and cross terms of exactly zero
+        x = CoherentSuperposition(x.coeffs, labels)
+        gram = np.exp(_old_pair_exponents(x.labels, y.labels))
+        assert inner_product(x, y) == complex(np.conj(x.coeffs) @ gram @ y.coeffs)
+
+
+def test_gram_beyond_its_limit_is_refused_before_allocation(monkeypatch):
+    # 9 terms make an 81-entry Gram matrix; 64 entries are allowed
+    monkeypatch.setattr(states, "GRAM_MAX_ENTRIES", 64)
+    s = CoherentSuperposition(np.ones(9), np.linspace(0.1, 0.9, 9))
+    with pytest.raises(TruncationError, match="GRAM_MAX_ENTRIES"):
+        vacuum_probabilities(s, [(0,)])
+    with pytest.raises(TruncationError, match="GRAM_MAX_ENTRIES"):
+        inner_product(s, s)
+    assert vacuum_probabilities(CoherentSuperposition(np.ones(8), np.ones(8)), [()])[0] == 64.0
 
 
 def test_to_fock_reproduces_inner_products():
