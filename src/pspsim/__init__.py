@@ -18,7 +18,6 @@ from .metrics import (
     p11,
 )
 from .pns import (
-    LossResult,
     PSPParams,
     fidelity_to_number_state,
     loss_channel,
@@ -54,7 +53,6 @@ from .qkd import (
     transmission,
 )
 from .states import (
-    CoherentDyadOperator,
     CoherentSuperposition,
     FockVector,
     auto_cutoff,
@@ -68,7 +66,6 @@ from .states import (
     norm,
     tensor,
     to_fock,
-    uhlmann_fidelity,
     vacuum_probabilities,
 )
 

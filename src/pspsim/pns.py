@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, TruncationError, _index, _real
-from .states import CoherentDyadOperator, CoherentSuperposition, log_factorial
+from .errors import DegenerateStateError, TruncationError, _clamp_unit, _index, _real
+from .states import CoherentSuperposition, log_factorial
 
 # Relative size at which the modular Poisson series stops adding terms.
 SERIES_RTOL = 1e-30
@@ -273,46 +273,29 @@ def fidelity_to_number_state(p):
     return photon_number_probability(p, p.j)
 
 
-@dataclass(frozen=True)
-class LossResult:
-    """Output of the pure-loss channel applied to a pseudo-number state.
-
-    exact holds the full coherent-dyad operator.  It is the mixture
-    sum_r p_r |((1-r) mod d)_d><.| of pseudo-number states at the attenuated
-    mu' = mu*eta, where r is the number of lost photons mod d and
-    p_r = M_r(mu(1-eta)) M_{(1-r) mod d}(mu') / M_1(mu) with M the residue
-    masses.  approx_weights is the two-term pair (p_0, p_1), the exact weights
-    of the j=1 and j=0 states at mu'; it is populated only for j = 1 inputs
-    and drops the mass 1 - p_0 - p_1 of the other branches (zero at d = 2).
-    """
-
-    exact: CoherentDyadOperator
-    approx_weights: tuple
-
-
 def loss_channel(p, eta):
-    """Transmission-eta pure loss applied to |j_d><j_d|.
+    """Weights of the output of transmission-eta pure loss applied to |j_d><j_d|.
 
-    The output stays a d^2-term dyad sum over attenuated labels, with the
-    lost intensity mu(1-eta) appearing as an overlap decay between branches.
+    Loss thins the photon number, and the residue r (mod d) of the lost
+    photons labels orthogonal environment states, so the output is the
+    mixture sum_k w[k] |k_d><k_d| of pseudo-number states at mu' = mu eta
+    (same d and delta), with
+
+        w[k] = M_{(j-k) mod d}(mu (1 - eta)) M_k(mu eta) / M_j(mu)
+
+    from the residue masses M.  Returns w, a (d,) float array indexed by the
+    output residue k; it sums to 1 because sum_r M_r(a) M_{j-r}(b) = M_j(a + b).
+    Each weight is a probability under errors._clamp_unit: the masses' last-bit
+    error can put one an ulp above 1, as at d = 1, where the one weight is 1.
+    The two-term small-loss shortcut keeps w[j] (no photon lost) and
+    w[(j - 1) mod d] (one lost); as the |k_d> at one mu' are orthogonal, its
+    Uhlmann fidelity to the output is their sum.
     """
     if _real(eta, "eta").ndim or not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     if p.d == math.inf:
         raise ValueError("loss channel needs a finite coherent expansion")
-    d = p.d
-    mass = _nonzero_mass(p.mu, d, p.j)
-    n = d * d * mass
-    qq, qp = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    decay = np.exp((np.exp(2j * np.pi * (qq - qp) / d) - 1.0) * p.mu * (1.0 - eta))
-    coeffs = np.exp(2j * np.pi * p.j * (qp - qq) / d) * decay / n
-    amp = np.sqrt(p.mu * eta)
-    kets = amp * np.exp(2j * np.pi * (qq.ravel() + p.delta) / d)
-    bras = amp * np.exp(2j * np.pi * (qp.ravel() + p.delta) / d)
-    op = CoherentDyadOperator(coeffs.ravel(), kets[:, None], bras[:, None])
-    weights = None
-    if p.j == 1:
-        lost = residue_masses(p.mu * (1.0 - eta), d)
-        kept = residue_masses(p.mu * eta, d)
-        weights = (float(lost[0] * kept[1] / mass), float(lost[1] * kept[0] / mass))
-    return LossResult(exact=op, approx_weights=weights)
+    mass = _nonzero_mass(p.mu, p.d, p.j)
+    lost, kept = residue_masses([p.mu * (1.0 - eta), p.mu * eta], p.d)
+    weights = lost[(p.j - np.arange(p.d)) % p.d] * kept / mass
+    return np.array([_clamp_unit(w, "loss weight") for w in weights.tolist()])

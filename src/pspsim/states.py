@@ -398,15 +398,15 @@ def auto_cutoff(lam):
     return n + GUARD_LEVELS
 
 
-def _resolve_cutoff(cutoff, axes, *labels):
-    """The cutoff of a number-basis array with `axes` axes over coherent labels.
+def to_fock(state, cutoff=None):
+    """Expand a coherent superposition in the photon-number basis.
 
-    None picks auto_cutoff(lam) at the largest |label|^2 lam of the label
-    arrays.  An explicit cutoff whose Poisson tail at lam is not below
-    TAIL_TOL, or (cutoff + 1)**axes entries above FOCK_MAX_DIM, is a
-    TruncationError.
+    cutoff=None picks auto_cutoff at the largest per-mode |label|^2;
+    an explicit cutoff raises TruncationError if the Poisson tail beyond it
+    is not below TAIL_TOL.  An expansion of more than FOCK_MAX_DIM amplitudes
+    is a TruncationError, raised before anything is allocated.
     """
-    lam = max(float(np.max(np.abs(arr) ** 2)) for arr in labels)
+    lam = float(np.max(np.abs(state.labels) ** 2))
     if cutoff is None:
         cutoff = auto_cutoff(lam)
     elif lam > 0:
@@ -416,22 +416,10 @@ def _resolve_cutoff(cutoff, axes, *labels):
         if tail >= TAIL_TOL:
             raise TruncationError("cutoff %d keeps Poisson tail %.3e above %.3e at intensity %.6g"
                                   % (cutoff, tail, TAIL_TOL, lam))
-    if (cutoff + 1) ** axes > FOCK_MAX_DIM:
+    if (cutoff + 1) ** state.mode_count > FOCK_MAX_DIM:
         raise TruncationError(
-            "cutoff %d on %d axes needs more than FOCK_MAX_DIM = %d entries"
-            % (cutoff, axes, FOCK_MAX_DIM))
-    return cutoff
-
-
-def to_fock(state, cutoff=None):
-    """Expand a coherent superposition in the photon-number basis.
-
-    cutoff=None picks the automatic rule from the largest per-mode |label|^2;
-    an explicit cutoff raises TruncationError if the Poisson tail beyond it
-    is not below TAIL_TOL.  An expansion of more than FOCK_MAX_DIM amplitudes
-    is a TruncationError, raised before anything is allocated.
-    """
-    cutoff = _resolve_cutoff(cutoff, state.mode_count, state.labels)
+            "cutoff %d on %d modes needs more than FOCK_MAX_DIM = %d entries"
+            % (cutoff, state.mode_count, FOCK_MAX_DIM))
     ns = np.arange(cutoff + 1)
     shape = (cutoff + 1,) * state.mode_count
     amps = np.zeros(shape, dtype=complex)
@@ -492,89 +480,3 @@ def fock_beam_splitter(fv, variant="X"):
             "mass %.3e beyond the conserved-number boundary exceeds %.3e" % (leak, LEAK_TOL)
         )
     return FockVector((_bs_unitary(c, variant) @ fv.amplitudes.reshape(-1)).reshape(c + 1, c + 1))
-
-
-# ---------------------------------------------------------------------------
-# Mixed states as coherent dyads, with a number-basis bridge for fidelities
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoherentDyadOperator:
-    """Operator sum_k c_k |ket_k><bra_k| with multimode coherent labels."""
-
-    coeffs: np.ndarray
-    ket_labels: np.ndarray
-    bra_labels: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        kets = np.asarray(self.ket_labels, dtype=complex)
-        bras = np.asarray(self.bra_labels, dtype=complex)
-        if kets.ndim == 1:
-            kets = kets[:, None]
-        if bras.ndim == 1:
-            bras = bras[:, None]
-        if not (coeffs.shape[0] == kets.shape[0] == bras.shape[0]):
-            raise ValueError("dyad arrays disagree on the number of terms")
-        if kets.shape[1] != bras.shape[1]:
-            raise ValueError("ket and bra mode counts differ")
-        if not all(np.all(np.isfinite(arr)) for arr in (coeffs, kets, bras)):
-            raise ValueError("dyad data must be finite")
-        for arr in (coeffs, kets, bras):
-            arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "ket_labels", kets)
-        object.__setattr__(self, "bra_labels", bras)
-
-    @property
-    def mode_count(self):
-        return self.ket_labels.shape[1]
-
-    def trace(self):
-        """Closed-form trace sum_k c_k <bra_k|ket_k>."""
-        expo = (
-            -0.5 * np.sum(np.abs(self.ket_labels) ** 2, axis=1)
-            - 0.5 * np.sum(np.abs(self.bra_labels) ** 2, axis=1)
-            + np.sum(np.conj(self.bra_labels) * self.ket_labels, axis=1)
-        )
-        return complex(np.sum(self.coeffs * np.exp(expo)))
-
-    def to_fock_matrix(self, cutoff=None):
-        """Dense density-matrix representation in the number basis.
-
-        The cutoff follows to_fock's rule over the ket and bra labels; a
-        matrix of more than FOCK_MAX_DIM entries is a TruncationError.
-        """
-        cutoff = _resolve_cutoff(cutoff, 2 * self.mode_count, self.ket_labels, self.bra_labels)
-        ns = np.arange(cutoff + 1)
-        dim = (cutoff + 1) ** self.mode_count
-        rho = np.zeros((dim, dim), dtype=complex)
-        for c, ket, bra in zip(self.coeffs, self.ket_labels, self.bra_labels):
-            kvec = reduce(np.multiply.outer, [fock_amplitude(a, ns) for a in ket]).reshape(-1)
-            bvec = reduce(np.multiply.outer, [fock_amplitude(a, ns) for a in bra]).reshape(-1)
-            rho += c * np.outer(kvec, np.conj(bvec))
-        return rho
-
-
-def uhlmann_fidelity(rho, sigma):
-    """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)).
-
-    Square-root convention: 1 for identical states, |<a|b>| for pure states.
-    Negative eigenvalues from rounding are clipped at zero.  The eigenvalue
-    square roots of rank-deficient inputs carry ~1e-8 of rounding, so the
-    result is clamped to [0, 1]; values above 1 + 1e-6 are a numerical failure
-    (or unnormalized inputs).
-    """
-    from scipy.linalg import eigh  # oracle-only; kept out of the import path
-
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    w, v = eigh(rho)
-    w = np.clip(w, 0.0, None)
-    sq = (v * np.sqrt(w)) @ v.conj().T
-    ev = np.linalg.eigvalsh(sq @ sigma @ sq)
-    val = float(np.sum(np.sqrt(np.clip(ev, 0.0, None))))
-    if val > 1.0 + 1e-6:
-        raise NumericalDiagnosticError("Uhlmann fidelity %.12f exceeds 1" % val)
-    return min(val, 1.0)

@@ -7,7 +7,9 @@ shares no code with pspsim:
   direct Poisson sum, and the normalization N = d^2 M_j;
 - the n-photon probability of the pseudo-number state |j_d>, Pois(mu; n)/M_j
   on its support n = j (mod d) and 0 off it, which gives the fidelity
-  (n = j) and f2002 = P1(1) P2(1).
+  (n = j) and f2002 = P1(1) P2(1);
+- the weights of the pure-loss output of |j_d>, products of three residue
+  masses.
 
 Run as a script on a fig1 CSV, it prints each cell it covers (fidelity and
 f2002) that misses RTOL against the referee, as cell, value, referee and
@@ -29,7 +31,7 @@ RTOL = 1e-13
 
 @functools.lru_cache(maxsize=None)
 def residue_masses(mu, d):
-    """(M_0, ..., M_{d-1}) at the float mu as mpf, from the direct Poisson sum.
+    """(M_0, ..., M_{d-1}) at mu, a float or an mpf, as mpf, from the direct Poisson sum.
 
     Past n = 2 mu each term is at most half the one before, so the tail of
     every residue lies below twice the current term.  The sum stops once that
@@ -82,6 +84,17 @@ def f2002(mu1, d1, j1, mu2, d2, j2):
     """P1(1) P2(1), the product of the inputs' one-photon probabilities."""
     with mpmath.workdps(DPS):
         return photon_probability(mu1, d1, j1, 1) * photon_probability(mu2, d2, j2, 1)
+
+
+def loss_weights(mu, d, j, eta):
+    """[w_0, ..., w_{d-1}], w_k = M_{(j-k) mod d}(mu (1 - eta)) M_k(mu eta) / M_j(mu):
+    the weight of |k_d> at mu eta in the output of transmission-eta pure loss on
+    |j_d>.  mu (1 - eta) and mu eta are formed exactly from the floats mu and eta."""
+    with mpmath.workdps(DPS):
+        x, e = mpmath.mpf(mu), mpmath.mpf(eta)
+        lost, kept = residue_masses(x * (1 - e), d), residue_masses(x * e, d)
+        mass = residue_masses(mu, d)[j]
+        return [lost[(j - k) % d] * kept[k] / mass for k in range(d)]
 
 
 def relative_error(value, ref):

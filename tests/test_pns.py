@@ -30,9 +30,10 @@ from pspsim import (
     residue_masses,
     to_fock,
     transmission,
-    uhlmann_fidelity,
 )
 from pspsim import cli, pns
+
+import oracle
 from test_properties import full_block_table
 
 
@@ -321,12 +322,26 @@ def test_bool_is_no_real_parameter(name, call):
             call(value)
 
 
-def test_loss_exact_operator_trace_and_hermiticity():
+def test_loss_weights_are_a_distribution_matching_binomial_thinning():
+    # the output mixture the weights describe is the number-basis binomial
+    # thinning of the input state
     for mu, d, eta in ((0.2, 4, 0.9), (0.5, 8, 0.5), (1.0, 2, 0.7)):
-        res = loss_channel(PSPParams(mu=mu, d=d, j=1), eta)
-        assert abs(res.exact.trace() - 1.0) < 1e-10
-        m = res.exact.to_fock_matrix(auto_cutoff(mu) + 4)
-        assert np.max(np.abs(m - m.conj().T)) < 1e-12
+        p = PSPParams(mu=mu, d=d, j=1)
+        w = loss_channel(p, eta)
+        assert w.shape == (d,) and ((0.0 <= w) & (w <= 1.0)).all()
+        assert abs(w.sum() - 1.0) < 1e-13
+        cutoff = auto_cutoff(mu) + 4
+        rho = oracle.thinned_density(oracle.density(p, cutoff), eta)
+        assert np.max(np.abs(rho - oracle.mixture_density(p, eta, w, cutoff))) < 1e-12
+
+
+@pytest.mark.parametrize("mu, j", [(1e-3, 7), (1e-3, 5), (0.05, 7), (0.2, 7)])
+def test_loss_weights_stay_a_distribution_at_small_mu(mu, j):
+    # the phase sums of a d^2-term coherent-dyad output gave trace 3.53e8,
+    # -30.5, 1.00053 and 1 + 5.4e-8 here
+    w = loss_channel(PSPParams(mu=mu, d=8, j=j), 0.5)
+    assert ((0.0 <= w) & (w <= 1.0)).all()
+    assert abs(w.sum() - 1.0) <= 1e-13
 
 
 def test_loss_matches_photon_loss_expansion():
@@ -336,15 +351,20 @@ def test_loss_matches_photon_loss_expansion():
     x = mu * (1.0 - eta)
     cutoff = auto_cutoff(mu) + 6
     rho = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    grouped = np.zeros(d)
     n_in = normalization(mu, d, j)
     for m in range(40):
         w = math.exp(-x + m * math.log(x) - math.lgamma(m + 1)) if x > 0 else (m == 0)
         w *= normalization(mu * eta, d, (j - m) % d) / n_in
+        grouped[(j - m) % d] += w
         vec = to_fock(pseudo_number_state(PSPParams(mu=mu * eta, d=d, j=(j - m) % d)),
                       cutoff=cutoff).amplitudes
         rho += w * np.outer(vec, np.conj(vec))
-    lib = loss_channel(PSPParams(mu=mu, d=d, j=j), eta).exact.to_fock_matrix(cutoff)
-    assert np.max(np.abs(rho - lib)) < 1e-12
+    p = PSPParams(mu=mu, d=d, j=j)
+    weights = loss_channel(p, eta)
+    assert np.max(np.abs(weights - grouped)) < 1e-15
+    assert np.max(np.abs(rho - oracle.mixture_density(p, eta, weights, cutoff))) < 1e-12
+    assert np.max(np.abs(rho - oracle.thinned_density(oracle.density(p, cutoff), eta))) < 1e-12
 
 
 def test_loss_expansion_weights_sum_to_one():
@@ -357,32 +377,26 @@ def test_loss_expansion_weights_sum_to_one():
         for m in range(60)
     )
     assert abs(total - 1.0) < 1e-12
+    assert abs(loss_channel(PSPParams(mu=mu, d=d, j=j), eta).sum() - 1.0) < 1e-13
 
 
-def test_loss_two_term_weights_present_only_for_j1():
-    res = loss_channel(PSPParams(mu=0.2, d=4, j=1), 0.9)
-    assert res.approx_weights is not None
-    w1, w0 = res.approx_weights
-    assert abs(w1 - 0.8999958792513797) < 1e-15 and abs(w0 - 0.10000304076148993) < 1e-15
-    assert loss_channel(PSPParams(mu=0.2, d=4, j=0), 0.9).approx_weights is None
-    # oracle: the weights are the Fock-basis projections <v_j|rho_exact|v_j>
-    # onto the attenuated j=1 and j=0 states
+def test_loss_weights_frozen_values_and_projections():
+    w = loss_channel(PSPParams(mu=0.2, d=4, j=1), 0.9)
+    assert abs(w[1] - 0.8999958792513797) < 1e-15 and abs(w[0] - 0.10000304076148993) < 1e-15
+    # oracle: every j has weights, and each is the Fock-basis projection
+    # <v_k|rho|v_k> of the thinned input onto the attenuated state |k_d>
     for mu, eta in ((0.2, 0.9), (1e-3, 0.5)):
-        res = loss_channel(PSPParams(mu=mu, d=4, j=1), eta)
         cutoff = auto_cutoff(mu) + 4
-        rho = res.exact.to_fock_matrix(cutoff)
-        for weight, j in zip(res.approx_weights, (1, 0)):
-            vec = to_fock(pseudo_number_state(PSPParams(mu=mu * eta, d=4, j=j)),
-                          cutoff=cutoff).amplitudes
-            assert abs(weight - np.vdot(vec, rho @ vec).real) < 1e-12
+        for j in (0, 1):
+            p = PSPParams(mu=mu, d=4, j=j)
+            rho = oracle.thinned_density(oracle.density(p, cutoff), eta)
+            for k, weight in enumerate(loss_channel(p, eta)):
+                vec = to_fock(pseudo_number_state(PSPParams(mu=mu * eta, d=4, j=k)),
+                              cutoff=cutoff).amplitudes
+                assert abs(weight - np.vdot(vec, rho @ vec).real) < 1e-12
     # a single photon survives with probability eta, even as mu -> 0
-    w1, w0 = loss_channel(PSPParams(mu=1e-3, d=4, j=1), 0.5).approx_weights
-    assert abs(w1 - 0.5) < 1e-12 and abs(w0 - 0.5) < 1e-12
-
-
-def density_from_params(p, cutoff):
-    vec = to_fock(pseudo_number_state(p), cutoff=cutoff).amplitudes
-    return np.outer(vec, np.conj(vec))
+    w = loss_channel(PSPParams(mu=1e-3, d=4, j=1), 0.5)
+    assert abs(w[1] - 0.5) < 1e-12 and abs(w[0] - 0.5) < 1e-12
 
 
 def test_loss_two_term_fidelity_frozen_values():
@@ -393,46 +407,40 @@ def test_loss_two_term_fidelity_frozen_values():
     mu, eta = 0.2, 0.9
     for d, val in expect.items():
         p = PSPParams(mu=mu, d=d, j=1)
-        res = loss_channel(p, eta)
-        cutoff = auto_cutoff(mu) + 4
-        rho = res.exact.to_fock_matrix(cutoff)
-        w1, w0 = res.approx_weights
-        sigma = w1 * density_from_params(PSPParams(mu=mu * eta, d=d, j=1), cutoff)
-        sigma += w0 * density_from_params(PSPParams(mu=mu * eta, d=d, j=0), cutoff)
-        # the matrix square roots are rank deficient; ~1e-8 is the honest
+        w = loss_channel(p, eta)
+        closed = w[1] + w[0]
+        assert abs(closed - val) < 5e-8
+        # oracle: the matrix square roots of the thinned input against the
+        # shortcut, which are rank deficient; ~1e-8 is the honest
         # reproducibility of these numbers
-        assert abs(uhlmann_fidelity(rho, sigma) - val) < 5e-8
+        cutoff = auto_cutoff(mu) + 4
+        rho = oracle.thinned_density(oracle.density(p, cutoff), eta)
+        shortcut = np.where(np.arange(d) < 2, w, 0.0)  # keeps w[0] and w[1]
+        sigma = oracle.mixture_density(p, eta, shortcut, cutoff)
+        assert abs(oracle.uhlmann_fidelity(rho, sigma) - closed) < 5e-8
 
 
 def test_loss_infidelity_linear_in_lost_intensity():
     # the two-term error is quadratic in the lost intensity x = mu(1-eta):
     # halving x should divide 1 - F by 4 to within ~10 percent (at d = 2 the
     # shortcut is exact, so the first d with dropped branches is used)
-    d = 3
-    p = PSPParams(mu=0.2, d=d, j=1)
-    cutoff = auto_cutoff(0.2) + 4
+    p = PSPParams(mu=0.2, d=3, j=1)
     infid = []
     for eta in (0.98, 0.96):
-        res = loss_channel(p, eta)
-        rho = res.exact.to_fock_matrix(cutoff)
-        w1, w0 = res.approx_weights
-        sigma = w1 * density_from_params(PSPParams(mu=0.2 * eta, d=d, j=1), cutoff)
-        sigma += w0 * density_from_params(PSPParams(mu=0.2 * eta, d=d, j=0), cutoff)
-        infid.append(1.0 - uhlmann_fidelity(rho, sigma))
+        w = loss_channel(p, eta)
+        infid.append(1.0 - (w[1] + w[0]))
     ratio = infid[1] / infid[0]
     assert abs(ratio - 4.0) < 0.4
 
 
 def test_loss_fidelity_independent_of_delta():
-    base = None
+    # the weights do not read delta; the number-basis route, which rotates
+    # every state by it, gives the closed form sqrt(w[1]) at each delta
+    w = loss_channel(PSPParams(mu=0.3, d=4, j=1), 0.85)
+    assert np.array_equal(loss_channel(PSPParams(mu=0.3, d=4, j=1, delta=0.3), 0.85), w)
+    cutoff = auto_cutoff(0.3) + 4
     for delta in (0.0, 0.3):
         p = PSPParams(mu=0.3, d=4, j=1, delta=delta)
-        res = loss_channel(p, 0.85)
-        cutoff = auto_cutoff(0.3) + 4
-        rho = res.exact.to_fock_matrix(cutoff)
-        sigma = density_from_params(PSPParams(mu=0.3 * 0.85, d=4, j=1, delta=delta), cutoff)
-        f = uhlmann_fidelity(rho, sigma)
-        if base is None:
-            base = f
-        else:
-            assert abs(f - base) < 1e-8
+        rho = oracle.thinned_density(oracle.density(p, cutoff), 0.85)
+        sigma = oracle.density(PSPParams(mu=0.3 * 0.85, d=4, j=1, delta=delta), cutoff)
+        assert abs(oracle.uhlmann_fidelity(rho, sigma) - math.sqrt(w[1])) < 5e-8

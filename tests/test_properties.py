@@ -10,7 +10,9 @@ from pspsim import (
     PROTOCOLS,
     PSP_TRIGGERED,
     ChannelParams,
+    PSPParams,
     keyrate_curve,
+    loss_channel,
     pseudo_state_yield,
     residue_masses,
     transmission,
@@ -118,3 +120,16 @@ def test_keyrate_never_rises_with_distance_and_stays_below_plob(protocol, mu, d)
     assert (np.diff(rate) <= 0.0).all()
     # the repeaterless (PLOB) bound on the secret-key rate per channel use
     assert (rate <= -np.log2(1.0 - transmission(c, DISTANCES))).all()
+
+
+@PROPERTY
+@given(d=st.integers(1, 16), mu=st.floats(1e-6, 20.0),
+       eta=st.floats(0.0, 1.0, exclude_min=True))
+def test_loss_weights_are_a_distribution(d, mu, eta):
+    # the floor of the sum is the masses' own last-bit error; eta = 1 loses nothing
+    for j in range(d):
+        p = PSPParams(mu=mu, d=d, j=j)
+        w = loss_channel(p, eta)
+        assert ((0.0 <= w) & (w <= 1.0)).all()
+        assert abs(w.sum() - 1.0) <= 1e-13
+        assert np.array_equal(loss_channel(p, 1.0), np.eye(d)[j])

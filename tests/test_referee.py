@@ -2,7 +2,9 @@
 
 Covered: residue masses and normalization for every residue, the fidelity,
 the one-photon probability and f2002, on fig1's default mu grid, fig4's
-2 mu grid (its bound reads N_{2mu,j}) and fig5's mu grid, for each d below.
+2 mu grid (its bound reads N_{2mu,j}) and fig5's mu grid, for each d below;
+and the loss channel's weights for every j on fig5's grid and the corners
+of LOSS_MUS.
 """
 
 import io
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import referee
-from pspsim import (PSPParams, f2002, fidelity_to_number_state, normalization,
+from pspsim import (PSPParams, f2002, fidelity_to_number_state, loss_channel, normalization,
                     photon_number_probability, residue_masses)
 
 GRIDS = {
@@ -22,6 +24,7 @@ GRIDS = {
     "fig5": np.arange(0.05, 2.0001, 0.05),
 }
 DS = [1, 2, 4, 8, 12, 36, 40]
+LOSS_MUS = GRIDS["fig5"].tolist() + [1e-6, 1e-3, 5.0, 20.0]
 FIG1_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "fig1.csv")
 
 
@@ -73,6 +76,16 @@ def test_fidelity_of_every_j_on_the_fig5_grid(d):
     _assert_close([fidelity_to_number_state(PSPParams(mu=mu, d=d, j=j))
                    for j in range(d) for mu in mus],
                   [referee.fidelity(mu, d, j) for j in range(d) for mu in mus], "fidelity")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
+def test_loss_weights_of_every_j(d):
+    # a zero referee weight (every k != j at eta = 1) must read exactly 0
+    cells = [(mu, j, eta) for mu in LOSS_MUS for j in range(d) for eta in (0.1, 0.5, 0.9, 1.0)]
+    _assert_close([w for mu, j, eta in cells
+                   for w in loss_channel(PSPParams(mu=mu, d=d, j=j), eta).tolist()],
+                  [w for mu, j, eta in cells for w in referee.loss_weights(mu, d, j, eta)],
+                  "loss weights")
 
 
 def test_script_finds_no_miss_in_the_fig1_golden():

@@ -20,15 +20,16 @@ from pspsim import (
     fock_beam_splitter,
     fock_inner,
     inner_product,
-    loss_channel,
     norm,
+    pseudo_number_state,
     tensor,
     to_fock,
-    uhlmann_fidelity,
     vacuum_probabilities,
 )
 from pspsim import states
 from pspsim.states import _LOG_FACTORIALS, log_factorial
+
+from oracle import density, thinned_density, uhlmann_fidelity
 
 
 def test_coherent_overlap_closed_form():
@@ -367,9 +368,9 @@ def test_to_fock_truncation_guard():
     s = coherent_state(3.0)
     with pytest.raises(TruncationError):
         to_fock(s, cutoff=2)
-    rho = loss_channel(PSPParams(mu=9.0, d=4, j=1), 0.9).exact
+    # a many-term superposition, whose largest |label|^2 sets the tail
     with pytest.raises(TruncationError, match="Poisson tail"):
-        rho.to_fock_matrix(2)
+        to_fock(pseudo_number_state(PSPParams(mu=9.0, d=4, j=1)), cutoff=2)
 
 
 def test_fock_beam_splitter_matches_coherent_path():
@@ -401,7 +402,7 @@ def test_uhlmann_fidelity_pure_states():
 def test_uhlmann_fidelity_stays_in_unit_interval():
     # the lossy output of |1_8> at mu=0.2, eta=0.9 is rank deficient; its
     # eigenvalue square roots used to sum to 1.0000000046 against itself
-    rho = loss_channel(PSPParams(mu=0.2, d=8, j=1), 0.9).exact.to_fock_matrix(auto_cutoff(0.2) + 4)
+    rho = thinned_density(density(PSPParams(mu=0.2, d=8, j=1), auto_cutoff(0.2) + 4), 0.9)
     f = uhlmann_fidelity(rho, rho)
     assert 1.0 - 1e-7 < f <= 1.0
     # an excursion far beyond rounding is reported, not clamped away
