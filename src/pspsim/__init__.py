@@ -7,14 +7,11 @@ from .generation import (
     GenerationParams,
     cpm_output,
     herald_probabilities,
-    kerr_output_fock,
     trigger_probability,
 )
 from .metrics import (
     f2002,
     g2_zero_closed,
-    g2_zero_oracle,
-    hom_fock_oracle,
     p11,
 )
 from .pns import (
@@ -54,18 +51,11 @@ from .qkd import (
 )
 from .states import (
     CoherentSuperposition,
-    FockVector,
-    auto_cutoff,
     beam_splitter,
-    coherent_overlap,
     coherent_state,
-    fock_amplitude,
-    fock_beam_splitter,
-    fock_inner,
     inner_product,
     norm,
     tensor,
-    to_fock,
     vacuum_probabilities,
 )
 

@@ -316,6 +316,8 @@ def cmd_keyrate(args):
             nu = 4.0 * args.d * args.d
         kwargs.update(nu=nu, eta_trigger_det=args.eta_trigger_det, convention=args.convention)
     if args.optimize_mu:
+        if not args.mu_grid_step > 0:
+            raise ValueError("mu grid requires mu-grid-step > 0")
         grid = np.arange(args.mu_grid_min, args.mu_grid_max + args.mu_grid_step / 2,
                          args.mu_grid_step)
         mu_star, res = optimize_mu(c, args.d, args.protocol, grid, **kwargs)

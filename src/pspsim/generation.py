@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import _index, _real
 from .pns import _validate_dj, residue_masses
-from .states import CoherentSuperposition, FockVector, coherent_state, tensor, to_fock
+from .states import CoherentSuperposition
 
 # Exponent conventions for the no-click trigger probability: the reference
 # closed form divides |w^j - w|^2 by 4; recomputing the projected amplitude
@@ -69,14 +69,6 @@ def cpm_output(g):
     lab1 = np.sqrt(g.mu) * np.exp(2j * np.pi * qq.ravel() / d)
     lab2 = np.sqrt(g.nu) * np.exp(2j * np.pi * jj.ravel() / d)
     return CoherentSuperposition(coeffs.ravel(), np.column_stack([lab1, lab2]))
-
-
-def kerr_output_fock(g, cutoff=None):
-    """Number-basis oracle: apply exp(i 2 pi n1 n2 / d) amplitude by amplitude."""
-    base = to_fock(tensor(coherent_state(np.sqrt(g.mu)), coherent_state(np.sqrt(g.nu))), cutoff)
-    ns = np.arange(base.cutoff + 1)
-    phase = np.exp(2j * np.pi * np.outer(ns, ns) / g.d)
-    return FockVector(base.amplitudes * phase)
 
 
 def herald_probabilities(g):

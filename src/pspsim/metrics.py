@@ -1,11 +1,11 @@
 """Single-photon quality metrics: g2(0) and two-photon interference.
 
-Each metric exists twice: a production closed form and an independent
-number-basis evaluation used as an oracle in the tests.  g2 is a phase
-double sum, p11 a set of Gram-matrix vacuum projections on the coherent
-expansion (for equal inputs, one pass over a mu grid and its M_j table
-that exponentiates only the Gram entries the input exchange does not
-repeat), and f2002 the product of the inputs' one-photon probabilities.
+g2 is a phase double sum, p11 a set of Gram-matrix vacuum projections on
+the coherent expansion (for equal inputs, one pass over a mu grid and its
+M_j table that exponentiates only the Gram entries the input exchange does
+not repeat), and f2002 the product of the inputs' one-photon probabilities.
+Their number-basis oracles, g2 as <n(n-1)>/<n>^2 and the HOM pair read off
+a two-mode output, live in the test tree (tests/oracle.py).
 """
 
 import numpy as np
@@ -50,19 +50,6 @@ def g2_zero_closed(mu, d):
             raise NumericalDiagnosticError("g2 = %.6e is negative" % val.real)
         values.append(max(float(val.real), 0.0))
     return np.array(values) if mus.ndim else values[0]
-
-
-def g2_zero_oracle(fv):
-    """<n(n-1)> / <n>^2 evaluated directly on single-mode Fock amplitudes."""
-    if fv.mode_count != 1:
-        raise ValueError("g2 oracle expects a single-mode state")
-    p = np.abs(fv.amplitudes) ** 2
-    ns = np.arange(p.shape[0])
-    mean = float(np.sum(ns * p))
-    if mean <= 0:
-        raise ValueError("state carries no photons; g2 undefined")
-    pairs = float(np.sum(ns * (ns - 1) * p))
-    return pairs / mean**2
 
 
 def p11(p1, p2):
@@ -110,17 +97,3 @@ def f2002(p1, p2):
 def _noon_overlap(one, other):
     """F2002 from the inputs' one-photon probabilities, clamped to [0, 1]."""
     return _clamp_unit(one * other, "f2002")
-
-
-def hom_fock_oracle(fv):
-    """(p11, f2002) read off a two-mode number-basis output state.
-
-    p11 is the coincidence sum over photon numbers n_a, n_b >= 1, a sum of
-    nonnegative terms that shares no vacuum projection with p11.
-    """
-    if fv.mode_count != 2:
-        raise ValueError("expected a two-mode state")
-    p = np.abs(fv.amplitudes) ** 2
-    p11 = float(np.sum(p[1:, 1:]))
-    amp = (fv.amplitudes[2, 0] - fv.amplitudes[0, 2]) / np.sqrt(2.0)
-    return p11, float(abs(amp) ** 2)

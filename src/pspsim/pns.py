@@ -117,8 +117,7 @@ def _residue_rows(values, d, rows, js):
         if n0 > SERIES_MAX_N:
             raise TruncationError("modular Poisson series at mu=%.6g, d=%d needs photon numbers "
                                   "above %d" % (live_mu[0], d, SERIES_MAX_N))
-        # the block residue-major, as (d, rows): row r holds its n = r (mod d); log(n!)
-        # over the whole block, since whether it comes from the table depends on all of it
+        # the block residue-major, as (d, rows): row r holds its n = r (mod d)
         ns = np.arange(n0, n0 + rows * d)
         log_factorials = log_factorial(ns).reshape(rows, d).T
         ns = ns.reshape(rows, d).T

@@ -3,9 +3,8 @@
 A state is stored as a list of weighted coherent terms
 c_1 |a_11, a_12, ...> + c_2 |a_21, a_22, ...> + ...; overlaps, 50:50 beam
 splitters and vacuum projections all have closed forms in the labels, so
-nothing here is truncated.  A photon-number (Fock) representation with an
-explicit cutoff is provided alongside as an independent oracle: the two
-paths share no formulas beyond <n|alpha>.
+nothing here is truncated.  The number-basis expansion that checks these
+closed forms lives in the test tree (tests/oracle.py), not in the package.
 
 Conventions:
     <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a)*b)
@@ -15,24 +14,11 @@ Conventions:
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import REAL_RESIDUE_TOL, NumericalDiagnosticError, TruncationError, _index
 
-# Poisson tail every photon-number cutoff must keep below this.
-TAIL_TOL = 1e-14
-# Most input mass the number-basis beam splitter may find on total photon
-# numbers above its cutoff, where the truncated unitary distorts the state.
-LEAK_TOL = 1e-8
-GUARD_LEVELS = 2
-# Most entries a truncated photon-number array may hold: (cutoff + 1) per
-# mode, multiplied over the modes (ket and bra modes for a density matrix).
-# Far above what the oracle checks need, it turns an intensity no dense
-# expansion can hold into a TruncationError instead of an endless cutoff
-# search or an allocation that exhausts memory.
-FOCK_MAX_DIM = 2**20
 # Most entries a Gram matrix of coherent terms may hold: d <= 64 for the d^4
 # entries of equal-input p11.  A larger matrix is a TruncationError before it
 # is allocated, not a MemoryError or an exhausted host.
@@ -45,59 +31,21 @@ _PAIR_BLOCK = 2**8
 
 _SQRT2 = np.sqrt(2.0)
 # log(n!) for n < 4096, the photon numbers of a first residue-mass block with
-# d <= 64 and of every Fock oracle this package builds.  math.lgamma is within
-# 3 ulp (5e-16 relative) of scipy.special.gammaln here, not bitwise equal.
+# d <= 64.
 _LOG_FACTORIALS = np.array([math.lgamma(n + 1.0) for n in range(4096)])
 
 
 def log_factorial(n):
-    """log(n!) for a nonnegative integer n or integer array n.
+    """log(n!) = math.lgamma(n + 1) for a nonnegative integer n or integer array n.
 
-    Read from a table when every n is below 4096; otherwise from
-    scipy.special.gammaln, imported only then.
+    Read from a table when every n is below 4096, and from math.lgamma one n
+    at a time otherwise, so each value has the same bits either way.
     """
     try:
         return _LOG_FACTORIALS[n]
     except IndexError:
-        from scipy.special import gammaln  # past the table only; kept out of the import path
-
-        return gammaln(np.asarray(n) + 1.0)
-
-
-def coherent_overlap(a, b):
-    """Overlap <a|b> of two single-mode coherent states (elementwise on arrays);
-    a non-finite amplitude is a ValueError."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("coherent amplitudes must be finite")
-    out = np.exp(-0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2) + np.conj(a) * b)
-    return out[()]
-
-
-def fock_amplitude(alpha, n):
-    """Amplitude <n|alpha> = e^{-|alpha|^2/2} alpha^n / sqrt(n!).
-
-    Evaluated in log space so large n and large |alpha| do not overflow.
-    alpha and the integer n may be arrays; they broadcast against each other.
-    A non-finite alpha, or an n that is not an integer (a bool included), is
-    a ValueError.  The n log|alpha| term is taken as 0 at n = 0, so the
-    vacuum has amplitude exactly 1 at n = 0 and exactly 0 above it.
-    """
-    alpha = np.asarray(alpha, dtype=complex)
-    if not np.isfinite(alpha).all():
-        raise ValueError("alpha must be finite")
-    n = np.asarray(n)
-    if n.dtype.kind not in "iu":  # a bool is kind "b"
-        raise ValueError("photon number must be an integer")
-    if (n < 0).any():
-        raise ValueError("photon number must be nonnegative")
-    r = np.abs(alpha)
-    # r**2 overflows to inf above |alpha| ~ 1e154, where the amplitude is exactly 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        n_log_r = np.where(n == 0, 0.0, n * np.log(r))
-        log_mag = -0.5 * r**2 + n_log_r - 0.5 * log_factorial(n)
-    return (np.exp(log_mag) * np.exp(1j * np.angle(alpha) * n))[()]
+        values = [math.lgamma(k + 1.0) for k in np.ravel(n).tolist()]
+        return np.array(values).reshape(np.shape(n))[()]
 
 
 @dataclass(frozen=True)
@@ -341,142 +289,3 @@ def _equal_input_projections(coeffs, labels):
             vb = spread(bra, ket)
             block[...] = orbit_exponents
             yield va, vb, spread(bra, ket)
-
-
-# ---------------------------------------------------------------------------
-# Truncated photon-number representation (the independent oracle path)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """Dense photon-number amplitudes, shape (cutoff+1,) * mode_count."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim < 1:
-            raise ValueError("amplitudes must have at least one axis")
-        dims = set(amps.shape)
-        if len(dims) != 1:
-            raise ValueError("all modes must share one cutoff")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def cutoff(self):
-        return self.amplitudes.shape[0] - 1
-
-    @property
-    def mode_count(self):
-        return self.amplitudes.ndim
-
-
-def auto_cutoff(lam):
-    """Smallest N with Poisson(lam) mass above N below TAIL_TOL, plus guard levels.
-
-    lam must be finite.  An intensity that needs a cutoff of FOCK_MAX_DIM
-    photons or more is a TruncationError, raised before any search.
-    """
-    if not math.isfinite(lam):
-        raise ValueError("intensity must be finite")
-    if lam <= 0:
-        return GUARD_LEVELS
-    from scipy.special import pdtrc  # oracle-only; kept out of the import path
-
-    # pdtrc(n, lam) is the Poisson tail P(X > n).
-    top = FOCK_MAX_DIM - 1 - GUARD_LEVELS
-    if pdtrc(top, lam) >= TAIL_TOL:
-        raise TruncationError(
-            "intensity %.6g needs a cutoff above %d photons" % (lam, FOCK_MAX_DIM - 1))
-    # The two loops move the start guess to the smallest n whose tail is below TAIL_TOL.
-    n = int(lam)
-    while pdtrc(n, lam) >= TAIL_TOL:
-        n += 1
-    while n > 0 and pdtrc(n - 1, lam) < TAIL_TOL:
-        n -= 1
-    return n + GUARD_LEVELS
-
-
-def to_fock(state, cutoff=None):
-    """Expand a coherent superposition in the photon-number basis.
-
-    cutoff=None picks auto_cutoff at the largest per-mode |label|^2;
-    an explicit cutoff raises TruncationError if the Poisson tail beyond it
-    is not below TAIL_TOL.  An expansion of more than FOCK_MAX_DIM amplitudes
-    is a TruncationError, raised before anything is allocated.
-    """
-    lam = float(np.max(np.abs(state.labels) ** 2))
-    if cutoff is None:
-        cutoff = auto_cutoff(lam)
-    elif lam > 0:
-        from scipy.special import pdtrc  # oracle-only; kept out of the import path
-
-        tail = pdtrc(cutoff, lam)
-        if tail >= TAIL_TOL:
-            raise TruncationError("cutoff %d keeps Poisson tail %.3e above %.3e at intensity %.6g"
-                                  % (cutoff, tail, TAIL_TOL, lam))
-    if (cutoff + 1) ** state.mode_count > FOCK_MAX_DIM:
-        raise TruncationError(
-            "cutoff %d on %d modes needs more than FOCK_MAX_DIM = %d entries"
-            % (cutoff, state.mode_count, FOCK_MAX_DIM))
-    ns = np.arange(cutoff + 1)
-    shape = (cutoff + 1,) * state.mode_count
-    amps = np.zeros(shape, dtype=complex)
-    for c, labels in zip(state.coeffs, state.labels):
-        cols = [fock_amplitude(a, ns) for a in labels]
-        amps += c * reduce(np.multiply.outer, cols)
-    return FockVector(amps)
-
-
-def fock_inner(x, y):
-    """Inner product in the number basis (conjugates the first argument)."""
-    if x.amplitudes.shape != y.amplitudes.shape:
-        raise ValueError("shape mismatch between Fock vectors")
-    return complex(np.vdot(x.amplitudes, y.amplitudes))
-
-
-@lru_cache(maxsize=32)
-def _bs_unitary(cutoff, variant):
-    """Number-basis 50:50 beam splitter on two modes with a shared cutoff.
-
-    Built as expm(sum_jk L_jk adag_j a_k) with L = logm(S) for the 2x2 label
-    map S, which sends |a, b> to |S(a, b)> exactly; photon number is
-    conserved, so the truncated generator stays anti-Hermitian and the result
-    is unitary on the truncated space.
-    """
-    from scipy.linalg import expm, logm  # oracle-only; kept out of the import path
-
-    s = 1j if variant == "Y" else 1.0
-    S = np.array([[1.0, s], [1.0, -s]], dtype=complex) / _SQRT2
-    L = logm(S)
-    dim = cutoff + 1
-    a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
-    eye = np.eye(dim)
-    ops = [np.kron(a, eye), np.kron(eye, a)]
-    gen = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for jj in range(2):
-        for kk in range(2):
-            gen += L[jj, kk] * (ops[jj].conj().T @ ops[kk])
-    return expm(gen)
-
-
-def fock_beam_splitter(fv, variant="X"):
-    """50:50 beam splitter between modes 0 and 1 in the number basis (two-mode states only).
-
-    Flags truncation overflow when the input mass on total photon numbers
-    above the cutoff boundary exceeds LEAK_TOL; those components would be
-    distorted by the truncated unitary.
-    """
-    if fv.mode_count != 2:
-        raise ValueError("number-basis beam splitter supports exactly two modes")
-    if variant not in ("X", "Y"):
-        raise ValueError("variant must be 'X' or 'Y'")
-    c = fv.cutoff
-    n1, n2 = np.meshgrid(np.arange(c + 1), np.arange(c + 1), indexing="ij")
-    leak = float(np.sum(np.abs(fv.amplitudes[n1 + n2 > c]) ** 2))
-    if leak > LEAK_TOL:
-        raise TruncationError(
-            "mass %.3e beyond the conserved-number boundary exceeds %.3e" % (leak, LEAK_TOL)
-        )
-    return FockVector((_bs_unitary(c, variant) @ fv.amplitudes.reshape(-1)).reshape(c + 1, c + 1))

@@ -8,6 +8,7 @@ shares no code with pspsim:
 - the n-photon probability of the pseudo-number state |j_d>, Pois(mu; n)/M_j
   on its support n = j (mod d) and 0 off it, which gives the fidelity
   (n = j) and f2002 = P1(1) P2(1);
+- g2(0) of |j_d>, <n(n-1)>/<n>^2 as a ratio of residue masses;
 - the weights of the pure-loss output of |j_d>, products of three residue
   masses.
 
@@ -78,6 +79,14 @@ def photon_probability(mu, d, j, n):
 def fidelity(mu, d, j):
     """|<j|j_d>|^2 = Pois(mu; j) / M_j."""
     return photon_probability(mu, d, j, j)
+
+
+def g2_zero(mu, d, j):
+    """g2(0) of |j_d> = M_{j-2} M_j / M_{j-1}^2, indices mod d: on the support
+    n = j (mod d), <n(n-1)> = mu^2 M_{j-2} / M_j and <n> = mu M_{j-1} / M_j."""
+    masses = residue_masses(mu, d)
+    with mpmath.workdps(DPS):
+        return masses[(j - 2) % d] * masses[j] / masses[(j - 1) % d] ** 2
 
 
 def f2002(mu1, d1, j1, mu2, d2, j2):

@@ -348,6 +348,16 @@ def test_keyrate_rejects_non_finite_distance(capsys):
     assert "distance_km" in err["message"]
 
 
+@pytest.mark.parametrize("step", ["0", "-0.05", "nan"])
+def test_keyrate_refuses_a_mu_grid_step_that_is_not_positive(capsys, step):
+    # a zero step was a ZeroDivisionError traceback from np.arange (exit 1)
+    assert run(["keyrate", "--protocol", "wcs-decoy", "--optimize-mu",
+                "--mu-grid-step", step]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-parameter"
+    assert "mu-grid-step > 0" in err["message"]
+
+
 def test_keyrate_requires_mu_without_optimizer(capsys):
     assert run(["keyrate", "--protocol", "wcs-decoy"]) == 2
     err = json.loads(capsys.readouterr().err)

@@ -1,4 +1,4 @@
-"""g2(0) and Hong-Ou-Mandel numbers: closed forms against the Fock oracle."""
+"""g2(0) and Hong-Ou-Mandel numbers: closed forms against the number-basis oracle."""
 
 import argparse
 import math
@@ -9,27 +9,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle import (fock_beam_splitter, g2_zero_oracle, hom_fock_oracle, psp_fock, psp_pair,
+                    to_fock)
 from pspsim import (
     NumericalDiagnosticError,
     PSPParams,
     TruncationError,
-    auto_cutoff,
     basis_fidelity_bound,
     beam_splitter,
     coherent_state,
     encoded_state,
     f2002,
     fidelity_to_number_state,
-    fock_beam_splitter,
     g2_zero_closed,
-    g2_zero_oracle,
-    hom_fock_oracle,
     measure_bb84,
     p11,
     photon_number_probability,
     pseudo_number_state,
     tensor,
-    to_fock,
     vacuum_probabilities,
 )
 from pspsim import cli, metrics, pns, qkd, states
@@ -45,8 +42,7 @@ def test_g2_closed_vs_fock_oracle():
     for d in (2, 4, 8, 12):
         for mu in (0.1, 1.0, 5.0):
             closed = g2_zero_closed(mu, d)
-            fv = to_fock(pseudo_number_state(PSPParams(mu=mu, d=d, j=1)))
-            oracle = g2_zero_oracle(fv)
+            oracle = g2_zero_oracle(psp_fock(PSPParams(mu=mu, d=d, j=1)))
             assert abs(closed - oracle) < 1e-10 * max(1.0, abs(oracle))
 
 
@@ -208,11 +204,7 @@ def test_hom_matches_fock_oracle():
         delta = float(rng.uniform(0.0, 1.0))
         p1 = PSPParams(mu=mu, d=d, j=1)
         p2 = PSPParams(mu=mu, d=d, j=1, delta=delta)
-        out = fock_beam_splitter(
-            to_fock(tensor(pseudo_number_state(p1), pseudo_number_state(p2))),
-            variant="X",
-        )
-        p11_o, f2002_o = hom_fock_oracle(out)
+        p11_o, f2002_o = hom_fock_oracle(fock_beam_splitter(psp_pair(p1, p2), variant="X"))
         assert abs(p11(p1, p2) - p11_o) < 1e-10
         assert abs(f2002(p1, p2) - f2002_o) < 1e-10
 
@@ -278,11 +270,7 @@ def psp_params(draw):
 @example(p1=PSPParams(mu=0.3, d=1, j=0), p2=PSPParams(mu=0.9, d=1, j=0, delta=0.4))
 def test_f2002_closed_form_matches_fock_oracle(p1, p2):
     # P1(1) P2(1) against the NOON amplitude of the number-basis output
-    cutoff = auto_cutoff(p1.mu + p2.mu)  # covers the total photon number
-    out = fock_beam_splitter(
-        to_fock(tensor(pseudo_number_state(p1), pseudo_number_state(p2)), cutoff=cutoff),
-        variant="X",
-    )
+    out = fock_beam_splitter(psp_pair(p1, p2), variant="X")
     assert abs(f2002(p1, p2) - hom_fock_oracle(out)[1]) <= 1e-12
 
 
@@ -439,9 +427,9 @@ def test_only_equal_hom_inputs_take_the_exchange_path(monkeypatch):
 def test_hom_fock_oracle_sums_coincidences():
     # the oracle's p11 is the nonnegative sum over n_a, n_b >= 1; on the
     # output of identical coherent inputs it is 0 up to the number-basis
-    # splitter's rounding (about 6e-14 here)
+    # splitter's rounding (about 6e-34 here)
     out = fock_beam_splitter(to_fock(tensor(coherent_state(0.6), coherent_state(0.6))), "X")
     p11_o, _ = hom_fock_oracle(out)
-    p = np.abs(out.amplitudes) ** 2
+    p = np.abs(out) ** 2
     assert 0.0 <= p11_o < 1e-12
     assert abs(p11_o - (1.0 - p[0, :].sum() - p[:, 0].sum() + p[0, 0])) < 1e-12

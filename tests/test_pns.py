@@ -11,7 +11,6 @@ from pspsim import (
     ChannelParams,
     GenerationParams,
     PSPParams,
-    auto_cutoff,
     basis_fidelity_bound,
     binary_entropy,
     fidelity_to_number_state,
@@ -28,12 +27,12 @@ from pspsim import (
     pseudo_number_state,
     pseudo_state_yield,
     residue_masses,
-    to_fock,
     transmission,
 )
 from pspsim import cli, pns
 
 import oracle
+from oracle import psp_fock, to_fock
 from test_properties import full_block_table
 
 
@@ -177,7 +176,7 @@ def test_fock_support_is_residue_class():
     # number support sits on n = j (mod d) only
     for d, j in ((2, 1), (4, 1), (4, 3), (8, 0)):
         p = PSPParams(mu=0.7, d=d, j=j)
-        amps = to_fock(pseudo_number_state(p)).amplitudes
+        amps = to_fock(pseudo_number_state(p))
         for n, a in enumerate(amps):
             if n % d != j % d:
                 assert abs(a) < 1e-13
@@ -191,14 +190,14 @@ def test_fidelity_closed_value_odd_cat():
 def test_fidelity_matches_fock_projection():
     for mu, d in ((0.3, 4), (0.8, 8), (1.5, 2)):
         p = PSPParams(mu=mu, d=d, j=1)
-        amps = to_fock(pseudo_number_state(p)).amplitudes
+        amps = to_fock(pseudo_number_state(p))
         assert abs(fidelity_to_number_state(p) - abs(amps[1]) ** 2) < 1e-11
 
 
 def test_photon_number_probability_matches_fock_projection():
     for mu, d, j, delta in ((0.3, 4, 1, 0.0), (0.8, 3, 0, 0.3), (1.5, 2, 1, 0.7), (0.6, 1, 0, 0.0)):
         p = PSPParams(mu=mu, d=d, j=j, delta=delta)
-        probs = np.abs(to_fock(pseudo_number_state(p)).amplitudes) ** 2
+        probs = np.abs(to_fock(pseudo_number_state(p))) ** 2
         for n, expect in enumerate(probs):
             got = photon_number_probability(p, n)
             assert abs(got - expect) < 1e-11
@@ -330,7 +329,7 @@ def test_loss_weights_are_a_distribution_matching_binomial_thinning():
         w = loss_channel(p, eta)
         assert w.shape == (d,) and ((0.0 <= w) & (w <= 1.0)).all()
         assert abs(w.sum() - 1.0) < 1e-13
-        cutoff = auto_cutoff(mu) + 4
+        cutoff = oracle.loss_cutoff(p, eta)
         rho = oracle.thinned_density(oracle.density(p, cutoff), eta)
         assert np.max(np.abs(rho - oracle.mixture_density(p, eta, w, cutoff))) < 1e-12
 
@@ -349,7 +348,8 @@ def test_loss_matches_photon_loss_expansion():
     # a pseudo-number state at mu*eta in residue class (j - m) mod d
     mu, d, j, eta = 0.4, 4, 1, 0.8
     x = mu * (1.0 - eta)
-    cutoff = auto_cutoff(mu) + 6
+    p = PSPParams(mu=mu, d=d, j=j)
+    cutoff = oracle.loss_cutoff(p, eta)
     rho = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     grouped = np.zeros(d)
     n_in = normalization(mu, d, j)
@@ -358,9 +358,8 @@ def test_loss_matches_photon_loss_expansion():
         w *= normalization(mu * eta, d, (j - m) % d) / n_in
         grouped[(j - m) % d] += w
         vec = to_fock(pseudo_number_state(PSPParams(mu=mu * eta, d=d, j=(j - m) % d)),
-                      cutoff=cutoff).amplitudes
+                      cutoff=cutoff)
         rho += w * np.outer(vec, np.conj(vec))
-    p = PSPParams(mu=mu, d=d, j=j)
     weights = loss_channel(p, eta)
     assert np.max(np.abs(weights - grouped)) < 1e-15
     assert np.max(np.abs(rho - oracle.mixture_density(p, eta, weights, cutoff))) < 1e-12
@@ -386,13 +385,12 @@ def test_loss_weights_frozen_values_and_projections():
     # oracle: every j has weights, and each is the Fock-basis projection
     # <v_k|rho|v_k> of the thinned input onto the attenuated state |k_d>
     for mu, eta in ((0.2, 0.9), (1e-3, 0.5)):
-        cutoff = auto_cutoff(mu) + 4
         for j in (0, 1):
             p = PSPParams(mu=mu, d=4, j=j)
+            cutoff = oracle.loss_cutoff(p, eta)
             rho = oracle.thinned_density(oracle.density(p, cutoff), eta)
             for k, weight in enumerate(loss_channel(p, eta)):
-                vec = to_fock(pseudo_number_state(PSPParams(mu=mu * eta, d=4, j=k)),
-                              cutoff=cutoff).amplitudes
+                vec = psp_fock(PSPParams(mu=mu * eta, d=4, j=k), cutoff)
                 assert abs(weight - np.vdot(vec, rho @ vec).real) < 1e-12
     # a single photon survives with probability eta, even as mu -> 0
     w = loss_channel(PSPParams(mu=1e-3, d=4, j=1), 0.5)
@@ -413,7 +411,7 @@ def test_loss_two_term_fidelity_frozen_values():
         # oracle: the matrix square roots of the thinned input against the
         # shortcut, which are rank deficient; ~1e-8 is the honest
         # reproducibility of these numbers
-        cutoff = auto_cutoff(mu) + 4
+        cutoff = oracle.loss_cutoff(p, eta)
         rho = oracle.thinned_density(oracle.density(p, cutoff), eta)
         shortcut = np.where(np.arange(d) < 2, w, 0.0)  # keeps w[0] and w[1]
         sigma = oracle.mixture_density(p, eta, shortcut, cutoff)
@@ -438,9 +436,9 @@ def test_loss_fidelity_independent_of_delta():
     # every state by it, gives the closed form sqrt(w[1]) at each delta
     w = loss_channel(PSPParams(mu=0.3, d=4, j=1), 0.85)
     assert np.array_equal(loss_channel(PSPParams(mu=0.3, d=4, j=1, delta=0.3), 0.85), w)
-    cutoff = auto_cutoff(0.3) + 4
     for delta in (0.0, 0.3):
         p = PSPParams(mu=0.3, d=4, j=1, delta=delta)
+        cutoff = oracle.loss_cutoff(p, 0.85)
         rho = oracle.thinned_density(oracle.density(p, cutoff), 0.85)
         sigma = oracle.density(PSPParams(mu=0.3 * 0.85, d=4, j=1, delta=delta), cutoff)
         assert abs(oracle.uhlmann_fidelity(rho, sigma) - math.sqrt(w[1])) < 5e-8

@@ -3,8 +3,8 @@
 Covered: residue masses and normalization for every residue, the fidelity,
 the one-photon probability and f2002, on fig1's default mu grid, fig4's
 2 mu grid (its bound reads N_{2mu,j}) and fig5's mu grid, for each d below;
-and the loss channel's weights for every j on fig5's grid and the corners
-of LOSS_MUS.
+the loss channel's weights for every j on fig5's grid and the corners
+of LOSS_MUS; and the number-basis oracle's g2 for every j on G2_MUS.
 """
 
 import io
@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+import oracle
 import referee
 from pspsim import (PSPParams, f2002, fidelity_to_number_state, loss_channel, normalization,
                     photon_number_probability, residue_masses)
@@ -25,6 +26,7 @@ GRIDS = {
 }
 DS = [1, 2, 4, 8, 12, 36, 40]
 LOSS_MUS = GRIDS["fig5"].tolist() + [1e-6, 1e-3, 5.0, 20.0]
+G2_MUS = [1e-6, 1e-3, 0.05, 0.3, 1.0, 5.0]
 FIG1_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "fig1.csv")
 
 
@@ -86,6 +88,16 @@ def test_loss_weights_of_every_j(d):
                    for w in loss_channel(PSPParams(mu=mu, d=d, j=j), eta).tolist()],
                   [w for mu, j, eta in cells for w in referee.loss_weights(mu, d, j, eta)],
                   "loss weights")
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 12])
+def test_g2_of_the_number_basis_builder(d):
+    # the oracle that production g2 is checked against, itself checked; from
+    # 1.7e-25 at (1e-6, 4, 1) to 4.4e80 at (1e-6, 12, 0); worst measured 8.7e-16
+    cells = [(mu, j) for mu in G2_MUS for j in range(d)]
+    _assert_close([oracle.g2_zero_oracle(oracle.psp_fock(PSPParams(mu=mu, d=d, j=j)))
+                   for mu, j in cells],
+                  [referee.g2_zero(mu, d, j) for mu, j in cells], "builder g2")
 
 
 def test_script_finds_no_miss_in_the_fig1_golden():

@@ -1,43 +1,50 @@
-"""Coherent-superposition machinery against closed forms and the Fock path."""
+"""Coherent-superposition machinery against closed forms and the number-basis oracle."""
 
+import ast
+import glob
 import itertools
 import math
+import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+import pspsim
+import referee
+from oracle import (TAIL_TOL, auto_cutoff, density, fock_amplitude, fock_beam_splitter,
+                    psp_cutoff, psp_fock, thinned_density, to_fock, uhlmann_fidelity)
 from pspsim import (
     CoherentSuperposition,
     NumericalDiagnosticError,
     PSPParams,
     TruncationError,
-    auto_cutoff,
     beam_splitter,
-    coherent_overlap,
     coherent_state,
-    fock_amplitude,
-    fock_beam_splitter,
-    fock_inner,
     inner_product,
     norm,
     pseudo_number_state,
     tensor,
-    to_fock,
     vacuum_probabilities,
 )
 from pspsim import states
 from pspsim.states import _LOG_FACTORIALS, log_factorial
 
-from oracle import density, thinned_density, uhlmann_fidelity
+TESTS = os.path.dirname(os.path.abspath(__file__))
+PACKAGE = os.path.join(TESTS, os.pardir, "src", "pspsim")
+
+
+def overlap(a, b):
+    """<a|b> of two one-mode coherent states, the closed form of the conventions."""
+    return np.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2) + np.conj(a) * b)
 
 
 def test_coherent_overlap_closed_form():
     rng = np.random.default_rng(7)
     for _ in range(20):
         a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        expect = np.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2) + np.conj(a) * b)
-        assert abs(coherent_overlap(a, b) - expect) < 1e-14
+        assert abs(inner_product(coherent_state(a), coherent_state(b)) - overlap(a, b)) < 1e-14
 
 
 def test_fock_amplitude_matches_poisson():
@@ -72,46 +79,20 @@ def test_fock_amplitude_rejects_non_integer_n(n):
 
 
 def test_log_factorial_table_matches_gammaln():
+    # log_factorial is math.lgamma(n + 1) bit for bit, from the table or past
+    # it, and within 3 ulp of scipy's gammaln everywhere
     from scipy.special import gammaln
 
     ns = np.arange(4096)
-    expect = gammaln(ns + 1.0)
     assert _LOG_FACTORIALS.shape == ns.shape
-    np.testing.assert_allclose(_LOG_FACTORIALS, expect, rtol=1e-15, atol=0)
-    np.testing.assert_array_equal(log_factorial(ns), _LOG_FACTORIALS)
+    np.testing.assert_array_equal(log_factorial(ns), [math.lgamma(n + 1.0) for n in range(4096)])
     # past the table, and an array that straddles its end
-    np.testing.assert_array_equal(log_factorial(70000), gammaln(70001.0))
-    np.testing.assert_array_equal(log_factorial(np.array([3, 4095, 4096, 70000])),
-                                  gammaln(np.array([4.0, 4096.0, 4097.0, 70001.0])))
-
-
-def _fock_amplitude_xlogy(alpha, n):
-    """<n|alpha> by the scipy.special xlogy / gammaln formula, and its tolerance.
-
-    The tolerance is 1e-14 relative plus what the table's own difference
-    from gammaln moves the amplitude by: exp turns the one-ulp difference in
-    log(4095!) ~ 3e4 into 1.8e-12 relative.
-    """
-    from scipy.special import gammaln, xlogy
-
-    n = np.asarray(n)
-    r = np.abs(alpha)
-    log_fact = gammaln(n + 1.0)
-    amp = np.exp(-0.5 * r**2 + xlogy(n, r) - 0.5 * log_fact) * np.exp(1j * np.angle(alpha) * n)
-    in_table = np.where(n < 4096, _LOG_FACTORIALS[np.minimum(n, 4095)], log_fact)
-    return amp, (1e-14 + 0.5 * np.abs(in_table - log_fact)) * np.abs(amp)
-
-
-@pytest.mark.parametrize("n", [0, 1, 7, 4095, 4096, 70000])
-def test_fock_amplitude_matches_xlogy_gammaln_formula(n):
-    # alpha near sqrt(n) keeps the amplitude far from underflow
-    for alpha in (math.sqrt(n) * np.exp(0.3j), 0.8 * math.sqrt(n) + 0.1, 0.7 - 0.2j):
-        expect, tol = _fock_amplitude_xlogy(alpha, n)
-        assert abs(fock_amplitude(alpha, n) - expect) <= tol
-    ns = np.array([0, 3, 4095, 4096, 70000])
-    alphas = np.array([0.5, 60.0 - 20.0j, 64.0, 64.0j, 264.0])
-    expect, tol = _fock_amplitude_xlogy(alphas, ns)
-    assert (np.abs(fock_amplitude(alphas, ns) - expect) <= tol).all()
+    past = np.array([3, 4095, 4096, 70000, 2**20])
+    assert log_factorial(70000) == math.lgamma(70001.0)
+    np.testing.assert_array_equal(log_factorial(past),
+                                  [math.lgamma(n + 1.0) for n in past.tolist()])
+    for n in (ns, past):
+        np.testing.assert_array_max_ulp(log_factorial(n), gammaln(n + 1.0), maxulp=3)
 
 
 def test_fock_amplitude_is_exact_at_zero_alpha():
@@ -129,13 +110,13 @@ def test_norm_and_inner_product():
     s = coherent_state(0.3 + 0.1j)
     assert abs(norm(s) - 1.0) < 1e-14
     t = coherent_state(-0.2)
-    assert abs(inner_product(s, t) - coherent_overlap(0.3 + 0.1j, -0.2)) < 1e-14
+    assert abs(inner_product(s, t) - overlap(0.3 + 0.1j, -0.2)) < 1e-14
 
 
 def test_superposition_norm():
     # odd cat: |a> - |-a>, normalized by hand
     a = 0.6
-    n2 = 2.0 - 2.0 * coherent_overlap(a, -a).real
+    n2 = 2.0 - 2.0 * overlap(a, -a).real
     s = CoherentSuperposition(np.array([1.0, -1.0]) / math.sqrt(n2),
                               np.array([[a], [-a]]))
     assert abs(norm(s) - 1.0) < 1e-14
@@ -145,7 +126,7 @@ def test_tensor_mode_count_and_overlap_factorizes():
     s = tensor(coherent_state(0.5), coherent_state(0.2j))
     t = tensor(coherent_state(0.1), coherent_state(0.3))
     assert s.mode_count == 2
-    expect = coherent_overlap(0.5, 0.1) * coherent_overlap(0.2j, 0.3)
+    expect = overlap(0.5, 0.1) * overlap(0.2j, 0.3)
     assert abs(inner_product(s, t) - expect) < 1e-14
 
 
@@ -253,7 +234,7 @@ def test_to_fock_reproduces_inner_products():
         a, b = rng.normal(size=2) * 0.8
         s, t = coherent_state(a), coherent_state(b)
         cutoff = auto_cutoff(max(abs(a), abs(b)) ** 2)
-        lhs = fock_inner(to_fock(s, cutoff=cutoff), to_fock(t, cutoff=cutoff))
+        lhs = np.vdot(to_fock(s, cutoff=cutoff), to_fock(t, cutoff=cutoff))
         assert abs(lhs - inner_product(s, t)) < 1e-12
 
 
@@ -265,31 +246,79 @@ def test_auto_cutoff_covers_poisson_tail():
         assert poisson.sf(c - 2, lam) < 1e-12
 
 
-def reference_cutoff(lam, tail_tol=1e-14, guard=2):
-    """The cutoff rule evaluated with scipy.stats.poisson."""
-    from scipy.stats import poisson
+@pytest.mark.parametrize("mu, d, j", [(1e-3, 8, 7), (0.05, 12, 11)])
+def test_psp_fock_is_normalized_where_the_coherent_sum_is_not(mu, d, j):
+    # to_fock of the d-term coherent sum had squared norm 1 + 1.1e-6 at
+    # (1e-3, 8, 7), cutoff 30, and picked cutoff 9 < j at (0.05, 12, 11),
+    # returning squared norm 3.3e-8 without an error
+    amps = psp_fock(PSPParams(mu=mu, d=d, j=j))
+    assert amps.size - 1 >= j
+    assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-15
+    assert not amps[np.arange(amps.size) % d != j].any()
 
-    n = int(poisson.isf(tail_tol, lam))
-    while poisson.sf(n, lam) >= tail_tol:
-        n += 1
-    while n > 0 and poisson.sf(n - 1, lam) < tail_tol:
-        n -= 1
-    return n + guard
+
+def test_psp_fock_keeps_the_support_tail_below_tail_tol():
+    # auto_cutoff(2) = 22 leaves a relative support tail of 6.3e-12 at (2, 12, 11)
+    mu, d, j = 2.0, 12, 11
+    cutoff = psp_cutoff(PSPParams(mu=mu, d=d, j=j))
+    assert cutoff % d == j
+    tail = sum(referee.poisson(mu, n) for n in range(cutoff + d, cutoff + 20 * d, d))
+    assert tail < TAIL_TOL * referee.residue_masses(mu, d)[j]
 
 
-def test_auto_cutoff_matches_scipy_stats_reference():
-    for lam in np.logspace(-4, 3, 120):
-        assert auto_cutoff(lam) == reference_cutoff(lam)
+def test_psp_fock_matches_to_fock_where_the_coherent_sum_is_stable():
+    for d in (1, 2, 3, 4, 8, 12):
+        for j in sorted({0, 1 % d}):
+            for mu in (0.05, 0.2, 0.7, 1.5, 3.0, 5.0):
+                for delta in (0.0, 0.37):
+                    p = PSPParams(mu=mu, d=d, j=j, delta=delta)
+                    cutoff = max(psp_cutoff(p), auto_cutoff(mu))
+                    expand = to_fock(pseudo_number_state(p), cutoff)
+                    assert np.max(np.abs(psp_fock(p, cutoff) - expand)) < 1e-14
+
+
+def test_psp_fock_refuses_a_cutoff_below_its_rule():
+    p = PSPParams(mu=0.2, d=8, j=1)
+    assert psp_fock(p, psp_cutoff(p) + 3).size == psp_cutoff(p) + 4
+    with pytest.raises(TruncationError, match="below"):
+        psp_fock(p, psp_cutoff(p) - 1)
+
+
+def test_package_depends_on_numpy_alone():
+    # no module under src/pspsim imports scipy or defines an oracle name, and
+    # pyproject's dependencies list numpy alone; scipy serves the test tree
+    oracle_names = {"to_fock", "auto_cutoff", "fock_amplitude", "fock_beam_splitter",
+                    "g2_zero_oracle", "hom_fock_oracle", "kerr_output_fock", "FockVector",
+                    "fock_inner", "coherent_overlap"}
+    modules = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+    assert len(modules) >= 9
+    for path in modules:
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] if node.level == 0 else []
+            else:
+                imported = []
+            assert not [m for m in imported if m.split(".")[0] == "scipy"], path
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in oracle_names, path
+    assert not oracle_names & set(dir(pspsim))
+    with open(os.path.join(PACKAGE, os.pardir, os.pardir, "pyproject.toml")) as f:
+        deps = re.search(r"^dependencies = \[(.*?)\]", f.read(), re.M | re.S).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+?)[<>=!~;" ]', deps) == ["numpy"]
 
 
 def test_import_skips_scipy_stats_and_linalg(isolated):
-    # both are slow to import, and only the oracles in states need scipy.linalg
+    # both are slow to import, and only the oracles in the test tree use scipy
     assert isolated("import sys, pspsim; print(sorted(m for m in ('scipy.stats', "
                     "'scipy.linalg') if m in sys.modules))") == (0, "[]")
 
 
 def test_production_paths_never_import_scipy(isolated):
-    # scipy.special alone was most of a cold start; only the oracles need scipy
+    # scipy.special alone was most of a cold start; only the test tree's oracles use scipy
     code, out = isolated(
         "import os, sys, tempfile\n"
         "import pspsim, pspsim.cli\n"
@@ -327,11 +356,12 @@ def test_fock_amplitude_rejects_non_finite_alpha(alpha):
 @pytest.mark.parametrize("a, b", [(math.inf, 0.0), (math.nan, 0.0), (0.5, complex(0.0, math.inf)),
                                   (np.array([0.5, math.nan]), 0.5)])
 def test_coherent_overlap_rejects_non_finite_amplitudes(a, b):
-    # inf warned "invalid value", and nan returned nan+nanj
+    # a two-mode state with labels (a, b), refused before any overlap is formed
+    labels = np.column_stack(np.broadcast_arrays(a, b))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
-            coherent_overlap(a, b)
+            CoherentSuperposition(np.ones(labels.shape[0]), labels)
 
 
 def test_fock_amplitude_at_huge_alpha_is_zero_without_warning():
@@ -348,9 +378,10 @@ def test_fock_size_guards(isolated):
     # auto_cutoff(inf) raised OverflowError, and a two-mode state at intensity
     # 1e6 asked for about 1e12 amplitudes; each must now fail at once
     code, out = isolated(
-        "import math\n"
-        "from pspsim import *\n"
-        "from pspsim.states import FOCK_MAX_DIM\n"
+        "import math, sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from pspsim import coherent_state\n"
+        "from oracle import FOCK_MAX_DIM, auto_cutoff, to_fock\n" % TESTS +
         "calls = [lambda: auto_cutoff(1e17), lambda: auto_cutoff(math.inf),\n"
         "         lambda: auto_cutoff(math.nan), lambda: to_fock(coherent_state(1e3, 1e3)),\n"
         "         lambda: to_fock(coherent_state(0.1, 0.1), cutoff=FOCK_MAX_DIM)]\n"
@@ -381,8 +412,7 @@ def test_fock_beam_splitter_matches_coherent_path():
         cutoff = auto_cutoff(2.0 * max(abs(a), abs(b)) ** 2)
         out_c = to_fock(beam_splitter(s, "X"), cutoff=cutoff)
         out_f = fock_beam_splitter(to_fock(s, cutoff=cutoff), variant="X")
-        ov = fock_inner(out_c, out_f)
-        assert abs(abs(ov) - 1.0) < 1e-9
+        assert abs(abs(np.vdot(out_c, out_f)) - 1.0) < 1e-9
 
 
 def test_uhlmann_fidelity_pure_states():
@@ -402,7 +432,7 @@ def test_uhlmann_fidelity_pure_states():
 def test_uhlmann_fidelity_stays_in_unit_interval():
     # the lossy output of |1_8> at mu=0.2, eta=0.9 is rank deficient; its
     # eigenvalue square roots used to sum to 1.0000000046 against itself
-    rho = thinned_density(density(PSPParams(mu=0.2, d=8, j=1), auto_cutoff(0.2) + 4), 0.9)
+    rho = thinned_density(density(PSPParams(mu=0.2, d=8, j=1)), 0.9)
     f = uhlmann_fidelity(rho, rho)
     assert 1.0 - 1e-7 < f <= 1.0
     # an excursion far beyond rounding is reported, not clamped away
