@@ -39,7 +39,6 @@ from .qkd import (
     basis_fidelity_bound,
     binary_entropy,
     channel_stats,
-    encoded_state,
     keyrate_curve,
     keyrate_for_protocol,
     measure_bb84,

@@ -34,14 +34,13 @@ from .metrics import _equal_input_p11, _noon_overlap, f2002, g2_zero_closed, p11
 from .generation import GenerationParams, herald_probabilities, trigger_probability
 from .qkd import (
     PROTOCOLS,
+    PSP_NONDECOY,
     PSP_PASSIVE_DECOY,
     PSP_TRIGGERED,
     WCS_DECOY,
     ChannelParams,
     basis_fidelity_bound,
-    encoded_state,
     keyrate_curve,
-    keyrate_for_protocol,
     measure_bb84,
     optimize_mu,
     phase_set,
@@ -264,8 +263,7 @@ def _encoding_error(args):
     # list order are (0, 1, 1, 0); the set choice only moves the fourth.
     worst = 0.0
     for i, k in enumerate(phase_set(args.d, args.phase_set)):
-        p0, p1, _, _ = measure_bb84(encoded_state(args.mu, args.d, args.j, k),
-                                    "X" if i % 2 == 0 else "Y")
+        p0, p1, _, _ = measure_bb84(args.mu, args.d, args.j, k, "X" if i % 2 == 0 else "Y")
         wrong = p1 if i in (0, 3) else p0
         if p0 + p1 > 0.0:
             worst = max(worst, wrong / (p0 + p1))
@@ -290,12 +288,30 @@ QUANTITIES = {
     "encoding-error": (_encoding_error, _MDJ + ("phase_set",)),
 }
 
+# Optional compute and keyrate flags, set after parsing; one given that nothing reads is refused.
+COMPUTE_DEFAULTS = {"mu": 0.1, "j": 1, "mu2": lambda a: a.mu, "d2": lambda a: a.d, "delta": 0.0,
+                    "delta2": 0.0, "nu": 100.0, "eta_det": 0.12, "phase_set": "standard",
+                    "convention": "paper"}
+KEYRATE_DEFAULTS = {"mu": None, "d": None, "mu_grid_min": 0.05, "mu_grid_max": 2.0,
+                    "mu_grid_step": 0.05, "basis_mu": "half", "yield_model": "exact",
+                    "eta_trigger_det": 0.12, "convention": "paper",
+                    "nu": lambda a: None if a.d is None else 4.0 * a.d * a.d}  # the meter's 4 d^2
+
+
+def _fill_defaults(args, defaults, reads, target):
+    """Set each flag not given from defaults (calling a callable on args); refuse one not read."""
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default(args) if callable(default) else default)
+        elif name not in reads:
+            flag = "trigger-convention" if name == "convention" else name.replace("_", "-")
+            raise ValueError("--%s does not apply to %s" % (flag, target))
+
 
 def cmd_compute(args):
-    # the second HOM input defaults to the first
-    args.mu2 = args.mu if args.mu2 is None else args.mu2
-    args.d2 = args.d if args.d2 is None else args.d2
     evaluate, names = QUANTITIES[args.quantity]
+    reads = names + (("eta_det",) if args.quantity == "trigger" else ())  # read, not echoed
+    _fill_defaults(args, COMPUTE_DEFAULTS, reads, args.quantity)
     value = float(evaluate(args))
     print(_fmt(value))
     print(json.dumps({"quantity": args.quantity, "value": value,
@@ -304,28 +320,28 @@ def cmd_compute(args):
     return EXIT_OK
 
 
+# The source flags each pseudo-number protocol reads: --d, and its estimator's keyword arguments.
+PSP_FLAGS = {PSP_NONDECOY: ("d",), PSP_PASSIVE_DECOY: ("d", "basis_mu", "yield_model"),
+             PSP_TRIGGERED: ("d", "basis_mu", "yield_model", "nu", "eta_trigger_det", "convention")}
+
+
 def cmd_keyrate(args):
+    reads = set(PSP_FLAGS.get(args.protocol, ()))
+    reads |= {"mu_grid_min", "mu_grid_max", "mu_grid_step"} if args.optimize_mu else {"mu"}
+    _fill_defaults(args, KEYRATE_DEFAULTS, reads, "protocol " + args.protocol)
     c = ChannelParams(distance_km=args.L, f=args.f, eta_bob=args.eta_bob,
                       y0=args.y0, e_det=args.e_det)
-    kwargs = {}
-    if args.protocol in (PSP_PASSIVE_DECOY, PSP_TRIGGERED):
-        kwargs = {"basis_mu": args.basis_mu, "yield_model": args.yield_model}
-    if args.protocol == PSP_TRIGGERED:
-        nu = args.nu
-        if nu is None and args.d is not None:  # keyrate_for_protocol reports a missing d
-            nu = 4.0 * args.d * args.d
-        kwargs.update(nu=nu, eta_trigger_det=args.eta_trigger_det, convention=args.convention)
+    kwargs = {name: getattr(args, name) for name in PSP_FLAGS.get(args.protocol, ())[1:]}
     if args.optimize_mu:
         if not args.mu_grid_step > 0:
             raise ValueError("mu grid requires mu-grid-step > 0")
         grid = np.arange(args.mu_grid_min, args.mu_grid_max + args.mu_grid_step / 2,
                          args.mu_grid_step)
-        mu_star, res = optimize_mu(c, args.d, args.protocol, grid, **kwargs)
     elif args.mu is None:
         raise ValueError("--mu is required unless --optimize-mu is given")
     else:
-        mu_star = args.mu
-        res = keyrate_for_protocol(args.protocol, c, args.mu, args.d, **kwargs)
+        grid = [args.mu]  # keyrate_for_protocol's one-point search
+    mu_star, res = optimize_mu(c, args.d, args.protocol, grid, **kwargs)
     report = {
         "protocol": args.protocol,
         "distance_km": args.L,
@@ -376,32 +392,24 @@ def build_parser():
 
     pc = subs.add_parser("compute", help="evaluate one quantity")
     pc.add_argument("quantity", choices=tuple(QUANTITIES))
-    pc.add_argument("--mu", type=float, default=0.1)
     pc.add_argument("--d", type=int, required=True)
-    pc.add_argument("--j", type=int, default=1)
-    pc.add_argument("--mu2", type=float)
-    pc.add_argument("--d2", type=int)
-    pc.add_argument("--delta", type=float, default=0.0)
-    pc.add_argument("--delta2", type=float, default=0.0)
-    pc.add_argument("--nu", type=float, default=100.0)
-    pc.add_argument("--eta-det", type=float, default=0.12)
-    pc.add_argument("--phase-set", choices=("standard", "paper-literal"),
-                    default="standard")
+    for flag, kind in (("--mu", float), ("--j", int), ("--mu2", float), ("--d2", int),
+                       ("--delta", float), ("--delta2", float), ("--nu", float),
+                       ("--eta-det", float)):
+        pc.add_argument(flag, type=kind)
+    pc.add_argument("--phase-set", choices=("standard", "paper-literal"))
     pc.set_defaults(func=cmd_compute)
 
     pk = subs.add_parser("keyrate", help="single key-rate report (JSON)")
     pk.add_argument("--protocol", choices=PROTOCOLS, required=True)
     pk.add_argument("--L", type=float, default=40.0)
-    pk.add_argument("--mu", type=float)
     pk.add_argument("--d", type=int)
-    pk.add_argument("--nu", type=float)
     pk.add_argument("--optimize-mu", action="store_true")
-    pk.add_argument("--mu-grid-min", type=float, default=0.05)
-    pk.add_argument("--mu-grid-max", type=float, default=2.0)
-    pk.add_argument("--mu-grid-step", type=float, default=0.05)
-    pk.add_argument("--basis-mu", choices=("half", "full"), default="half")
-    pk.add_argument("--yield-model", choices=("exact", "dominant"), default="exact")
-    pk.add_argument("--eta-trigger-det", type=float, default=0.12)
+    for flag in ("--mu", "--nu", "--mu-grid-min", "--mu-grid-max", "--mu-grid-step",
+                 "--eta-trigger-det"):
+        pk.add_argument(flag, type=float)
+    pk.add_argument("--basis-mu", choices=("half", "full"))
+    pk.add_argument("--yield-model", choices=("exact", "dominant"))
     for field in ("f", "eta_bob", "y0", "e_det"):  # defaults: the ChannelParams ones
         pk.add_argument("--" + field.replace("_", "-"), type=float,
                         default=getattr(ChannelParams, field))
@@ -409,7 +417,7 @@ def build_parser():
     pk.set_defaults(func=cmd_keyrate)
     for sub in (pc, pk):
         sub.add_argument("--trigger-convention", choices=("paper", "recomputed"),
-                         default="paper", dest="convention")
+                         dest="convention")
     return parser
 
 

@@ -64,7 +64,7 @@ def p11(p1, p2):
     """
     if p2 == p1:
         return _equal_input_p11(*_circle_inputs(p1))[0]
-    out = beam_splitter(tensor(pseudo_number_state(p1), pseudo_number_state(p2)), "X")
+    out = beam_splitter(tensor(pseudo_number_state(p1), pseudo_number_state(p2)))
     va, vb, vab = vacuum_probabilities(out, ((0,), (1,), (0, 1)))
     return _clamp_unit(1.0 - va - vb + vab, "p11")
 

@@ -169,6 +169,18 @@ def _head_width(first, rows, d, mu):
     return 8 * (int(np.argmax(falls)) + 1) if falls.any() else rows
 
 
+def _support_terms(mu, d, j):
+    """The photon numbers n = j, j + d, ... below 2 mu + 2 d + 105, and Pois(mu; n) at each: the
+    terms of M_j(mu) for a valid mu, d and j.  Past 2 mu each term is below half the one before,
+    so those left out sum to below 2^-104 of a kept one.  Only n = 0 holds mass at mu = 0."""
+    if mu > SERIES_MAX_N:
+        raise TruncationError("Poisson series at mu=%.6g passes SERIES_MAX_N" % mu)
+    if mu == 0:
+        return np.zeros(int(j == 0), dtype=int), np.ones(int(j == 0))
+    ns = np.arange(j, int(2.0 * mu) + 2 * d + 105, d)
+    return ns, np.exp(ns * math.log(mu) - mu - log_factorial(ns))
+
+
 def _nonzero_mass(mu, d, j):
     """M_j at mu, a number or a 1-D array; a zero mass is a DegenerateStateError."""
     _validate_dj(d, j)

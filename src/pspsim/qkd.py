@@ -26,10 +26,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DegenerateStateError, NumericalDiagnosticError, _clamp_unit, _real
+from .errors import DegenerateStateError, NumericalDiagnosticError, _clamp_unit, _index, _real
 from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
-from .pns import _TABLE_BLOCK, _mu, _validate_dj, normalization, residue_masses
-from .states import CoherentSuperposition, beam_splitter, vacuum_probabilities
+from .pns import (_TABLE_BLOCK, _mu, _support_terms, _validate_dj, normalization,
+                  residue_masses)
 
 WCS_NONDECOY = "wcs-nondecoy"
 WCS_DECOY = "wcs-decoy"
@@ -255,9 +255,9 @@ def phase_error_upper(e_bit, delta):
 # ---------------------------------------------------------------------------
 
 
-def _validate_encoding_d(d):
-    """ValueError unless d is an integer >= 1 divisible by 4, as the BB84 phases need."""
-    _validate_dj(d)
+def _validate_encoding_d(d, j=0):
+    """ValueError unless d is an integer >= 1 divisible by 4, as BB84 needs, and j in [0, d)."""
+    _validate_dj(d, j)
     if d % 4:
         raise ValueError("d must be divisible by 4")
 
@@ -280,42 +280,38 @@ def phase_set(d, which=PHASE_SET_STANDARD):
     raise ValueError("unknown phase set %r" % (which,))
 
 
-def encoded_state(mu, d, j, k):
-    """Two-pulse encoding of |j_d> with relative phase 2 pi k / d.
-
-    N^{-1/2}_{2mu,j} sum_q w^{-jq} |sqrt(mu) w^q>_r |sqrt(mu) w^{q+k}>_s;
-    each pulse carries mu, the underlying state carries 2 mu.  d must be an
-    integer >= 1 divisible by 4.
+def measure_bb84(mu, d, j, k, basis):
+    """(p_click_port0, p_click_port1, p_double, p_none) of |j_d> on two pulses of mu each,
+    relative phase 2 pi k / d, on a 50:50 splitter ("Y": after a quarter-wave on the signal
+    arm) with threshold detectors.  Given the total N = j (mod d), Pois(2mu; N) / M_j(2mu),
+    port 0 holds every photon with probability a^N, a = |1 + phi w^k|^2 / 4 (phi = 1 for X,
+    i for Y), port 1 with b^N, b = 1 - a, and both ports some with 1 - a^N - b^N (N >= 2);
+    so p_click_port0 = e^{-2mu b} M*_j(2mu a) / M_j(2mu), M*_j without n = 0.  1 - a^N is
+    -expm1(N log1p(-b)) on the smaller share and quarter turns are exact, so every term is
+    >= 0 and a dark port reads 0; the four are divided by their sum, M_j(2mu) term by term.
+    d is an integer >= 1 divisible by 4, k one integer in [0, d); a zero-norm state is a
+    DegenerateStateError.
     """
-    _validate_encoding_d(d)
-    if isinstance(k, (bool, np.bool_)) or not (
-            isinstance(k, (int, np.integer)) or float(k).is_integer()):
-        raise ValueError("phase index k must be an integer")
-    k = int(k)
-    _mu(mu)  # a bool is no mu, though 2.0 * True is a float
-    n = normalization(2.0 * mu, d, j)
-    q = np.arange(d)
-    coeffs = np.exp(-2j * np.pi * j * q / d) / np.sqrt(n)
-    ref = np.sqrt(mu) * np.exp(2j * np.pi * q / d)
-    sig = np.sqrt(mu) * np.exp(2j * np.pi * (q + k) / d)
-    return CoherentSuperposition(coeffs, np.column_stack([ref, sig]))
-
-
-def measure_bb84(state, basis):
-    """Interfere the two pulses and read threshold detectors at both ports.
-
-    Returns (p_click_port0, p_click_port1, p_double, p_none), exclusive
-    events that sum to one.  basis "X" uses the plain 50:50 splitter,
-    "Y" the one with a quarter-wave phase on the signal arm.  Each of the
-    four is clamped to [0, 1]; one that misses it by more than
-    UNIT_RESIDUE_TOL is a NumericalDiagnosticError.
-    """
-    if state.mode_count != 2:
-        raise ValueError("expected a two-pulse state")
-    out = beam_splitter(state, basis)
-    v0, v1, v01 = vacuum_probabilities(out, ((0,), (1,), (0, 1)))
-    return (_clamp_unit(v1 - v01, "p_click_port0"), _clamp_unit(v0 - v01, "p_click_port1"),
-            _clamp_unit(1.0 - v0 - v1 + v01, "p_double"), _clamp_unit(v01, "p_none"))
+    _validate_encoding_d(d, j)
+    if _real(mu, "mu").ndim or mu < 0:
+        raise ValueError("mu must be a number >= 0")
+    if _index(k, d, "phase index k").ndim:
+        raise ValueError("phase index k must be one integer")
+    if basis not in ("X", "Y"):
+        raise ValueError("basis must be 'X' or 'Y'")
+    turn = 4 * k + (d if basis == "Y" else 0)  # phi w^k = exp(2 pi i turn / 4d)
+    c = math.cos(math.pi * turn / (2 * d)) if turn % d else (1.0, 0.0, -1.0, 0.0)[turn // d % 4]
+    # the port shares, and the smaller one, 0 when a port is dark and no pair splits
+    a, b, s = (1.0 + c) / 2.0, (1.0 - c) / 2.0, (1.0 - abs(c)) / 2.0
+    ns, pois = _support_terms(2.0 * mu, d, j)
+    one, two = ns > 0, ns > 1
+    double = (pois[two] * (-np.expm1(ns[two] * math.log1p(-s)) - s ** ns[two])).sum() if s else 0.0
+    parts = [(pois[one] * a ** ns[one]).sum(), (pois[one] * b ** ns[one]).sum(), double,
+             pois[0] if j == 0 else 0.0]
+    total = sum(parts)
+    if not total > 0:
+        raise DegenerateStateError("state with j=%d is degenerate at mu=%.6g" % (j, mu))
+    return tuple(float(p / total) for p in parts)
 
 
 def basis_fidelity_bound(mu, d, j):

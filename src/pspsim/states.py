@@ -8,8 +8,7 @@ closed forms lives in the test tree (tests/oracle.py), not in the package.
 
 Conventions:
     <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a)*b)
-    X beam splitter: (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2))
-    Y beam splitter: (a, b) -> ((a+i*b)/sqrt(2), (a-i*b)/sqrt(2))
+    beam splitter: (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2))
 """
 
 import math
@@ -142,26 +141,19 @@ def tensor(x, y):
     return CoherentSuperposition(coeffs, np.hstack([lx, ly]))
 
 
-def beam_splitter(state, variant="X"):
-    """50:50 beam splitter between modes 0 and 1; a pure relabeling of terms.
-
-    variant "X": (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2))
-    variant "Y": (a, b) -> ((a+i*b)/sqrt(2), (a-i*b)/sqrt(2))
-    Any further modes pass through; a one-mode state is a ValueError.
-    """
-    if variant not in ("X", "Y"):
-        raise ValueError("variant must be 'X' or 'Y'")
+def beam_splitter(state):
+    """50:50 beam splitter (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2)) on modes 0 and 1, a pure
+    relabeling of terms; further modes pass through, and a one-mode state is a ValueError."""
     if state.mode_count < 2:
         raise ValueError("beam splitter needs at least two modes")
-    s = 1j if variant == "Y" else 1.0
     labels = np.array(state.labels)
-    labels[:, 0], labels[:, 1] = _split(state.labels[:, 0], state.labels[:, 1], s)
+    labels[:, 0], labels[:, 1] = _split(state.labels[:, 0], state.labels[:, 1])
     return CoherentSuperposition(state.coeffs, labels)
 
 
-def _split(a, b, s):
-    """The splitter's output labels (a + s b)/sqrt(2) and (a - s b)/sqrt(2), elementwise."""
-    return (a + s * b) / _SQRT2, (a - s * b) / _SQRT2
+def _split(a, b):
+    """The splitter's output labels (a + b)/sqrt(2) and (a - b)/sqrt(2), elementwise."""
+    return (a + b) / _SQRT2, (a - b) / _SQRT2
 
 
 def vacuum_probabilities(state, mode_sets):
@@ -222,18 +214,18 @@ def _unfold_exchange(packed, gram, d, swap, orbit):
 
 def _equal_input_outputs(coeffs, labels):
     """Coefficients (points, d^2) and labels (points, d^2, 2) of
-    beam_splitter(tensor(s, s), "X") for the one-mode state s of each row of
+    beam_splitter(tensor(s, s)) for the one-mode state s of each row of
     coeffs and labels, (points, d) arrays, by the elementwise arithmetic of
     tensor and beam_splitter."""
     points, d = coeffs.shape
     kets = (coeffs[:, :, None] * coeffs[:, None, :]).reshape(points, d * d)  # np.outer
     out = np.empty((points, d, d, 2), dtype=complex)
-    out[..., 0], out[..., 1] = _split(labels[:, :, None], labels[:, None, :], 1.0)
+    out[..., 0], out[..., 1] = _split(labels[:, :, None], labels[:, None, :])
     return kets, out.reshape(points, d * d, 2)
 
 
 def _equal_input_projections(coeffs, labels):
-    """vacuum_probabilities(beam_splitter(tensor(s, s), "X"), ((0,), (1,), (0, 1)))
+    """vacuum_probabilities(beam_splitter(tensor(s, s)), ((0,), (1,), (0, 1)))
     for the one-mode state s of each row of coeffs and labels, (points, d) arrays.
 
     Yields one (va, vb, vab) per row, in order, each value with the bits of

@@ -4,11 +4,13 @@ their definitions and checked against pspsim's closed forms by the tests.
 An m-mode state is a complex array of shape (cutoff + 1,) * m holding
 <n_1, ..., n_m|psi>: its ndim is its mode count, np.vdot its inner product.
 to_fock expands any CoherentSuperposition through <n|alpha>, a sum that
-cancels at small mu as the production phase sums do; psp_fock writes the
-pseudo-number state from its definition, with nothing to cancel, and the
-g2, HOM and loss oracles read it.  Pure loss is binomial thinning of a
-density matrix, which never forms a loss weight; mixture_density only lays
-pns.loss_channel's weights out as a matrix, to be compared with it.
+cancels at small mu as the production phase sums do, and refuses a result
+whose norm shows it; psp_fock writes the pseudo-number state from its
+definition, with nothing to cancel, and the g2, HOM and loss oracles read
+it, as the BB84 readout reads encoded_fock, its two-pulse phase encoding.
+Pure loss is binomial thinning of a density matrix, which never forms a
+loss weight; mixture_density only lays pns.loss_channel's weights out as a
+matrix, to be compared with it.
 """
 
 import math
@@ -19,12 +21,13 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.special import gammaln, pdtrc, xlogy
 
-from pspsim import NumericalDiagnosticError, PSPParams, TruncationError, coherent_state
+from pspsim import NumericalDiagnosticError, PSPParams, TruncationError, coherent_state, norm
 
 # Poisson tail every photon-number cutoff must keep below this.
 TAIL_TOL = 1e-14
 # Most input mass the beam splitter may find on total photon numbers above
-# its cutoff, which the output array cannot hold and which it drops.
+# its cutoff, which the output array cannot hold and which it drops; and the
+# most relative error to_fock may leave in a state's squared norm.
 LEAK_TOL = 1e-8
 # Photon numbers (support terms, for psp_fock) kept past the tail test.
 GUARD_LEVELS = 2
@@ -78,7 +81,9 @@ def _check_size(cutoff, modes):
 def to_fock(state, cutoff=None):
     """A CoherentSuperposition as a (cutoff + 1,) * modes array; cutoff=None picks
     auto_cutoff at the largest per-mode |label|^2.  An explicit cutoff that leaves a
-    Poisson tail of TAIL_TOL or more there is a TruncationError."""
+    Poisson tail of TAIL_TOL or more there is a TruncationError.  So is an array whose
+    squared norm misses the state's closed-form one by more than LEAK_TOL of it: a
+    cutoff below the state's support, or a coherent sum that cancels to noise."""
     lam = float(np.max(np.abs(state.labels) ** 2))
     if cutoff is None:
         cutoff = auto_cutoff(lam)
@@ -90,6 +95,10 @@ def to_fock(state, cutoff=None):
     amps = np.zeros((cutoff + 1,) * state.mode_count, dtype=complex)
     for c, labels in zip(state.coeffs, state.labels):
         amps += c * reduce(np.multiply.outer, [fock_amplitude(a, ns) for a in labels])
+    exact = norm(state) ** 2
+    if not abs(np.vdot(amps, amps).real - exact) <= LEAK_TOL * exact:
+        raise TruncationError("the expansion's squared norm %.10g misses the state's %.10g"
+                              % (np.vdot(amps, amps).real, exact))
     return amps
 
 
@@ -151,6 +160,33 @@ def psp_pair(p1, p2):
     """|j_d>|j'_d'> of two PSPParams as a square array, at the larger of their cutoffs."""
     cutoff = max(psp_cutoff(p1), psp_cutoff(p2))
     return np.multiply.outer(psp_fock(p1, cutoff), psp_fock(p2, cutoff))
+
+
+def encoded_fock(mu, d, j, k, cutoff=None):
+    """The two-pulse encoding of |j_d>, pulses of mu each and relative phase 2 pi k / d,
+    as a (cutoff + 1)-square array written from its definition:
+
+        <n, m| = e^{2 pi i k m / d} sqrt(Pois(2mu; N) C(N, n) 2^-N / S)  on N = n + m = j (mod d),
+
+    and 0 elsewhere, the total-number amplitudes sqrt(Pois(2mu; N) / S) those of
+    psp_fock(PSPParams(2 mu, d, j)) at the same cutoff (psp_cutoff's by default).
+    Each binomial share is the correctly rounded double of an exact rational.
+    """
+    totals = psp_fock(PSPParams(mu=2.0 * mu, d=d, j=j), cutoff)
+    amps = np.zeros((totals.size,) * 2, dtype=complex)
+    for total in range(j, totals.size, d):
+        m = np.arange(total + 1)
+        shares = [float(Fraction(math.comb(total, i), 2**total)) for i in m.tolist()]
+        amps[total - m, m] = totals[total] * np.sqrt(shares) * np.exp(2j * np.pi * k * m / d)
+    return amps
+
+
+def threshold_readout(amps):
+    """(p_click_port0, p_click_port1, p_double, p_none) of a two-mode array: the
+    squared amplitudes summed over each pattern of threshold-detector clicks."""
+    p = np.abs(amps) ** 2
+    return (float(p[1:, 0].sum()), float(p[0, 1:].sum()), float(p[1:, 1:].sum()),
+            float(p[0, 0]))
 
 
 def fock_beam_splitter(amps, variant="X"):

@@ -10,13 +10,18 @@ shares no code with pspsim:
   (n = j) and f2002 = P1(1) P2(1);
 - g2(0) of |j_d>, <n(n-1)>/<n>^2 as a ratio of residue masses;
 - the weights of the pure-loss output of |j_d>, products of three residue
-  masses.
+  masses;
+- the BB84 readout of the phase-encoded |j_d>, from the two-port photon
+  distribution: independent Poisson counts at both splitter ports,
+  conditioned on a total n + m = j (mod d).
 
 Run as a script on a fig1 CSV, it prints each cell it covers (fidelity and
 f2002) that misses RTOL against the referee, as cell, value, referee and
-relative error, then a one-line count:
+relative error, then a one-line count.  With --bb84 it does the same for
+pspsim.measure_bb84 over BB84_GRID, each case at its BB84_RTOL:
 
     python tests/referee.py fig1.csv
+    python tests/referee.py --bb84
 """
 
 import csv
@@ -28,29 +33,36 @@ import mpmath
 
 DPS = 60
 RTOL = 1e-13
+# The BB84 grid: mu per pulse, d, and every j, the k of both phase sets and
+# both bases at each; and its tolerance, RTOL but at d = 40, where the
+# residue-mass kernel's log-space terms carry up to about 1e-13 on their own.
+BB84_GRID = {"mu": (1e-6, 1e-3, 0.05, 0.45, 2.0, 20.0), "d": (4, 8, 16, 40)}
+BB84_RTOL = {40: 2.5e-13}
 
 
 @functools.lru_cache(maxsize=None)
-def residue_masses(mu, d):
-    """(M_0, ..., M_{d-1}) at mu, a float or an mpf, as mpf, from the direct Poisson sum.
+def residue_masses(mu, d, first=0):
+    """(M_0, ..., M_{d-1}) at mu, a float or an mpf, as mpf, from the direct Poisson sum
+    over the photon numbers n >= first.
 
     Past n = 2 mu each term is at most half the one before, so the tail of
     every residue lies below twice the current term.  The sum stops once that
     term is below 10^-DPS of the smallest residue as it stood when the tail
-    test began (at n >= d, so that every residue holds a term); the sums only
-    grow, so that floor is below every final mass.
+    test began (at n >= first + d, so that every residue holds a term); the
+    sums only grow, so that floor is below every final mass.
     """
     with mpmath.workdps(DPS + 10):
         x = mpmath.mpf(mu)
         sums = [mpmath.mpf(0)] * d
         if x == 0:
-            return (mpmath.mpf(1),) + tuple(sums[1:])
+            return (mpmath.mpf(first == 0),) + tuple(sums[1:])
         term, n, cut = mpmath.exp(-x), 0, None
         while cut is None or term >= cut:
-            sums[n % d] += term
+            if n >= first:
+                sums[n % d] += term
             n += 1
             term = term * x / n
-            if cut is None and n >= d and n > 2 * x:
+            if cut is None and n >= first + d and n > 2 * x:
                 cut = min(sums) * mpmath.mpf(10) ** -DPS
         return tuple(sums)
 
@@ -106,6 +118,45 @@ def loss_weights(mu, d, j, eta):
         return [lost[(j - k) % d] * kept[k] / mass for k in range(d)]
 
 
+def bb84(mu, d, j, k, basis):
+    """(p_click_port0, p_click_port1, p_double, p_none) of |j_d> encoded on two pulses
+    of mu each, relative phase 2 pi k / d, read in basis "X" or "Y".
+
+    The splitter's output holds independent Poisson counts n and m, of means
+    A = mu (1 + c) and B = mu (1 - c) with c = Re(phi w^k) (phi = 1 for X, i for
+    Y; exact at quarter turns), conditioned on n + m = j (mod d).  Each event
+    sums that two-port distribution over its pattern of clicks, from the
+    masses of n >= 1 photons per residue, and all four share their sum as the
+    normalization.
+    """
+    turn = 4 * k + (d if basis == "Y" else 0)  # phi w^k = exp(2 pi i turn / 4d)
+    with mpmath.workdps(DPS + 10):
+        if turn % d:
+            c = mpmath.cos(mpmath.pi * turn / (2 * d))
+        else:
+            c = mpmath.mpf((1, 0, -1, 0)[turn // d % 4])
+        x = mpmath.mpf(mu)
+        a, b = x * (1 + c), x * (1 - c)
+        clicks_a, clicks_b = residue_masses(a, d, 1), residue_masses(b, d, 1)
+        parts = [mpmath.exp(-b) * clicks_a[j], mpmath.exp(-a) * clicks_b[j],
+                 mpmath.fsum(clicks_a[r] * clicks_b[(j - r) % d] for r in range(d)),
+                 mpmath.exp(-a - b) if j == 0 else mpmath.mpf(0)]
+        total = mpmath.fsum(parts)
+        return [p / total for p in parts]
+
+
+def bb84_cases():
+    """(mu, d, j, k, basis) of every BB84_GRID case: the k of both phase sets, the
+    paper-literal one only where 8 divides d."""
+    for d in BB84_GRID["d"]:
+        ks = sorted({0, d // 4, d // 2, 3 * d // 4} | ({3 * d // 8} if d % 8 == 0 else set()))
+        for mu in BB84_GRID["mu"]:
+            for j in range(d):
+                for k in ks:
+                    for basis in "XY":
+                        yield mu, d, j, k, basis
+
+
 def relative_error(value, ref):
     """|value - ref| / |ref| in doubles, with ref rounded to the nearest double
     (a relative move of at most 2^-53); inf for a nonzero value where ref is 0."""
@@ -144,7 +195,31 @@ def check_fig1(path, out=sys.stdout):
     return missed
 
 
+BB84_NAMES = ("p_click_port0", "p_click_port1", "p_double", "p_none")
+
+
+def check_bb84(cases=None, out=sys.stdout):
+    """Print each case of cases (bb84_cases() by default) whose measure_bb84 value misses
+    BB84_RTOL against the referee, one line per missed probability; return the
+    number of cases that miss."""
+    from pspsim import measure_bb84
+
+    checked = missed = 0
+    for mu, d, j, k, basis in bb84_cases() if cases is None else cases:
+        checked += 1
+        rtol = BB84_RTOL.get(d, RTOL)
+        misses = [(name, value, ref, relative_error(value, ref)) for name, value, ref
+                  in zip(BB84_NAMES, measure_bb84(mu, d, j, k, basis), bb84(mu, d, j, k, basis))]
+        misses = [miss for miss in misses if not miss[3] <= rtol]
+        missed += bool(misses)
+        for name, value, ref, err in misses:
+            out.write("%s mu=%r d=%d j=%d k=%d basis=%s, %r, %s, %.3e\n"
+                      % (name, mu, d, j, k, basis, value, mpmath.nstr(ref, 20), err))
+    out.write("%d of %d BB84 cases miss their tolerance\n" % (missed, checked))
+    return missed
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
-        sys.exit("usage: python tests/referee.py fig1.csv")
-    sys.exit(1 if check_fig1(sys.argv[1]) else 0)
+        sys.exit("usage: python tests/referee.py fig1.csv | --bb84")
+    sys.exit(1 if (check_bb84() if sys.argv[1] == "--bb84" else check_fig1(sys.argv[1])) else 0)

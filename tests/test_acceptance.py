@@ -24,7 +24,6 @@ from pspsim import (
     WCS_NONDECOY,
     basis_fidelity_bound,
     cpm_output,
-    encoded_state,
     f2002,
     fidelity_to_number_state,
     g2_zero_closed,
@@ -41,7 +40,7 @@ from pspsim import (
 )
 from pspsim import cli
 
-from oracle import (auto_cutoff, fock_beam_splitter, g2_zero_oracle, hom_fock_oracle,
+from oracle import (encoded_fock, fock_beam_splitter, g2_zero_oracle, hom_fock_oracle,
                     kerr_output_fock, to_fock, uhlmann_fidelity)
 
 
@@ -162,16 +161,13 @@ def test_06_generation():
 
 
 def basis_mix_fidelity(mu, d, j):
-    cutoff = auto_cutoff(2.0 * mu) + 2
     ks = phase_set(d)
+    # every k shares the cutoff and the support n + m = j (mod d), off which both mixtures vanish
+    support = np.flatnonzero(encoded_fock(mu, d, j, 0))
 
     def mix(kpair):
-        dim = (cutoff + 1) ** 2
-        rho = np.zeros((dim, dim), dtype=complex)
-        for k in kpair:
-            v = to_fock(encoded_state(mu, d, j, k), cutoff=cutoff).ravel()
-            rho += 0.5 * np.outer(v, np.conj(v))
-        return rho
+        vs = [encoded_fock(mu, d, j, k).ravel()[support] for k in kpair]
+        return sum(0.5 * np.outer(v, np.conj(v)) for v in vs)
 
     return uhlmann_fidelity(mix((ks[0], ks[2])), mix((ks[1], ks[3])))
 

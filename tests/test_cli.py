@@ -76,6 +76,56 @@ def test_compute_encoding_error_phase_sets(capsys):
     assert err["error"] == "invalid-parameter"
 
 
+@pytest.mark.parametrize("argv", [["--mu", "0.001", "--d", "4", "--j", "2"],
+                                  ["--mu", "0.5", "--d", "16", "--j", "15"]])
+def test_compute_encoding_error_where_the_gram_route_refused(capsys, argv):
+    # exit 4 on p_click_port0 = 1 + 1e-12, and on an imaginary residue of 3.8e-7
+    assert run(["compute", "encoding-error"] + argv) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[1])["value"] == 0.0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["compute", "g2", "--d", "8", "--mu", "0.3", "--j", "3"], "--j"),
+    (["compute", "p11", "--d", "8", "--j", "2"], "--j"),
+    (["compute", "f2002", "--d", "8", "--j", "2"], "--j"),
+    (["compute", "fidelity", "--d", "8", "--nu", "5"], "--nu"),
+    (["compute", "g2", "--d", "8", "--trigger-convention", "paper"], "--trigger-convention"),
+    (["compute", "trigger", "--d", "8", "--j", "0", "--mu", "0.3"], "--mu"),
+    (["compute", "herald", "--d", "8", "--eta-det", "0.5"], "--eta-det"),
+    (["compute", "basis-fidelity", "--d", "8", "--phase-set", "standard"], "--phase-set"),
+    (["keyrate", "--protocol", "wcs-decoy", "--mu", "0.5", "--d", "8"], "--d"),
+    (["keyrate", "--protocol", "wcs-nondecoy", "--mu", "0.01", "--d", "8"], "--d"),
+    (["keyrate", "--protocol", "psp-passive", "--d", "8", "--mu", "0.45", "--nu", "256"], "--nu"),
+    (["keyrate", "--protocol", "psp-nondecoy", "--d", "8", "--mu", "0.03", "--yield-model",
+      "exact"], "--yield-model"),
+    (["keyrate", "--protocol", "wcs-decoy", "--optimize-mu", "--mu", "0.5"], "--mu"),
+    (["keyrate", "--protocol", "wcs-decoy", "--mu", "0.5", "--mu-grid-max", "1"], "--mu-grid-max"),
+])
+def test_flags_that_change_nothing_are_refused(capsys, argv, flag):
+    # compute g2 --j 3 printed the j = 1 value with exit 0, and keyrate --protocol
+    # wcs-decoy --d 8 echoed "d": 8 that no estimator read
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "invalid-parameter"
+    assert err["message"].startswith(flag + " does not apply to ")
+
+
+def test_flags_that_are_read_are_taken(capsys):
+    # trigger reads --eta-det, which it does not echo; herald echoes --nu, which it does not read
+    assert run(["compute", "trigger", "--d", "8", "--j", "1", "--nu", "100", "--eta-det", "0.5",
+                "--trigger-convention", "recomputed"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[1])["params"] == {
+        "convention": "recomputed", "d": 8, "j": 1, "nu": 100.0}
+    assert run(["compute", "herald", "--d", "8", "--nu", "400"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[1])["params"] == {
+        "d": 8, "j": 1, "mu": 0.1, "nu": 400.0}
+    assert run(["keyrate", "--protocol", "psp-triggered", "--d", "8", "--mu", "0.45", "--nu",
+                "256", "--eta-trigger-det", "0.2", "--basis-mu", "full"]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == 8
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("this quantity must not take that path")
 

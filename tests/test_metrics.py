@@ -18,18 +18,16 @@ from pspsim import (
     basis_fidelity_bound,
     beam_splitter,
     coherent_state,
-    encoded_state,
     f2002,
     fidelity_to_number_state,
     g2_zero_closed,
-    measure_bb84,
     p11,
     photon_number_probability,
     pseudo_number_state,
     tensor,
     vacuum_probabilities,
 )
-from pspsim import cli, metrics, pns, qkd, states
+from pspsim import cli, metrics, pns, states
 from pspsim.errors import _clamp_unit
 
 
@@ -330,7 +328,7 @@ def _assert_equal_input_bits(mus, d, delta=0.0):
     assert len(got) == len(mus)
     for mu, values in zip(mus.tolist(), got):
         s = pseudo_number_state(PSPParams(mu=mu, d=d, j=1 % d, delta=delta))
-        assert values == tuple(vacuum_probabilities(beam_splitter(tensor(s, s), "X"), HOM_SETS))
+        assert values == tuple(vacuum_probabilities(beam_splitter(tensor(s, s)), HOM_SETS))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 12])
@@ -357,7 +355,7 @@ def test_equal_input_states_have_the_object_paths_bits(d):
         kets, outputs = states._equal_input_outputs(coeffs, labels)
         for k, mu in enumerate(mus.tolist()):
             s = pseudo_number_state(PSPParams(mu=mu, d=d, j=1 % d, delta=delta))
-            out = beam_splitter(tensor(s, s), "X")
+            out = beam_splitter(tensor(s, s))
             assert _bits(coeffs[k]) == _bits(s.coeffs)
             assert _bits(labels[k]) == _bits(s.labels[:, 0])
             assert _bits(kets[k]) == _bits(out.coeffs)
@@ -411,17 +409,15 @@ def test_only_equal_hom_inputs_take_the_exchange_path(monkeypatch):
 
     monkeypatch.setattr(metrics, "_equal_input_projections",
                         recorded("equal", states._equal_input_projections))
-    for module in (metrics, qkd):
-        monkeypatch.setattr(module, "vacuum_probabilities",
-                            recorded("full", states.vacuum_probabilities))
+    monkeypatch.setattr(metrics, "vacuum_probabilities",
+                        recorded("full", states.vacuum_probabilities))
     p = PSPParams(mu=0.4, d=4, j=1)
     p11(p, p)
     assert seen == ["equal"]
     p11(p, PSPParams(mu=0.4, d=4, j=1, delta=0.25))
     p11(p, PSPParams(mu=0.5, d=4, j=1))
     p11(p, PSPParams(mu=0.4, d=8, j=1))
-    measure_bb84(encoded_state(0.45, 8, 1, 0), "X")
-    assert seen == ["equal", "full", "full", "full", "full"]
+    assert seen == ["equal", "full", "full", "full"]
 
 
 def test_hom_fock_oracle_sums_coincidences():

@@ -13,6 +13,7 @@ from pspsim import (
     PSPParams,
     keyrate_curve,
     loss_channel,
+    measure_bb84,
     pseudo_state_yield,
     residue_masses,
     transmission,
@@ -133,3 +134,12 @@ def test_loss_weights_are_a_distribution(d, mu, eta):
         assert ((0.0 <= w) & (w <= 1.0)).all()
         assert abs(w.sum() - 1.0) <= 1e-13
         assert np.array_equal(loss_channel(p, 1.0), np.eye(d)[j])
+
+
+@PROPERTY
+@given(mu=st.floats(1e-6, 20.0), d=st.sampled_from(range(4, 41, 4)), data=st.data())
+def test_bb84_readout_is_a_distribution(mu, d, data):
+    j, k = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    probs = measure_bb84(mu, d, j, k, data.draw(st.sampled_from("XY")))
+    assert all(0.0 <= p <= 1.0 for p in probs)
+    assert abs(sum(probs) - 1.0) <= 1e-15

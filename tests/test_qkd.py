@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracle import encoded_fock, fock_beam_splitter, threshold_readout
 from pspsim import qkd
 from pspsim import (
     ChannelParams,
@@ -14,6 +15,7 @@ from pspsim import (
     GenerationParams,
     KeyRateCurve,
     NumericalDiagnosticError,
+    TruncationError,
     PSP_NONDECOY,
     PSP_PASSIVE_DECOY,
     PSP_TRIGGERED,
@@ -22,11 +24,9 @@ from pspsim import (
     basis_fidelity_bound,
     binary_entropy,
     channel_stats,
-    encoded_state,
     keyrate_curve,
     keyrate_for_protocol,
     measure_bb84,
-    norm,
     optimize_mu,
     phase_error_upper,
     phase_set,
@@ -191,7 +191,8 @@ def test_phase_set_values_and_validation():
 
 ENCODINGS = {
     "phase_set": phase_set,
-    "encoded_state": lambda d: encoded_state(0.45, d, 1, 0),
+    # the two-pulse encoded state, given by (mu, d, j, k) and read by measure_bb84
+    "encoded_state": lambda d: measure_bb84(0.45, d, 1, 0, "X"),
     "basis_fidelity_bound": lambda d: basis_fidelity_bound(0.3, d, 1),
 }
 
@@ -208,28 +209,31 @@ def test_encodings_need_a_positive_integer_d_divisible_by_4(name, d, message):
 
 
 def test_encoded_state_norm():
-    for k in (0, 2, 4, 6):
-        s = encoded_state(0.45, 8, 1, k)
-        assert abs(norm(s) - 1.0) < 1e-12
+    # the encoded state, written in the number basis, has norm 1, and its readout's four
+    # exclusive events, each in [0, 1], sum to 1
+    for k in range(8):
+        amps = encoded_fock(0.45, 8, 1, k)
+        assert abs(np.vdot(amps, amps).real - 1.0) < 1e-12
+        for basis in "XY":
+            probs = measure_bb84(0.45, 8, 1, k, basis)
+            assert all(0.0 <= p <= 1.0 for p in probs)
+            assert abs(sum(probs) - 1.0) <= 1e-15
 
 
 def test_encoded_state_rejects_bool_mu():
     # True used to build the 8-term state at mu = 1: 2.0 * True is a float
     for mu in (True, np.True_):
         with pytest.raises(ValueError, match="bool"):
-            encoded_state(mu, 8, 1, 0)
-    assert abs(norm(encoded_state(1.0, 8, 1, 0)) - 1.0) < 1e-12
+            measure_bb84(mu, 8, 1, 0, "X")
+    assert measure_bb84(1.0, 8, 1, 0, "X")[1:] == (0.0, 0.0, 0.0)
 
 
 def test_encoded_state_rejects_bool_phase_index():
-    # True used to build the k = 1 state
-    for k in (True, np.True_, 1.5):
+    # True used to build the k = 1 state; k is an index in [0, d), as j is
+    for k in (True, np.True_, 1.5, 2.0, -1, 8, [1, 2]):
         with pytest.raises(ValueError, match="phase index"):
-            encoded_state(0.45, 8, 1, k)
-    integral = encoded_state(0.45, 8, 1, 2.0)
-    two = encoded_state(0.45, 8, 1, 2)
-    assert np.array_equal(integral.coeffs, two.coeffs)
-    assert np.array_equal(integral.labels, two.labels)
+            measure_bb84(0.45, 8, 1, k, "X")
+    assert measure_bb84(0.45, 8, 1, np.int64(2), "Y") == measure_bb84(0.45, 8, 1, 2, "Y")
 
 
 def test_measure_bb84_deterministic_ports():
@@ -237,33 +241,40 @@ def test_measure_bb84_deterministic_ports():
     k0, ky0, k1, ky1 = phase_set(d)
     # matched basis: one port stays exactly dark, no double clicks
     for k, basis, dark in ((k0, "X", 1), (k1, "X", 0), (ky0, "Y", 0), (ky1, "Y", 1)):
-        p0, p1, p_double, p_none = measure_bb84(encoded_state(mu, d, 1, k), basis)
+        p0, p1, p_double, p_none = measure_bb84(mu, d, 1, k, basis)
         assert abs(p0 + p1 + p_double + p_none - 1.0) < 1e-12
         assert (p1 if dark == 1 else p0) < 1e-12
         assert p_double < 1e-12
     # conjugate basis: both ports equally likely
-    p0, p1, _, _ = measure_bb84(encoded_state(mu, d, 1, k0), "Y")
+    p0, p1, _, _ = measure_bb84(mu, d, 1, k0, "Y")
     assert abs(p0 - p1) < 1e-12
 
 
-def test_measure_bb84_clamps_rounding_only(monkeypatch):
-    # a click probability of -1e-9 used to read 0.0 as silently as one of -1e-13
-    state = encoded_state(0.45, 8, 1, 0)
-    monkeypatch.setattr(qkd, "vacuum_probabilities", lambda out, sets: [0.5, 0.5, 0.5 + 1e-13])
-    assert measure_bb84(state, "X")[:2] == (0.0, 0.0)
-    monkeypatch.setattr(qkd, "vacuum_probabilities", lambda out, sets: [0.5, 0.5, 0.5 + 1e-9])
-    with pytest.raises(NumericalDiagnosticError, match="p_click_port0"):
-        measure_bb84(state, "X")
+@pytest.mark.parametrize("mu, d, j, k, basis", [
+    (0.001, 4, 2, 0, "X"), (0.001, 4, 2, 1, "Y"), (0.5, 16, 15, 8, "X"), (0.5, 16, 15, 12, "Y")])
+def test_measure_bb84_dark_ports_read_exactly_zero(mu, d, j, k, basis):
+    # the Gram route raised on these: p_click_port0 = 1 + 1e-12 at (0.001, 4, 2), an
+    # imaginary residue of 3.8e-7 at (0.5, 16, 15)
+    p0, p1, p_double, p_none = measure_bb84(mu, d, j, k, basis)
+    assert (p0 == 0.0) != (p1 == 0.0)
+    assert p_double == p_none == 0.0
+    assert p0 + p1 == 1.0
 
 
-def test_measure_bb84_clamps_p_none_like_the_clicks(monkeypatch):
-    # p_none was returned as computed, -3.36e-9 at (0.05, 12, 6, 9) in basis Y
-    state = encoded_state(0.45, 8, 1, 0)
-    monkeypatch.setattr(qkd, "vacuum_probabilities", lambda out, sets: [0.25, 0.25, -1e-13])
-    assert measure_bb84(state, "X")[3] == 0.0
-    monkeypatch.setattr(qkd, "vacuum_probabilities", lambda out, sets: [0.25, 0.25, -1e-9])
-    with pytest.raises(NumericalDiagnosticError, match="p_none"):
-        measure_bb84(state, "X")
+def test_measure_bb84_small_click_probability():
+    # the Gram route returned 8.8263e-14, off by 1.5e-3 from the 50-digit value
+    assert measure_bb84(0.3, 8, 0, 1, "Y")[0] == pytest.approx(8.8130019871458623e-14, rel=1e-13)
+
+
+def test_measure_bb84_at_mu_zero_and_beyond_the_series():
+    assert measure_bb84(0.0, 8, 0, 2, "Y") == (0.0, 0.0, 0.0, 1.0)
+    with pytest.raises(DegenerateStateError, match="j=1"):
+        measure_bb84(0.0, 8, 1, 2, "Y")
+    with pytest.raises(TruncationError):
+        measure_bb84(1e300, 8, 1, 2, "Y")
+    for basis in ("Z", "x"):
+        with pytest.raises(ValueError, match="basis"):
+            measure_bb84(0.45, 8, 1, 0, basis)
 
 
 def test_basis_fidelity_bound_rejects_excess_beyond_rounding(monkeypatch):
@@ -745,3 +756,16 @@ def test_channel_params_validation():
         ChannelParams(f=0.9)
     with pytest.raises(ValueError):
         ChannelParams(e_det=0.6)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_measure_bb84_matches_the_fock_oracle(d):
+    # the encoded amplitudes written from their definition, split in the number basis
+    # and read by threshold projections, share no formula with the one Poisson series
+    ks = sorted(set(phase_set(d)) | ({3 * d // 8} if d % 8 == 0 else set()))
+    for mu in (0.05, 0.45, 2.0):
+        for j in range(d):
+            for k in ks:
+                for basis in "XY":
+                    fock = threshold_readout(fock_beam_splitter(encoded_fock(mu, d, j, k), basis))
+                    assert measure_bb84(mu, d, j, k, basis) == pytest.approx(fock, rel=0, abs=1e-12)

@@ -4,7 +4,9 @@ Covered: residue masses and normalization for every residue, the fidelity,
 the one-photon probability and f2002, on fig1's default mu grid, fig4's
 2 mu grid (its bound reads N_{2mu,j}) and fig5's mu grid, for each d below;
 the loss channel's weights for every j on fig5's grid and the corners
-of LOSS_MUS; and the number-basis oracle's g2 for every j on G2_MUS.
+of LOSS_MUS; the number-basis oracle's g2 for every j on G2_MUS; and the
+four BB84 readout probabilities over referee.BB84_GRID, at rtol 1e-13
+(2.5e-13 at d = 40), where a zero referee probability must read exactly 0.
 """
 
 import io
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 import oracle
+import pspsim
 import referee
 from pspsim import (PSPParams, f2002, fidelity_to_number_state, loss_channel, normalization,
                     photon_number_probability, residue_masses)
@@ -114,3 +117,27 @@ def test_script_prints_a_missed_cell(tmp_path):
     first, last = out.getvalue().splitlines()
     assert first.startswith("fidelity d=4 mu=0.5, 0.25, 0.9")
     assert last == "1 of 1 covered cells miss rtol 1e-13"
+
+
+@pytest.mark.parametrize("d", referee.BB84_GRID["d"])
+def test_bb84_readout_of_every_case(d):
+    # every j, the k of both phase sets and both bases, against the two-port sum
+    out = io.StringIO()
+    assert referee.check_bb84([case for case in referee.bb84_cases() if case[1] == d], out) == 0, (
+        out.getvalue())
+
+
+def test_bb84_script_prints_a_missed_case(monkeypatch):
+    # a conjugate-basis click probability moved by 1e-12, relative, misses; an exact zero read as
+    # the smallest subnormal misses too
+    measure = pspsim.measure_bb84
+    moved = {(0.45, 8, 1, 2, "X"): lambda p: (p[0] * (1 + 1e-12),) + p[1:],
+             (0.45, 8, 1, 0, "X"): lambda p: p[:3] + (5e-324,)}
+    monkeypatch.setattr(pspsim, "measure_bb84",
+                        lambda *case: moved.get(case, lambda p: p)(measure(*case)))
+    out = io.StringIO()
+    assert referee.check_bb84([(0.45, 8, 1, k, b) for k in (0, 2) for b in "XY"], out) == 2
+    first, second, last = out.getvalue().splitlines()
+    assert first.startswith("p_none mu=0.45 d=8 j=1 k=0 basis=X, 5e-324, 0.0, inf")
+    assert second.startswith("p_click_port0 mu=0.45 d=8 j=1 k=2 basis=X, ")
+    assert last == "2 of 4 BB84 cases miss their tolerance"

@@ -2,6 +2,7 @@
 
 import ast
 import glob
+import inspect
 import itertools
 import math
 import os
@@ -130,23 +131,22 @@ def test_tensor_mode_count_and_overlap_factorizes():
     assert abs(inner_product(s, t) - expect) < 1e-14
 
 
-@pytest.mark.parametrize("variant", ["X", "Y"])
-def test_beam_splitter_preserves_norm(variant):
+def test_beam_splitter_preserves_norm():
     rng = np.random.default_rng(11)
     for _ in range(5):
         c = rng.normal(size=3) + 1j * rng.normal(size=3)
         labels = rng.normal(size=(3, 2)) * 0.5
         s = CoherentSuperposition(c / math.sqrt(np.sum(np.abs(c) ** 2) * 3), labels)
-        out = beam_splitter(s, variant)
+        out = beam_splitter(s)
         assert abs(norm(out) - norm(s)) < 1e-12
     with pytest.raises(ValueError, match="two modes"):
-        beam_splitter(coherent_state(0.5), variant)
+        beam_splitter(coherent_state(0.5))
 
 
 def test_x_beam_splitter_merges_identical_coherent_inputs():
     # |a>|a> -> all light in one port, the other exactly dark
     a = 0.4
-    out = beam_splitter(tensor(coherent_state(a), coherent_state(a)), "X")
+    out = beam_splitter(tensor(coherent_state(a), coherent_state(a)))
     empty0, empty1 = vacuum_probabilities(out, [(0,), (1,)])
     lo, hi = sorted([empty0, empty1])
     assert abs(hi - 1.0) < 1e-12
@@ -257,6 +257,16 @@ def test_psp_fock_is_normalized_where_the_coherent_sum_is_not(mu, d, j):
     assert not amps[np.arange(amps.size) % d != j].any()
 
 
+@pytest.mark.parametrize("mu, d, j, cutoff, found", [(1e-3, 8, 7, 30, "1.0000011"),
+                                                     (0.05, 12, 11, None, "3.34")])
+def test_to_fock_refuses_an_expansion_that_misses_the_norm(mu, d, j, cutoff, found):
+    # the coherent sum cancels to squared norm 1 + 1.1e-6 at (1e-3, 8, 7), and auto_cutoff
+    # picks 9 < j at (0.05, 12, 11), keeping squared norm 3.3e-8; both used to be returned.
+    # The Gram-matrix norm cancels there too (1.05e8 and 0), so neither can pass for it
+    with pytest.raises(TruncationError, match="squared norm %s" % found):
+        to_fock(pseudo_number_state(PSPParams(mu=mu, d=d, j=j)), cutoff)
+
+
 def test_psp_fock_keeps_the_support_tail_below_tail_tol():
     # auto_cutoff(2) = 22 leaves a relative support tail of 6.3e-12 at (2, 12, 11)
     mu, d, j = 2.0, 12, 11
@@ -309,6 +319,20 @@ def test_package_depends_on_numpy_alone():
     with open(os.path.join(PACKAGE, os.pardir, os.pardir, "pyproject.toml")) as f:
         deps = re.search(r"^dependencies = \[(.*?)\]", f.read(), re.M | re.S).group(1)
     assert re.findall(r'"([A-Za-z0-9_.-]+?)[<>=!~;" ]', deps) == ["numpy"]
+
+
+def test_bb84_readout_reads_no_coherent_state():
+    # the phase-encoded readout is one Poisson series: qkd imports nothing from states, and
+    # the encoded state, its state-form readout and the "Y" splitter are gone
+    with open(os.path.join(PACKAGE, "qkd.py")) as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "states" and "states" not in [a.name for a in node.names]
+    assert not hasattr(pspsim, "encoded_state")
+    assert list(inspect.signature(beam_splitter).parameters) == ["state"]
+    assert list(inspect.signature(pspsim.measure_bb84).parameters) == ["mu", "d", "j", "k",
+                                                                       "basis"]
 
 
 def test_import_skips_scipy_stats_and_linalg(isolated):
@@ -410,7 +434,7 @@ def test_fock_beam_splitter_matches_coherent_path():
         a, b = rng.normal(size=2) * 0.6 + 1j * rng.normal(size=2) * 0.3
         s = tensor(coherent_state(a), coherent_state(b))
         cutoff = auto_cutoff(2.0 * max(abs(a), abs(b)) ** 2)
-        out_c = to_fock(beam_splitter(s, "X"), cutoff=cutoff)
+        out_c = to_fock(beam_splitter(s), cutoff=cutoff)
         out_f = fock_beam_splitter(to_fock(s, cutoff=cutoff), variant="X")
         assert abs(abs(np.vdot(out_c, out_f)) - 1.0) < 1e-9
 
