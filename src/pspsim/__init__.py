@@ -48,14 +48,5 @@ from .qkd import (
     pseudo_state_yield,
     transmission,
 )
-from .states import (
-    CoherentSuperposition,
-    beam_splitter,
-    coherent_state,
-    inner_product,
-    norm,
-    tensor,
-    vacuum_probabilities,
-)
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import _index, _real
 from .pns import _validate_dj, residue_masses
-from .states import CoherentSuperposition
 
 # Exponent conventions for the no-click trigger probability: the reference
 # closed form divides |w^j - w|^2 by 4; recomputing the projected amplitude
@@ -60,15 +59,16 @@ class GenerationParams:
 def cpm_output(g):
     """Two-mode output of the cross-phase interaction on |sqrt(mu), sqrt(nu)>.
 
-    Returned as the d^2-term coherent expansion with coefficients
-    w^{-jq}/d and labels (sqrt(mu) w^q, sqrt(nu) w^j); normalized.
+    Returned as the d^2-term coherent expansion (coeffs, labels), a (d^2,)
+    and a (d^2, 2) array: term j d + q has coefficient w^{-jq}/d and labels
+    (sqrt(mu) w^q, sqrt(nu) w^j); normalized.
     """
     d = g.d
     jj, qq = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     coeffs = np.exp(-2j * np.pi * jj * qq / d) / d
     lab1 = np.sqrt(g.mu) * np.exp(2j * np.pi * qq.ravel() / d)
     lab2 = np.sqrt(g.nu) * np.exp(2j * np.pi * jj.ravel() / d)
-    return CoherentSuperposition(coeffs.ravel(), np.column_stack([lab1, lab2]))
+    return coeffs.ravel(), np.column_stack([lab1, lab2])
 
 
 def herald_probabilities(g):

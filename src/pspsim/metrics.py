@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import REAL_RESIDUE_TOL, UNIT_RESIDUE_TOL, NumericalDiagnosticError, _clamp_unit
 from .pns import (_circle_inputs, _circles, _mu, _validate_dj, normalization,
-                  photon_number_probability, pseudo_number_state)
-from .states import _equal_input_projections, beam_splitter, tensor, vacuum_probabilities
+                  photon_number_probability)
+from .states import _equal_input_projections, _hom_outputs, _hom_projections
 
 
 def g2_zero_closed(mu, d):
@@ -24,9 +24,8 @@ def g2_zero_closed(mu, d):
     w^{q-q'} factor.  The quadrature moment <a'|a^+a^+aa|a> contributes
     w^{2(q-q')}, which combines with the coefficient phase w^{q'-q} to the
     net factor w^{q-q'}; pairing the opposite sign instead fails the Fock
-    cross-check for every d >= 3.  d = 1 is the coherent state, whose exact
-    g2 is 1; the closed form returns the summed residue mass M_0 there, a few
-    ulp from 1 (1.0000000000000042 at mu = 20).
+    cross-check for every d >= 3.  d = 1 is the coherent state: its residue
+    mass is exactly 1 and both phase sums are 1, so g2 is exactly 1.
     At small mu the sums cancel to noise around a tiny true value: a result
     down to -UNIT_RESIDUE_TOL reads 0, one below it is a numerical failure.
     mu may be a 1-D array: one residue table serves the normalizations, one
@@ -56,16 +55,19 @@ def p11(p1, p2):
     """Coincidence probability of two pseudo-number states on an X beam splitter.
 
     1 - P(vac a) - P(vac b) + P(vac ab), from the vacuum projections of the
-    output's coherent expansion.  Identical inputs bunch (p11 -> 0), and
-    d = d' = 1 gives p11 = 0.  Equal inputs take _equal_input_p11 on a
-    one-point grid: the output is symmetric under the input exchange, so
-    only the Gram entries that exchange does not repeat are exponentiated,
-    and every value keeps the bits of the full Gram matrices.
+    output's coherent expansion (_hom_outputs of the inputs' _circles rows).
+    Identical inputs bunch (p11 -> 0), and d = d' = 1 gives p11 = 0.  Equal
+    inputs take _equal_input_p11 on a one-point grid: the output is symmetric
+    under the input exchange, so only the Gram entries that exchange does not
+    repeat are exponentiated, and every value keeps the bits of the full Gram
+    matrices.  A contraction that overflows is NaN, refused without a warning.
     """
     if p2 == p1:
         return _equal_input_p11(*_circle_inputs(p1))[0]
-    out = beam_splitter(tensor(pseudo_number_state(p1), pseudo_number_state(p2)))
-    va, vb, vab = vacuum_probabilities(out, ((0,), (1,), (0, 1)))
+    inputs = _circles(*_circle_inputs(p1)) + _circles(*_circle_inputs(p2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kets, labels = _hom_outputs(*inputs)
+        va, vb, vab = _hom_projections(kets[0], labels[0])
     return _clamp_unit(1.0 - va - vb + vab, "p11")
 
 
@@ -76,10 +78,12 @@ def _equal_input_p11(mus, masses, d, j, delta):
     One pass over the grid: the inputs' coefficients and labels come from
     one _circles call, and their outputs' vacuum projections from
     _equal_input_projections, which exponentiates each distinct Gram entry
-    once per point.  Each point is clamped as its projections arrive.
+    once per point.  Each point is clamped as its projections arrive; an
+    overflow is NaN, refused as in p11.
     """
-    return [_clamp_unit(1.0 - va - vb + vab, "p11")
-            for va, vb, vab in _equal_input_projections(*_circles(mus, masses, d, j, delta))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_clamp_unit(1.0 - va - vb + vab, "p11")
+                for va, vb, vab in _equal_input_projections(*_circles(mus, masses, d, j, delta))]
 
 
 def f2002(p1, p2):

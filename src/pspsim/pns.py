@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, TruncationError, _clamp_unit, _index, _real
-from .states import CoherentSuperposition, log_factorial
+from .states import log_factorial
 
 # Relative size at which the modular Poisson series stops adding terms.
 SERIES_RTOL = 1e-30
@@ -62,7 +62,8 @@ def residue_masses(mu, d, residues=None):
     mu may be a 1-D array; the result is then a (len(mu), d) table, and a
     number mu is row 0 of a one-row table.  residues (a list of r in [0, d))
     keeps only those columns, in that order; only they are computed, and
-    each equals the full table's column bit for bit.
+    each equals the full table's column bit for bit.  At d = 1 every mass is
+    exactly 1, with no series summed.
     One log-space pass over blocks of 64 d consecutive photon numbers (fewer
     at d > 1024), each laid out residue-major so that row r of the block
     holds its n = r (mod d).
@@ -86,6 +87,9 @@ def residue_masses(mu, d, residues=None):
     js = np.arange(d) if residues is None else _index(residues, d, "residues")
     if js.ndim != 1:
         raise ValueError("residues must be a list of integers in [0, d)")
+    if d == 1:  # the one residue holds the whole distribution: its mass is 1 exactly
+        table = np.ones((values.size, js.size))
+        return table if np.ndim(mu) else table[0]
     top = values.max(initial=0.0)
     width = _head_width(min(js.tolist(), default=0), rows, d, top) if top > 0 else rows
     group = max(1, _TABLE_BLOCK // (width * max(js.size, 1)))
@@ -235,9 +239,11 @@ def _circle_inputs(p):
 
 
 def pseudo_number_state(p):
-    """Construct |j_d> as a d-term coherent superposition (normalized)."""
+    """|j_d> as its d-term coherent expansion (normalized): (coeffs, labels), two
+    (d,) complex arrays, term q with coefficient w^{-jq} / sqrt(N) and label
+    sqrt(mu) w^{q + delta}."""
     coeffs, labels = _circles(*_circle_inputs(p))
-    return CoherentSuperposition(coeffs[0], labels[0][:, None])
+    return coeffs[0], labels[0]
 
 
 def _circles(mus, masses, d, j, delta):
@@ -297,7 +303,7 @@ def loss_channel(p, eta):
     from the residue masses M.  Returns w, a (d,) float array indexed by the
     output residue k; it sums to 1 because sum_r M_r(a) M_{j-r}(b) = M_j(a + b).
     Each weight is a probability under errors._clamp_unit: the masses' last-bit
-    error can put one an ulp above 1, as at d = 1, where the one weight is 1.
+    error can put one an ulp above 1 (at d = 1 the one weight is exactly 1).
     The two-term small-loss shortcut keeps w[j] (no photon lost) and
     w[(j - 1) mod d] (one lost); as the |k_d> at one mu' are orthogonal, its
     Uhlmann fidelity to the output is their sum.

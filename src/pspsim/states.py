@@ -1,10 +1,11 @@
-"""Exact algebra over finite superpositions of multimode coherent states.
+"""The Gram kernel of p11, on the coherent expansion held as plain arrays, and log(n!).
 
-A state is stored as a list of weighted coherent terms
-c_1 |a_11, a_12, ...> + c_2 |a_21, a_22, ...> + ...; overlaps, 50:50 beam
-splitters and vacuum projections all have closed forms in the labels, so
-nothing here is truncated.  The number-basis expansion that checks these
-closed forms lives in the test tree (tests/oracle.py), not in the package.
+A superposition c_1 |a_1> + c_2 |a_2> + ... of (multimode) coherent states
+is two arrays: coefficients c of shape (terms,) and labels a of shape
+(terms,) for one mode or (terms, modes).  The 50:50 beam splitter
+relabels terms and vacuum projections are Gram contractions, both closed
+forms in the labels, so nothing here is truncated.  The number-basis
+expansion that checks them lives in the test tree (tests/oracle.py).
 
 Conventions:
     <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a)*b)
@@ -12,11 +13,10 @@ Conventions:
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import REAL_RESIDUE_TOL, NumericalDiagnosticError, TruncationError, _index
+from .errors import REAL_RESIDUE_TOL, NumericalDiagnosticError, TruncationError
 
 # Most entries a Gram matrix of coherent terms may hold: d <= 64 for the d^4
 # entries of equal-input p11.  A larger matrix is a TruncationError before it
@@ -47,68 +47,22 @@ def log_factorial(n):
         return np.array(values).reshape(np.shape(n))[()]
 
 
-@dataclass(frozen=True)
-class CoherentSuperposition:
-    """Weighted sum of multimode coherent states.
+def _pair_exponents(labels, modes):
+    """Matrix of overlap exponents E[i, k] = log <x_i|x_k> of a state's terms with
+    themselves, with cross terms conj(x_im) x_km of the listed modes only.
 
-    coeffs: complex array of shape (terms,)
-    labels: complex array of shape (terms, modes); labels[t, m] is the
-        coherent amplitude of term t in mode m.
-    Terms are never merged, even when labels coincide.
-    """
-
-    coeffs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        labels = np.asarray(self.labels, dtype=complex)
-        if labels.ndim == 1:
-            labels = labels[:, None]
-        if coeffs.ndim != 1 or labels.ndim != 2:
-            raise ValueError("coeffs must be 1-d and labels 2-d")
-        if coeffs.shape[0] != labels.shape[0]:
-            raise ValueError("coeffs and labels disagree on the number of terms")
-        if coeffs.shape[0] < 1 or labels.shape[1] < 1:
-            raise ValueError("need at least one term and one mode")
-        if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(labels))):
-            raise ValueError("coefficients and labels must be finite")
-        coeffs.flags.writeable = False
-        labels.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def term_count(self):
-        return self.coeffs.shape[0]
-
-    @property
-    def mode_count(self):
-        return self.labels.shape[1]
-
-
-def coherent_state(*alphas):
-    """Single-term coherent state |alpha_1, alpha_2, ...>."""
-    return CoherentSuperposition(np.ones(1, dtype=complex), np.array([alphas], dtype=complex))
-
-
-def _pair_exponents(x_labels, y_labels, modes=None):
-    """Matrix of overlap exponents E[i, j] = log <x_i|y_j>, with cross terms
-    conj(x_im) y_jm of the listed modes only (all by default).
-
-    The norm exponents -|x_i|^2/2 - |y_j|^2/2 span every mode, so leaving a
+    The norm exponents -|x_i|^2/2 - |x_k|^2/2 span every mode, so leaving a
     mode out projects it onto vacuum.  Per-mode exponents are summed before
     exponentiation, so products over modes never underflow pairwise.  A
     matrix of more than GRAM_MAX_ENTRIES entries is a TruncationError,
     raised before it is allocated.
     """
-    _check_gram(x_labels.shape[0] * y_labels.shape[0])
-    ex = -0.5 * np.sum(np.abs(x_labels) ** 2, axis=1)
-    ey = -0.5 * np.sum(np.abs(y_labels) ** 2, axis=1)
-    cross = np.zeros((x_labels.shape[0], y_labels.shape[0]), dtype=complex)
-    for mode in range(x_labels.shape[1]) if modes is None else modes:
-        cross += np.conj(x_labels[:, mode])[:, None] * y_labels[None, :, mode]
-    cross += ex[:, None] + ey[None, :]
+    _check_gram(labels.shape[0] ** 2)
+    ex = -0.5 * np.sum(np.abs(labels) ** 2, axis=1)
+    cross = np.zeros((labels.shape[0], labels.shape[0]), dtype=complex)
+    for mode in modes:
+        cross += np.conj(labels[:, mode])[:, None] * labels[None, :, mode]
+    cross += ex[:, None] + ex[None, :]
     return cross
 
 
@@ -119,64 +73,6 @@ def _check_gram(entries):
                               % (entries, GRAM_MAX_ENTRIES))
 
 
-def inner_product(x, y):
-    """Exact inner product <x|y> of two superpositions on equal mode counts."""
-    if x.mode_count != y.mode_count:
-        raise ValueError("mode-count mismatch: %d vs %d" % (x.mode_count, y.mode_count))
-    gram = _pair_exponents(x.labels, y.labels)
-    return complex(np.conj(x.coeffs) @ np.exp(gram, out=gram) @ y.coeffs)
-
-
-def norm(x):
-    """State norm sqrt(<x|x>)."""
-    val = inner_product(x, x).real
-    return float(np.sqrt(max(val, 0.0)))
-
-
-def tensor(x, y):
-    """Tensor product; term count multiplies, labels concatenate."""
-    coeffs = np.outer(x.coeffs, y.coeffs).ravel()
-    lx = np.repeat(x.labels, y.term_count, axis=0)
-    ly = np.tile(y.labels, (x.term_count, 1))
-    return CoherentSuperposition(coeffs, np.hstack([lx, ly]))
-
-
-def beam_splitter(state):
-    """50:50 beam splitter (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2)) on modes 0 and 1, a pure
-    relabeling of terms; further modes pass through, and a one-mode state is a ValueError."""
-    if state.mode_count < 2:
-        raise ValueError("beam splitter needs at least two modes")
-    labels = np.array(state.labels)
-    labels[:, 0], labels[:, 1] = _split(state.labels[:, 0], state.labels[:, 1])
-    return CoherentSuperposition(state.coeffs, labels)
-
-
-def _split(a, b):
-    """The splitter's output labels (a + b)/sqrt(2) and (a - b)/sqrt(2), elementwise."""
-    return (a + b) / _SQRT2, (a - b) / _SQRT2
-
-
-def vacuum_probabilities(state, mode_sets):
-    """<psi| P_m |psi> for each tuple of modes m in mode_sets, as a list of floats.
-
-    P_m projects the modes of m onto vacuum.  Closed form: the Gram matrix
-    with the cross terms of the projected modes removed (_pair_exponents
-    over the kept modes).  The state need not be normalized; for a
-    normalized state each result is a probability.  A mode outside
-    [0, mode_count), or one that is not an integer, is a ValueError; an
-    imaginary part above REAL_RESIDUE_TOL is a NumericalDiagnosticError.
-    """
-    projected = [_index(tuple(modes), state.mode_count, "mode indices").tolist()
-                 for modes in mode_sets]
-    bra = np.conj(state.coeffs)
-    values = []
-    for modes in projected:
-        keep = [m for m in range(state.mode_count) if m not in modes]
-        gram = _pair_exponents(state.labels, state.labels, keep)
-        values.append(_projection(bra, np.exp(gram, out=gram), state.coeffs))
-    return values
-
-
 def _projection(bra, gram, ket):
     """The real number bra @ gram @ ket; an imaginary part above REAL_RESIDUE_TOL is a
     NumericalDiagnosticError."""
@@ -184,6 +80,36 @@ def _projection(bra, gram, ket):
     if abs(val.imag) > REAL_RESIDUE_TOL:
         raise NumericalDiagnosticError("vacuum projection has imaginary residue %.3e" % val.imag)
     return float(val.real)
+
+
+def _hom_outputs(c1, l1, c2, l2):
+    """Coefficients (points, d1 d2) and labels (points, d1 d2, 2) of the splitter's output
+    for the one-mode inputs of each row of c1, l1, (points, d1), and c2, l2, (points, d2).
+
+    Output term q1 d2 + q2 has coefficient c1[q1] c2[q2] and the labels
+    ((a + b)/sqrt(2), (a - b)/sqrt(2)) of a = l1[q1], b = l2[q2].
+    """
+    (points, d1), d2 = c1.shape, c2.shape[1]
+    kets = (c1[:, :, None] * c2[:, None, :]).reshape(points, d1 * d2)
+    a, b = l1[:, :, None], l2[:, None, :]
+    out = np.empty((points, d1, d2, 2), dtype=complex)
+    out[..., 0], out[..., 1] = (a + b) / _SQRT2, (a - b) / _SQRT2
+    return kets, out.reshape(points, d1 * d2, 2)
+
+
+def _hom_projections(ket, labels):
+    """(va, vb, vab): the probabilities that output mode 0, mode 1 and both hold
+    vacuum, for the output term coefficients ket and labels, one row of _hom_outputs.
+
+    Each is the Gram matrix over the kept mode's cross terms alone (mode 1,
+    mode 0, none), exponentiated and contracted with the coefficients.
+    """
+    bra = np.conj(ket)
+    values = []
+    for keep in ((1,), (0,), ()):
+        gram = _pair_exponents(labels, keep)
+        values.append(_projection(bra, np.exp(gram, out=gram), ket))
+    return values
 
 
 def _exchange_layout(d):
@@ -212,25 +138,13 @@ def _unfold_exchange(packed, gram, d, swap, orbit):
         gram[q1:q1 * d:d].take(swap, axis=1, out=gram[q1 * d:q1 * d + q1], mode="clip")
 
 
-def _equal_input_outputs(coeffs, labels):
-    """Coefficients (points, d^2) and labels (points, d^2, 2) of
-    beam_splitter(tensor(s, s)) for the one-mode state s of each row of
-    coeffs and labels, (points, d) arrays, by the elementwise arithmetic of
-    tensor and beam_splitter."""
-    points, d = coeffs.shape
-    kets = (coeffs[:, :, None] * coeffs[:, None, :]).reshape(points, d * d)  # np.outer
-    out = np.empty((points, d, d, 2), dtype=complex)
-    out[..., 0], out[..., 1] = _split(labels[:, :, None], labels[:, None, :])
-    return kets, out.reshape(points, d * d, 2)
-
-
 def _equal_input_projections(coeffs, labels):
-    """vacuum_probabilities(beam_splitter(tensor(s, s)), ((0,), (1,), (0, 1)))
-    for the one-mode state s of each row of coeffs and labels, (points, d) arrays.
+    """_hom_projections(*_hom_outputs(c, l, c, l)) for the one-mode inputs c, l of
+    each row of coeffs and labels, (points, d) arrays.
 
     Yields one (va, vb, vab) per row, in order, each value with the bits of
     that call.  The outputs' coefficients and labels come a block of rows at
-    a time from _equal_input_outputs.  The input exchange maps an output
+    a time from _hom_outputs.  The input exchange maps an output
     term i = q1 d + q2 to q2 d + q1; it keeps every mode-0 label
     (x + y == y + x) and every norm exponent bit for bit, and negates every
     mode-1 label exactly.  So the Gram matrix of (0,), which keeps mode 1,
@@ -264,7 +178,7 @@ def _equal_input_projections(coeffs, labels):
         return _projection(bra, gram, ket)
 
     for start in range(0, points, step):
-        kets, out = _equal_input_outputs(coeffs[start:start + step], labels[start:start + step])
+        kets, out = _hom_outputs(*(coeffs[start:start + step], labels[start:start + step]) * 2)
         ex = -0.5 * np.sum(np.abs(out) ** 2, axis=2)
         for ket, bra, lab, e in zip(kets, np.conj(kets), out, ex):
             reps = lab[rows]  # one term of each orbit

@@ -3,9 +3,10 @@ their definitions and checked against pspsim's closed forms by the tests.
 
 An m-mode state is a complex array of shape (cutoff + 1,) * m holding
 <n_1, ..., n_m|psi>: its ndim is its mode count, np.vdot its inner product.
-to_fock expands any CoherentSuperposition through <n|alpha>, a sum that
-cancels at small mu as the production phase sums do, and refuses a result
-whose norm shows it; psp_fock writes the pseudo-number state from its
+to_fock expands a coherent expansion, plain (coeffs, labels) arrays as
+pspsim returns them, through <n|alpha>, a sum that cancels at small mu as
+the production phase sums do, and refuses a result whose norm misses
+coherent_norm2; psp_fock writes the pseudo-number state from its
 definition, with nothing to cancel, and the g2, HOM and loss oracles read
 it, as the BB84 readout reads encoded_fock, its two-pulse phase encoding.
 Pure loss is binomial thinning of a density matrix, which never forms a
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.special import gammaln, pdtrc, xlogy
 
-from pspsim import NumericalDiagnosticError, PSPParams, TruncationError, coherent_state, norm
+from pspsim import NumericalDiagnosticError, PSPParams, TruncationError
 
 # Poisson tail every photon-number cutoff must keep below this.
 TAIL_TOL = 1e-14
@@ -78,24 +79,42 @@ def _check_size(cutoff, modes):
                               % (cutoff, modes, FOCK_MAX_DIM))
 
 
-def to_fock(state, cutoff=None):
-    """A CoherentSuperposition as a (cutoff + 1,) * modes array; cutoff=None picks
+def _mode_columns(labels):
+    """Labels of shape (terms,) or (terms, modes) as a (terms, modes) complex array."""
+    labels = np.asarray(labels, dtype=complex)
+    return labels[:, None] if labels.ndim == 1 else labels
+
+
+def coherent_norm2(coeffs, labels):
+    """<psi|psi> = conj(c) @ exp(G) @ c of the coherent expansion (coeffs, labels), with
+    G[i, k] = log <a_i|a_k> summed over the modes: the closed form that to_fock's
+    squared norm must meet.  It cancels at small mu, as the expansion does."""
+    labels = _mode_columns(labels)
+    ex = -0.5 * np.sum(np.abs(labels) ** 2, axis=1)
+    gram = np.conj(labels) @ labels.T + ex[:, None] + ex[None, :]
+    return float((np.conj(coeffs) @ np.exp(gram) @ coeffs).real)
+
+
+def to_fock(coeffs, labels, cutoff=None):
+    """The coherent expansion sum_t coeffs[t] |labels[t]> as a (cutoff + 1,) * modes
+    array, labels of shape (terms,) for one mode or (terms, modes); cutoff=None picks
     auto_cutoff at the largest per-mode |label|^2.  An explicit cutoff that leaves a
     Poisson tail of TAIL_TOL or more there is a TruncationError.  So is an array whose
-    squared norm misses the state's closed-form one by more than LEAK_TOL of it: a
-    cutoff below the state's support, or a coherent sum that cancels to noise."""
-    lam = float(np.max(np.abs(state.labels) ** 2))
+    squared norm misses coherent_norm2 by more than LEAK_TOL of it: a cutoff below
+    the state's support, or a coherent sum that cancels to noise."""
+    labels = _mode_columns(labels)
+    lam = float(np.max(np.abs(labels) ** 2))
     if cutoff is None:
         cutoff = auto_cutoff(lam)
     elif lam > 0 and pdtrc(cutoff, lam) >= TAIL_TOL:
         raise TruncationError("cutoff %d keeps Poisson tail %.3e above %.3e at intensity %.6g"
                               % (cutoff, pdtrc(cutoff, lam), TAIL_TOL, lam))
-    _check_size(cutoff, state.mode_count)
+    _check_size(cutoff, labels.shape[1])
     ns = np.arange(cutoff + 1)
-    amps = np.zeros((cutoff + 1,) * state.mode_count, dtype=complex)
-    for c, labels in zip(state.coeffs, state.labels):
-        amps += c * reduce(np.multiply.outer, [fock_amplitude(a, ns) for a in labels])
-    exact = norm(state) ** 2
+    amps = np.zeros((cutoff + 1,) * labels.shape[1], dtype=complex)
+    for c, term in zip(coeffs, labels):
+        amps += c * reduce(np.multiply.outer, [fock_amplitude(a, ns) for a in term])
+    exact = coherent_norm2(coeffs, labels)
     if not abs(np.vdot(amps, amps).real - exact) <= LEAK_TOL * exact:
         raise TruncationError("the expansion's squared norm %.10g misses the state's %.10g"
                               % (np.vdot(amps, amps).real, exact))
@@ -231,7 +250,10 @@ def fock_beam_splitter(amps, variant="X"):
 def kerr_output_fock(g, cutoff=None):
     """The cross-phase interaction exp(i 2 pi n1 n2 / d) of GenerationParams g,
     applied amplitude by amplitude to |sqrt(mu), sqrt(nu)>."""
-    amps = to_fock(coherent_state(np.sqrt(g.mu), np.sqrt(g.nu)), cutoff)
+    if cutoff is None:
+        cutoff = auto_cutoff(max(g.mu, g.nu))
+    amps = np.multiply.outer(*(to_fock(np.ones(1), np.array([np.sqrt(x)]), cutoff)
+                               for x in (g.mu, g.nu)))
     ns = np.arange(amps.shape[0])
     return amps * np.exp(2j * np.pi * np.outer(ns, ns) / g.d)
 

@@ -36,9 +36,9 @@ def test_compute_hom_quantities_of_coherent_inputs(capsys, mu):
 
 def test_fig1_of_coherent_states(tmp_path, capsys):
     # d = 1: g2 = 1 and p11 = 0 at every mu, and the fidelity column is the
-    # one-photon probability mu e^(-mu), as for every other d; the summed
-    # Poisson mass M_0 is a few ulp from 1 (1 + 4.2e-15 at mu = 20), which
-    # g2 reads as is and p11 as twice its excess
+    # one-photon probability mu e^(-mu), as for every other d; the one residue
+    # mass M_0 is exactly 1 (its Poisson sum read 1 + 4.2e-15 at mu = 20), so
+    # g2 is exactly 1 and p11 misses 0 by the rounding of 1 - va - vb + vab
     out = tmp_path / "f1.csv"
     assert run(["fig1", "--d-list", "1", "--mu-points", "7", "--out", str(out)]) == 0
     with open(out, newline="") as fh:
@@ -131,10 +131,10 @@ def _refuse(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv, refused, expect", [
-    # F2002 is P1(1) P2(1): no coherent state, no Gram matrix (was the d^4 Gram at d = 40)
+    # F2002 is P1(1) P2(1): no coherent expansion, no Gram matrix (was the d^4 Gram at d = 40)
     (["f2002", "--d", "40", "--mu", "8"],
-     [(states, "vacuum_probabilities"), (metrics, "vacuum_probabilities"),
-      (metrics, "pseudo_number_state")], 0.99999999999986944),
+     [(states, "_pair_exponents"), (metrics, "_equal_input_projections"),
+      (metrics, "_hom_projections"), (metrics, "_hom_outputs")], 0.99999999999986944),
     # p11 needs no one-photon probability
     (["p11", "--d", "8", "--mu2", "1", "--mu", "0.3"],
      [(metrics, "photon_number_probability")], 2.7012069332398684e-06),
@@ -146,6 +146,22 @@ def test_compute_hom_quantities_take_only_their_own_path(monkeypatch, capsys, ar
     assert run(["compute"] + argv) == 0
     value = json.loads(capsys.readouterr().out.strip().splitlines()[1])["value"]
     assert abs(value - expect) <= 1e-12 * expect  # the benchmark's query references
+
+
+@pytest.mark.parametrize("mu, d", [("1e-300", "3"), ("5e-324", "8")])
+def test_p11_overflow_prints_only_its_error_line(isolated, mu, d):
+    # the Gram contraction overflows at these residue masses; it used to print
+    # "overflow encountered in matmul" to stderr before the exit-4 error line
+    code, out = isolated(
+        "import sys\n"
+        "import pspsim.cli\n"
+        "sys.stderr = sys.stdout\n"
+        "print(pspsim.cli.main(['compute', 'p11', '--mu', %r, '--d', %r]))\n" % (mu, d))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "4" and len(lines) == 2
+    assert json.loads(lines[0]) == {"error": "numerical-diagnostic",
+                                    "message": "p11 = nan falls outside [0, 1]"}
 
 
 def test_compute_invalid_parameter(capsys):

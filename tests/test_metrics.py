@@ -16,16 +16,12 @@ from pspsim import (
     PSPParams,
     TruncationError,
     basis_fidelity_bound,
-    beam_splitter,
-    coherent_state,
     f2002,
     fidelity_to_number_state,
     g2_zero_closed,
     p11,
     photon_number_probability,
     pseudo_number_state,
-    tensor,
-    vacuum_probabilities,
 )
 from pspsim import cli, metrics, pns, states
 from pspsim.errors import _clamp_unit
@@ -171,7 +167,8 @@ def test_array_phase_sums_keep_the_per_mu_bits(d, grid):
 
 
 def test_g2_oracle_rejects_two_mode_states():
-    fv = to_fock(tensor(*(pseudo_number_state(PSPParams(mu=0.2, d=2, j=1)),) * 2))
+    one = to_fock(*pseudo_number_state(PSPParams(mu=0.2, d=2, j=1)))
+    fv = np.multiply.outer(one, one)
     with pytest.raises(ValueError):
         g2_zero_oracle(fv)
 
@@ -273,9 +270,9 @@ def test_f2002_closed_form_matches_fock_oracle(p1, p2):
 
 
 def test_hom_builds_equal_inputs_once(monkeypatch):
-    # equal inputs: one pass over one-point arrays, no state object, and one
-    # residue pass each for p11 and f2002; unequal inputs build both states
-    calls = {"circles": 0, "states": 0, "residues": 0}
+    # equal inputs: one pass over one-point arrays and one residue pass each
+    # for p11 and f2002; unequal inputs read each input's one-point arrays
+    calls = {"circles": 0, "residues": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -284,17 +281,15 @@ def test_hom_builds_equal_inputs_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(metrics, "_circles", counted("circles", metrics._circles))
-    monkeypatch.setattr(metrics, "pseudo_number_state",
-                        counted("states", metrics.pseudo_number_state))
     monkeypatch.setattr(pns, "residue_masses", counted("residues", pns.residue_masses))
     p = PSPParams(mu=0.4, d=4, j=1)
     p11(p, p)
     f2002(p, p)
-    assert calls == {"circles": 1, "states": 0, "residues": 2}
+    assert calls == {"circles": 1, "residues": 2}
     q = PSPParams(mu=0.4, d=4, j=1, delta=0.25)
     p11(p, q)
     f2002(p, q)
-    assert calls == {"circles": 1, "states": 2, "residues": 6}
+    assert calls == {"circles": 3, "residues": 6}
 
 
 def test_p11_gram_beyond_its_limit_is_refused(monkeypatch):
@@ -314,21 +309,25 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-HOM_SETS = ((0,), (1,), (0, 1))
-
-
 def _circle_grid(mus, d, delta):
     # _circles on a mu grid, its masses read from one table as fig1 reads them
     return pns._circles(mus, pns._nonzero_mass(mus, d, 1 % d), d, 1 % d, delta)
 
 
+def _generic_projections(p1, p2):
+    # the generic route of p11: one splitter-output build and three Gram projections
+    (c1, l1), (c2, l2) = pseudo_number_state(p1), pseudo_number_state(p2)
+    kets, labels = states._hom_outputs(c1[None], l1[None], c2[None], l2[None])
+    return tuple(states._hom_projections(kets[0], labels[0]))
+
+
 def _assert_equal_input_bits(mus, d, delta=0.0):
-    # the one-pass evaluator against the object path, point by point and bit for bit
+    # the one-pass evaluator against the generic route, point by point and bit for bit
     got = list(states._equal_input_projections(*_circle_grid(mus, d, delta)))
     assert len(got) == len(mus)
     for mu, values in zip(mus.tolist(), got):
-        s = pseudo_number_state(PSPParams(mu=mu, d=d, j=1 % d, delta=delta))
-        assert values == tuple(vacuum_probabilities(beam_splitter(tensor(s, s)), HOM_SETS))
+        p = PSPParams(mu=mu, d=d, j=1 % d, delta=delta)
+        assert values == _generic_projections(p, p)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 12])
@@ -343,23 +342,6 @@ def test_exchange_symmetric_projections_equal_full_gram(d):
 @pytest.mark.parametrize("d", [4, 8, 12])
 def test_equal_input_projections_on_the_fig1_grid(d):
     _assert_equal_input_bits(ARRAY_GRIDS[0], d)
-
-
-@pytest.mark.parametrize("d", [1, 3, 4, 8, 12])
-def test_equal_input_states_have_the_object_paths_bits(d):
-    # rows of one many-point pass against the one-point objects: the inputs'
-    # coefficients and labels, and the outputs' of tensor and beam_splitter
-    for delta in (0.0, 0.37):
-        mus = np.logspace(-3, math.log10(20.0), 9)
-        coeffs, labels = _circle_grid(mus, d, delta)
-        kets, outputs = states._equal_input_outputs(coeffs, labels)
-        for k, mu in enumerate(mus.tolist()):
-            s = pseudo_number_state(PSPParams(mu=mu, d=d, j=1 % d, delta=delta))
-            out = beam_splitter(tensor(s, s))
-            assert _bits(coeffs[k]) == _bits(s.coeffs)
-            assert _bits(labels[k]) == _bits(s.labels[:, 0])
-            assert _bits(kets[k]) == _bits(out.coeffs)
-            assert _bits(outputs[k]) == _bits(out.labels)
 
 
 def test_fig1_p11_column_is_the_one_point_calls():
@@ -409,8 +391,7 @@ def test_only_equal_hom_inputs_take_the_exchange_path(monkeypatch):
 
     monkeypatch.setattr(metrics, "_equal_input_projections",
                         recorded("equal", states._equal_input_projections))
-    monkeypatch.setattr(metrics, "vacuum_probabilities",
-                        recorded("full", states.vacuum_probabilities))
+    monkeypatch.setattr(metrics, "_hom_projections", recorded("full", states._hom_projections))
     p = PSPParams(mu=0.4, d=4, j=1)
     p11(p, p)
     assert seen == ["equal"]
@@ -424,8 +405,68 @@ def test_hom_fock_oracle_sums_coincidences():
     # the oracle's p11 is the nonnegative sum over n_a, n_b >= 1; on the
     # output of identical coherent inputs it is 0 up to the number-basis
     # splitter's rounding (about 6e-34 here)
-    out = fock_beam_splitter(to_fock(tensor(coherent_state(0.6), coherent_state(0.6))), "X")
+    one = to_fock(np.ones(1), np.array([0.6]))
+    out = fock_beam_splitter(np.multiply.outer(one, one), "X")
     p11_o, _ = hom_fock_oracle(out)
     p = np.abs(out) ** 2
     assert 0.0 <= p11_o < 1e-12
     assert abs(p11_o - (1.0 - p[0, :].sum() - p[:, 0].sum() + p[0, 0])) < 1e-12
+
+
+# p11 of unequal inputs as the CLI builds them (j = 1 % d), pinned bit for bit: the
+# three benchmark queries (--d 8 --mu2 1), one --delta, one --delta2 and one --d2 case
+UNEQUAL_P11 = [
+    ((0.3, 8, 0.0), (1.0, 8, 0.0), 2.7012069332398684e-06),
+    ((0.6, 8, 0.0), (1.0, 8, 0.0), 2.7333322609185965e-06),
+    ((2.0, 8, 0.0), (1.0, 8, 0.0), 0.0006921794687317348),
+    ((1.0, 8, 0.37), (1.0, 8, 0.0), 5.47748126861164e-06),
+    ((1.0, 8, 0.0), (1.3, 8, 0.2), 2.4646621870293793e-05),
+    ((1.0, 8, 0.0), (0.7, 3, 0.0), 0.00971110854553037),
+]
+
+
+@pytest.mark.parametrize("first, second, expect", UNEQUAL_P11)
+def test_unequal_p11_keeps_its_bits(first, second, expect):
+    p1, p2 = (PSPParams(mu=mu, d=d, j=1 % d, delta=delta) for mu, d, delta in (first, second))
+    assert p11(p1, p2) == expect
+
+
+@pytest.mark.parametrize("first, second", [
+    ((5e-324, 8), (5e-324, 8)), ((1e-300, 3), (1e-300, 3)), ((5e-324, 8), (1e-300, 8))])
+def test_p11_at_tiny_mu_is_a_typed_error_without_warning(first, second):
+    # the contraction overflows: it used to raise a RuntimeWarning (an error in this suite)
+    # before the NaN reached the clamp, and the mixed pair a ValueError on a non-finite label
+    p1, p2 = (PSPParams(mu=mu, d=d, j=1) for mu, d in (first, second))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalDiagnosticError, match="p11 = nan"):
+            p11(p1, p2)
+
+
+def test_coherent_states_read_exact_g2_and_p11_on_the_fig1_grid():
+    # at d = 1 the residue mass is exactly 1, so g2 is exactly 1 and p11 is 0 up to
+    # the rounding of 1 - va - vb + vab; the summed mass used to read 1 + 4.2e-15
+    grid = ARRAY_GRIDS[0]
+    assert (g2_zero_closed(grid, 1) == 1.0).all()
+    assert all(g2_zero_closed(mu, 1) == 1.0 for mu in grid[::20].tolist())
+    values = metrics._equal_input_p11(grid, pns._nonzero_mass(grid, 1, 0), 1, 0, 0.0)
+    assert max(values) <= 2**-52
+    assert all(p11(p, p) <= 2**-52 for p in (PSPParams(mu=mu, d=1, j=0) for mu in grid[::20].tolist()))
+
+
+def test_both_p11_routes_build_the_output_with_hom_outputs(monkeypatch):
+    # one splitter-output builder: the exchange evaluator passes the same arrays twice,
+    # unequal inputs their two one-point rows
+    seen = []
+
+    def recorded(c1, l1, c2, l2):
+        seen.append(c1 is c2 and l1 is l2)
+        return hom_outputs(c1, l1, c2, l2)
+
+    hom_outputs = states._hom_outputs
+    monkeypatch.setattr(states, "_hom_outputs", recorded)
+    monkeypatch.setattr(metrics, "_hom_outputs", recorded)
+    p = PSPParams(mu=0.4, d=4, j=1)
+    p11(p, p)
+    p11(p, PSPParams(mu=0.5, d=4, j=1))
+    assert seen == [True, False]

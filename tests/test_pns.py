@@ -19,7 +19,6 @@ from pspsim import (
     keyrate_curve,
     keyrate_for_protocol,
     loss_channel,
-    norm,
     normalization,
     optimize_mu,
     phase_error_upper,
@@ -32,7 +31,7 @@ from pspsim import (
 from pspsim import cli, pns
 
 import oracle
-from oracle import psp_fock, to_fock
+from oracle import coherent_norm2, psp_fock, to_fock
 from test_properties import full_block_table
 
 
@@ -59,6 +58,16 @@ def test_residue_masses_edge_cases():
     assert residue_masses(0.0, 1).tolist() == [1.0]
     for mu in (1e-3, 0.7, 25.0):
         assert abs(residue_masses(mu, 1)[0] - 1.0) < 1e-14
+    # d = 1 is the whole distribution, exactly 1; the Poisson sum missed it by more
+    # than 1e-15 at mu = 1e5.  The input checks still come first.
+    for mu in (0.0, 1e-300, 0.5, 20.0, 1e5):
+        assert residue_masses(mu, 1).tolist() == [1.0]
+        assert residue_masses([mu, mu], 1, [0]).tolist() == [[1.0], [1.0]]
+    for bad in (-0.1, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="mu"):
+            residue_masses(bad, 1)
+    with pytest.raises(ValueError, match="residues"):
+        residue_masses(0.5, 1, [1])
     for d in (5000, 70000):  # blocks shorter than 64 rows
         masses = residue_masses(0.5, d)
         assert abs(masses.sum() - 1.0) < 1e-15
@@ -169,14 +178,14 @@ def test_pseudo_number_state_is_normalized():
     for mu in (0.05, 0.8, 3.0):
         for d in (2, 4, 8):
             s = pseudo_number_state(PSPParams(mu=mu, d=d, j=1))
-            assert abs(norm(s) - 1.0) < 1e-12
+            assert abs(math.sqrt(coherent_norm2(*s)) - 1.0) < 1e-12
 
 
 def test_fock_support_is_residue_class():
     # number support sits on n = j (mod d) only
     for d, j in ((2, 1), (4, 1), (4, 3), (8, 0)):
         p = PSPParams(mu=0.7, d=d, j=j)
-        amps = to_fock(pseudo_number_state(p))
+        amps = to_fock(*pseudo_number_state(p))
         for n, a in enumerate(amps):
             if n % d != j % d:
                 assert abs(a) < 1e-13
@@ -190,14 +199,14 @@ def test_fidelity_closed_value_odd_cat():
 def test_fidelity_matches_fock_projection():
     for mu, d in ((0.3, 4), (0.8, 8), (1.5, 2)):
         p = PSPParams(mu=mu, d=d, j=1)
-        amps = to_fock(pseudo_number_state(p))
+        amps = to_fock(*pseudo_number_state(p))
         assert abs(fidelity_to_number_state(p) - abs(amps[1]) ** 2) < 1e-11
 
 
 def test_photon_number_probability_matches_fock_projection():
     for mu, d, j, delta in ((0.3, 4, 1, 0.0), (0.8, 3, 0, 0.3), (1.5, 2, 1, 0.7), (0.6, 1, 0, 0.0)):
         p = PSPParams(mu=mu, d=d, j=j, delta=delta)
-        probs = np.abs(to_fock(pseudo_number_state(p))) ** 2
+        probs = np.abs(to_fock(*pseudo_number_state(p))) ** 2
         for n, expect in enumerate(probs):
             got = photon_number_probability(p, n)
             assert abs(got - expect) < 1e-11
@@ -357,7 +366,7 @@ def test_loss_matches_photon_loss_expansion():
         w = math.exp(-x + m * math.log(x) - math.lgamma(m + 1)) if x > 0 else (m == 0)
         w *= normalization(mu * eta, d, (j - m) % d) / n_in
         grouped[(j - m) % d] += w
-        vec = to_fock(pseudo_number_state(PSPParams(mu=mu * eta, d=d, j=(j - m) % d)),
+        vec = to_fock(*pseudo_number_state(PSPParams(mu=mu * eta, d=d, j=(j - m) % d)),
                       cutoff=cutoff)
         rho += w * np.outer(vec, np.conj(vec))
     weights = loss_channel(p, eta)

@@ -37,7 +37,11 @@ def full_block_table(mus, d):
 
     Blocks of 64 d photon numbers (fewer at d > 1024), residue-major, summed
     a group of at most 2**14 // (64 d) rows at a time, with no column skipped.
+    At d = 1 the one residue holds the whole distribution, whose mass is
+    exactly 1, and no series is summed.
     """
+    if d == 1:
+        return np.ones((len(mus), 1))
     rows = min(64, max(1, 2**16 // d))
     group = max(1, 2**14 // (rows * d))
     return np.concatenate([full_block_rows(mus[i:i + group], d, rows)

@@ -1,9 +1,8 @@
-"""Coherent-superposition machinery against closed forms and the number-basis oracle."""
+"""The coherent expansion's Gram kernel and the number-basis oracle, against closed forms."""
 
 import ast
 import glob
 import inspect
-import itertools
 import math
 import os
 import re
@@ -16,19 +15,7 @@ import pspsim
 import referee
 from oracle import (TAIL_TOL, auto_cutoff, density, fock_amplitude, fock_beam_splitter,
                     psp_cutoff, psp_fock, thinned_density, to_fock, uhlmann_fidelity)
-from pspsim import (
-    CoherentSuperposition,
-    NumericalDiagnosticError,
-    PSPParams,
-    TruncationError,
-    beam_splitter,
-    coherent_state,
-    inner_product,
-    norm,
-    pseudo_number_state,
-    tensor,
-    vacuum_probabilities,
-)
+from pspsim import NumericalDiagnosticError, PSPParams, TruncationError, pseudo_number_state
 from pspsim import states
 from pspsim.states import _LOG_FACTORIALS, log_factorial
 
@@ -39,13 +26,6 @@ PACKAGE = os.path.join(TESTS, os.pardir, "src", "pspsim")
 def overlap(a, b):
     """<a|b> of two one-mode coherent states, the closed form of the conventions."""
     return np.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2) + np.conj(a) * b)
-
-
-def test_coherent_overlap_closed_form():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert abs(inner_product(coherent_state(a), coherent_state(b)) - overlap(a, b)) < 1e-14
 
 
 def test_fock_amplitude_matches_poisson():
@@ -107,135 +87,47 @@ def test_fock_amplitude_is_exact_at_zero_alpha():
     assert abs(table[2, 0] - math.exp(-0.045)) < 1e-15
 
 
-def test_norm_and_inner_product():
-    s = coherent_state(0.3 + 0.1j)
-    assert abs(norm(s) - 1.0) < 1e-14
-    t = coherent_state(-0.2)
-    assert abs(inner_product(s, t) - overlap(0.3 + 0.1j, -0.2)) < 1e-14
-
-
-def test_superposition_norm():
-    # odd cat: |a> - |-a>, normalized by hand
-    a = 0.6
-    n2 = 2.0 - 2.0 * overlap(a, -a).real
-    s = CoherentSuperposition(np.array([1.0, -1.0]) / math.sqrt(n2),
-                              np.array([[a], [-a]]))
-    assert abs(norm(s) - 1.0) < 1e-14
-
-
-def test_tensor_mode_count_and_overlap_factorizes():
-    s = tensor(coherent_state(0.5), coherent_state(0.2j))
-    t = tensor(coherent_state(0.1), coherent_state(0.3))
-    assert s.mode_count == 2
-    expect = overlap(0.5, 0.1) * overlap(0.2j, 0.3)
-    assert abs(inner_product(s, t) - expect) < 1e-14
-
-
-def test_beam_splitter_preserves_norm():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        c = rng.normal(size=3) + 1j * rng.normal(size=3)
-        labels = rng.normal(size=(3, 2)) * 0.5
-        s = CoherentSuperposition(c / math.sqrt(np.sum(np.abs(c) ** 2) * 3), labels)
-        out = beam_splitter(s)
-        assert abs(norm(out) - norm(s)) < 1e-12
-    with pytest.raises(ValueError, match="two modes"):
-        beam_splitter(coherent_state(0.5))
-
-
 def test_x_beam_splitter_merges_identical_coherent_inputs():
     # |a>|a> -> all light in one port, the other exactly dark
     a = 0.4
-    out = beam_splitter(tensor(coherent_state(a), coherent_state(a)))
-    empty0, empty1 = vacuum_probabilities(out, [(0,), (1,)])
+    kets, labels = states._hom_outputs(*(np.ones((1, 1)), np.full((1, 1), a, dtype=complex)) * 2)
+    empty0, empty1, _ = states._hom_projections(kets[0], labels[0])
     lo, hi = sorted([empty0, empty1])
     assert abs(hi - 1.0) < 1e-12
     assert abs(lo - np.exp(-2 * a * a)) < 1e-12
 
 
+def _vacuum(coeffs, labels, keep):
+    """<psi| P |psi> of the expansion (coeffs, labels (terms, modes)), P projecting every
+    mode not in keep onto vacuum: the Gram kernel's contraction."""
+    gram = states._pair_exponents(labels, keep)
+    return states._projection(np.conj(coeffs), np.exp(gram), coeffs)
+
+
 def test_vacuum_probability_coherent():
     a = 0.9
-    s = coherent_state(a)
-    assert abs(vacuum_probabilities(s, [(0,)])[0] - np.exp(-a * a)) < 1e-13
-
-
-def _old_vacuum_probability(state, modes):
-    """The projection as one exponent matrix, zeros plus kept-mode cross terms plus norms."""
-    labels = state.labels
-    ex = -0.5 * np.sum(np.abs(labels) ** 2, axis=1)
-    cross = np.zeros((state.term_count, state.term_count), dtype=complex)
-    for m in range(state.mode_count):
-        if m not in modes:
-            cross += np.conj(labels[:, m])[:, None] * labels[None, :, m]
-    gram = np.exp(ex[:, None] + ex[None, :] + cross)
-    return float(complex(np.conj(state.coeffs) @ gram @ state.coeffs).real)
-
-
-@pytest.mark.parametrize("modes", [2, 3])
-def test_vacuum_probabilities_equal_single_projections_exactly(modes):
-    rng = np.random.default_rng(5 + modes)
-    mode_sets = [m for k in range(modes + 1) for m in itertools.combinations(range(modes), k)]
-    for terms in (1, 4, 9):
-        c = rng.normal(size=terms) + 1j * rng.normal(size=terms)
-        labels = (rng.normal(size=(terms, modes)) + 1j * rng.normal(size=(terms, modes))) * 0.6
-        labels[0, 0] = 0.0  # a vacuum label: norm and cross terms of exactly zero
-        s = CoherentSuperposition(c, labels)
-        together = vacuum_probabilities(s, mode_sets)
-        for k, m in enumerate(mode_sets):
-            alone = vacuum_probabilities(s, [m])[0]
-            assert alone == together[k] == _old_vacuum_probability(s, m)
-    # the package's index policy: a bool, a float and a mode past the last
-    # are refused, where True and 1.0 read as mode 1 and 1.5 as no mode at all
-    for bad in ((modes,), (True,), (1.0,), (1.5,)):
-        with pytest.raises(ValueError, match="mode indices"):
-            vacuum_probabilities(s, [(0,), bad])
-
-
-def _old_pair_exponents(x_labels, y_labels):
-    """The overlap exponents as one expression, norms plus cross terms summed from zeros."""
-    ex = -0.5 * np.sum(np.abs(x_labels) ** 2, axis=1)
-    ey = -0.5 * np.sum(np.abs(y_labels) ** 2, axis=1)
-    cross = np.zeros((x_labels.shape[0], y_labels.shape[0]), dtype=complex)
-    for mode in range(x_labels.shape[1]):
-        cross += np.conj(x_labels[:, mode])[:, None] * y_labels[None, :, mode]
-    return ex[:, None] + ey[None, :] + cross
-
-
-@pytest.mark.parametrize("modes", [1, 2, 3])
-def test_inner_product_keeps_the_one_expression_bits(modes):
-    # the kernel adds the norms to the summed cross terms in place: a + b == b + a
-    rng = np.random.default_rng(11 + modes)
-    for terms in ((1, 3), (4, 4), (7, 2)):
-        x, y = [CoherentSuperposition(
-            rng.normal(size=t) + 1j * rng.normal(size=t),
-            (rng.normal(size=(t, modes)) + 1j * rng.normal(size=(t, modes))) * 0.7)
-            for t in terms]
-        labels = np.array(x.labels)
-        labels[0, 0] = 0.0  # a vacuum label: norm and cross terms of exactly zero
-        x = CoherentSuperposition(x.coeffs, labels)
-        gram = np.exp(_old_pair_exponents(x.labels, y.labels))
-        assert inner_product(x, y) == complex(np.conj(x.coeffs) @ gram @ y.coeffs)
+    assert abs(_vacuum(np.ones(1), np.array([[a]], dtype=complex), ()) - np.exp(-a * a)) < 1e-13
 
 
 def test_gram_beyond_its_limit_is_refused_before_allocation(monkeypatch):
     # 9 terms make an 81-entry Gram matrix; 64 entries are allowed
     monkeypatch.setattr(states, "GRAM_MAX_ENTRIES", 64)
-    s = CoherentSuperposition(np.ones(9), np.linspace(0.1, 0.9, 9))
+    labels = np.linspace(0.1, 0.9, 9, dtype=complex)[:, None]
     with pytest.raises(TruncationError, match="GRAM_MAX_ENTRIES"):
-        vacuum_probabilities(s, [(0,)])
+        _vacuum(np.ones(9), labels, ())
     with pytest.raises(TruncationError, match="GRAM_MAX_ENTRIES"):
-        inner_product(s, s)
-    assert vacuum_probabilities(CoherentSuperposition(np.ones(8), np.ones(8)), [()])[0] == 64.0
+        _vacuum(np.ones(9), labels, (0,))
+    assert _vacuum(np.ones(8), np.ones((8, 1), dtype=complex), (0,)) == 64.0
 
 
 def test_to_fock_reproduces_inner_products():
     rng = np.random.default_rng(3)
     for _ in range(5):
         a, b = rng.normal(size=2) * 0.8
-        s, t = coherent_state(a), coherent_state(b)
         cutoff = auto_cutoff(max(abs(a), abs(b)) ** 2)
-        lhs = np.vdot(to_fock(s, cutoff=cutoff), to_fock(t, cutoff=cutoff))
-        assert abs(lhs - inner_product(s, t)) < 1e-12
+        lhs = np.vdot(to_fock(np.ones(1), np.array([a]), cutoff=cutoff),
+                      to_fock(np.ones(1), np.array([b]), cutoff=cutoff))
+        assert abs(lhs - overlap(a, b)) < 1e-12
 
 
 def test_auto_cutoff_covers_poisson_tail():
@@ -264,7 +156,7 @@ def test_to_fock_refuses_an_expansion_that_misses_the_norm(mu, d, j, cutoff, fou
     # picks 9 < j at (0.05, 12, 11), keeping squared norm 3.3e-8; both used to be returned.
     # The Gram-matrix norm cancels there too (1.05e8 and 0), so neither can pass for it
     with pytest.raises(TruncationError, match="squared norm %s" % found):
-        to_fock(pseudo_number_state(PSPParams(mu=mu, d=d, j=j)), cutoff)
+        to_fock(*pseudo_number_state(PSPParams(mu=mu, d=d, j=j)), cutoff)
 
 
 def test_psp_fock_keeps_the_support_tail_below_tail_tol():
@@ -283,7 +175,7 @@ def test_psp_fock_matches_to_fock_where_the_coherent_sum_is_stable():
                 for delta in (0.0, 0.37):
                     p = PSPParams(mu=mu, d=d, j=j, delta=delta)
                     cutoff = max(psp_cutoff(p), auto_cutoff(mu))
-                    expand = to_fock(pseudo_number_state(p), cutoff)
+                    expand = to_fock(*pseudo_number_state(p), cutoff)
                     assert np.max(np.abs(psp_fock(p, cutoff) - expand)) < 1e-14
 
 
@@ -321,16 +213,42 @@ def test_package_depends_on_numpy_alone():
     assert re.findall(r'"([A-Za-z0-9_.-]+?)[<>=!~;" ]', deps) == ["numpy"]
 
 
+def test_the_coherent_state_object_layer_is_gone():
+    # the coherent expansion travels as (coeffs, labels) arrays: no module defines or
+    # exports the object algebra, the equal-input output builder is folded into the one
+    # splitter-output builder, and p11 builds no state object
+    deleted = {"CoherentSuperposition", "coherent_state", "inner_product", "norm", "tensor",
+               "beam_splitter", "vacuum_probabilities", "_equal_input_outputs"}
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in deleted, path
+            elif isinstance(node, ast.alias):
+                assert node.name not in deleted, path
+            elif isinstance(node, ast.Name):
+                assert node.id not in deleted, path
+    assert not deleted & set(dir(pspsim))
+    with open(os.path.join(PACKAGE, "metrics.py")) as f:
+        p11 = next(node for node in ast.walk(ast.parse(f.read()))
+                   if isinstance(node, ast.FunctionDef) and node.name == "p11")
+    called = {node.func.id for node in ast.walk(p11)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_hom_outputs" in called and "pseudo_number_state" not in called
+
+
 def test_bb84_readout_reads_no_coherent_state():
     # the phase-encoded readout is one Poisson series: qkd imports nothing from states, and
-    # the encoded state, its state-form readout and the "Y" splitter are gone
+    # the encoded state, its state-form readout and the "Y" splitter are gone: the one
+    # splitter left takes two inputs' arrays and no variant
     with open(os.path.join(PACKAGE, "qkd.py")) as f:
         tree = ast.parse(f.read())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             assert node.module != "states" and "states" not in [a.name for a in node.names]
     assert not hasattr(pspsim, "encoded_state")
-    assert list(inspect.signature(beam_splitter).parameters) == ["state"]
+    assert list(inspect.signature(states._hom_outputs).parameters) == ["c1", "l1", "c2", "l2"]
     assert list(inspect.signature(pspsim.measure_bb84).parameters) == ["mu", "d", "j", "k",
                                                                        "basis"]
 
@@ -377,17 +295,6 @@ def test_fock_amplitude_rejects_non_finite_alpha(alpha):
         fock_amplitude(np.array([0.5, alpha]), 2)
 
 
-@pytest.mark.parametrize("a, b", [(math.inf, 0.0), (math.nan, 0.0), (0.5, complex(0.0, math.inf)),
-                                  (np.array([0.5, math.nan]), 0.5)])
-def test_coherent_overlap_rejects_non_finite_amplitudes(a, b):
-    # a two-mode state with labels (a, b), refused before any overlap is formed
-    labels = np.column_stack(np.broadcast_arrays(a, b))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="finite"):
-            CoherentSuperposition(np.ones(labels.shape[0]), labels)
-
-
 def test_fock_amplitude_at_huge_alpha_is_zero_without_warning():
     # |alpha|**2 overflows to inf, which used to warn on the way to the amplitude 0
     with warnings.catch_warnings():
@@ -404,11 +311,12 @@ def test_fock_size_guards(isolated):
     code, out = isolated(
         "import math, sys\n"
         "sys.path.insert(0, %r)\n"
-        "from pspsim import coherent_state\n"
+        "import numpy as np\n"
         "from oracle import FOCK_MAX_DIM, auto_cutoff, to_fock\n" % TESTS +
+        "one = np.ones(1)\n"
         "calls = [lambda: auto_cutoff(1e17), lambda: auto_cutoff(math.inf),\n"
-        "         lambda: auto_cutoff(math.nan), lambda: to_fock(coherent_state(1e3, 1e3)),\n"
-        "         lambda: to_fock(coherent_state(0.1, 0.1), cutoff=FOCK_MAX_DIM)]\n"
+        "         lambda: auto_cutoff(math.nan), lambda: to_fock(one, np.array([[1e3, 1e3]])),\n"
+        "         lambda: to_fock(one, np.array([[0.1, 0.1]]), cutoff=FOCK_MAX_DIM)]\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -420,22 +328,40 @@ def test_fock_size_guards(isolated):
 
 
 def test_to_fock_truncation_guard():
-    s = coherent_state(3.0)
     with pytest.raises(TruncationError):
-        to_fock(s, cutoff=2)
+        to_fock(np.ones(1), np.array([3.0]), cutoff=2)
     # a many-term superposition, whose largest |label|^2 sets the tail
     with pytest.raises(TruncationError, match="Poisson tail"):
-        to_fock(pseudo_number_state(PSPParams(mu=9.0, d=4, j=1)), cutoff=2)
+        to_fock(*pseudo_number_state(PSPParams(mu=9.0, d=4, j=1)), cutoff=2)
 
 
-def test_fock_beam_splitter_matches_coherent_path():
+def _one_point(c, labels):
+    """A one-mode expansion as the one-point (1, terms) rows that _hom_outputs takes."""
+    return np.asarray(c, dtype=complex)[None], np.asarray(labels, dtype=complex)[None]
+
+
+def test_hom_outputs_match_fock_beam_splitter():
+    # the one splitter-output builder, expanded by the oracle, against the number-basis
+    # splitter on the expanded inputs: random coherent pairs, and pseudo-number pairs of
+    # unequal mu, delta and d
     rng = np.random.default_rng(19)
-    for _ in range(4):
-        a, b = rng.normal(size=2) * 0.6 + 1j * rng.normal(size=2) * 0.3
-        s = tensor(coherent_state(a), coherent_state(b))
-        cutoff = auto_cutoff(2.0 * max(abs(a), abs(b)) ** 2)
-        out_c = to_fock(beam_splitter(s), cutoff=cutoff)
-        out_f = fock_beam_splitter(to_fock(s, cutoff=cutoff), variant="X")
+    pairs = [((np.ones(1), [a]), (np.ones(1), [b]))
+             for a, b in rng.normal(size=(4, 2)) * 0.6 + 1j * rng.normal(size=(4, 2)) * 0.3]
+    pairs += [(pseudo_number_state(p1), pseudo_number_state(p2)) for p1, p2 in (
+        (PSPParams(mu=0.3, d=8, j=1), PSPParams(mu=1.0, d=8, j=1)),
+        (PSPParams(mu=1.0, d=8, j=1, delta=0.37), PSPParams(mu=0.7, d=3, j=1)),
+        (PSPParams(mu=0.6, d=4, j=1), PSPParams(mu=0.6, d=4, j=1)))]
+    for (c1, l1), (c2, l2) in pairs:
+        cutoff = auto_cutoff(2.0 * np.max(np.abs(np.concatenate([l1, l2]))) ** 2)
+        kets, labels = states._hom_outputs(*_one_point(c1, l1), *_one_point(c2, l2))
+        assert kets.shape == (1, len(c1) * len(c2)) and labels.shape == kets.shape + (2,)
+        out_c = to_fock(kets[0], labels[0], cutoff=cutoff)
+        out_f = fock_beam_splitter(np.multiply.outer(to_fock(c1, l1, cutoff=cutoff),
+                                                     to_fock(c2, l2, cutoff=cutoff)), variant="X")
+        # the number-basis splitter holds every total photon number up to the cutoff
+        ns = np.arange(cutoff + 1)
+        kept = np.add.outer(ns, ns) <= cutoff
+        assert np.max(np.abs(out_c - out_f)[kept]) < 1e-12
         assert abs(abs(np.vdot(out_c, out_f)) - 1.0) < 1e-9
 
 
