@@ -15,8 +15,7 @@ from pspsim import (
     WCS_NONDECOY,
     basis_fidelity_bound,
     channel_stats,
-    keyrate_for_protocol,
-    optimize_mu,
+    keyrate_curve,
 )
 
 grid = np.arange(0.05, 2.0001, 0.05)
@@ -32,22 +31,22 @@ for L in (0.0, 20.0):
 print()
 print("key rate vs distance (mu fixed at sensible values, decoy baseline optimized)")
 print("  L/km   wcs-nondecoy   wcs-decoy      psp-passive d=8   psp-triggered d=8")
-for L in (0.0, 10.0, 20.0, 30.0, 40.0, 60.0, 80.0, 100.0):
-    c = ChannelParams(distance_km=L)
-    _, nd = optimize_mu(c, None, WCS_NONDECOY, small_grid)
-    _, dc = optimize_mu(c, None, WCS_DECOY, grid)
-    pp = keyrate_for_protocol(PSP_PASSIVE_DECOY, c, 0.45, 8)
-    pt = keyrate_for_protocol(PSP_TRIGGERED, c, 0.45, 8, nu=256.0,
-                              eta_trigger_det=0.12)
-    print("%6.0f   %.4e     %.4e     %.4e        %.4e"
-          % (L, nd.rate, dc.rate, pp.rate, pt.rate))
+# One keyrate_curve per source covers every distance: a mu grid is searched at
+# each distance, a single mu is evaluated as given.
+distances = np.array([0.0, 10.0, 20.0, 30.0, 40.0, 60.0, 80.0, 100.0])
+c = ChannelParams()  # every channel parameter but the distance
+curves = (keyrate_curve(WCS_NONDECOY, c, small_grid, distances),
+          keyrate_curve(WCS_DECOY, c, grid, distances),
+          keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, distances, d=8),
+          keyrate_curve(PSP_TRIGGERED, c, 0.45, distances, d=8, nu=256.0, eta_trigger_det=0.12))
+for i, L in enumerate(distances):
+    print("%6.0f   %.4e     %.4e     %.4e        %.4e" % ((L,) + tuple(k.rate[i] for k in curves)))
 
 print()
 print("the non-decoy weak-coherent link dies quickly; find the cutoff")
-for L in range(38, 46):
-    c = ChannelParams(distance_km=float(L))
-    _, nd = optimize_mu(c, None, WCS_NONDECOY, small_grid)
-    tag = "dead" if nd.rate == 0 else "%.3e" % nd.rate
+nd = keyrate_curve(WCS_NONDECOY, ChannelParams(), small_grid, np.arange(38.0, 46.0))
+for L, rate in zip(nd.distance_km, nd.rate):
+    tag = "dead" if rate == 0 else "%.3e" % rate
     print("  L=%3d km  rate=%s" % (L, tag))
 
 # Phase-cycled states make the two encoding bases nearly indistinguishable
@@ -64,5 +63,5 @@ print("optimized source intensity at L=40 km")
 c = ChannelParams(distance_km=40.0)
 for protocol, d in ((WCS_NONDECOY, None), (WCS_DECOY, None), (PSP_PASSIVE_DECOY, 36)):
     g = small_grid if protocol == WCS_NONDECOY else grid
-    mu_star, res = optimize_mu(c, d, protocol, g)
-    print("  %-13s d=%-4s mu*=%.3f  rate=%.4e" % (protocol, d, mu_star, res.rate))
+    res = keyrate_curve(protocol, c, g, d=d).result(0)  # at c.distance_km
+    print("  %-13s d=%-4s mu*=%.3f  rate=%.4e" % (protocol, d, res.mu, res.rate))

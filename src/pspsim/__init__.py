@@ -40,9 +40,7 @@ from .qkd import (
     binary_entropy,
     channel_stats,
     keyrate_curve,
-    keyrate_for_protocol,
     measure_bb84,
-    optimize_mu,
     phase_error_upper,
     phase_set,
     pseudo_state_yield,

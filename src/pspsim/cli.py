@@ -42,7 +42,6 @@ from .qkd import (
     basis_fidelity_bound,
     keyrate_curve,
     measure_bb84,
-    optimize_mu,
     phase_set,
 )
 
@@ -141,6 +140,27 @@ class _Config:
         return cast(raw)
 
 
+# The most points one grid flag may ask for.  fig5 --optimize-mu over this many
+# distances is a 40 x 10,000 (mu, distance) surface, which peaks near 150 MB.
+GRID_MAX_POINTS = 10**4
+
+
+def _grid(what, lo, hi, step=None, points=None):
+    """lo, lo + step, ... up to hi (within step / 2), or points log-spaced values from lo to hi.
+
+    A grid of more than GRID_MAX_POINTS points (or of a count that is not a
+    number) is a ValueError, raised before anything is allocated.
+    """
+    if points is None:
+        points = (hi + step / 2 - lo) / step  # the length np.arange rounds up
+    if not points <= GRID_MAX_POINTS:
+        raise ValueError("%s must hold at most GRID_MAX_POINTS = %d points, not %.6g"
+                         % (what, GRID_MAX_POINTS, points))
+    if step is None:
+        return np.logspace(math.log10(lo), math.log10(hi), points)
+    return np.arange(lo, hi + step / 2, step)
+
+
 def _mu_grid(cfg, default_min, default_max):
     """Log-spaced mu grid and its manifest entries."""
     lo = cfg.get("mu-min", default_min, float)
@@ -148,7 +168,7 @@ def _mu_grid(cfg, default_min, default_max):
     n = cfg.get("mu-points", 200, int)
     if not (0 < lo < hi) or n < 2:
         raise ValueError("mu grid requires 0 < mu-min < mu-max and >= 2 points")
-    mus = np.logspace(math.log10(lo), math.log10(hi), n)
+    mus = _grid("mu grid", lo, hi, points=n)
     return mus, {"mu_min": float(mus[0]), "mu_max": float(mus[-1]), "mu_points": n}
 
 
@@ -182,19 +202,21 @@ def _fig4_rows(cfg):
 # Reference curves for the distance sweep: (d, source mu) with mu near the
 # optimum for each d; the decoy baseline is always mu-optimized per point.
 FIG5_PSP_CURVES = ((4, 0.08), (8, 0.45), (36, 1.0))
+# The mu search grid (min, max, step) of fig5 and keyrate --optimize-mu: 40 points.
+MU_SEARCH = (0.05, 2.0, 0.05)
 
 
 def _fig5_rows(cfg):
     l_min = cfg.get("l-min", 0.0, float)
     l_max = cfg.get("l-max", 100.0, float)
     l_step = cfg.get("l-step", 1.0, float)
-    if l_step <= 0 or l_max < l_min:
+    if not (l_step > 0 and l_max >= l_min):
         raise ValueError("distance grid requires l-step > 0 and l-max >= l-min")
     optimize = cfg.get("optimize-mu", False, bool)
     convention = cfg.get("trigger-convention", "paper")
     eta_trig = cfg.get("eta-trigger-det", 0.12, float)
-    distances = np.arange(l_min, l_max + l_step / 2, l_step)
-    opt_grid = np.arange(0.05, 2.0001, 0.05)
+    distances = _grid("distance grid", l_min, l_max, l_step)
+    mu_grid = _grid("mu grid", *MU_SEARCH)
 
     trigger = {"eta_trigger_det": eta_trig, "convention": convention}
     specs = [(WCS_DECOY, None, None, {})]
@@ -203,10 +225,8 @@ def _fig5_rows(cfg):
     c = ChannelParams()  # every channel parameter but the distance
     rows = []
     for protocol, d, mu, kwargs in specs:
-        if optimize or mu is None:
-            _, curve = optimize_mu(c, d, protocol, opt_grid, distances, **kwargs)
-        else:
-            curve = keyrate_curve(protocol, c, mu, distances, d, **kwargs)
+        curve = keyrate_curve(protocol, c, mu_grid if optimize or mu is None else mu, distances,
+                              d, **kwargs)
         rows += [(protocol, 0 if d is None else d, float(mu_star), kwargs.get("nu", 0.0),
                   float(L), float(rate))
                  for mu_star, L, rate in zip(curve.mu, curve.distance_km, curve.rate)]
@@ -292,20 +312,24 @@ QUANTITIES = {
 COMPUTE_DEFAULTS = {"mu": 0.1, "j": 1, "mu2": lambda a: a.mu, "d2": lambda a: a.d, "delta": 0.0,
                     "delta2": 0.0, "nu": 100.0, "eta_det": 0.12, "phase_set": "standard",
                     "convention": "paper"}
-KEYRATE_DEFAULTS = {"mu": None, "d": None, "mu_grid_min": 0.05, "mu_grid_max": 2.0,
-                    "mu_grid_step": 0.05, "basis_mu": "half", "yield_model": "exact",
+MU_SEARCH_FLAGS = ("mu_grid_min", "mu_grid_max", "mu_grid_step")
+KEYRATE_DEFAULTS = {"mu": None, "d": None, **dict(zip(MU_SEARCH_FLAGS, MU_SEARCH)),
+                    "basis_mu": "half", "yield_model": "exact",
                     "eta_trigger_det": 0.12, "convention": "paper",
                     "nu": lambda a: None if a.d is None else 4.0 * a.d * a.d}  # the meter's 4 d^2
 
 
-def _fill_defaults(args, defaults, reads, target):
-    """Set each flag not given from defaults (calling a callable on args); refuse one not read."""
+def _fill_defaults(args, defaults, reads, target, causes=None):
+    """Set each flag not given from defaults (calling a callable on args); refuse one not read.
+
+    The refusal names target as what does not read the flag, or causes[name] where given.
+    """
     for name, default in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, default(args) if callable(default) else default)
         elif name not in reads:
             flag = "trigger-convention" if name == "convention" else name.replace("_", "-")
-            raise ValueError("--%s does not apply to %s" % (flag, target))
+            raise ValueError("--%s does not apply to %s" % (flag, (causes or {}).get(name, target)))
 
 
 def cmd_compute(args):
@@ -327,25 +351,28 @@ PSP_FLAGS = {PSP_NONDECOY: ("d",), PSP_PASSIVE_DECOY: ("d", "basis_mu", "yield_m
 
 def cmd_keyrate(args):
     reads = set(PSP_FLAGS.get(args.protocol, ()))
-    reads |= {"mu_grid_min", "mu_grid_max", "mu_grid_step"} if args.optimize_mu else {"mu"}
-    _fill_defaults(args, KEYRATE_DEFAULTS, reads, "protocol " + args.protocol)
+    reads |= set(MU_SEARCH_FLAGS) if args.optimize_mu else {"mu"}
+    # every protocol reads --mu or the --mu-grid-* flags, and --optimize-mu picks which
+    cause = ("--optimize-mu, which searches the --mu-grid-* grid" if args.optimize_mu
+             else "a single-mu run; give --optimize-mu to search a mu grid")
+    _fill_defaults(args, KEYRATE_DEFAULTS, reads, "protocol " + args.protocol,
+                   dict.fromkeys(("mu",) + MU_SEARCH_FLAGS, cause))
     c = ChannelParams(distance_km=args.L, f=args.f, eta_bob=args.eta_bob,
                       y0=args.y0, e_det=args.e_det)
     kwargs = {name: getattr(args, name) for name in PSP_FLAGS.get(args.protocol, ())[1:]}
     if args.optimize_mu:
         if not args.mu_grid_step > 0:
             raise ValueError("mu grid requires mu-grid-step > 0")
-        grid = np.arange(args.mu_grid_min, args.mu_grid_max + args.mu_grid_step / 2,
-                         args.mu_grid_step)
+        mu = _grid("mu grid", args.mu_grid_min, args.mu_grid_max, args.mu_grid_step)
     elif args.mu is None:
         raise ValueError("--mu is required unless --optimize-mu is given")
     else:
-        grid = [args.mu]  # keyrate_for_protocol's one-point search
-    mu_star, res = optimize_mu(c, args.d, args.protocol, grid, **kwargs)
+        mu = args.mu
+    res = keyrate_curve(args.protocol, c, mu, d=args.d, **kwargs).result(0)
     report = {
         "protocol": args.protocol,
         "distance_km": args.L,
-        "mu": float(mu_star),
+        "mu": res.mu,
         "d": args.d,
         "rate": res.rate,
         "gain": res.gain,

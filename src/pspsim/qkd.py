@@ -12,8 +12,8 @@ Estimators (all lower bounds, floored at zero):
   - WCS with infinite decoy states,
   - pseudo-number source with passive decoy (full residue discrimination),
   - pseudo-number source with the cheap interferometric trigger.
-Each one evaluates a source over a (mu, distance) surface at once; keyrate_curve
-is one mu's row of it, and optimize_mu takes the best mu at each distance.
+Each one evaluates a source over a (mu, distance) surface at once, and
+keyrate_curve, the one entry point, takes the best mu of it at each distance.
 
 Phase-encoded states split |j_d> across a reference and a signal pulse; the
 basis-dependence of the source enters through a closed-form lower bound on
@@ -531,69 +531,41 @@ def _psp_triggered_curve(c, distances, mus, d, nu, eta_trigger_det, convention=C
                   + bound * (1.0 - binary_entropy(branches.live_or_zero(e_p1_max))))
 
 
-def _rate_surface(protocol, c, mus, distances, d, **kwargs):
-    """Key rates of one protocol: a KeyRateCurve of (len(mus), len(distances)) tables."""
+def keyrate_curve(protocol, c, mu, distances=None, d=None, **kwargs):
+    """Key rate of one source at every distance (km, 1-D array): a KeyRateCurve.
+
+    mu is one positive number or a nonempty 1-D grid of them.  The protocol
+    is evaluated once, over the whole (sorted grid, distance) surface; each
+    distance then takes the first maximum of its rate along the grid, so a
+    larger mu wins only on a strictly larger rate.  distances=None means
+    (c.distance_km,), whose result(0) is the rate at c's own distance; c
+    supplies every other channel parameter.  What depends only on the source
+    (its residue masses, fidelity bound and trigger vector) is computed once
+    for all distances.  Extra keyword arguments go to the matching estimator (nu,
+    eta_trigger_det, convention, basis_mu, yield_model as applicable), and
+    the pseudo-number protocols need an integer d >= 1.
+    """
+    grid = _mu(mu)
+    if not grid.size:
+        raise ValueError("mu must be a number or a nonempty 1-D grid")
+    # sorted(), not np.sort, whose first call maps SIMD kernels: 0.4 MB of peak RSS
+    mus = np.array(sorted(grid.ravel().tolist()))[:, None]
+    if mus[0, 0] <= 0:
+        raise ValueError("mu must be positive")
+    at = _distances(c, distances)
     if protocol not in PROTOCOLS:
         raise ValueError("unknown protocol %r" % (protocol,))
     if protocol in (PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED):
         _validate_dj(d)  # the non-decoy estimator reads d=None as a WCS source
-    mus = np.array(mus, dtype=float)[:, None]
     if protocol in (WCS_NONDECOY, PSP_NONDECOY):
-        return _nondecoy_curve(c, distances, mus, d if protocol == PSP_NONDECOY else None)
-    if protocol == WCS_DECOY:
-        return _wcs_decoy_curve(c, distances, mus)
-    estimator = _psp_passive_curve if protocol == PSP_PASSIVE_DECOY else _psp_triggered_curve
-    return estimator(c, distances, mus, d, **kwargs)
-
-
-def keyrate_curve(protocol, c, mu, distances, d=None, **kwargs):
-    """Key rate of one source at every distance (km, 1-D array): a KeyRateCurve.
-
-    c supplies every channel parameter but the distance.  What depends only
-    on the source (its residue masses, fidelity bound and trigger vector)
-    is computed once for the whole curve.  Extra keyword arguments go to the
-    matching estimator (nu, eta_trigger_det, convention, basis_mu,
-    yield_model as applicable).  mu must be positive, and the
-    pseudo-number protocols need an integer d >= 1.
-    """
-    return optimize_mu(c, d, protocol, [mu], _distances(c, distances), **kwargs)[1]
-
-
-def keyrate_for_protocol(protocol, c, mu, d=None, **kwargs):
-    """Key rate of one protocol at c.distance_km: row 0 of its keyrate_curve.
-
-    Extra keyword arguments go to the matching estimator (nu,
-    eta_trigger_det, convention, basis_mu, yield_model as applicable).
-    The pseudo-number protocols need an integer d >= 1.
-    """
-    return keyrate_curve(protocol, c, mu, _distances(c, None), d, **kwargs).result(0)
-
-
-def optimize_mu(c, d, protocol, mu_grid, distances=None, **kwargs):
-    """Grid-search the source intensity; deterministic, ties go to smaller mu.
-
-    Extra keyword arguments are forwarded to the estimator (nu,
-    eta_trigger_det, convention, basis_mu, yield_model as applicable).
-    Returns (mu_star, KeyRateResult at mu_star).  With distances (km, 1-D)
-    the search runs at each of them and returns (mu_star array,
-    KeyRateCurve).  The protocol is evaluated once, over the whole (grid,
-    distance) surface; each distance then takes the first maximum of its
-    rate along the sorted grid, so a larger mu wins only on a strictly
-    larger rate.
-    """
-    grid = _mu(mu_grid)
-    if grid.ndim != 1 or not grid.size:  # a number is no grid: sorted() would fail on it
-        raise ValueError("mu_grid must be a nonempty 1-D list of numbers")
-    grid = sorted(grid.tolist())
-    if grid[0] <= 0:
-        raise ValueError("mu must be positive")
-    surface = _rate_surface(protocol, c, grid, _distances(c, distances), d, **kwargs)
+        surface = _nondecoy_curve(c, at, mus, d if protocol == PSP_NONDECOY else None)
+    elif protocol == WCS_DECOY:
+        surface = _wcs_decoy_curve(c, at, mus)
+    else:
+        estimator = _psp_passive_curve if protocol == PSP_PASSIVE_DECOY else _psp_triggered_curve
+        surface = estimator(c, at, mus, d, **kwargs)
     best = np.argmax(surface.rate, axis=0)[None, :]
     pick = lambda table: np.take_along_axis(table, best, axis=0)[0]  # noqa: E731
-    curve = KeyRateCurve(surface.distance_km, pick(surface.mu), pick(surface.gain),
-                         pick(surface.qber), pick(surface.rate),
-                         {name: pick(values) for name, values in surface.diagnostics.items()})
-    if distances is None:
-        res = curve.result(0)
-        return res.mu, res
-    return curve.mu, curve
+    return KeyRateCurve(surface.distance_km, pick(surface.mu), pick(surface.gain),
+                        pick(surface.qber), pick(surface.rate),
+                        {name: pick(values) for name, values in surface.diagnostics.items()})

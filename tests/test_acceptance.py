@@ -28,9 +28,9 @@ from pspsim import (
     fidelity_to_number_state,
     g2_zero_closed,
     herald_probabilities,
+    keyrate_curve,
     loss_channel,
     normalization,
-    optimize_mu,
     p11,
     phase_set,
     pseudo_number_state,
@@ -191,7 +191,7 @@ def fitted_slope(protocol, grid):
     etas, rates = [], []
     for L in range(20, 81, 5):
         c = ChannelParams(distance_km=float(L))
-        _, res = optimize_mu(c, None, protocol, grid)
+        res = keyrate_curve(protocol, c, grid).result(0)
         if res.rate > 0:
             etas.append(10 ** (-0.21 * L / 10.0) * 0.045)
             rates.append(res.rate)
@@ -235,8 +235,8 @@ def test_09_distance_sweep_dataset(tmp_path):
     # distances where the optimized non-decoy weak-coherent rate is zero
     grid = np.arange(0.002, 0.06, 0.002)
     dead = [L for L in range(42, 101, 10)
-            if optimize_mu(ChannelParams(distance_km=float(L)), None,
-                           WCS_NONDECOY, grid)[1].rate == 0.0]
+            if keyrate_curve(WCS_NONDECOY, ChannelParams(distance_km=float(L)),
+                             grid).result(0).rate == 0.0]
     psp_alive = all(
         rate > 0
         for d in (8, 36)

@@ -362,8 +362,8 @@ def test_fig5_rows_and_rates(tmp_path, capsys):
     assert protocols == {"wcs-decoy", "psp-passive", "psp-triggered"}
     assert len(rows) == 7 * 3
     by_key = {(r[0], r[1], r[4]): float(r[5]) for r in rows}
-    expect = qkd.keyrate_for_protocol(qkd.PSP_PASSIVE_DECOY, ChannelParams(distance_km=40.0),
-                                      0.45, 8).rate
+    expect = qkd.keyrate_curve(qkd.PSP_PASSIVE_DECOY, ChannelParams(distance_km=40.0),
+                               0.45, d=8).result(0).rate
     assert abs(by_key[("psp-passive", "8", "40")] - expect) < 1e-15
 
 
@@ -422,6 +422,59 @@ def test_keyrate_refuses_a_mu_grid_step_that_is_not_positive(capsys, step):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-parameter"
     assert "mu-grid-step > 0" in err["message"]
+
+
+@pytest.mark.parametrize("argv, flag, cause", [
+    (["--optimize-mu", "--mu", "0.5"], "--mu",
+     "--optimize-mu, which searches the --mu-grid-* grid"),
+    (["--mu", "0.5", "--mu-grid-step", "0.1"], "--mu-grid-step",
+     "a single-mu run; give --optimize-mu to search a mu grid"),
+], ids=["with-optimize-mu", "without-optimize-mu"])
+def test_keyrate_mu_flag_refusals_name_the_optimizer(capsys, argv, flag, cause):
+    # both read "... does not apply to protocol wcs-decoy", which reads every mu flag
+    assert run(["keyrate", "--protocol", "wcs-decoy"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "invalid-parameter",
+                                        "message": "%s does not apply to %s" % (flag, cause)}
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("a grid was allocated")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--mu-points", "1000000000000"],
+    ["fig4", "--mu-points", "1000000000000"],
+    ["fig5", "--l-step", "1e-12"],
+    ["keyrate", "--protocol", "wcs-decoy", "--optimize-mu", "--mu-grid-step", "1e-12"],
+])
+def test_oversized_grids_are_refused_before_allocation(tmp_path, monkeypatch, capsys, argv):
+    # each was a traceback (exit 1): numpy failed to allocate terabytes
+    monkeypatch.setattr(np, "arange", _no_allocation)
+    monkeypatch.setattr(np, "logspace", _no_allocation)
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "invalid-parameter"
+    assert "GRID_MAX_POINTS = %d" % cli.GRID_MAX_POINTS in err["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, points", [
+    (["keyrate", "--protocol", "wcs-decoy", "--optimize-mu"], 40),
+    (["fig5", "--l-max", "100"], 101),
+    (["fig1", "--mu-points", "7", "--d-list", "4"], 7),
+])
+def test_grid_limit_counts_the_points_it_builds(tmp_path, monkeypatch, capsys, argv, points):
+    out = ["--out", str(tmp_path / "out")]
+    monkeypatch.setattr(cli, "GRID_MAX_POINTS", points)
+    assert run(argv + out) == 0
+    monkeypatch.setattr(cli, "GRID_MAX_POINTS", points - 1)
+    assert run(argv + out) == 2
+    assert "GRID_MAX_POINTS = %d" % (points - 1) in capsys.readouterr().err
 
 
 def test_keyrate_requires_mu_without_optimizer(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from pspsim import (
     PSP_NONDECOY,
+    PSP_PASSIVE_DECOY,
     WCS_DECOY,
     ChannelParams,
     GenerationParams,
@@ -17,10 +18,8 @@ from pspsim import (
     g2_zero_closed,
     herald_probabilities,
     keyrate_curve,
-    keyrate_for_protocol,
     loss_channel,
     normalization,
-    optimize_mu,
     phase_error_upper,
     photon_number_probability,
     pseudo_number_state,
@@ -267,7 +266,7 @@ def test_param_validation():
     lambda: normalization(0.5, 4, True),
     lambda: g2_zero_closed(0.5, True),
     lambda: herald_probabilities(GenerationParams(0.5, 100.0, True)),
-    lambda: keyrate_for_protocol(PSP_NONDECOY, ChannelParams(), 0.1, True),
+    lambda: keyrate_curve(PSP_NONDECOY, ChannelParams(), 0.1, d=True),
     lambda: PSPParams(mu=0.5, d=True, j=0),
     lambda: PSPParams(mu=0.5, d=4, j=True),
     lambda: PSPParams(mu=0.5, d=math.inf, j=True),
@@ -292,9 +291,9 @@ def test_psp_params_rejects_a_sequence_of_d(d):
     (lambda mu: normalization(mu, 4, 1), True),
     (lambda mu: g2_zero_closed(mu, 4), True),
     (lambda mu: basis_fidelity_bound(mu, 8, 1), True),
-    (lambda mu: optimize_mu(ChannelParams(), None, WCS_DECOY, mu), True),
+    (lambda mu: keyrate_curve(WCS_DECOY, ChannelParams(), mu), True),  # a mu grid
     (lambda mu: PSPParams(mu=mu, d=8, j=1), False),
-    (lambda mu: keyrate_for_protocol(WCS_DECOY, ChannelParams(), mu), False),
+    (lambda mu: keyrate_curve(PSP_PASSIVE_DECOY, ChannelParams(), mu, d=8), False),
     (lambda mu: pseudo_state_yield(ChannelParams(), mu, 4, 1, "dominant"), False),
     (lambda mu: GenerationParams(mu=mu, nu=100.0, d=4), False),
 ], ids=["residue_masses", "normalization", "g2_zero_closed", "basis_fidelity_bound",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracle import encoded_fock, fock_beam_splitter, threshold_readout
+import pspsim
 from pspsim import qkd
 from pspsim import (
     ChannelParams,
@@ -25,9 +26,7 @@ from pspsim import (
     binary_entropy,
     channel_stats,
     keyrate_curve,
-    keyrate_for_protocol,
     measure_bb84,
-    optimize_mu,
     phase_error_upper,
     phase_set,
     pseudo_state_yield,
@@ -89,9 +88,9 @@ def test_estimators_reject_non_finite_mu():
         with pytest.raises(ValueError):
             channel_stats(c, mu)
         with pytest.raises(ValueError):
-            keyrate_for_protocol(WCS_DECOY, c, mu)
+            keyrate_curve(WCS_DECOY, c, mu)
         with pytest.raises(ValueError):
-            keyrate_for_protocol(PSP_TRIGGERED, c, mu, 8, **TRIGGER)
+            keyrate_curve(PSP_TRIGGERED, c, mu, d=8, **TRIGGER)
 
 
 def test_pseudo_state_yield_matches_series_oracle():
@@ -329,16 +328,16 @@ def test_basis_fidelity_bound_overflow_is_a_numerical_failure_without_warning(mu
 
 def test_nondecoy_optimized_frozen_point_and_cutoff():
     c = ChannelParams(distance_km=20.0)
-    mu_star, res = optimize_mu(c, None, WCS_NONDECOY, SMALL_GRID)
-    assert abs(mu_star - 0.01) < 1e-12
+    res = keyrate_curve(WCS_NONDECOY, c, SMALL_GRID).result(0)
+    assert abs(res.mu - 0.01) < 1e-12
     assert abs(res.rate - 4.008867022051779e-05) < 1e-12
     far = ChannelParams(distance_km=42.0)
-    _, dead = optimize_mu(far, None, WCS_NONDECOY, SMALL_GRID)
+    dead = keyrate_curve(WCS_NONDECOY, far, SMALL_GRID).result(0)
     assert dead.rate == 0.0
 
 
 def test_wcs_decoy_frozen_point():
-    res = keyrate_for_protocol(WCS_DECOY, ChannelParams(distance_km=20.0), 0.5)
+    res = keyrate_curve(WCS_DECOY, ChannelParams(distance_km=20.0), 0.5).result(0)
     assert abs(res.rate - 2.0299986611564962e-03) < 1e-14
     assert res.gain > 0 and 0 < res.qber < 0.5
 
@@ -350,27 +349,27 @@ def test_psp_passive_frozen_points():
         (40.0, 1.0, 36, 1.3087567975131505e-03),
     )
     for L, mu, d, rate in expect:
-        res = keyrate_for_protocol(PSP_PASSIVE_DECOY, ChannelParams(distance_km=L), mu, d)
+        res = keyrate_curve(PSP_PASSIVE_DECOY, ChannelParams(distance_km=L), mu, d=d).result(0)
         assert abs(res.rate - rate) < 1e-14
 
 
 def test_psp_passive_basis_mu_options_agree_at_large_d():
     c = ChannelParams(distance_km=40.0)
-    half = keyrate_for_protocol(PSP_PASSIVE_DECOY, c, 1.0, 36, basis_mu="half")
-    full = keyrate_for_protocol(PSP_PASSIVE_DECOY, c, 1.0, 36, basis_mu="full")
+    half = keyrate_curve(PSP_PASSIVE_DECOY, c, 1.0, d=36, basis_mu="half").result(0)
+    full = keyrate_curve(PSP_PASSIVE_DECOY, c, 1.0, d=36, basis_mu="full").result(0)
     assert abs(half.rate - full.rate) < 1e-9 * half.rate
 
 
 def test_psp_triggered_frozen_point_and_upper_bound():
     c = ChannelParams(distance_km=40.0)
-    trig = keyrate_for_protocol(PSP_TRIGGERED, c, 0.45, 8, **TRIGGER)
+    trig = keyrate_curve(PSP_TRIGGERED, c, 0.45, d=8, **TRIGGER).result(0)
     assert abs(trig.rate - 1.0108523319818162e-03) < 1e-14
     for L in (0.0, 20.0, 40.0, 60.0):
         ch = ChannelParams(distance_km=L)
-        passive = keyrate_for_protocol(PSP_PASSIVE_DECOY, ch, 0.45, 8)
+        passive = keyrate_curve(PSP_PASSIVE_DECOY, ch, 0.45, d=8).result(0)
         for convention in ("paper", "recomputed"):
-            t = keyrate_for_protocol(PSP_TRIGGERED, ch, 0.45, 8, **TRIGGER,
-                                     convention=convention)
+            t = keyrate_curve(PSP_TRIGGERED, ch, 0.45, d=8, **TRIGGER,
+                              convention=convention).result(0)
             assert t.rate <= passive.rate + 1e-15
 
 
@@ -406,8 +405,8 @@ def test_psp_triggered_vectorized_matches_per_residue_loop():
             ("exact", "dominant"), ("paper", "recomputed"), (0.0, 40.0, 100.0),
             (0.05, 0.45, 2.0), (4, 8, 36)):
         c = ChannelParams(distance_km=L)
-        res = keyrate_for_protocol(PSP_TRIGGERED, c, mu, d, nu=4.0 * d * d, eta_trigger_det=0.12,
-                                   convention=convention, yield_model=yield_model)
+        res = keyrate_curve(PSP_TRIGGERED, c, mu, d=d, nu=4.0 * d * d, eta_trigger_det=0.12,
+                            convention=convention, yield_model=yield_model).result(0)
         q_t, q_nt, rate = triggered_by_loop(c, mu, d, 4.0 * d * d, 0.12, convention,
                                             yield_model)
         assert abs(res.diagnostics["q_t_mu"] - q_t) <= 1e-15 * q_t
@@ -444,7 +443,7 @@ def test_curve_matches_per_distance_calls(protocol, mu, d, kwargs):
     assert isinstance(curve, KeyRateCurve)
     assert curve.rate.shape == distances.shape
     for i, L in enumerate(distances):
-        expect = keyrate_for_protocol(protocol, ChannelParams(distance_km=L), mu, d, **kwargs)
+        expect = keyrate_curve(protocol, ChannelParams(distance_km=L), mu, d=d, **kwargs).result(0)
         got = curve.result(i)
         assert got.mu == expect.mu == mu
         for name in ("gain", "qber", "rate"):
@@ -471,19 +470,19 @@ def passive_by_parts(c, mu, d):
 
 
 def test_scalar_estimators_are_the_curve_at_their_distance():
-    # keyrate_for_protocol reads c.distance_km, and a curve row does not depend
-    # on the other distances of the curve
+    # a curve without distances is the one at c.distance_km, and a curve row
+    # does not depend on the other distances of the curve
     curve = keyrate_curve(PSP_PASSIVE_DECOY, ChannelParams(), 0.45, [0.0, 40.0, 80.0], 8)
     trig = keyrate_curve(PSP_TRIGGERED, ChannelParams(), 0.45, [0.0, 40.0, 80.0], 8, **TRIGGER)
     for i, L in enumerate((0.0, 40.0, 80.0)):
         c = ChannelParams(distance_km=L)
         y1, rate = passive_by_parts(c, 0.45, 8)
-        res = keyrate_for_protocol(PSP_PASSIVE_DECOY, c, 0.45, 8)
+        res = keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, d=8).result(0)
         assert res == curve.result(i)
         assert abs(res.diagnostics["y1"] - y1) <= 1e-15 * y1
         assert abs(res.rate - rate) <= 1e-15 * rate
         _, _, rate = triggered_by_loop(c, 0.45, 8, 256.0, 0.12, "paper", "exact")
-        res = keyrate_for_protocol(PSP_TRIGGERED, c, 0.45, 8, **TRIGGER)
+        res = keyrate_curve(PSP_TRIGGERED, c, 0.45, d=8, **TRIGGER).result(0)
         assert res == trig.result(i)
         assert abs(res.rate - rate) <= 1e-15 * rate
 
@@ -493,11 +492,11 @@ def test_estimators_without_dark_counts_at_extreme_distance():
     # with y0 = 0 the gain and the yields underflow to 0 far out; the scalar
     # estimators used to raise ZeroDivisionError there
     far = ChannelParams(y0=0.0, distance_km=20000.0)
-    assert keyrate_for_protocol(
-        WCS_NONDECOY, ChannelParams(y0=0.0, distance_km=1000.0), 0.03).rate == 0.0
-    assert keyrate_for_protocol(WCS_DECOY, far, 0.5).rate == 0.0
-    assert keyrate_for_protocol(PSP_PASSIVE_DECOY, far, 0.45, 8).rate == 0.0
-    assert keyrate_for_protocol(PSP_TRIGGERED, far, 0.45, 8, **TRIGGER).rate == 0.0
+    assert keyrate_curve(
+        WCS_NONDECOY, ChannelParams(y0=0.0, distance_km=1000.0), 0.03).result(0).rate == 0.0
+    assert keyrate_curve(WCS_DECOY, far, 0.5).result(0).rate == 0.0
+    assert keyrate_curve(PSP_PASSIVE_DECOY, far, 0.45, d=8).result(0).rate == 0.0
+    assert keyrate_curve(PSP_TRIGGERED, far, 0.45, d=8, **TRIGGER).result(0).rate == 0.0
     curve = keyrate_curve(PSP_TRIGGERED, far, 0.45, [0.0, 20000.0], 8, **TRIGGER)
     assert curve.rate[0] > 0.0 == curve.rate[1]
 
@@ -514,7 +513,7 @@ def test_keyrate_curve_rejects_bad_distances():
         with pytest.raises(ValueError, match="distances"):
             keyrate_curve(protocol, c, 0.45, np.array([]), 8, **kwargs)
         with pytest.raises(ValueError, match="distances"):
-            optimize_mu(c, 8, protocol, GRID, distances=np.array([]), **kwargs)
+            keyrate_curve(protocol, c, GRID, np.array([]), 8, **kwargs)
 
 
 def test_degenerate_residues_raise_only_for_the_exact_yield_model(isolated):
@@ -528,9 +527,9 @@ def test_degenerate_residues_raise_only_for_the_exact_yield_model(isolated):
         "c = ChannelParams(distance_km=40.0)\n"
         "for model in ('exact', 'dominant'):\n"
         "    for call in (lambda: pseudo_state_yield(c, 1e-200, 4, 2, model),\n"
-        "                 lambda: keyrate_for_protocol(PSP_TRIGGERED, c, 1e-200, 4, nu=64.0,\n"
-        "                                              eta_trigger_det=0.12,\n"
-        "                                              yield_model=model).rate):\n"
+        "                 lambda: keyrate_curve(PSP_TRIGGERED, c, 1e-200, d=4, nu=64.0,\n"
+        "                                       eta_trigger_det=0.12,\n"
+        "                                       yield_model=model).result(0).rate):\n"
         "        try:\n"
         "            print(repr(call()))\n"
         "        except DegenerateStateError:\n"
@@ -545,69 +544,96 @@ def test_degenerate_residues_raise_only_for_the_exact_yield_model(isolated):
 
 def test_psp_triggered_gain_bound_consistency():
     c = ChannelParams(distance_km=40.0)
-    res = keyrate_for_protocol(PSP_TRIGGERED, c, 0.45, 8, **TRIGGER)
+    res = keyrate_curve(PSP_TRIGGERED, c, 0.45, d=8, **TRIGGER).result(0)
     diag = res.diagnostics
     assert diag["q_t_j1_bound"] <= diag["q_t_j1_exact"] + 1e-18
 
 
 def test_optimize_mu_behavior():
     c = ChannelParams(distance_km=20.0)
-    mu_star, res = optimize_mu(c, None, WCS_DECOY, GRID)
-    assert abs(mu_star - 0.5) < 1e-12
-    assert res.rate == keyrate_for_protocol(WCS_DECOY, c, 0.5).rate
-    mu36, _ = optimize_mu(ChannelParams(distance_km=40.0), 36, PSP_PASSIVE_DECOY,
-                          [0.8, 0.9, 1.0, 1.1])
-    assert mu36 == 1.0
+    res = keyrate_curve(WCS_DECOY, c, GRID).result(0)
+    assert abs(res.mu - 0.5) < 1e-12
+    assert res.rate == keyrate_curve(WCS_DECOY, c, 0.5).result(0).rate
+    best = keyrate_curve(PSP_PASSIVE_DECOY, ChannelParams(distance_km=40.0), [0.8, 0.9, 1.0, 1.1],
+                         d=36)
+    assert best.mu.tolist() == [1.0]
     with pytest.raises(ValueError):
-        optimize_mu(c, None, "unknown", GRID)
+        keyrate_curve("unknown", c, GRID)
     with pytest.raises(ValueError):
-        optimize_mu(c, None, WCS_DECOY, [])
+        keyrate_curve(WCS_DECOY, c, [])
 
 
-@pytest.mark.parametrize("grid", [0.5, 1, np.float64(0.5), np.array(0.5)],
-                         ids=["float", "int", "float64", "0-d-array"])
-def test_optimize_mu_rejects_a_number_for_its_grid(grid):
-    # sorted() raised an untyped TypeError ("'float' object is not iterable")
-    with pytest.raises(ValueError, match="mu_grid must be"):
-        optimize_mu(ChannelParams(), None, WCS_DECOY, grid)
+@pytest.mark.parametrize("mu, message", [
+    ([], "nonempty"), (np.array([]), "nonempty"), ([[0.5]], "1-D"), (np.ones((2, 2)), "1-D"),
+    (0.0, "positive"), (-0.5, "positive"), ([0.5, 0.0], "positive"), ([-1.0, 2.0], "positive"),
+], ids=["empty-list", "empty-array", "2-d-list", "2-d-array", "zero", "negative",
+        "zero-in-grid", "negative-in-grid"])
+def test_keyrate_curve_refuses_a_mu_that_is_no_positive_number_or_grid(mu, message):
+    for protocol, d in ((WCS_DECOY, None), (PSP_PASSIVE_DECOY, 8)):
+        with pytest.raises(ValueError, match=message):
+            keyrate_curve(protocol, ChannelParams(), mu, d=d)
+
+
+@pytest.mark.parametrize("protocol, mu, d, kwargs", CURVE_CASES)
+def test_keyrate_curve_of_a_number_is_that_of_its_one_point_grid(protocol, mu, d, kwargs):
+    distances = np.arange(0.0, 601.0, 60.0)
+    for one, grid in ((mu, [mu]), (mu, np.array([mu])), (np.float64(mu), (mu,))):
+        a = keyrate_curve(protocol, ChannelParams(), one, distances, d, **kwargs)
+        b = keyrate_curve(protocol, ChannelParams(), grid, distances, d, **kwargs)
+        for name in ("distance_km", "mu", "gain", "qber", "rate"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert a.diagnostics.keys() == b.diagnostics.keys()
+        for name, values in a.diagnostics.items():
+            if values.dtype == object:  # the vacuous reasons and the factorization note
+                assert values.tolist() == b.diagnostics[name].tolist(), name
+            else:  # the same NaN pattern and the same bits elsewhere
+                assert values.tobytes() == b.diagnostics[name].tobytes(), name
+        assert a.result(0) == b.result(0)
+
+
+def test_keyrate_curve_is_the_one_key_rate_entry_point():
+    for module in (pspsim, qkd):
+        for name in ("optimize_mu", "keyrate_for_protocol", "_rate_surface"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert pspsim.keyrate_curve is qkd.keyrate_curve
 
 
 def test_optimize_mu_over_distances_matches_per_distance_search():
     distances = np.arange(0.0, 301.0, 20.0)
     kwargs = {"nu": 256.0, "eta_trigger_det": 0.12}
-    mu_star, curve = optimize_mu(ChannelParams(), 8, PSP_TRIGGERED, GRID, distances, **kwargs)
-    assert mu_star.tolist() == curve.mu.tolist()
+    curve = keyrate_curve(PSP_TRIGGERED, ChannelParams(), GRID, distances, 8, **kwargs)
     for i, L in enumerate(distances):
-        m, res = optimize_mu(ChannelParams(distance_km=L), 8, PSP_TRIGGERED, GRID, **kwargs)
-        assert m == mu_star[i]
+        res = keyrate_curve(PSP_TRIGGERED, ChannelParams(distance_km=L), GRID, d=8,
+                            **kwargs).result(0)
+        assert res.mu == curve.mu[i]
         assert abs(res.rate - curve.rate[i]) <= 1e-15 * res.rate
         assert res.diagnostics.keys() == curve.result(i).diagnostics.keys()
     # beyond the last positive rate every mu ties at zero: the smallest wins
-    assert curve.rate[-1] == 0.0 and mu_star[-1] == GRID[0]
+    assert curve.rate[-1] == 0.0 and curve.mu[-1] == GRID[0]
 
 
 def test_optimize_mu_first_index_tie_break(monkeypatch):
     # rates rise with mu up to 0.3 and are flat beyond it, so 0.3, 0.4 and the
     # repeated 0.5 tie; the first (smallest) of them must win at each distance,
     # and a later mu only on a strictly larger rate
-    def fake_surface(protocol, c, mus, distances, d=None, **kwargs):
-        mu = np.broadcast_to(np.array(mus)[:, None], (len(mus), distances.size))
+    def fake_surface(c, distances, mus):
+        mu = np.broadcast_to(mus, (len(mus), distances.size))
         rate = np.minimum(mu, 0.3)
         rate[:, 0] = mu[:, 0]  # at the first distance the rate keeps rising
         return KeyRateCurve(distances, mu, rate, rate, rate,
                             {"vacuous": np.full(mu.shape, None, dtype=object)})
 
-    monkeypatch.setattr(qkd, "_rate_surface", fake_surface)
+    monkeypatch.setattr(qkd, "_wcs_decoy_curve", fake_surface)
     grid = [0.5, 0.1, 0.4, 0.3, 0.5, 0.2]
-    mu_star, curve = optimize_mu(ChannelParams(), None, WCS_DECOY, grid, [0.0, 10.0, 20.0])
-    assert mu_star.tolist() == [0.5, 0.3, 0.3]
+    curve = keyrate_curve(WCS_DECOY, ChannelParams(), grid, [0.0, 10.0, 20.0])
+    assert curve.mu.tolist() == [0.5, 0.3, 0.3]
     assert curve.rate.tolist() == [0.5, 0.3, 0.3]
-    m, res = optimize_mu(ChannelParams(distance_km=10.0), None, WCS_DECOY, grid)
-    assert (m, res.rate) == (0.5, 0.5)  # the scalar search sees its one distance first
+    res = keyrate_curve(WCS_DECOY, ChannelParams(distance_km=10.0), grid).result(0)
+    assert (res.mu, res.rate) == (0.5, 0.5)  # a search at one distance sees that distance first
 
 
 def folded_optimum(protocol, c, d, grid, distances, **kwargs):
-    """optimize_mu as a fold of one keyrate_curve per grid point, sorted by mu.
+    """The mu search as a fold of one single-mu keyrate_curve per grid point, sorted by mu.
 
     At each distance a later mu replaces the best so far only on a strictly
     larger rate, so the first maximum wins; a diagnostic that one curve's
@@ -660,13 +686,12 @@ def test_optimize_mu_surface_equals_the_per_mu_fold(protocol, d, kwargs, monkeyp
     monkeypatch.setattr(qkd, "basis_fidelity_bound", recorded)
     positive = 0
     for distances in TWO_PATH_DISTANCES:
-        mu_star, got = optimize_mu(ChannelParams(), d, protocol, grid, distances, **kwargs)
+        got = keyrate_curve(protocol, ChannelParams(), grid, distances, d, **kwargs)
         surface_bounds = sorted(bounds)
         bounds.clear()
         expect = folded_optimum(protocol, ChannelParams(), d, grid, distances, **kwargs)
         assert surface_bounds == sorted(bounds)  # evaluated at the same mu, so failing there too
         bounds.clear()
-        assert mu_star is got.mu
         for name in ("mu", "gain", "qber", "rate"):  # bit for bit
             assert getattr(got, name).tobytes() == getattr(expect, name).tobytes(), name
         assert got.diagnostics.keys() == expect.diagnostics.keys()
@@ -686,8 +711,8 @@ def test_optimize_mu_asks_for_the_fidelity_bound_where_the_fold_does(distances, 
     # the bound needs d divisible by 4; the triggered estimator asks for it
     # only at the mu that some distance reaches it at
     kwargs = {"nu": 144.0, "eta_trigger_det": 0.12}
-    for search in (lambda: optimize_mu(ChannelParams(), 6, PSP_TRIGGERED, GRID, distances,
-                                       **kwargs)[1],
+    for search in (lambda: keyrate_curve(PSP_TRIGGERED, ChannelParams(), GRID, distances, 6,
+                                         **kwargs),
                    lambda: folded_optimum(PSP_TRIGGERED, ChannelParams(), 6, GRID, distances,
                                           **kwargs)):
         if reached:
@@ -709,15 +734,15 @@ def gllp_by_hand(c, mu, p_multi):
 def test_keyrate_for_protocol_dispatch():
     c = ChannelParams(distance_km=10.0)
     wcs_multi = 1.0 - math.exp(-0.01) * (1.0 + 0.01)
-    rate = keyrate_for_protocol(WCS_NONDECOY, c, 0.01).rate
+    rate = keyrate_curve(WCS_NONDECOY, c, 0.01).result(0).rate
     assert rate > 0.0
     assert rate == gllp_by_hand(c, 0.01, wcs_multi)
     psp_multi = sum(residue_masses(0.03, 8)[2:].tolist())
-    rate = keyrate_for_protocol(PSP_NONDECOY, c, 0.03, 8).rate
+    rate = keyrate_curve(PSP_NONDECOY, c, 0.03, d=8).result(0).rate
     assert rate > 0.0
     assert abs(rate - gllp_by_hand(c, 0.03, psp_multi)) <= 1e-15 * rate
     with pytest.raises(ValueError):
-        keyrate_for_protocol("unknown", c, 0.1)
+        keyrate_curve("unknown", c, 0.1)
 
 
 @pytest.mark.parametrize("protocol", [PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED])
@@ -726,16 +751,16 @@ def test_psp_protocols_require_integer_d(protocol, d):
     # psp-nondecoy with d=None used to return the WCS non-decoy rate
     kwargs = {"nu": 256.0, "eta_trigger_det": 0.12} if protocol == PSP_TRIGGERED else {}
     with pytest.raises(ValueError, match="d must be"):
-        keyrate_for_protocol(protocol, ChannelParams(distance_km=2.0), 0.03, d, **kwargs)
+        keyrate_curve(protocol, ChannelParams(distance_km=2.0), 0.03, d=d, **kwargs)
 
 
 def test_rates_are_nonnegative():
     for L in (0.0, 50.0, 120.0):
         c = ChannelParams(distance_km=L)
-        assert keyrate_for_protocol(WCS_NONDECOY, c, 0.1).rate >= 0.0
-        assert keyrate_for_protocol(WCS_DECOY, c, 0.5).rate >= 0.0
-        assert keyrate_for_protocol(PSP_PASSIVE_DECOY, c, 0.45, 8).rate >= 0.0
-        assert keyrate_for_protocol(PSP_TRIGGERED, c, 0.45, 8, **TRIGGER).rate >= 0.0
+        assert keyrate_curve(WCS_NONDECOY, c, 0.1).result(0).rate >= 0.0
+        assert keyrate_curve(WCS_DECOY, c, 0.5).result(0).rate >= 0.0
+        assert keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, d=8).result(0).rate >= 0.0
+        assert keyrate_curve(PSP_TRIGGERED, c, 0.45, d=8, **TRIGGER).result(0).rate >= 0.0
 
 
 @pytest.mark.parametrize("field", ["f", "eta_bob", "y0", "e0", "e_det", "alpha_db_per_km",
