@@ -26,6 +26,7 @@ from .pns import (
 from .qkd import (
     PHASE_SET_PAPER_LITERAL,
     PHASE_SET_STANDARD,
+    PARAMETERS,
     PROTOCOLS,
     PSP_NONDECOY,
     PSP_PASSIVE_DECOY,

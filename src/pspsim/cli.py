@@ -32,18 +32,8 @@ from .pns import (PSPParams, _nonzero_mass, _support_probability, _validate_dj,
                   fidelity_to_number_state, normalization)
 from .metrics import _equal_input_p11, _noon_overlap, f2002, g2_zero_closed, p11
 from .generation import GenerationParams, herald_probabilities, trigger_probability
-from .qkd import (
-    PROTOCOLS,
-    PSP_NONDECOY,
-    PSP_PASSIVE_DECOY,
-    PSP_TRIGGERED,
-    WCS_DECOY,
-    ChannelParams,
-    basis_fidelity_bound,
-    keyrate_curve,
-    measure_bb84,
-    phase_set,
-)
+from .qkd import (PARAMETERS, PROTOCOLS, PSP_PASSIVE_DECOY, PSP_TRIGGERED, WCS_DECOY,
+                  ChannelParams, basis_fidelity_bound, keyrate_curve, measure_bb84, phase_set)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -123,6 +113,12 @@ class _Config:
         self.parser = configparser.ConfigParser()
         if getattr(args, "config", None) and not self.parser.read(args.config):
             raise OSError("config file not found: %s" % args.config)
+        # a key in the subcommand's own section must name one of its flags; [common]
+        # spans subcommands, so a key there that this one does not read is ignored
+        flags = {dest.replace("_", "-") for dest in vars(args)} - {"command", "func", "config"}
+        for key in self.parser[section] if self.parser.has_section(section) else ():
+            if key not in flags and key not in self.parser.defaults():
+                raise ValueError("unknown key %r in [%s] of %s" % (key, section, args.config))
 
     def get(self, key, default, cast=str):
         """A list default makes the file value a comma- or space-separated list."""
@@ -136,7 +132,10 @@ class _Config:
         if isinstance(default, list):
             return [cast(tok) for tok in raw.replace(",", " ").split()]
         if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in self.parser.BOOLEAN_STATES:  # configparser's words only
+                words = "/".join(self.parser.BOOLEAN_STATES)
+                raise ValueError("%s must be one of %s, not %r" % (key, words, raw))
+            return self.parser.BOOLEAN_STATES[raw.lower()]
         return cast(raw)
 
 
@@ -344,13 +343,8 @@ def cmd_compute(args):
     return EXIT_OK
 
 
-# The source flags each pseudo-number protocol reads: --d, and its estimator's keyword arguments.
-PSP_FLAGS = {PSP_NONDECOY: ("d",), PSP_PASSIVE_DECOY: ("d", "basis_mu", "yield_model"),
-             PSP_TRIGGERED: ("d", "basis_mu", "yield_model", "nu", "eta_trigger_det", "convention")}
-
-
 def cmd_keyrate(args):
-    reads = set(PSP_FLAGS.get(args.protocol, ()))
+    reads = set(PARAMETERS[args.protocol])
     reads |= set(MU_SEARCH_FLAGS) if args.optimize_mu else {"mu"}
     # every protocol reads --mu or the --mu-grid-* flags, and --optimize-mu picks which
     cause = ("--optimize-mu, which searches the --mu-grid-* grid" if args.optimize_mu
@@ -359,7 +353,7 @@ def cmd_keyrate(args):
                    dict.fromkeys(("mu",) + MU_SEARCH_FLAGS, cause))
     c = ChannelParams(distance_km=args.L, f=args.f, eta_bob=args.eta_bob,
                       y0=args.y0, e_det=args.e_det)
-    kwargs = {name: getattr(args, name) for name in PSP_FLAGS.get(args.protocol, ())[1:]}
+    kwargs = {name: getattr(args, name) for name in PARAMETERS[args.protocol]}
     if args.optimize_mu:
         if not args.mu_grid_step > 0:
             raise ValueError("mu grid requires mu-grid-step > 0")
@@ -368,17 +362,8 @@ def cmd_keyrate(args):
         raise ValueError("--mu is required unless --optimize-mu is given")
     else:
         mu = args.mu
-    res = keyrate_curve(args.protocol, c, mu, d=args.d, **kwargs).result(0)
-    report = {
-        "protocol": args.protocol,
-        "distance_km": args.L,
-        "mu": res.mu,
-        "d": args.d,
-        "rate": res.rate,
-        "gain": res.gain,
-        "qber": res.qber,
-        "diagnostics": res.diagnostics,
-    }
+    res = keyrate_curve(args.protocol, c, mu, **kwargs).result(0)
+    report = dict(vars(res), protocol=args.protocol, distance_km=args.L, d=args.d)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -36,7 +36,13 @@ WCS_DECOY = "wcs-decoy"
 PSP_NONDECOY = "psp-nondecoy"
 PSP_PASSIVE_DECOY = "psp-passive"
 PSP_TRIGGERED = "psp-triggered"
-PROTOCOLS = (WCS_NONDECOY, WCS_DECOY, PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED)
+# The names each protocol reads besides c, distances and mu: d, and its estimator's
+# keyword arguments.  keyrate_curve refuses any other d or keyword.
+PARAMETERS = {WCS_NONDECOY: (), WCS_DECOY: (), PSP_NONDECOY: ("d",),
+              PSP_PASSIVE_DECOY: ("d", "basis_mu", "yield_model"),
+              PSP_TRIGGERED: ("d", "basis_mu", "yield_model", "nu", "eta_trigger_det",
+                              "convention")}
+PROTOCOLS = tuple(PARAMETERS)
 
 PHASE_SET_STANDARD = "standard"
 PHASE_SET_PAPER_LITERAL = "paper-literal"
@@ -541,9 +547,9 @@ def keyrate_curve(protocol, c, mu, distances=None, d=None, **kwargs):
     (c.distance_km,), whose result(0) is the rate at c's own distance; c
     supplies every other channel parameter.  What depends only on the source
     (its residue masses, fidelity bound and trigger vector) is computed once
-    for all distances.  Extra keyword arguments go to the matching estimator (nu,
-    eta_trigger_det, convention, basis_mu, yield_model as applicable), and
-    the pseudo-number protocols need an integer d >= 1.
+    for all distances.  The pseudo-number protocols need an integer d >= 1, and
+    keyword arguments go to the protocol's estimator; a d or keyword that is not
+    in the protocol's PARAMETERS entry is a ValueError.
     """
     grid = _mu(mu)
     if not grid.size:
@@ -553,12 +559,16 @@ def keyrate_curve(protocol, c, mu, distances=None, d=None, **kwargs):
     if mus[0, 0] <= 0:
         raise ValueError("mu must be positive")
     at = _distances(c, distances)
-    if protocol not in PROTOCOLS:
+    if protocol not in PARAMETERS:
         raise ValueError("unknown protocol %r" % (protocol,))
-    if protocol in (PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED):
+    for name in ([] if d is None else ["d"]) + list(kwargs):
+        if name not in PARAMETERS[protocol]:
+            raise ValueError("%s does not apply to protocol %s" % (name, protocol))
+    if "d" in PARAMETERS[protocol]:
         _validate_dj(d)  # the non-decoy estimator reads d=None as a WCS source
+    # the estimators are looked up at call time, so a patched module attribute is what runs
     if protocol in (WCS_NONDECOY, PSP_NONDECOY):
-        surface = _nondecoy_curve(c, at, mus, d if protocol == PSP_NONDECOY else None)
+        surface = _nondecoy_curve(c, at, mus, d)
     elif protocol == WCS_DECOY:
         surface = _wcs_decoy_curve(c, at, mus)
     else:

@@ -1,7 +1,10 @@
 """Command-line layer: exit codes, file formats, config layering, determinism."""
 
+import argparse
 import csv
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -538,6 +541,49 @@ def test_config_file_layering(tmp_path, capsys):
     assert run(["fig1", "--config", str(ini), "--mu-points", "3",
                 "--out", str(out2)]) == 0
     assert len(list(csv.reader(out2.open()))) == 1 + 3 * 4
+
+
+@pytest.mark.parametrize("section, line, message", [
+    # "maybe" was read as false, and the typo of mu-points wrote the default 200 points
+    ("fig5", "optimize-mu = maybe",
+     "optimize-mu must be one of 1/yes/true/on/0/no/false/off, not 'maybe'"),
+    ("fig4", "mu-point = 5", "unknown key 'mu-point' in [fig4] of "),
+], ids=["boolean-word", "unknown-key"])
+def test_config_refuses_what_it_would_drop(tmp_path, capsys, section, line, message):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[%s]\n%s\n" % (section, line))
+    out = tmp_path / "out.csv"
+    assert run([section, "--config", str(ini), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (err_line,) = captured.err.splitlines()
+    err = json.loads(err_line)
+    assert err["error"] == "invalid-parameter"
+    assert err["message"].startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("word, optimize", [("1", True), ("Yes", True), ("on", True),
+                                            ("false", False), ("OFF", False), ("0", False)])
+def test_config_booleans_take_configparsers_words(tmp_path, capsys, word, optimize):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[common]\nmu-points = 5\n\n[fig5]\noptimize-mu = %s\nl-max = 1\n" % word)
+    out = tmp_path / "f5.csv"
+    assert run(["fig5", "--config", str(ini), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "f5.csv.manifest.json").read_text())
+    assert manifest["resolved_config"]["optimize_mu"] is optimize
+
+
+def test_readme_documents_every_flag():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {(name, flag) for name, sub in subs.choices.items() for action in sub._actions
+             for flag in action.option_strings if flag.startswith("--") and flag != "--help"}
+    missing = sorted((name, flag) for name, flag in flags
+                     if not re.search(re.escape(flag) + r"(?![\w-])", section))
+    assert not missing
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch, capsys):

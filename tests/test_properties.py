@@ -121,7 +121,8 @@ def test_pseudo_state_yield_is_a_probability(mu, d, data, distance, model):
 def test_keyrate_never_rises_with_distance_and_stays_below_plob(protocol, mu, d):
     kwargs = {"nu": 4.0 * d * d, "eta_trigger_det": 0.12} if protocol == PSP_TRIGGERED else {}
     c = ChannelParams()
-    rate = keyrate_curve(protocol, c, mu, DISTANCES, d, **kwargs).rate  # the WCS ones ignore d
+    source = d if protocol.startswith("psp-") else None  # the WCS protocols refuse a d
+    rate = keyrate_curve(protocol, c, mu, DISTANCES, source, **kwargs).rate
     assert (np.diff(rate) <= 0.0).all()
     # the repeaterless (PLOB) bound on the secret-key rate per channel use
     assert (rate <= -np.log2(1.0 - transmission(c, DISTANCES))).all()

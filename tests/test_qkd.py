@@ -17,6 +17,8 @@ from pspsim import (
     KeyRateCurve,
     NumericalDiagnosticError,
     TruncationError,
+    PARAMETERS,
+    PROTOCOLS,
     PSP_NONDECOY,
     PSP_PASSIVE_DECOY,
     PSP_TRIGGERED,
@@ -596,6 +598,40 @@ def test_keyrate_curve_is_the_one_key_rate_entry_point():
         for name in ("optimize_mu", "keyrate_for_protocol", "_rate_surface"):
             assert not hasattr(module, name), (module.__name__, name)
     assert pspsim.keyrate_curve is qkd.keyrate_curve
+
+
+@pytest.mark.parametrize("call, name, protocol", [
+    (lambda c: keyrate_curve(WCS_DECOY, c, 0.5, d=8), "d", WCS_DECOY),
+    (lambda c: keyrate_curve(WCS_DECOY, c, 0.5, nu=3.0, bogus=1), "nu", WCS_DECOY),
+    (lambda c: keyrate_curve(PSP_NONDECOY, c, 0.03, d=8, yield_model="dominant"), "yield_model",
+     PSP_NONDECOY),
+    (lambda c: keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, d=8, bogus=1), "bogus",
+     PSP_PASSIVE_DECOY),
+], ids=["wcs-decoy-d", "wcs-decoy-nu", "psp-nondecoy-yield-model", "psp-passive-bogus"])
+def test_keyrate_curve_refuses_what_its_protocol_does_not_read(call, name, protocol):
+    # the first three returned the plain rate, and the last raised a TypeError
+    with pytest.raises(ValueError, match="^%s does not apply to protocol %s$" % (name, protocol)):
+        call(ChannelParams())
+
+
+# One value for each name that some protocol reads besides c, distances and mu.
+PARAMETER_VALUES = {"d": 8, "basis_mu": "full", "yield_model": "dominant", "nu": 256.0,
+                    "eta_trigger_det": 0.12, "convention": "recomputed"}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_keyrate_curve_takes_exactly_its_protocols_parameters(protocol):
+    assert PROTOCOLS == tuple(PARAMETERS)
+    assert set(PARAMETER_VALUES) == set().union(*PARAMETERS.values())
+    own = {name: PARAMETER_VALUES[name] for name in PARAMETERS[protocol]}
+    mu = 0.02 if protocol in (WCS_NONDECOY, PSP_NONDECOY) else 0.45
+    assert keyrate_curve(protocol, ChannelParams(), mu, **own).rate[0] > 0.0
+    others = [name for name in PARAMETER_VALUES if name not in own]
+    assert others or protocol == PSP_TRIGGERED  # the triggered source reads every name
+    for name in others:
+        with pytest.raises(ValueError, match="^%s does not apply to protocol %s$"
+                           % (name, protocol)):
+            keyrate_curve(protocol, ChannelParams(), mu, **dict(own, **{name: 1}))
 
 
 def test_optimize_mu_over_distances_matches_per_distance_search():
