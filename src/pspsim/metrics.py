@@ -28,27 +28,27 @@ def g2_zero_closed(mu, d):
     mass is exactly 1 and both phase sums are 1, so g2 is exactly 1.
     At small mu the sums cancel to noise around a tiny true value: a result
     down to -UNIT_RESIDUE_TOL reads 0, one below it is a numerical failure.
-    mu may be a 1-D array: one residue table serves the normalizations, one
-    (len(mu), d) array the phase sums, and each entry equals the scalar call's bits.
+    mu may be a 1-D array (refused at its first failing mu): one residue table serves
+    the normalizations, one (len(mu), d) array the phase sums, each with the scalar call's bits.
     """
     mus = _mu(mu)  # finite before the phase sums, which would warn on it
     if (mus <= 0).any():
         raise ValueError("mu must be positive")
     _validate_dj(d)
     ph = np.exp(2j * np.pi * np.arange(d) / d)
-    norms = np.ravel(normalization(mus, d, 1 % d)).tolist()
+    norms = normalization(mus.ravel(), d, 1 % d)
     ex = np.exp(np.multiply.outer(mus.ravel(), ph - 1.0))
-    values = []
-    # n a / b^2 per mu on numpy scalars: as arrays it moves some last bits
-    for n, a, b in zip(norms, d * np.sum(ph * ex, axis=1), d * np.sum(ex, axis=1)):
-        val = n * a / (b * b)
-        if abs(val.imag) > REAL_RESIDUE_TOL * max(1.0, abs(val.real)):
-            raise NumericalDiagnosticError("g2 numerator residue %.3e exceeds tolerance"
-                                           % val.imag)
-        if val.real < -UNIT_RESIDUE_TOL:
-            raise NumericalDiagnosticError("g2 = %.6e is negative" % val.real)
-        values.append(max(float(val.real), 0.0))
-    return np.array(values) if mus.ndim else values[0]
+    b = d * np.sum(ex, axis=1)
+    val = norms * (d * np.sum(ph * ex, axis=1)) / (b * b)
+    residue = np.abs(val.imag) > REAL_RESIDUE_TOL * np.fmax(1.0, np.abs(val.real))
+    failed = residue | (val.real < -UNIT_RESIDUE_TOL)
+    if failed.any():
+        first = int(np.argmax(failed))
+        raise NumericalDiagnosticError(
+            "g2 numerator residue %.3e exceeds tolerance" % val.imag[first] if residue[first]
+            else "g2 = %.6e is negative" % val.real[first])
+    g2 = np.where(val.real < 0.0, 0.0, val.real)
+    return g2 if mus.ndim else float(g2[0])
 
 
 def p11(p1, p2):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, TruncationError, _clamp_unit, _index, _real
-from .states import log_factorial
 
 # Relative size at which the modular Poisson series stops adding terms.
 SERIES_RTOL = 1e-30
@@ -37,6 +36,22 @@ _TABLE_BLOCK = 2**14
 # lies below an eighth of an ulp of it (or underflows to 0.0), so the sum keeps
 # every bit; the factor 4 to half an ulp covers the log-space rounding.
 _LOG_NEGLIGIBLE = -56.0 * math.log(2.0)
+# log(n!) for n < 4096, the photon numbers of a first residue-mass block with
+# d <= 64.
+_LOG_FACTORIALS = np.array([math.lgamma(n + 1.0) for n in range(4096)])
+
+
+def log_factorial(n):
+    """log(n!) = math.lgamma(n + 1) for a nonnegative integer n or integer array n.
+
+    Read from a table when every n is below 4096, and from math.lgamma one n
+    at a time otherwise (past a C long too), so each value has the same bits either way.
+    """
+    try:
+        return _LOG_FACTORIALS[n]
+    except (IndexError, OverflowError):
+        values = [math.lgamma(k + 1.0) for k in np.ravel(n).tolist()]
+        return np.array(values).reshape(np.shape(n))[()]
 
 
 def _validate_dj(d, j=0):
@@ -121,15 +136,13 @@ def _residue_rows(values, d, rows, js):
         if n0 > SERIES_MAX_N:
             raise TruncationError("modular Poisson series at mu=%.6g, d=%d needs photon numbers "
                                   "above %d" % (live_mu[0], d, SERIES_MAX_N))
-        # the block residue-major, as (d, rows): row r holds its n = r (mod d)
-        ns = np.arange(n0, n0 + rows * d)
-        log_factorials = log_factorial(ns).reshape(rows, d).T
-        ns = ns.reshape(rows, d).T
+        # the block residue-major, as (d, rows), rows js of it: row r holds its n = r (mod d)
+        ns = np.arange(n0, n0 + rows * d).reshape(rows, d).T[js]
         width = _head_width(n0 + first, rows, d, float(live_mu.max()))
         # in place: the (live rows, residues, width) head is the one array of its size
-        terms = np.multiply.outer(log_mu, ns[js, :width])
+        terms = np.multiply.outer(log_mu, ns[:, :width])
         terms -= live_mu[:, None, None]
-        terms -= log_factorials[js, :width]
+        terms -= log_factorial(ns[:, :width])
         np.exp(terms, out=terms)
         sums += terms.sum(axis=2)
         n0 += rows * d
@@ -278,7 +291,7 @@ def photon_number_probability(p, n):
 def _support_probability(mu, mass, n):
     """Pois(mu; n) / mass at mu > 0: the probability of n photons on the support
     of a state whose residue mass is mass."""
-    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1.0)) / mass
+    return math.exp(n * math.log(mu) - mu - log_factorial(n)) / mass
 
 
 def fidelity_to_number_state(p):

@@ -549,7 +549,8 @@ def keyrate_curve(protocol, c, mu, distances=None, d=None, **kwargs):
     (its residue masses, fidelity bound and trigger vector) is computed once
     for all distances.  The pseudo-number protocols need an integer d >= 1, and
     keyword arguments go to the protocol's estimator; a d or keyword that is not
-    in the protocol's PARAMETERS entry is a ValueError.
+    in the protocol's PARAMETERS entry is a ValueError, and so is a triggered
+    source without nu or eta_trigger_det.
     """
     grid = _mu(mu)
     if not grid.size:
@@ -566,6 +567,9 @@ def keyrate_curve(protocol, c, mu, distances=None, d=None, **kwargs):
             raise ValueError("%s does not apply to protocol %s" % (name, protocol))
     if "d" in PARAMETERS[protocol]:
         _validate_dj(d)  # the non-decoy estimator reads d=None as a WCS source
+    missing = {"nu", "eta_trigger_det"} - set(kwargs) if protocol == PSP_TRIGGERED else ()
+    if missing:
+        raise ValueError("protocol %s needs %s" % (protocol, " and ".join(sorted(missing))))
     # the estimators are looked up at call time, so a patched module attribute is what runs
     if protocol in (WCS_NONDECOY, PSP_NONDECOY):
         surface = _nondecoy_curve(c, at, mus, d)

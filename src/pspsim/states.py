@@ -1,4 +1,4 @@
-"""The Gram kernel of p11, on the coherent expansion held as plain arrays, and log(n!).
+"""The Gram kernel of p11, on the coherent expansion held as plain arrays.
 
 A superposition c_1 |a_1> + c_2 |a_2> + ... of (multimode) coherent states
 is two arrays: coefficients c of shape (terms,) and labels a of shape
@@ -11,8 +11,6 @@ Conventions:
     <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a)*b)
     beam splitter: (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2))
 """
-
-import math
 
 import numpy as np
 
@@ -29,22 +27,6 @@ GRAM_MAX_ENTRIES = 2**24
 _PAIR_BLOCK = 2**8
 
 _SQRT2 = np.sqrt(2.0)
-# log(n!) for n < 4096, the photon numbers of a first residue-mass block with
-# d <= 64.
-_LOG_FACTORIALS = np.array([math.lgamma(n + 1.0) for n in range(4096)])
-
-
-def log_factorial(n):
-    """log(n!) = math.lgamma(n + 1) for a nonnegative integer n or integer array n.
-
-    Read from a table when every n is below 4096, and from math.lgamma one n
-    at a time otherwise, so each value has the same bits either way.
-    """
-    try:
-        return _LOG_FACTORIALS[n]
-    except IndexError:
-        values = [math.lgamma(k + 1.0) for k in np.ravel(n).tolist()]
-        return np.array(values).reshape(np.shape(n))[()]
 
 
 def _pair_exponents(labels, modes):

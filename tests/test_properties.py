@@ -1,6 +1,9 @@
 """Physical invariants as property tests over the production paths."""
 
 import math
+import os
+import time
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,15 +13,21 @@ from pspsim import (
     PROTOCOLS,
     PSP_TRIGGERED,
     ChannelParams,
+    DegenerateStateError,
+    NumericalDiagnosticError,
     PSPParams,
+    TruncationError,
+    g2_zero_closed,
     keyrate_curve,
     loss_channel,
     measure_bb84,
+    normalization,
+    photon_number_probability,
     pseudo_state_yield,
     residue_masses,
     transmission,
 )
-from pspsim.states import log_factorial
+from pspsim.pns import log_factorial
 
 # Derandomized and with no example database, so every run draws the same
 # examples and a failure reproduces as it was seen.
@@ -148,3 +157,75 @@ def test_bb84_readout_is_a_distribution(mu, d, data):
     probs = measure_bb84(mu, d, j, k, data.draw(st.sampled_from("XY")))
     assert all(0.0 <= p <= 1.0 for p in probs)
     assert abs(sum(probs) - 1.0) <= 1e-15
+
+
+# mu as the contract draws it: NaN, +-inf, zeros, subnormals, 1e+-300, a physical
+# range, and any float at all
+EDGE_MUS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                                      1e-310, 1e-300, 1e300, -1e300]),
+                     st.floats(0.0, 50.0), st.floats())
+TYPED_ERRORS = (ValueError, DegenerateStateError, TruncationError, NumericalDiagnosticError)
+CONTRACT = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def contract(call, high=1.0):
+    """call()'s values as a float array, each finite and in [0, high], or None when it
+    raised one of the package's typed errors; a RuntimeWarning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            values = np.asarray(call(), dtype=float)
+        except TYPED_ERRORS:
+            return None
+    assert np.isfinite(values).all() and ((0.0 <= values) & (values <= high)).all(), values
+    return values
+
+
+@CONTRACT
+@given(n=st.one_of(st.integers(0, 2**20), st.integers(4000, 4200),
+                   st.sampled_from([2**63, 2**64 - 1, 2**70])),
+       ns=st.lists(st.integers(3900, 4300), max_size=8))
+def log_factorial_contract(n, ns):
+    # the bits of math.lgamma(n + 1) from the table, past it (past a C long too), and for
+    # an array across its end
+    assert log_factorial(n) == math.lgamma(n + 1.0)
+    straddle = np.array(ns + [4095, 4096])
+    assert log_factorial(straddle).tobytes() == np.array(
+        [math.lgamma(k + 1.0) for k in straddle.tolist()]).tobytes()
+
+
+@CONTRACT
+@given(mu=st.one_of(EDGE_MUS, st.lists(EDGE_MUS, max_size=3)), d=st.integers(1, 64),
+       data=st.data())
+def state_contract(mu, d, data):
+    # every mass table sums to 1, N lies in (0, d^2], g2 is finite and >= 0, and the
+    # one-mu quantities are probabilities, the four BB84 ones summing to 1
+    j = data.draw(st.integers(0, d - 1), label="j")
+    masses = contract(lambda: residue_masses(mu, d))
+    if masses is not None:
+        assert (abs(masses.sum(axis=-1) - 1.0) <= 1e-12).all()
+    contract(lambda: normalization(mu, d, j), high=d * d)
+    contract(lambda: g2_zero_closed(mu, d), high=math.inf)
+    if np.ndim(mu):
+        return
+    # n on the support (up to the largest uint64) or, at d > 1, next to it
+    m = data.draw(st.one_of(st.integers(0, 5000), st.sampled_from([2**63 // d, 2**64 // d - 1])),
+                  label="m")
+    n = j + d * m + data.draw(st.integers(0, 1), label="off")
+    contract(lambda: photon_number_probability(PSPParams(mu=mu, d=d, j=j), n))
+    k, basis = data.draw(st.integers(0, d - 1), label="k"), data.draw(st.sampled_from("XY"))
+    probs = contract(lambda: measure_bb84(mu, d, j, k, basis))
+    if probs is not None:
+        assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+def test_touched_functions_return_in_range_or_raise_typed_errors(isolated):
+    # in a fresh interpreter, so a call that never returns fails at the timeout
+    start = time.perf_counter()
+    code, out = isolated(
+        "import sys, traceback; sys.path.insert(0, %r); import test_properties as t\n"
+        "try:\n    t.log_factorial_contract(); t.state_contract(); print('ok')\n"
+        "except BaseException:\n    traceback.print_exc(file=sys.stdout)"
+        % os.path.dirname(os.path.abspath(__file__)))
+    assert (code, out) == (0, "ok")
+    assert time.perf_counter() - start < 30.0

@@ -634,6 +634,15 @@ def test_keyrate_curve_takes_exactly_its_protocols_parameters(protocol):
             keyrate_curve(protocol, ChannelParams(), mu, **dict(own, **{name: 1}))
 
 
+@pytest.mark.parametrize("given, missing", [({}, "eta_trigger_det and nu"),
+                                            ({"nu": 256.0}, "eta_trigger_det"),
+                                            ({"eta_trigger_det": 0.12}, "nu")])
+def test_triggered_curve_without_its_trigger_is_a_value_error(given, missing):
+    # each raised an untyped TypeError from the estimator's signature
+    with pytest.raises(ValueError, match="^protocol psp-triggered needs %s$" % missing):
+        keyrate_curve(PSP_TRIGGERED, ChannelParams(), 0.45, d=8, **given)
+
+
 def test_optimize_mu_over_distances_matches_per_distance_search():
     distances = np.arange(0.0, 301.0, 20.0)
     kwargs = {"nu": 256.0, "eta_trigger_det": 0.12}

@@ -17,7 +17,7 @@ from oracle import (TAIL_TOL, auto_cutoff, density, fock_amplitude, fock_beam_sp
                     psp_cutoff, psp_fock, thinned_density, to_fock, uhlmann_fidelity)
 from pspsim import NumericalDiagnosticError, PSPParams, TruncationError, pseudo_number_state
 from pspsim import states
-from pspsim.states import _LOG_FACTORIALS, log_factorial
+from pspsim.pns import _LOG_FACTORIALS, log_factorial
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 PACKAGE = os.path.join(TESTS, os.pardir, "src", "pspsim")
@@ -239,14 +239,22 @@ def test_the_coherent_state_object_layer_is_gone():
 
 
 def test_bb84_readout_reads_no_coherent_state():
-    # the phase-encoded readout is one Poisson series: qkd imports nothing from states, and
-    # the encoded state, its state-form readout and the "Y" splitter are gone: the one
-    # splitter left takes two inputs' arrays and no variant
-    with open(os.path.join(PACKAGE, "qkd.py")) as f:
-        tree = ast.parse(f.read())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            assert node.module != "states" and "states" not in [a.name for a in node.names]
+    # the phase-encoded readout is one Poisson series: only metrics imports states, whose
+    # one job is the Gram kernel of p11; log(n!) has one owner, pns, and no other module
+    # defines or calls lgamma.  The encoded state, its state-form readout and the "Y"
+    # splitter are gone: the one splitter left takes two inputs' arrays and no variant
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as f:
+            source = f.read()
+        if module != "pns":
+            for name in ("lgamma", "_LOG_FACTORIALS", "def log_factorial"):
+                assert name not in source, (path, name)
+        for node in ast.walk(ast.parse(source, path)):
+            if module != "metrics" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name.split(".")[-1] for a in node.names]
+                module_name = getattr(node, "module", None) or ""
+                assert "states" not in names + [module_name.split(".")[-1]], path
     assert not hasattr(pspsim, "encoded_state")
     assert list(inspect.signature(states._hom_outputs).parameters) == ["c1", "l1", "c2", "l2"]
     assert list(inspect.signature(pspsim.measure_bb84).parameters) == ["mu", "d", "j", "k",
