@@ -51,8 +51,8 @@ def _fmt(value):
     return str(value)
 
 
-def _resolve_out(path, default_name):
-    path = default_name if path is None else path
+def _resolve_out(path):
+    """path, or, for a bare file name, that name in $PSPSIM_OUT_DIR when it is set."""
     base = os.environ.get(OUT_DIR_ENV, "")
     if base and not os.path.isabs(path) and os.sep not in path:
         path = os.path.join(base, path)
@@ -91,52 +91,11 @@ def _self_validate(path, fmt, header, n_rows):
 
 
 def _write_manifest(path, command, resolved, duration, summary):
-    manifest = {
-        "tool": "pspsim",
-        "version": __version__,
-        "command": command,
-        "resolved_config": resolved,
-        "duration_seconds": duration,
-        "diagnostics": summary,
-    }
+    manifest = {"tool": "pspsim", "version": __version__, "command": command,
+                "resolved_config": resolved, "duration_seconds": duration, "diagnostics": summary}
     with open(path + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-class _Config:
-    """Layered option lookup: CLI flag, then config-file section, then default."""
-
-    def __init__(self, args, section):
-        self.args = args
-        self.section = section
-        self.parser = configparser.ConfigParser()
-        if getattr(args, "config", None) and not self.parser.read(args.config):
-            raise OSError("config file not found: %s" % args.config)
-        # a key in the subcommand's own section must name one of its flags; [common]
-        # spans subcommands, so a key there that this one does not read is ignored
-        flags = {dest.replace("_", "-") for dest in vars(args)} - {"command", "func", "config"}
-        for key in self.parser[section] if self.parser.has_section(section) else ():
-            if key not in flags and key not in self.parser.defaults():
-                raise ValueError("unknown key %r in [%s] of %s" % (key, section, args.config))
-
-    def get(self, key, default, cast=str):
-        """A list default makes the file value a comma- or space-separated list."""
-        cli = getattr(self.args, key.replace("-", "_"), None)
-        if cli is not None:
-            return cli
-        raw = self.parser.get(self.section, key,
-                              fallback=self.parser.get("common", key, fallback=None))
-        if raw is None:
-            return default
-        if isinstance(default, list):
-            return [cast(tok) for tok in raw.replace(",", " ").split()]
-        if cast is bool:
-            if raw.lower() not in self.parser.BOOLEAN_STATES:  # configparser's words only
-                words = "/".join(self.parser.BOOLEAN_STATES)
-                raise ValueError("%s must be one of %s, not %r" % (key, words, raw))
-            return self.parser.BOOLEAN_STATES[raw.lower()]
-        return cast(raw)
 
 
 # The most points one grid flag may ask for.  fig5 --optimize-mu over this many
@@ -160,22 +119,17 @@ def _grid(what, lo, hi, step=None, points=None):
     return np.arange(lo, hi + step / 2, step)
 
 
-def _mu_grid(cfg, default_min, default_max):
-    """Log-spaced mu grid and its manifest entries."""
-    lo = cfg.get("mu-min", default_min, float)
-    hi = cfg.get("mu-max", default_max, float)
-    n = cfg.get("mu-points", 200, int)
-    if not (0 < lo < hi) or n < 2:
+def _mu_grid(args):
+    """The log-spaced mu grid of --mu-min, --mu-max and --mu-points."""
+    if not (0 < args.mu_min < args.mu_max) or args.mu_points < 2:
         raise ValueError("mu grid requires 0 < mu-min < mu-max and >= 2 points")
-    mus = _grid("mu grid", lo, hi, points=n)
-    return mus, {"mu_min": float(mus[0]), "mu_max": float(mus[-1]), "mu_points": n}
+    return _grid("mu grid", args.mu_min, args.mu_max, points=args.mu_points)
 
 
-def _fig1_rows(cfg):
-    mus, resolved = _mu_grid(cfg, 0.01, 20.0)
-    d_list = resolved["d_list"] = cfg.get("d-list", [4, 8, 12], int)
+def _fig1_rows(args):
+    mus = _mu_grid(args)
     rows = []
-    for d in d_list:
+    for d in args.d_list:
         g2s = g2_zero_closed(mus, d).tolist()
         # j = 1 % d, the state on n = 1 (mod d), which is the coherent state at
         # d = 1; one M_j table serves every point's fidelity, p11 and f2002
@@ -185,17 +139,15 @@ def _fig1_rows(cfg):
             one = _support_probability(mu, mass, 1)  # photon_number_probability(p, 1)
             rows += [("fidelity", d, mu, one), ("g2", d, mu, g2), ("p11", d, mu, hom),
                      ("f2002", d, mu, _noon_overlap(one, one))]
-    return ("quantity", "d", "mu", "value"), rows, resolved
+    return ("quantity", "d", "mu", "value"), rows
 
 
-def _fig4_rows(cfg):
-    mus, resolved = _mu_grid(cfg, 0.001, 1.0)
-    d_list = resolved["d_list"] = cfg.get("d-list", [4, 8], int)
-    j_list = resolved["j_list"] = cfg.get("j-list", [0, 1], int)
+def _fig4_rows(args):
+    mus = _mu_grid(args)
     rows = [("basis_fidelity", d, j, float(mu), value)
-            for d in d_list for j in j_list
+            for d in args.d_list for j in args.j_list
             for mu, value in zip(mus, basis_fidelity_bound(mus, d, j).tolist())]
-    return ("quantity", "d", "j", "mu", "value"), rows, resolved
+    return ("quantity", "d", "j", "mu", "value"), rows
 
 
 # Reference curves for the distance sweep: (d, source mu) with mu near the
@@ -205,61 +157,141 @@ FIG5_PSP_CURVES = ((4, 0.08), (8, 0.45), (36, 1.0))
 MU_SEARCH = (0.05, 2.0, 0.05)
 
 
-def _fig5_rows(cfg):
-    l_min = cfg.get("l-min", 0.0, float)
-    l_max = cfg.get("l-max", 100.0, float)
-    l_step = cfg.get("l-step", 1.0, float)
-    if not (l_step > 0 and l_max >= l_min):
+def _fig5_rows(args):
+    if not (args.l_step > 0 and args.l_max >= args.l_min):
         raise ValueError("distance grid requires l-step > 0 and l-max >= l-min")
-    optimize = cfg.get("optimize-mu", False, bool)
-    convention = cfg.get("trigger-convention", "paper")
-    eta_trig = cfg.get("eta-trigger-det", 0.12, float)
-    distances = _grid("distance grid", l_min, l_max, l_step)
+    distances = _grid("distance grid", args.l_min, args.l_max, args.l_step)
     mu_grid = _grid("mu grid", *MU_SEARCH)
 
-    trigger = {"eta_trigger_det": eta_trig, "convention": convention}
+    trigger = {"eta_trigger_det": args.eta_trigger_det, "convention": args.trigger_convention}
     specs = [(WCS_DECOY, None, None, {})]
     specs += [(PSP_PASSIVE_DECOY, d, mu, {}) for d, mu in FIG5_PSP_CURVES]
     specs += [(PSP_TRIGGERED, d, mu, dict(trigger, nu=4.0 * d * d)) for d, mu in FIG5_PSP_CURVES]
     c = ChannelParams()  # every channel parameter but the distance
     rows = []
     for protocol, d, mu, kwargs in specs:
-        curve = keyrate_curve(protocol, c, mu_grid if optimize or mu is None else mu, distances,
-                              d, **kwargs)
+        searched = args.optimize_mu or mu is None
+        curve = keyrate_curve(protocol, c, mu_grid if searched else mu, distances, d, **kwargs)
         rows += [(protocol, 0 if d is None else d, float(mu_star), kwargs.get("nu", 0.0),
                   float(L), float(rate))
                  for mu_star, L, rate in zip(curve.mu, curve.distance_km, curve.rate)]
-    resolved = {"l_min": l_min, "l_max": l_max, "l_step": l_step, "optimize_mu": optimize,
-                "trigger_convention": convention, "eta_trigger_det": eta_trig}
-    return ("protocol", "d", "mu", "nu", "distance_km", "rate"), rows, resolved
+    return ("protocol", "d", "mu", "nu", "distance_km", "rate"), rows
 
 
-# Figure datasets: each row function maps the layered config to (header, rows,
-# resolved config); the last column of every row is the plotted value.
+# Figure datasets: each row function maps the parsed flags to (header, rows);
+# the last column of every row is the plotted value.
 DATASETS = {"fig1": _fig1_rows, "fig4": _fig4_rows, "fig5": _fig5_rows}
+
+# Each subcommand's optional flags, keyed by argparse dest: (kind, default).  kind is a
+# type, a tuple of choices, bool (a switch) or [type] (one value or more).  A callable
+# default is called on the parsed arguments once the flags above it are set.  A dest's flag
+# is --dest with "-" for "_", except that dest "convention" is --trigger-convention (_flag).
+_DATASET = {"format": (FORMATS, "csv"), "out": (str, lambda a: "%s.%s" % (a.command, a.format))}
+_DETECTOR = (float, 0.12)  # the trigger (meter) detector's efficiency
+_CONVENTION = (("paper", "recomputed"), "paper")
+FLAGS = {
+    "fig1": {**_DATASET, "mu_min": (float, 0.01), "mu_max": (float, 20.0),
+             "mu_points": (int, 200), "d_list": ([int], [4, 8, 12])},
+    "fig4": {**_DATASET, "mu_min": (float, 0.001), "mu_max": (float, 1.0),
+             "mu_points": (int, 200), "d_list": ([int], [4, 8]), "j_list": ([int], [0, 1])},
+    "fig5": {**_DATASET, "l_min": (float, 0.0), "l_max": (float, 100.0), "l_step": (float, 1.0),
+             "optimize_mu": (bool, False), "trigger_convention": _CONVENTION,
+             "eta_trigger_det": _DETECTOR},
+    "compute": {"mu": (float, 0.1), "j": (int, 1), "mu2": (float, lambda a: a.mu),
+                "d2": (int, lambda a: a.d), "delta": (float, 0.0), "delta2": (float, 0.0),
+                "nu": (float, 100.0), "eta_det": _DETECTOR, "convention": _CONVENTION,
+                "phase_set": (("standard", "paper-literal"), "standard")},
+    "keyrate": {"L": (float, 40.0), "d": (int, None), "optimize_mu": (bool, False),
+                "mu": (float, None), "mu_grid_min": (float, MU_SEARCH[0]),
+                "mu_grid_max": (float, MU_SEARCH[1]), "mu_grid_step": (float, MU_SEARCH[2]),
+                # --nu: the meter's 4 d^2
+                "nu": (float, lambda a: None if a.d is None else 4.0 * a.d * a.d),
+                "eta_trigger_det": _DETECTOR, "basis_mu": (("half", "full"), "half"),
+                "yield_model": (("exact", "dominant"), "exact"), "convention": _CONVENTION,
+                # the channel; defaults: the ChannelParams ones
+                **{name: (float, getattr(ChannelParams, name))
+                   for name in ("f", "eta_bob", "y0", "e_det")},
+                "out": (str, None)},
+}
+
+
+def _flag(dest):
+    """The flag of an argparse dest, without its leading "--"; also its INI key."""
+    return "trigger-convention" if dest == "convention" else dest.replace("_", "-")
+
+
+def _ini_value(key, kind, raw):
+    """An INI value parsed with its flag's kind; a list takes commas or spaces between values."""
+    if kind is bool:
+        words = configparser.ConfigParser.BOOLEAN_STATES  # configparser's words only
+        if raw.lower() not in words:
+            raise ValueError("%s must be one of %s, not %r" % (key, "/".join(words), raw))
+        return words[raw.lower()]
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ValueError("%s must be one of %s, not %r" % (key, "|".join(kind), raw))
+        return raw
+    if isinstance(kind, list):
+        values = [kind[0](token) for token in raw.replace(",", " ").split()]
+        if not values:  # as the flag, which takes one value or more
+            raise ValueError("%s needs at least one value" % key)
+        return values
+    return kind(raw)
+
+
+def _read_config(args):
+    """Set each flag not given on the command line from the --config INI file, if one is given.
+
+    A value comes from the subcommand's section, then [common], and is parsed as
+    the flag's own would be, so a bad one is refused before anything is computed.
+    """
+    ini = configparser.ConfigParser()
+    if args.config is not None and not ini.read(args.config):
+        raise OSError("config file not found: %s" % args.config)
+    flags = FLAGS[args.command]
+    keys = {_flag(dest): dest for dest in flags}
+    # a key in the subcommand's own section must name one of its flags; [common]
+    # spans subcommands, so a key there that this one does not read is ignored
+    for key in ini[args.command] if ini.has_section(args.command) else ():
+        if key not in keys and key not in ini.defaults():
+            raise ValueError("unknown key %r in [%s] of %s" % (key, args.command, args.config))
+    for key, dest in keys.items():
+        raw = ini.get(args.command, key, fallback=ini.get("common", key, fallback=None))
+        if getattr(args, dest) is None and raw is not None:
+            setattr(args, dest, _ini_value(key, flags[dest][0], raw))
+
+
+def _fill_defaults(args, reads=None, causes=None):
+    """Set each optional flag not given to its FLAGS default; refuse one given that is not
+    in reads (None: the subcommand reads every flag it has).
+
+    The refusal names causes[dest] where given, else the quantity or the protocol, as
+    what does not read the flag.
+    """
+    for dest, (_, default) in FLAGS[args.command].items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default(args) if callable(default) else default)
+        elif reads is not None and dest not in reads:
+            target = getattr(args, "quantity", None) or "protocol " + args.protocol
+            raise ValueError("--%s does not apply to %s"
+                             % (_flag(dest), (causes or {}).get(dest, target)))
 
 
 def cmd_dataset(args):
     """Build one figure dataset, write it, re-read it and write its manifest."""
-    cfg = _Config(args, args.command)
-    fmt = cfg.get("format", "csv")
-    if fmt not in FORMATS:  # the flag is checked by argparse, an INI value is not
-        raise ValueError("format must be one of %s, not %r" % ("|".join(FORMATS), fmt))
-    out = _resolve_out(cfg.get("out", None), "%s.%s" % (args.command, fmt))
+    _read_config(args)
+    _fill_defaults(args)
+    args.out = _resolve_out(args.out)
     start = time.time()
-    header, rows, resolved = DATASETS[args.command](cfg)
-    _write_rows(out, fmt, header, rows)
-    _self_validate(out, fmt, header, len(rows))
+    header, rows = DATASETS[args.command](args)
+    _write_rows(args.out, args.format, header, rows)
+    _self_validate(args.out, args.format, header, len(rows))
     values = [row[-1] for row in rows]
-    summary = {
-        "points": len(rows),
-        "value_min": min(values),
-        "value_max": max(values),
-        "positive_values": sum(1 for v in values if v > 0),
-    }
-    resolved.update(format=fmt, out=out)
-    _write_manifest(out, args.command, resolved, time.time() - start, summary)
-    print("wrote %s (%d rows)" % (out, len(rows)))
+    summary = {"points": len(rows), "value_min": min(values), "value_max": max(values),
+               "positive_values": sum(1 for v in values if v > 0)}
+    resolved = {dest: getattr(args, dest) for dest in FLAGS[args.command]}
+    _write_manifest(args.out, args.command, resolved, time.time() - start, summary)
+    print("wrote %s (%d rows)" % (args.out, len(rows)))
     return EXIT_OK
 
 
@@ -307,34 +339,11 @@ QUANTITIES = {
     "encoding-error": (_encoding_error, _MDJ + ("phase_set",)),
 }
 
-# Optional compute and keyrate flags, set after parsing; one given that nothing reads is refused.
-COMPUTE_DEFAULTS = {"mu": 0.1, "j": 1, "mu2": lambda a: a.mu, "d2": lambda a: a.d, "delta": 0.0,
-                    "delta2": 0.0, "nu": 100.0, "eta_det": 0.12, "phase_set": "standard",
-                    "convention": "paper"}
-MU_SEARCH_FLAGS = ("mu_grid_min", "mu_grid_max", "mu_grid_step")
-KEYRATE_DEFAULTS = {"mu": None, "d": None, **dict(zip(MU_SEARCH_FLAGS, MU_SEARCH)),
-                    "basis_mu": "half", "yield_model": "exact",
-                    "eta_trigger_det": 0.12, "convention": "paper",
-                    "nu": lambda a: None if a.d is None else 4.0 * a.d * a.d}  # the meter's 4 d^2
-
-
-def _fill_defaults(args, defaults, reads, target, causes=None):
-    """Set each flag not given from defaults (calling a callable on args); refuse one not read.
-
-    The refusal names target as what does not read the flag, or causes[name] where given.
-    """
-    for name, default in defaults.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default(args) if callable(default) else default)
-        elif name not in reads:
-            flag = "trigger-convention" if name == "convention" else name.replace("_", "-")
-            raise ValueError("--%s does not apply to %s" % (flag, (causes or {}).get(name, target)))
-
 
 def cmd_compute(args):
     evaluate, names = QUANTITIES[args.quantity]
     reads = names + (("eta_det",) if args.quantity == "trigger" else ())  # read, not echoed
-    _fill_defaults(args, COMPUTE_DEFAULTS, reads, args.quantity)
+    _fill_defaults(args, reads)
     value = float(evaluate(args))
     print(_fmt(value))
     print(json.dumps({"quantity": args.quantity, "value": value,
@@ -344,30 +353,29 @@ def cmd_compute(args):
 
 
 def cmd_keyrate(args):
-    reads = set(PARAMETERS[args.protocol])
-    reads |= set(MU_SEARCH_FLAGS) if args.optimize_mu else {"mu"}
     # every protocol reads --mu or the --mu-grid-* flags, and --optimize-mu picks which
+    search = ("mu_grid_min", "mu_grid_max", "mu_grid_step")
+    unread = set().union(*PARAMETERS.values()) - set(PARAMETERS[args.protocol])
+    unread |= {"mu"} if args.optimize_mu else set(search)
     cause = ("--optimize-mu, which searches the --mu-grid-* grid" if args.optimize_mu
              else "a single-mu run; give --optimize-mu to search a mu grid")
-    _fill_defaults(args, KEYRATE_DEFAULTS, reads, "protocol " + args.protocol,
-                   dict.fromkeys(("mu",) + MU_SEARCH_FLAGS, cause))
+    _fill_defaults(args, set(FLAGS["keyrate"]) - unread, dict.fromkeys(("mu",) + search, cause))
     c = ChannelParams(distance_km=args.L, f=args.f, eta_bob=args.eta_bob,
                       y0=args.y0, e_det=args.e_det)
     kwargs = {name: getattr(args, name) for name in PARAMETERS[args.protocol]}
+    mu = args.mu
     if args.optimize_mu:
         if not args.mu_grid_step > 0:
             raise ValueError("mu grid requires mu-grid-step > 0")
         mu = _grid("mu grid", args.mu_grid_min, args.mu_grid_max, args.mu_grid_step)
-    elif args.mu is None:
+    elif mu is None:
         raise ValueError("--mu is required unless --optimize-mu is given")
-    else:
-        mu = args.mu
     res = keyrate_curve(args.protocol, c, mu, **kwargs).result(0)
     report = dict(vars(res), protocol=args.protocol, distance_km=args.L, d=args.d)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        with open(_resolve_out(args.out, "keyrate.json"), "w") as fh:
+        with open(_resolve_out(args.out), "w") as fh:
             fh.write(text + "\n")
     return EXIT_OK
 
@@ -379,57 +387,28 @@ def build_parser():
                     "single-point queries, and BB84 key-rate reports.")
     parser.add_argument("--version", action="version", version="pspsim %s" % __version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sweeps = {}
-    for name, text in (("fig1", "fidelity/g2/p11/f2002 vs mu dataset"),
-                       ("fig4", "basis-indistinguishability bound dataset"),
-                       ("fig5", "key rate vs distance dataset")):
-        sub = sweeps[name] = subs.add_parser(name, help=text)
-        sub.add_argument("--config", help="INI config file; section matches the subcommand")
-        sub.add_argument("--out", help="output path (default: <cmd>.<format> in $%s or cwd)"
-                         % OUT_DIR_ENV)
-        sub.add_argument("--format", choices=FORMATS)
-        sub.set_defaults(func=cmd_dataset)
-    for name in ("fig1", "fig4"):
-        for flag, kind in (("--mu-min", float), ("--mu-max", float), ("--mu-points", int)):
-            sweeps[name].add_argument(flag, type=kind)
-        sweeps[name].add_argument("--d-list", type=int, nargs="+")
-    sweeps["fig4"].add_argument("--j-list", type=int, nargs="+")
-    p5 = sweeps["fig5"]
-    for flag in ("--l-min", "--l-max", "--l-step"):
-        p5.add_argument(flag, type=float)
-    p5.add_argument("--optimize-mu", action="store_true", default=None)
-    p5.add_argument("--trigger-convention", choices=("paper", "recomputed"))
-    p5.add_argument("--eta-trigger-det", type=float)
-
-    pc = subs.add_parser("compute", help="evaluate one quantity")
-    pc.add_argument("quantity", choices=tuple(QUANTITIES))
-    pc.add_argument("--d", type=int, required=True)
-    for flag, kind in (("--mu", float), ("--j", int), ("--mu2", float), ("--d2", int),
-                       ("--delta", float), ("--delta2", float), ("--nu", float),
-                       ("--eta-det", float)):
-        pc.add_argument(flag, type=kind)
-    pc.add_argument("--phase-set", choices=("standard", "paper-literal"))
-    pc.set_defaults(func=cmd_compute)
-
-    pk = subs.add_parser("keyrate", help="single key-rate report (JSON)")
-    pk.add_argument("--protocol", choices=PROTOCOLS, required=True)
-    pk.add_argument("--L", type=float, default=40.0)
-    pk.add_argument("--d", type=int)
-    pk.add_argument("--optimize-mu", action="store_true")
-    for flag in ("--mu", "--nu", "--mu-grid-min", "--mu-grid-max", "--mu-grid-step",
-                 "--eta-trigger-det"):
-        pk.add_argument(flag, type=float)
-    pk.add_argument("--basis-mu", choices=("half", "full"))
-    pk.add_argument("--yield-model", choices=("exact", "dominant"))
-    for field in ("f", "eta_bob", "y0", "e_det"):  # defaults: the ChannelParams ones
-        pk.add_argument("--" + field.replace("_", "-"), type=float,
-                        default=getattr(ChannelParams, field))
-    pk.add_argument("--out")
-    pk.set_defaults(func=cmd_keyrate)
-    for sub in (pc, pk):
-        sub.add_argument("--trigger-convention", choices=("paper", "recomputed"),
-                         dest="convention")
+    for name, text, func in (("fig1", "fidelity/g2/p11/f2002 vs mu dataset", cmd_dataset),
+                             ("fig4", "basis-indistinguishability bound dataset", cmd_dataset),
+                             ("fig5", "key rate vs distance dataset", cmd_dataset),
+                             ("compute", "evaluate one quantity", cmd_compute),
+                             ("keyrate", "single key-rate report (JSON)", cmd_keyrate)):
+        sub = subs.add_parser(name, help=text)
+        sub.set_defaults(func=func)
+        if name in DATASETS:
+            sub.add_argument("--config", help="INI config file; section matches the subcommand")
+        elif name == "compute":
+            sub.add_argument("quantity", choices=tuple(QUANTITIES))
+            sub.add_argument("--d", type=int, required=True)
+        else:
+            sub.add_argument("--protocol", choices=PROTOCOLS, required=True)
+        for dest, (kind, _) in FLAGS[name].items():
+            how = ({"action": "store_true"} if kind is bool
+                   else {"choices": kind} if isinstance(kind, tuple)
+                   else {"type": kind[0], "nargs": "+"} if isinstance(kind, list)
+                   else {"type": kind})
+            if dest == "out" and name in DATASETS:
+                how["help"] = "output path (default: <cmd>.<format> in $%s or cwd)" % OUT_DIR_ENV
+            sub.add_argument("--" + _flag(dest), dest=dest, default=None, **how)
     return parser
 
 

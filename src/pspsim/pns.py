@@ -92,7 +92,8 @@ def residue_masses(mu, d, residues=None):
     A row's pass stops once past the distribution mode with every residue's
     last term at or below SERIES_RTOL of its running sum (so residues that
     underflow to zero terminate), and raises TruncationError rather than
-    reach photon numbers above SERIES_MAX_N.
+    reach photon numbers above SERIES_MAX_N; a mu above SERIES_MAX_N, whose
+    pass could only stop past it, is refused before the first block.
     """
     _validate_dj(d)
     values = _mu(mu).ravel()
@@ -106,6 +107,8 @@ def residue_masses(mu, d, residues=None):
         table = np.ones((values.size, js.size))
         return table if np.ndim(mu) else table[0]
     top = values.max(initial=0.0)
+    if top > SERIES_MAX_N:  # no pass could end: refused before the first block
+        raise _too_long(values[values > SERIES_MAX_N][0], d)
     width = _head_width(min(js.tolist(), default=0), rows, d, top) if top > 0 else rows
     group = max(1, _TABLE_BLOCK // (width * max(js.size, 1)))
     groups = [_residue_rows(values[i:i + group], d, rows, js)
@@ -134,8 +137,7 @@ def _residue_rows(values, d, rows, js):
     n0 = 0
     while live.size:
         if n0 > SERIES_MAX_N:
-            raise TruncationError("modular Poisson series at mu=%.6g, d=%d needs photon numbers "
-                                  "above %d" % (live_mu[0], d, SERIES_MAX_N))
+            raise _too_long(live_mu[0], d)
         # the block residue-major, as (d, rows), rows js of it: row r holds its n = r (mod d)
         ns = np.arange(n0, n0 + rows * d).reshape(rows, d).T[js]
         width = _head_width(n0 + first, rows, d, float(live_mu.max()))
@@ -155,6 +157,12 @@ def _residue_rows(values, d, rows, js):
         keep = ~done
         live, live_mu, log_mu, sums = live[keep], live_mu[keep], log_mu[keep], sums[keep]
     return totals
+
+
+def _too_long(mu, d):
+    """The TruncationError of a modular Poisson series at mu that passes SERIES_MAX_N."""
+    return TruncationError("modular Poisson series at mu=%.6g, d=%d needs photon numbers above %d"
+                           % (mu, d, SERIES_MAX_N))
 
 
 def _head_width(first, rows, d, mu):

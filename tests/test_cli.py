@@ -574,6 +574,89 @@ def test_config_booleans_take_configparsers_words(tmp_path, capsys, word, optimi
     assert manifest["resolved_config"]["optimize_mu"] is optimize
 
 
+@pytest.mark.parametrize("section, key", [("fig4", "d-list"), ("fig4", "j-list"),
+                                          ("fig1", "d-list")])
+def test_config_refuses_an_empty_list(tmp_path, capsys, section, key):
+    # [fig4] d-list = (empty) wrote a header-only fig4.csv, then exited 2 with
+    # "min() arg is an empty sequence" and left the file on disk
+    ini = tmp_path / "run.ini"
+    ini.write_text("[%s]\n%s =\n" % (section, key))
+    out = tmp_path / "out.csv"
+    assert run([section, "--config", str(ini), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {"error": "invalid-parameter",
+                                "message": "%s needs at least one value" % key}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
+def test_config_choice_is_refused_before_any_compute(tmp_path, monkeypatch, capsys):
+    # the WCS and passive curves were computed first, then trigger_probability
+    # refused "convention must be 'paper' or 'recomputed'" without naming the key
+    monkeypatch.setattr(cli, "keyrate_curve", _refuse)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[fig5]\ntrigger-convention = bogus\n")
+    assert run(["fig5", "--config", str(ini), "--out", str(tmp_path / "f5.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "invalid-parameter",
+        "message": "trigger-convention must be one of paper|recomputed, not 'bogus'"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
+
+# Each optional flag of a figure with a value unlike its default (None: a path
+# in the test's directory), written as INI text; a list value is split into
+# flag words at commas and spaces, and a bool flag takes no word.
+INI_PARITY = [
+    ("fig1", "mu-min", "0.5"), ("fig1", "mu-max", "3"), ("fig1", "mu-points", "4"),
+    ("fig1", "d-list", "2, 3"), ("fig1", "format", "json"), ("fig1", "out", None),
+    ("fig4", "mu-min", "0.01"), ("fig4", "mu-max", "0.5"), ("fig4", "mu-points", "4"),
+    ("fig4", "d-list", "4 12"), ("fig4", "j-list", "2,3"), ("fig4", "format", "json"),
+    ("fig4", "out", None),
+    ("fig5", "l-min", "1"), ("fig5", "l-max", "3"), ("fig5", "l-step", "0.5"),
+    ("fig5", "optimize-mu", "yes"), ("fig5", "trigger-convention", "recomputed"),
+    ("fig5", "eta-trigger-det", "0.3"), ("fig5", "format", "json"), ("fig5", "out", None),
+]
+# Flags that keep each run small, left out of the run whose own flag they are.
+SMALL_RUN = {"fig1": {"mu-points": "3", "d-list": "4"}, "fig4": {"mu-points": "3"},
+             "fig5": {"l-max": "2"}}
+
+
+def test_ini_parity_covers_every_figure_flag():
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {(name, flag[2:]) for name in ("fig1", "fig4", "fig5")
+             for action in subs.choices[name]._actions for flag in action.option_strings
+             if flag not in ("-h", "--help", "--config")}
+    assert {(name, key) for name, key, _ in INI_PARITY} == flags
+
+
+@pytest.mark.parametrize("command, key, value", INI_PARITY,
+                         ids=["%s-%s" % case[:2] for case in INI_PARITY])
+def test_an_ini_key_writes_what_its_flag_writes(tmp_path, capsys, command, key, value):
+    small = [w for k, v in SMALL_RUN[command].items() if k != key for w in ("--" + k, v)]
+    ini = tmp_path / "run.ini"
+    paths = {side: tmp_path / ("%s.data" % side) for side in ("flag", "ini", "default")}
+    if key == "out":
+        value = str(paths["ini"])
+    ini.write_text("[%s]\n%s = %s\n" % (command, key, value))
+    words = {"optimize-mu": [], "out": [str(paths["flag"])]}.get(
+        key, value.replace(",", " ").split())
+    for side, extra in (("flag", ["--" + key] + words), ("ini", ["--config", str(ini)]),
+                        ("default", [])):
+        out = ["--out", str(paths[side])] if key != "out" or side == "default" else []
+        assert run([command] + small + extra + out) == 0
+    data = {side: path.read_bytes() for side, path in paths.items()}
+    assert data["ini"] == data["flag"]
+    if key != "out":
+        assert data["flag"] != data["default"]  # the value is read
+    flag, from_ini = (dict(json.loads((tmp_path / ("%s.data.manifest.json" % side)).read_text())
+                           ["resolved_config"], out=None) for side in ("flag", "ini"))
+    assert from_ini == flag
+
+
 def test_readme_documents_every_flag():
     readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]

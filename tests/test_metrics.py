@@ -358,8 +358,8 @@ def test_every_fig1_column_is_the_one_point_calls(monkeypatch, d):
     # one-point calls, bit for bit; its "fidelity" column is the one-photon
     # probability, the fidelity itself at d >= 2 (at d = 1, j = 0 holds n = 0)
     mus = ARRAY_GRIDS[0][::20]
-    monkeypatch.setattr(cli, "_mu_grid", lambda cfg, lo, hi: (mus, {}))
-    _, rows, _ = cli._fig1_rows(cli._Config(argparse.Namespace(d_list=[d]), "fig1"))
+    monkeypatch.setattr(cli, "_mu_grid", lambda args: mus)
+    _, rows = cli._fig1_rows(argparse.Namespace(d_list=[d]))
     expect = []
     for mu in mus.tolist():
         p = PSPParams(mu=mu, d=d, j=1 % d)

@@ -27,7 +27,7 @@ from pspsim import (
     residue_masses,
     transmission,
 )
-from pspsim import cli, pns
+from pspsim import TruncationError, cli, pns
 
 import oracle
 from oracle import coherent_norm2, psp_fock, to_fock
@@ -157,6 +157,24 @@ def test_series_beyond_term_cap_is_a_truncation_error(isolated):
         "import sys; from pspsim import cli; "
         "sys.exit(cli.main(['compute', 'normalization', '--mu', '1e300', '--d', '4']))")
     assert code == cli.EXIT_NUMERICAL
+
+
+def _never_summed(*args):
+    raise AssertionError("a series was summed")
+
+
+def test_a_mu_past_the_series_limit_is_refused_before_any_block(monkeypatch):
+    # residue_masses(1e300, 2) summed blocks up to SERIES_MAX_N (about 0.6 s) before
+    # it raised; the message names the first mu of the table past the limit
+    monkeypatch.setattr(pns, "_residue_rows", _never_summed)
+    for mu, named in ((1e300, "1e+300"), ([0.5, 2.0**21, 1e300], "2.09715e+06")):
+        message = "modular Poisson series at mu=%s, d=2 needs photon numbers above %d" % (
+            named, pns.SERIES_MAX_N)
+        with pytest.raises(TruncationError) as exc:
+            residue_masses(mu, 2)
+        assert str(exc.value) == message
+    assert residue_masses(1e300, 1)[0] == 1.0  # d = 1 sums no series
+    assert residue_masses([1e300, 0.5], 1).tolist() == [[1.0], [1.0]]
 
 
 def test_normalization_series_vs_direct_sum():
