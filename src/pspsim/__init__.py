@@ -5,7 +5,6 @@ from .generation import (
     CONVENTION_PAPER,
     CONVENTION_RECOMPUTED,
     GenerationParams,
-    cpm_output,
     herald_probabilities,
     trigger_probability,
 )
@@ -20,7 +19,6 @@ from .pns import (
     loss_channel,
     normalization,
     photon_number_probability,
-    pseudo_number_state,
     residue_masses,
 )
 from .qkd import (

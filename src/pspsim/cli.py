@@ -221,7 +221,8 @@ def _flag(dest):
 
 
 def _ini_value(key, kind, raw):
-    """An INI value parsed with its flag's kind; a list takes commas or spaces between values."""
+    """An INI value parsed with its flag's kind; a list takes commas or spaces between values.
+    A value the kind cannot read is refused with its key and what it must be."""
     if kind is bool:
         words = configparser.ConfigParser.BOOLEAN_STATES  # configparser's words only
         if raw.lower() not in words:
@@ -231,12 +232,16 @@ def _ini_value(key, kind, raw):
         if raw not in kind:
             raise ValueError("%s must be one of %s, not %r" % (key, "|".join(kind), raw))
         return raw
-    if isinstance(kind, list):
-        values = [kind[0](token) for token in raw.replace(",", " ").split()]
-        if not values:  # as the flag, which takes one value or more
-            raise ValueError("%s needs at least one value" % key)
-        return values
-    return kind(raw)
+    many = isinstance(kind, list)
+    each = kind[0] if many else kind
+    try:
+        values = [each(token) for token in (raw.replace(",", " ").split() if many else [raw])]
+    except ValueError:  # only int and float refuse a string
+        what = {int: ("an integer", "integers"), float: ("a number", "numbers")}[each][many]
+        raise ValueError("%s must be %s, not %r" % (key, what, raw)) from None
+    if not values:  # as the flag, which takes one value or more
+        raise ValueError("%s needs at least one value" % key)
+    return values if many else values[0]
 
 
 def _read_config(args):

@@ -56,21 +56,6 @@ class GenerationParams:
         return np.sqrt(self.nu) > self.d
 
 
-def cpm_output(g):
-    """Two-mode output of the cross-phase interaction on |sqrt(mu), sqrt(nu)>.
-
-    Returned as the d^2-term coherent expansion (coeffs, labels), a (d^2,)
-    and a (d^2, 2) array: term j d + q has coefficient w^{-jq}/d and labels
-    (sqrt(mu) w^q, sqrt(nu) w^j); normalized.
-    """
-    d = g.d
-    jj, qq = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    coeffs = np.exp(-2j * np.pi * jj * qq / d) / d
-    lab1 = np.sqrt(g.mu) * np.exp(2j * np.pi * qq.ravel() / d)
-    lab2 = np.sqrt(g.nu) * np.exp(2j * np.pi * jj.ravel() / d)
-    return coeffs.ravel(), np.column_stack([lab1, lab2])
-
-
 def herald_probabilities(g):
     """Probability N_{mu,j}/d^2 of heralding each j in 0..d-1; sums to 1."""
     return residue_masses(g.mu, g.d)

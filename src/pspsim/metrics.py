@@ -11,9 +11,9 @@ a two-mode output, live in the test tree (tests/oracle.py).
 import numpy as np
 
 from .errors import REAL_RESIDUE_TOL, UNIT_RESIDUE_TOL, NumericalDiagnosticError, _clamp_unit
-from .pns import (_circle_inputs, _circles, _mu, _validate_dj, normalization,
-                  photon_number_probability)
-from .states import _equal_input_projections, _hom_outputs, _hom_projections
+from .pns import _mu, _validate_dj, normalization, photon_number_probability
+from .states import (_circle_inputs, _circles, _equal_input_projections, _hom_outputs,
+                     _hom_projections)
 
 
 def g2_zero_closed(mu, d):

@@ -252,31 +252,6 @@ class PSPParams:
             raise DegenerateStateError("j=%d requires mu > 0" % self.j)
 
 
-def _circle_inputs(p):
-    """_circles' one-point arguments for p; d -> infinity is refused before M_j is read."""
-    if p.d == math.inf:
-        raise ValueError("the d -> infinity limit has no finite coherent expansion")
-    return np.array([p.mu]), np.array([_nonzero_mass(p.mu, p.d, p.j)]), p.d, p.j, p.delta
-
-
-def pseudo_number_state(p):
-    """|j_d> as its d-term coherent expansion (normalized): (coeffs, labels), two
-    (d,) complex arrays, term q with coefficient w^{-jq} / sqrt(N) and label
-    sqrt(mu) w^{q + delta}."""
-    coeffs, labels = _circles(*_circle_inputs(p))
-    return coeffs[0], labels[0]
-
-
-def _circles(mus, masses, d, j, delta):
-    """Coefficients and labels of pseudo_number_state(PSPParams(mu, d, j, delta))
-    for each mu of a 1-D grid, whose M_j are masses (_nonzero_mass), as two
-    (len(mus), d) arrays; row k goes through the one-point arithmetic elementwise."""
-    q = np.arange(d)
-    coeffs = np.exp(-2j * np.pi * j * q / d) / np.sqrt(d * d * masses)[:, None]
-    labels = np.sqrt(mus)[:, None] * np.exp(2j * np.pi * (q + delta) / d)
-    return coeffs, labels
-
-
 def photon_number_probability(p, n):
     """|<n|j_d>|^2, the probability that the pseudo-number state holds n photons.
 
@@ -298,8 +273,10 @@ def photon_number_probability(p, n):
 
 def _support_probability(mu, mass, n):
     """Pois(mu; n) / mass at mu > 0: the probability of n photons on the support
-    of a state whose residue mass is mass."""
-    return math.exp(n * math.log(mu) - mu - log_factorial(n)) / mass
+    of a state whose residue mass is mass, under errors._clamp_unit: where term n
+    holds nearly all of the mass, the quotient can land an ulp above 1."""
+    return _clamp_unit(math.exp(n * math.log(mu) - mu - log_factorial(n)) / mass,
+                       "photon-number probability")
 
 
 def fidelity_to_number_state(p):

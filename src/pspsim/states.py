@@ -1,10 +1,11 @@
-"""The Gram kernel of p11, on the coherent expansion held as plain arrays.
+"""p11's coherent route: the inputs' coherent expansions and the Gram kernel on them.
 
 A superposition c_1 |a_1> + c_2 |a_2> + ... of (multimode) coherent states
 is two arrays: coefficients c of shape (terms,) and labels a of shape
-(terms,) for one mode or (terms, modes).  The 50:50 beam splitter
-relabels terms and vacuum projections are Gram contractions, both closed
-forms in the labels, so nothing here is truncated.  The number-basis
+(terms,) for one mode or (terms, modes).  _circles writes |j_d> as its d
+terms, the one coherent expansion the package builds.  The 50:50 beam
+splitter relabels terms and vacuum projections are Gram contractions, both
+closed forms in the labels, so nothing here is truncated.  The number-basis
 expansion that checks them lives in the test tree (tests/oracle.py).
 
 Conventions:
@@ -12,9 +13,12 @@ Conventions:
     beam splitter: (a, b) -> ((a+b)/sqrt(2), (a-b)/sqrt(2))
 """
 
+import math
+
 import numpy as np
 
 from .errors import REAL_RESIDUE_TOL, NumericalDiagnosticError, TruncationError
+from .pns import _nonzero_mass
 
 # Most entries a Gram matrix of coherent terms may hold: d <= 64 for the d^4
 # entries of equal-input p11.  A larger matrix is a TruncationError before it
@@ -27,6 +31,24 @@ GRAM_MAX_ENTRIES = 2**24
 _PAIR_BLOCK = 2**8
 
 _SQRT2 = np.sqrt(2.0)
+
+
+def _circle_inputs(p):
+    """_circles' one-point arguments for p; d -> infinity is refused before M_j is read."""
+    if p.d == math.inf:
+        raise ValueError("the d -> infinity limit has no finite coherent expansion")
+    return np.array([p.mu]), np.array([_nonzero_mass(p.mu, p.d, p.j)]), p.d, p.j, p.delta
+
+
+def _circles(mus, masses, d, j, delta):
+    """The normalized d-term coherent expansion of |j_d> = PSPParams(mu, d, j, delta)
+    for each mu of a 1-D grid, whose M_j are masses (_nonzero_mass), as two
+    (len(mus), d) arrays: term q has coefficient w^{-jq} / sqrt(N) and label
+    sqrt(mu) w^{q + delta}; row k goes through the one-point arithmetic elementwise."""
+    q = np.arange(d)
+    coeffs = np.exp(-2j * np.pi * j * q / d) / np.sqrt(d * d * masses)[:, None]
+    labels = np.sqrt(mus)[:, None] * np.exp(2j * np.pi * (q + delta) / d)
+    return coeffs, labels
 
 
 def _pair_exponents(labels, modes):

@@ -3,12 +3,13 @@ their definitions and checked against pspsim's closed forms by the tests.
 
 An m-mode state is a complex array of shape (cutoff + 1,) * m holding
 <n_1, ..., n_m|psi>: its ndim is its mode count, np.vdot its inner product.
-to_fock expands a coherent expansion, plain (coeffs, labels) arrays as
-pspsim returns them, through <n|alpha>, a sum that cancels at small mu as
-the production phase sums do, and refuses a result whose norm misses
-coherent_norm2; psp_fock writes the pseudo-number state from its
-definition, with nothing to cancel, and the g2, HOM and loss oracles read
-it, as the BB84 readout reads encoded_fock, its two-pulse phase encoding.
+to_fock expands a coherent expansion, plain (coeffs, labels) arrays as p11's
+kernel (pspsim.states) reads them and as cpm_output builds the cross-phase
+output, through <n|alpha>, a sum that cancels at small mu as the production
+phase sums do, and refuses a result whose norm misses coherent_norm2;
+psp_fock writes the pseudo-number state from its definition, with nothing
+to cancel, and the g2, HOM and loss oracles read it, as the BB84 readout
+reads encoded_fock, its two-pulse phase encoding.
 Pure loss is binomial thinning of a density matrix, which never forms a
 loss weight; mixture_density only lays pns.loss_channel's weights out as a
 matrix, to be compared with it.
@@ -245,6 +246,23 @@ def fock_beam_splitter(amps, variant="X"):
         block *= np.exp(0.5 * (log_fact[:, None] - log_fact[None, :])) / 2.0 ** (total / 2)
         out[ks, total - ks] = block @ amps[ks, total - ks]
     return out
+
+
+def cpm_output(g):
+    """The cross-phase interaction exp(i 2 pi n1 n2 / d) of GenerationParams g on
+    |sqrt(mu), sqrt(nu)>, as a d^2-term coherent expansion (coeffs, labels): a (d^2,)
+    and a (d^2, 2) array, normalized.
+
+    The meter's phase turns by w^n1, so it holds |sqrt(nu) w^j> on the signal's
+    residue n1 = j (mod d), whose projector takes |a> to (1/d) sum_q w^{-jq} |a w^q>:
+    term j d + q has coefficient w^{-jq} / d and labels (sqrt(mu) w^q, sqrt(nu) w^j).
+    kerr_output_fock applies the same interaction amplitude by amplitude.
+    """
+    w = np.exp(2j * np.pi / g.d)
+    terms = [(w ** (-j * q) / g.d, (math.sqrt(g.mu) * w ** q, math.sqrt(g.nu) * w ** j))
+             for j in range(g.d) for q in range(g.d)]
+    coeffs, labels = zip(*terms)
+    return np.array(coeffs), np.array(labels)
 
 
 def kerr_output_fock(g, cutoff=None):

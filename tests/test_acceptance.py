@@ -23,7 +23,6 @@ from pspsim import (
     WCS_DECOY,
     WCS_NONDECOY,
     basis_fidelity_bound,
-    cpm_output,
     f2002,
     fidelity_to_number_state,
     g2_zero_closed,
@@ -33,13 +32,13 @@ from pspsim import (
     normalization,
     p11,
     phase_set,
-    pseudo_number_state,
     trigger_probability,
 )
 from pspsim import cli
 
-from oracle import (coherent_norm2, encoded_fock, fock_beam_splitter, g2_zero_oracle,
-                    hom_fock_oracle, kerr_output_fock, to_fock, uhlmann_fidelity)
+from oracle import (coherent_norm2, cpm_output, encoded_fock, fock_beam_splitter,
+                    g2_zero_oracle, hom_fock_oracle, kerr_output_fock, to_fock, uhlmann_fidelity)
+from test_states import circle_expansion
 
 
 def report(number, ok, detail):
@@ -55,7 +54,7 @@ def test_01_dual_representation_equivalence():
         mu = float(rng.uniform(0.01, 2.0))
         d = int(rng.choice([2, 4, 8, 12]))
         p = PSPParams(mu=mu, d=d, j=1)
-        s = pseudo_number_state(p)
+        s = circle_expansion(p)
         fv = to_fock(*s)
         worst = max(worst, abs(math.sqrt(coherent_norm2(*s))
                                - math.sqrt(float(np.sum(np.abs(fv) ** 2)))))

@@ -212,7 +212,7 @@ def test_fig1_csv_and_manifest(tmp_path, capsys):
     assert manifest["diagnostics"]["points"] == 24
 
 
-def test_fig1_deterministic_across_workers(tmp_path, capsys):
+def test_fig1_deterministic_across_runs(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     assert run(["fig1", "--mu-points", "10", "--out", str(a)]) == 0
@@ -548,7 +548,12 @@ def test_config_file_layering(tmp_path, capsys):
     ("fig5", "optimize-mu = maybe",
      "optimize-mu must be one of 1/yes/true/on/0/no/false/off, not 'maybe'"),
     ("fig4", "mu-point = 5", "unknown key 'mu-point' in [fig4] of "),
-], ids=["boolean-word", "unknown-key"])
+    # a value of the wrong type was refused with int()'s or float()'s message alone,
+    # which named neither the key nor what it must be; the last is read from [common]
+    ("fig4", "mu-points = 2.5", "mu-points must be an integer, not '2.5'"),
+    ("fig4", "d-list = 4, x", "d-list must be integers, not '4, x'"),
+    ("fig1", "[common]\nmu-min = abc", "mu-min must be a number, not 'abc'"),
+], ids=["boolean-word", "unknown-key", "int", "int-list", "float"])
 def test_config_refuses_what_it_would_drop(tmp_path, capsys, section, line, message):
     ini = tmp_path / "run.ini"
     ini.write_text("[%s]\n%s\n" % (section, line))

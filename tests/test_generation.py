@@ -7,13 +7,12 @@ from pspsim import (
     CONVENTION_PAPER,
     CONVENTION_RECOMPUTED,
     GenerationParams,
-    cpm_output,
     herald_probabilities,
     residue_masses,
     trigger_probability,
 )
 
-from oracle import coherent_norm2, kerr_output_fock, to_fock
+from oracle import coherent_norm2, cpm_output, kerr_output_fock, to_fock
 
 
 def make(mu=0.3, nu=100.0, d=4, eta_det=0.12):

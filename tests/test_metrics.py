@@ -21,10 +21,10 @@ from pspsim import (
     g2_zero_closed,
     p11,
     photon_number_probability,
-    pseudo_number_state,
 )
 from pspsim import cli, metrics, pns, states
 from pspsim.errors import _clamp_unit
+from test_states import circle_expansion
 
 
 def test_g2_equals_one_for_plain_coherent():
@@ -167,7 +167,7 @@ def test_array_phase_sums_keep_the_per_mu_bits(d, grid):
 
 
 def test_g2_oracle_rejects_two_mode_states():
-    one = to_fock(*pseudo_number_state(PSPParams(mu=0.2, d=2, j=1)))
+    one = to_fock(*circle_expansion(PSPParams(mu=0.2, d=2, j=1)))
     fv = np.multiply.outer(one, one)
     with pytest.raises(ValueError):
         g2_zero_oracle(fv)
@@ -311,12 +311,12 @@ def _bits(a):
 
 def _circle_grid(mus, d, delta):
     # _circles on a mu grid, its masses read from one table as fig1 reads them
-    return pns._circles(mus, pns._nonzero_mass(mus, d, 1 % d), d, 1 % d, delta)
+    return states._circles(mus, pns._nonzero_mass(mus, d, 1 % d), d, 1 % d, delta)
 
 
 def _generic_projections(p1, p2):
     # the generic route of p11: one splitter-output build and three Gram projections
-    (c1, l1), (c2, l2) = pseudo_number_state(p1), pseudo_number_state(p2)
+    (c1, l1), (c2, l2) = circle_expansion(p1), circle_expansion(p2)
     kets, labels = states._hom_outputs(c1[None], l1[None], c2[None], l2[None])
     return tuple(states._hom_projections(kets[0], labels[0]))
 
@@ -374,7 +374,7 @@ def test_every_fig1_column_is_the_one_point_calls(monkeypatch, d):
 
 def test_infinite_d_is_refused_before_its_mass_is_read():
     p = PSPParams(mu=0.4, d=math.inf, j=1)
-    for call in (lambda: pseudo_number_state(p), lambda: p11(p, p),
+    for call in (lambda: circle_expansion(p), lambda: p11(p, p),
                  lambda: p11(PSPParams(mu=0.4, d=4, j=1), p)):
         with pytest.raises(ValueError, match="d -> infinity limit has no finite coherent"):
             call()

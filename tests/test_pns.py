@@ -22,7 +22,6 @@ from pspsim import (
     normalization,
     phase_error_upper,
     photon_number_probability,
-    pseudo_number_state,
     pseudo_state_yield,
     residue_masses,
     transmission,
@@ -32,6 +31,7 @@ from pspsim import TruncationError, cli, pns
 import oracle
 from oracle import coherent_norm2, psp_fock, to_fock
 from test_properties import full_block_table
+from test_states import circle_expansion
 
 
 def mass_direct(mu, d, j, terms=400):
@@ -41,7 +41,7 @@ def mass_direct(mu, d, j, terms=400):
     return total
 
 
-def test_modular_poisson_mass_direct_and_complete():
+def test_residue_masses_direct_and_complete():
     for mu in (1e-3, 0.05, 0.5, 2.0, 10.0, 30.0):
         for d in (1, 2, 3, 4, 8, 36, 100):
             masses = residue_masses(mu, d)
@@ -194,7 +194,7 @@ def test_normalization_series_vs_direct_sum():
 def test_pseudo_number_state_is_normalized():
     for mu in (0.05, 0.8, 3.0):
         for d in (2, 4, 8):
-            s = pseudo_number_state(PSPParams(mu=mu, d=d, j=1))
+            s = circle_expansion(PSPParams(mu=mu, d=d, j=1))
             assert abs(math.sqrt(coherent_norm2(*s)) - 1.0) < 1e-12
 
 
@@ -202,7 +202,7 @@ def test_fock_support_is_residue_class():
     # number support sits on n = j (mod d) only
     for d, j in ((2, 1), (4, 1), (4, 3), (8, 0)):
         p = PSPParams(mu=0.7, d=d, j=j)
-        amps = to_fock(*pseudo_number_state(p))
+        amps = to_fock(*circle_expansion(p))
         for n, a in enumerate(amps):
             if n % d != j % d:
                 assert abs(a) < 1e-13
@@ -216,14 +216,14 @@ def test_fidelity_closed_value_odd_cat():
 def test_fidelity_matches_fock_projection():
     for mu, d in ((0.3, 4), (0.8, 8), (1.5, 2)):
         p = PSPParams(mu=mu, d=d, j=1)
-        amps = to_fock(*pseudo_number_state(p))
+        amps = to_fock(*circle_expansion(p))
         assert abs(fidelity_to_number_state(p) - abs(amps[1]) ** 2) < 1e-11
 
 
 def test_photon_number_probability_matches_fock_projection():
     for mu, d, j, delta in ((0.3, 4, 1, 0.0), (0.8, 3, 0, 0.3), (1.5, 2, 1, 0.7), (0.6, 1, 0, 0.0)):
         p = PSPParams(mu=mu, d=d, j=j, delta=delta)
-        probs = np.abs(to_fock(*pseudo_number_state(p))) ** 2
+        probs = np.abs(to_fock(*circle_expansion(p))) ** 2
         for n, expect in enumerate(probs):
             got = photon_number_probability(p, n)
             assert abs(got - expect) < 1e-11
@@ -256,6 +256,15 @@ def test_fidelity_matches_scipy_special_formula():
 
 def test_fidelity_infinite_d_branch():
     assert fidelity_to_number_state(PSPParams(mu=0.4, d=math.inf, j=1)) == 1.0
+
+
+@pytest.mark.parametrize("mu, d, j", [(2.0625, 24, 0), (0.01, 8, 1)])
+def test_fidelity_never_exceeds_one(mu, d, j):
+    # the support term holds nearly all of M_j, and Pois(mu; j) / M_j used to read
+    # 1.0000000000000002 (fig1's fidelity column, the same quotient, did at 13 cells)
+    p = PSPParams(mu=mu, d=d, j=j)
+    assert fidelity_to_number_state(p) <= 1.0
+    assert photon_number_probability(p, j) <= 1.0
 
 
 def test_generation_probability_distribution():
@@ -383,7 +392,7 @@ def test_loss_matches_photon_loss_expansion():
         w = math.exp(-x + m * math.log(x) - math.lgamma(m + 1)) if x > 0 else (m == 0)
         w *= normalization(mu * eta, d, (j - m) % d) / n_in
         grouped[(j - m) % d] += w
-        vec = to_fock(*pseudo_number_state(PSPParams(mu=mu * eta, d=d, j=(j - m) % d)),
+        vec = to_fock(*circle_expansion(PSPParams(mu=mu * eta, d=d, j=(j - m) % d)),
                       cutoff=cutoff)
         rho += w * np.outer(vec, np.conj(vec))
     weights = loss_channel(p, eta)

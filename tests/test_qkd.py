@@ -209,7 +209,7 @@ def test_encodings_need_a_positive_integer_d_divisible_by_4(name, d, message):
         ENCODINGS[name](d)
 
 
-def test_encoded_state_norm():
+def test_encoded_fock_norm_and_readout_sum():
     # the encoded state, written in the number basis, has norm 1, and its readout's four
     # exclusive events, each in [0, 1], sum to 1
     for k in range(8):
@@ -221,7 +221,7 @@ def test_encoded_state_norm():
             assert abs(sum(probs) - 1.0) <= 1e-15
 
 
-def test_encoded_state_rejects_bool_mu():
+def test_measure_bb84_rejects_bool_mu():
     # True used to build the 8-term state at mu = 1: 2.0 * True is a float
     for mu in (True, np.True_):
         with pytest.raises(ValueError, match="bool"):
@@ -229,7 +229,7 @@ def test_encoded_state_rejects_bool_mu():
     assert measure_bb84(1.0, 8, 1, 0, "X")[1:] == (0.0, 0.0, 0.0)
 
 
-def test_encoded_state_rejects_bool_phase_index():
+def test_measure_bb84_rejects_bool_phase_index():
     # True used to build the k = 1 state; k is an index in [0, d), as j is
     for k in (True, np.True_, 1.5, 2.0, -1, 8, [1, 2]):
         with pytest.raises(ValueError, match="phase index"):
@@ -776,7 +776,7 @@ def gllp_by_hand(c, mu, p_multi):
                + st.q_mu * omega * (1.0 - binary_entropy(st.e_mu / omega)))
 
 
-def test_keyrate_for_protocol_dispatch():
+def test_keyrate_curve_protocol_dispatch():
     c = ChannelParams(distance_km=10.0)
     wcs_multi = 1.0 - math.exp(-0.01) * (1.0 + 0.01)
     rate = keyrate_curve(WCS_NONDECOY, c, 0.01).result(0).rate

@@ -30,7 +30,8 @@ GRIDS = {
 DS = [1, 2, 4, 8, 12, 36, 40]
 LOSS_MUS = GRIDS["fig5"].tolist() + [1e-6, 1e-3, 5.0, 20.0]
 G2_MUS = [1e-6, 1e-3, 0.05, 0.3, 1.0, 5.0]
-FIG1_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "fig1.csv")
+FIG1_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench",
+                           "reference", "fig1.csv")
 
 
 def _assert_close(values, refs, what):

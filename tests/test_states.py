@@ -15,7 +15,7 @@ import pspsim
 import referee
 from oracle import (TAIL_TOL, auto_cutoff, density, fock_amplitude, fock_beam_splitter,
                     psp_cutoff, psp_fock, thinned_density, to_fock, uhlmann_fidelity)
-from pspsim import NumericalDiagnosticError, PSPParams, TruncationError, pseudo_number_state
+from pspsim import NumericalDiagnosticError, PSPParams, TruncationError
 from pspsim import states
 from pspsim.pns import _LOG_FACTORIALS, log_factorial
 
@@ -26,6 +26,13 @@ PACKAGE = os.path.join(TESTS, os.pardir, "src", "pspsim")
 def overlap(a, b):
     """<a|b> of two one-mode coherent states, the closed form of the conventions."""
     return np.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2) + np.conj(a) * b)
+
+
+def circle_expansion(p):
+    """The coherent expansion (coeffs, labels) of p that p11 reads: row 0 of the
+    production states._circles, two (d,) arrays."""
+    coeffs, labels = states._circles(*states._circle_inputs(p))
+    return coeffs[0], labels[0]
 
 
 def test_fock_amplitude_matches_poisson():
@@ -156,7 +163,7 @@ def test_to_fock_refuses_an_expansion_that_misses_the_norm(mu, d, j, cutoff, fou
     # picks 9 < j at (0.05, 12, 11), keeping squared norm 3.3e-8; both used to be returned.
     # The Gram-matrix norm cancels there too (1.05e8 and 0), so neither can pass for it
     with pytest.raises(TruncationError, match="squared norm %s" % found):
-        to_fock(*pseudo_number_state(PSPParams(mu=mu, d=d, j=j)), cutoff)
+        to_fock(*circle_expansion(PSPParams(mu=mu, d=d, j=j)), cutoff)
 
 
 def test_psp_fock_keeps_the_support_tail_below_tail_tol():
@@ -175,7 +182,7 @@ def test_psp_fock_matches_to_fock_where_the_coherent_sum_is_stable():
                 for delta in (0.0, 0.37):
                     p = PSPParams(mu=mu, d=d, j=j, delta=delta)
                     cutoff = max(psp_cutoff(p), auto_cutoff(mu))
-                    expand = to_fock(*pseudo_number_state(p), cutoff)
+                    expand = to_fock(*circle_expansion(p), cutoff)
                     assert np.max(np.abs(psp_fock(p, cutoff) - expand)) < 1e-14
 
 
@@ -216,20 +223,27 @@ def test_package_depends_on_numpy_alone():
 def test_the_coherent_state_object_layer_is_gone():
     # the coherent expansion travels as (coeffs, labels) arrays: no module defines or
     # exports the object algebra, the equal-input output builder is folded into the one
-    # splitter-output builder, and p11 builds no state object
+    # splitter-output builder, and p11 builds no state object.  The public expansions
+    # are gone too (the cross-phase output is an oracle builder in the test tree), and
+    # the one expansion p11 reads is built in states, beside its Gram kernel
     deleted = {"CoherentSuperposition", "coherent_state", "inner_product", "norm", "tensor",
-               "beam_splitter", "vacuum_probabilities", "_equal_input_outputs"}
+               "beam_splitter", "vacuum_probabilities", "_equal_input_outputs",
+               "pseudo_number_state", "cpm_output"}
+    circle_owners = []
     for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
         with open(path) as f:
             tree = ast.parse(f.read(), path)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 assert node.name not in deleted, path
+                if node.name in ("_circles", "_circle_inputs"):
+                    circle_owners.append((os.path.basename(path), node.name))
             elif isinstance(node, ast.alias):
                 assert node.name not in deleted, path
             elif isinstance(node, ast.Name):
                 assert node.id not in deleted, path
     assert not deleted & set(dir(pspsim))
+    assert sorted(circle_owners) == [("states.py", "_circle_inputs"), ("states.py", "_circles")]
     with open(os.path.join(PACKAGE, "metrics.py")) as f:
         p11 = next(node for node in ast.walk(ast.parse(f.read()))
                    if isinstance(node, ast.FunctionDef) and node.name == "p11")
@@ -340,7 +354,7 @@ def test_to_fock_truncation_guard():
         to_fock(np.ones(1), np.array([3.0]), cutoff=2)
     # a many-term superposition, whose largest |label|^2 sets the tail
     with pytest.raises(TruncationError, match="Poisson tail"):
-        to_fock(*pseudo_number_state(PSPParams(mu=9.0, d=4, j=1)), cutoff=2)
+        to_fock(*circle_expansion(PSPParams(mu=9.0, d=4, j=1)), cutoff=2)
 
 
 def _one_point(c, labels):
@@ -355,7 +369,7 @@ def test_hom_outputs_match_fock_beam_splitter():
     rng = np.random.default_rng(19)
     pairs = [((np.ones(1), [a]), (np.ones(1), [b]))
              for a, b in rng.normal(size=(4, 2)) * 0.6 + 1j * rng.normal(size=(4, 2)) * 0.3]
-    pairs += [(pseudo_number_state(p1), pseudo_number_state(p2)) for p1, p2 in (
+    pairs += [(circle_expansion(p1), circle_expansion(p2)) for p1, p2 in (
         (PSPParams(mu=0.3, d=8, j=1), PSPParams(mu=1.0, d=8, j=1)),
         (PSPParams(mu=1.0, d=8, j=1, delta=0.37), PSPParams(mu=0.7, d=3, j=1)),
         (PSPParams(mu=0.6, d=4, j=1), PSPParams(mu=0.6, d=4, j=1)))]
