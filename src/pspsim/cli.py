@@ -130,15 +130,15 @@ def _fig1_rows(args):
     mus = _mu_grid(args)
     rows = []
     for d in args.d_list:
-        g2s = g2_zero_closed(mus, d).tolist()
+        g2 = g2_zero_closed(mus, d)
         # j = 1 % d, the state on n = 1 (mod d), which is the coherent state at
         # d = 1; one M_j table serves every point's fidelity, p11 and f2002
         masses = _nonzero_mass(mus, d, 1 % d)
-        homs = _equal_input_p11(mus, masses, d, 1 % d, 0.0)
-        for mu, mass, g2, hom in zip(mus.tolist(), masses.tolist(), g2s, homs):
-            one = _support_probability(mu, mass, 1)  # photon_number_probability(p, 1)
-            rows += [("fidelity", d, mu, one), ("g2", d, mu, g2), ("p11", d, mu, hom),
-                     ("f2002", d, mu, _noon_overlap(one, one))]
+        hom = _equal_input_p11(mus, masses, d, 1 % d, 0.0)
+        one = _support_probability(mus, masses, 1)  # photon_number_probability(p, 1)
+        table = np.stack([one, g2, hom, _noon_overlap(one, one)], axis=1).tolist()
+        rows += [(name, d, mu, value) for mu, values in zip(mus.tolist(), table)
+                 for name, value in zip(("fidelity", "g2", "p11", "f2002"), values)]
     return ("quantity", "d", "mu", "value"), rows
 
 

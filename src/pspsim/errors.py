@@ -22,11 +22,16 @@ class NumericalDiagnosticError(RuntimeError):
 
 
 def _clamp_unit(x, name):
-    """x clamped to [0, 1]; a miss by more than UNIT_RESIDUE_TOL, or NaN, is a
-    NumericalDiagnosticError."""
-    if not -UNIT_RESIDUE_TOL <= x <= 1.0 + UNIT_RESIDUE_TOL:  # NaN fails both tests
-        raise NumericalDiagnosticError("%s = %.6e falls outside [0, 1]" % (name, x))
-    return min(max(x, 0.0), 1.0)
+    """x, a number or an array, clamped to [0, 1]: a float for a number.  An entry that
+    misses by more than UNIT_RESIDUE_TOL, or NaN, is a NumericalDiagnosticError naming
+    the first such entry."""
+    values = np.asarray(x, dtype=float)
+    failed = ~((values >= -UNIT_RESIDUE_TOL) & (values <= 1.0 + UNIT_RESIDUE_TOL))  # NaN fails
+    if failed.any():
+        raise NumericalDiagnosticError("%s = %.6e falls outside [0, 1]"
+                                       % (name, values[failed][0]))
+    clamped = np.minimum(np.maximum(values, 0.0), 1.0)
+    return clamped if clamped.ndim else float(clamped)
 
 
 def _real(x, name):

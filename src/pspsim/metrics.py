@@ -72,18 +72,19 @@ def p11(p1, p2):
 
 
 def _equal_input_p11(mus, masses, d, j, delta):
-    """[p11(p, p) for p = PSPParams(mu, d, j, delta) at each mu of a 1-D grid whose
-    M_j are masses (_nonzero_mass)], bit for bit.
+    """p11(p, p) for p = PSPParams(mu, d, j, delta) at each mu of a 1-D grid whose
+    M_j are masses (_nonzero_mass), as a list, bit for bit.
 
     One pass over the grid: the inputs' coefficients and labels come from
     one _circles call, and their outputs' vacuum projections from
     _equal_input_projections, which exponentiates each distinct Gram entry
-    once per point.  Each point is clamped as its projections arrive; an
-    overflow is NaN, refused as in p11.
+    once per point.  The points are clamped together; an overflow is NaN,
+    refused as in p11.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return [_clamp_unit(1.0 - va - vb + vab, "p11")
-                for va, vb, vab in _equal_input_projections(*_circles(mus, masses, d, j, delta))]
+        values = [1.0 - va - vb + vab
+                  for va, vb, vab in _equal_input_projections(*_circles(mus, masses, d, j, delta))]
+    return _clamp_unit(values, "p11").tolist()
 
 
 def f2002(p1, p2):

@@ -130,8 +130,7 @@ def _residue_rows(values, d, rows, js):
     # Rows still summing: their indices, mu, log(mu) and running sums.
     live = np.flatnonzero(values > 0)
     live_mu = values[live]
-    # math.log: np.log differs from it in the last digit on some CPUs
-    log_mu = np.array([math.log(m) for m in live_mu.tolist()])
+    log_mu = np.log(live_mu)
     sums = np.zeros((live.size, js.size))
     first = min(js.tolist(), default=0)  # the block's smallest residue summed
     n0 = 0
@@ -272,10 +271,11 @@ def photon_number_probability(p, n):
 
 
 def _support_probability(mu, mass, n):
-    """Pois(mu; n) / mass at mu > 0: the probability of n photons on the support
-    of a state whose residue mass is mass, under errors._clamp_unit: where term n
-    holds nearly all of the mass, the quotient can land an ulp above 1."""
-    return _clamp_unit(math.exp(n * math.log(mu) - mu - log_factorial(n)) / mass,
+    """Pois(mu; n) / mass at mu > 0, a number or a 1-D array with its residue masses: the
+    probability of n photons on the support of a state whose residue mass is mass, under
+    errors._clamp_unit: where term n holds nearly all of the mass, the quotient can land
+    an ulp above 1."""
+    return _clamp_unit(np.exp(n * np.log(mu) - mu - log_factorial(n)) / mass,
                        "photon-number probability")
 
 
@@ -300,8 +300,8 @@ def loss_channel(p, eta):
 
     from the residue masses M.  Returns w, a (d,) float array indexed by the
     output residue k; it sums to 1 because sum_r M_r(a) M_{j-r}(b) = M_j(a + b).
-    Each weight is a probability under errors._clamp_unit: the masses' last-bit
-    error can put one an ulp above 1 (at d = 1 the one weight is exactly 1).
+    Each weight is a probability under errors._clamp_unit: the masses' rounding
+    can put one an ulp above 1 (at d = 1 the one weight is exactly 1).
     The two-term small-loss shortcut keeps w[j] (no photon lost) and
     w[(j - 1) mod d] (one lost); as the |k_d> at one mu' are orthogonal, its
     Uhlmann fidelity to the output is their sum.
@@ -312,5 +312,4 @@ def loss_channel(p, eta):
         raise ValueError("loss channel needs a finite coherent expansion")
     mass = _nonzero_mass(p.mu, p.d, p.j)
     lost, kept = residue_masses([p.mu * (1.0 - eta), p.mu * eta], p.d)
-    weights = lost[(p.j - np.arange(p.d)) % p.d] * kept / mass
-    return np.array([_clamp_unit(w, "loss weight") for w in weights.tolist()])
+    return _clamp_unit(lost[(p.j - np.arange(p.d)) % p.d] * kept / mass, "loss weight")

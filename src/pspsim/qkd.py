@@ -146,10 +146,9 @@ def transmission(c, distances=None):
     distances (km, 1-D) gives an array, one eta per entry, in place of the
     eta at c.distance_km.
     """
-    at = _distances(c, distances)
-    # Python's power, one distance at a time: numpy's array power differs
-    # from it in the last digit on some CPUs
-    eta = np.array([10.0 ** (-c.alpha_db_per_km * L / 10.0) for L in at.tolist()]) * c.eta_bob
+    # np.float_power is the C library's pow at each entry, so a one-distance call keeps the
+    # bits of its column in a sweep; numpy's ** may round an entry by its place in the array
+    eta = np.float_power(10.0, -c.alpha_db_per_km * _distances(c, distances) / 10.0) * c.eta_bob
     return float(eta[0]) if distances is None else eta
 
 
@@ -161,11 +160,6 @@ def _distances(c, distances):
     if at.ndim != 1 or not at.size or (at < 0).any():
         raise ValueError("distances must be a nonempty 1-D array of nonnegative values")
     return at
-
-
-def _exp(x):
-    """math.exp at each entry of the array x (numpy's exp differs from it in the last digit)."""
-    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def channel_stats(c, mu, distances=None):
@@ -180,7 +174,7 @@ def channel_stats(c, mu, distances=None):
     if (mus < 0).any():
         raise ValueError("mu must be nonnegative")
     eta = transmission(c, _distances(c, distances))  # an array, even for c.distance_km alone
-    survival = _exp(-eta * mus)
+    survival = np.exp(-eta * mus)
     q = c.y0 + 1.0 - survival
     e = np.where(q > 0, _ratio(c.e0 * c.y0 + c.e_det * (1.0 - survival), q), c.e0)
     if distances is None and mus.ndim == 0:
@@ -216,10 +210,9 @@ def _state_yields(c, mus, d, js, masses, eta, model):
     An (m, len(eta), len(js)) table for the column mus, shape (m, 1); masses =
     residue_masses(mus[:, 0], d), which only the exact model reads.
     """
-    js = np.atleast_1d(js).tolist()  # Python ints
-    if model == "dominant":
-        # Python's power per entry: numpy's array power differs from it in the last digit
-        table = np.array([[1.0 - (1.0 - c.y0) * (1.0 - e) ** n for n in js] for e in eta.tolist()])
+    js = np.atleast_1d(js).tolist()
+    if model == "dominant":  # float_power as in transmission: a residue's bits whatever js holds
+        table = 1.0 - (1.0 - c.y0) * np.float_power.outer(1.0 - eta, js)
         return np.broadcast_to(table, (len(mus),) + table.shape)
     if model != "exact":
         raise ValueError("model must be 'exact' or 'dominant'")
@@ -228,7 +221,7 @@ def _state_yields(c, mus, d, js, masses, eta, model):
         mu = mus[np.argmin(mass.all(axis=1)), 0]
         raise DegenerateStateError("state with j=%s is degenerate at mu=%.6g" % (js, mu))
     lost = residue_masses((mus * (1.0 - eta)).ravel(), d, js).reshape(len(mus), eta.size, -1)
-    survival = _exp(-mus * eta)[:, :, None] * lost / mass[:, None, :]
+    survival = np.exp(-mus * eta)[:, :, None] * lost / mass[:, None, :]
     return 1.0 - (1.0 - c.y0) * survival
 
 
@@ -350,8 +343,9 @@ def basis_fidelity_bound(mu, d, j):
         s = d * abs(z)
         if not math.isfinite(s):
             raise NumericalDiagnosticError("fidelity bound phase sum overflows at mu=%.6g" % mu_k)
-        values.append(_clamp_unit(s / (math.sqrt(2.0) * n), "fidelity bound"))
-    return np.array(values) if mus.ndim else values[0]
+        values.append(s / (math.sqrt(2.0) * n))
+    bounds = _clamp_unit(values, "fidelity bound")
+    return bounds if mus.ndim else float(bounds[0])
 
 
 def _source_fidelity(mu, d, basis_mu):
@@ -415,7 +409,7 @@ def _nondecoy_curve(c, distances, mus, d=None):
     """
     st = channel_stats(c, mus, distances)
     if d is None:
-        p_multi = 1.0 - _exp(-mus) * (1.0 + mus)
+        p_multi = 1.0 - np.exp(-mus) * (1.0 + mus)
     else:
         p_multi = residue_masses(mus[:, 0], d, range(2, d)).sum(axis=1, keepdims=True)
     branches = _Branches(st.q_mu.shape)
@@ -436,7 +430,7 @@ def _wcs_decoy_curve(c, distances, mus):
     """
     st = channel_stats(c, mus, distances)
     y1 = 1.0 - (1.0 - c.y0) * (1.0 - st.eta)  # Y_n at n = 1, as in _state_yields' dominant model
-    q1 = y1 * mus * _exp(-mus)
+    q1 = y1 * mus * np.exp(-mus)
     e1 = _bit_error(c, y1)
     branches = _Branches(st.q_mu.shape)
     branches.keep(y1=y1, q1=q1, e1=e1)

@@ -1,23 +1,39 @@
-"""Hash the output of every benchmark command, run in-process through pspsim.cli.main.
+"""Hash, save or compare the output of every benchmark command, run in-process
+through pspsim.cli.main.
 
     python tests/fingerprint.py > fingerprints.txt
+    python tests/fingerprint.py --save DIR
+    python tests/fingerprint.py --compare DIR
 
-prints one "key sha256" line per command: fig1, fig4, fig5, fig5 --optimize-mu
-and every single-point query of perfbench/workloads.py's QUERY_POOL.  The hash
-is of the data file for a figure command and of stdout for a query.  The
-package is imported from this checkout's src/, so running the script in two
-checkouts and diffing the two listings shows whether a change kept every byte.
+The commands are fig1, fig4, fig5, fig5 --optimize-mu and every single-point
+query of perfbench/workloads.py's QUERY_POOL; a command's output is its data
+file for a figure command and its stdout for a query.  The package is
+imported from this checkout's src/.
+
+With no option the script prints one "key sha256" line per command, so
+diffing the listings of two checkouts shows whether a change kept every byte.
+--save writes each command's output to DIR/<key>.  --compare runs this
+checkout's commands against such a directory, saved from another checkout,
+and prints one "key moved/cells largest" line per command: how many numeric
+cells differ, of how many, and the largest relative move |new - old| / |old|
+among them.  A command whose text around the numbers differs prints "key
+text-changed", and one with nothing saved prints "key missing".
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
+import re
 import sys
 import tempfile
 from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# A numeric cell: a number not glued to a word, so the 1 of a name like e_b1 is text.
+NUMBER = re.compile(r"(?<![\w.])(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?![\w.])")
 
 
 def commands():
@@ -31,14 +47,13 @@ def commands():
     return figures + [c for stratum in QUERY_POOL for c in stratum if c.dataset is None]
 
 
-def fingerprints():
-    """The "key sha256" line of every command in commands(), in order."""
+def outputs():
+    """(key, output bytes) of every command in commands(), in order."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     try:
         from pspsim import cli
     finally:
         sys.path.pop(0)
-    lines = []
     for command in commands():
         with tempfile.TemporaryDirectory() as out_dir, \
                 mock.patch.dict(os.environ, {cli.OUT_DIR_ENV: out_dir}):
@@ -52,9 +67,56 @@ def fingerprints():
             else:
                 with open(os.path.join(out_dir, command.dataset), "rb") as fh:
                     data = fh.read()
-        lines.append("%s %s" % (command.key, hashlib.sha256(data).hexdigest()))
+        yield command.key, data
+
+
+def fingerprints():
+    """The "key sha256" line of every command in commands(), in order."""
+    return ["%s %s" % (key, hashlib.sha256(data).hexdigest()) for key, data in outputs()]
+
+
+def save(directory):
+    """Write each command's output to directory/<key>."""
+    os.makedirs(directory, exist_ok=True)
+    for key, data in outputs():
+        with open(os.path.join(directory, key), "wb") as fh:
+            fh.write(data)
+
+
+def moved_cells(new, old):
+    """(moved, cells, largest relative move) of the numeric cells of the text new
+    against old; None when the text around the numbers differs."""
+    new_parts, old_parts = NUMBER.split(new), NUMBER.split(old)
+    if new_parts[::2] != old_parts[::2]:
+        return None
+    pairs = [(float(a), float(b)) for a, b in zip(new_parts[1::2], old_parts[1::2])]
+    moves = [abs(a - b) / abs(b) if b else math.inf for a, b in pairs if a != b]
+    return len(moves), len(pairs), max(moves, default=0.0)
+
+
+def compare(directory):
+    """The "key ..." line of each command against the output saved in directory."""
+    lines = []
+    for key, data in outputs():
+        path = os.path.join(directory, key)
+        if not os.path.exists(path):
+            lines.append("%s missing" % key)
+            continue
+        with open(path, "rb") as fh:
+            moved = moved_cells(data.decode(), fh.read().decode())
+        lines.append("%s text-changed" % key if moved is None
+                     else "%s %d/%d %.2g" % ((key,) + moved))
     return lines
 
 
 if __name__ == "__main__":
-    print("\n".join(fingerprints()))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--save", metavar="DIR", help="write each command's output to DIR/<key>")
+    mode.add_argument("--compare", metavar="DIR",
+                      help="count the numeric cells that moved against the outputs in DIR")
+    args = parser.parse_args()
+    if args.save:
+        save(args.save)
+    else:
+        print("\n".join(compare(args.compare) if args.compare else fingerprints()))

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks, one test and one PASS/FAIL line each.
+"""Acceptance gate: eleven end-to-end checks, one test and one PASS/FAIL line each.
 
 Criterion 8 asserts a bound that the implemented physics does not meet
 (the non-decoy rate with dark counts falls much faster than quadratically in
@@ -258,3 +258,29 @@ def test_10_determinism(tmp_path):
     ok = outs[0] == outs[1] == outs[2]
     detail = "three runs: byte-identical = %s, %d bytes" % (ok, len(outs[0]))
     assert report(10, ok, detail), detail
+
+
+def test_11_headline_comparison(tmp_path):
+    # the paper's closing claim: the superposed state beats phase-randomized weak
+    # coherent states with decoys, here for d >= 8, over fig5's 101 distances;
+    # at d = 4 the basis-dependence penalty keeps it well below them
+    out = tmp_path / "fig5.csv"
+    assert cli.main(["fig5", "--out", str(out)]) == 0
+    series = {}
+    with out.open() as fh:
+        for row in csv.DictReader(fh):
+            series.setdefault((row["protocol"], int(row["d"])), []).append(float(row["rate"]))
+    wcs = np.array(series.pop(("wcs-decoy", 0)))
+    ok = len(wcs) == 101 and (wcs > 0).all()
+    details = ["wcs-decoy all positive: %s" % ok]
+    for (protocol, d), rates in sorted(series.items()):
+        rates = np.array(rates)
+        positive = len(rates) == 101 and (rates > 0).all()
+        ratio = rates / np.where(wcs > 0, wcs, np.nan)  # a zero baseline fails, unwarned
+        ordered = ratio.max() <= 0.5 if d == 4 else ratio.min() >= 1.2
+        ok = ok and positive and ordered
+        details.append("%s d=%d: %.3f-%.3f%s" % (protocol, d, ratio.min(), ratio.max(),
+                                                   "" if positive else " (not all positive)"))
+    detail = ("rate / wcs-decoy over 0-100 km (d=4 <= 0.5, d=8,36 >= 1.2, all positive): "
+              + "; ".join(details))
+    assert report(11, ok, detail), detail

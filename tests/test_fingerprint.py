@@ -1,4 +1,5 @@
-"""The benchmark-command fingerprint: one stable line per command."""
+"""The benchmark-command fingerprint: one stable line per command, and the moved-cell
+listing of a saved output against this checkout's."""
 
 import fingerprint
 
@@ -12,3 +13,22 @@ def test_fingerprint_has_one_stable_line_per_command():
     assert keys == [c.key for c in commands] and len(set(keys)) == len(keys)
     assert all(len(line.split()[1]) == 64 for line in first)
     assert fingerprint.fingerprints() == first
+
+
+def test_a_tree_compared_with_itself_moves_no_cell(tmp_path):
+    fingerprint.save(tmp_path)
+    lines = fingerprint.compare(tmp_path)
+    assert [line.split()[0] for line in lines] == [c.key for c in fingerprint.commands()]
+    for line in lines:
+        _, counts, largest = line.split()
+        moved, cells = map(int, counts.split("/"))
+        assert moved == 0 and cells > 0 and float(largest) == 0.0, line
+
+
+def test_moved_cells_counts_numbers_and_keeps_names_as_text():
+    old = '{"e_b1": 0.25, "rate": 1e-05, "d": 8}\n'
+    assert fingerprint.moved_cells(old, old) == (0, 3, 0.0)
+    assert fingerprint.moved_cells(old.replace("0.25", "0.5"), old) == (1, 3, 1.0)
+    assert fingerprint.moved_cells(old.replace("e_b1", "e_b2"), old) is None
+    assert fingerprint.moved_cells("fidelity,4,0.5,0\n", "fidelity,4,0.5,1\n") == (1, 3, 1.0)
+    assert fingerprint.moved_cells("x,1\n", "x,0\n")[2] == float("inf")

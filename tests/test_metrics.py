@@ -176,10 +176,19 @@ def test_g2_oracle_rejects_two_mode_states():
 def test_clamp_guard():
     assert _clamp_unit(1.0 + 1e-14, "x") == 1.0
     assert _clamp_unit(-1e-14, "x") == 0.0
+    assert type(_clamp_unit(0.5, "x")) is float
     with pytest.raises(NumericalDiagnosticError):
         _clamp_unit(1.01, "x")
     with pytest.raises(NumericalDiagnosticError):
         _clamp_unit(math.nan, "x")
+    # an array is clamped entry by entry, and a refusal names its first failing entry
+    clamped = _clamp_unit(np.array([0.25, 1.0 + 1e-14, -1e-14, 1.0]), "x")
+    assert clamped.tolist() == [0.25, 1.0, 0.0, 1.0]
+    assert _clamp_unit(np.array([[1.0 + 1e-14], [0.5]]), "x").tolist() == [[1.0], [0.5]]
+    for bad, named in (([0.5, 1.01, -1e-14], r"1\.010000e\+00"), ([0.5, -1e-14, math.nan], "nan"),
+                       ([math.nan, 1.01], "nan")):
+        with pytest.raises(NumericalDiagnosticError, match=r"^x = %s falls" % named):
+            _clamp_unit(np.array(bad), "x")
 
 
 def test_hom_identical_frozen_points():

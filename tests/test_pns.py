@@ -191,7 +191,7 @@ def test_normalization_series_vs_direct_sum():
                     assert abs(normalization(mu, d, j) - exact) < 1e-13 * exact
 
 
-def test_pseudo_number_state_is_normalized():
+def test_circle_expansion_is_normalized():
     for mu in (0.05, 0.8, 3.0):
         for d in (2, 4, 8):
             s = circle_expansion(PSPParams(mu=mu, d=d, j=1))

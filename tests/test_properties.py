@@ -62,7 +62,7 @@ def full_block_rows(values, d, rows):
     totals[values == 0, 0] = 1.0
     live = np.flatnonzero(values > 0)
     live_mu = values[live]
-    log_mu = np.array([math.log(m) for m in live_mu.tolist()])
+    log_mu = np.log(live_mu)
     sums = np.zeros((live.size, d))
     n0 = 0
     while live.size:

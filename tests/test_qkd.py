@@ -551,7 +551,7 @@ def test_psp_triggered_gain_bound_consistency():
     assert diag["q_t_j1_bound"] <= diag["q_t_j1_exact"] + 1e-18
 
 
-def test_optimize_mu_behavior():
+def test_keyrate_curve_mu_search_behavior():
     c = ChannelParams(distance_km=20.0)
     res = keyrate_curve(WCS_DECOY, c, GRID).result(0)
     assert abs(res.mu - 0.5) < 1e-12
@@ -643,7 +643,7 @@ def test_triggered_curve_without_its_trigger_is_a_value_error(given, missing):
         keyrate_curve(PSP_TRIGGERED, ChannelParams(), 0.45, d=8, **given)
 
 
-def test_optimize_mu_over_distances_matches_per_distance_search():
+def test_keyrate_curve_mu_search_over_distances_matches_per_distance_search():
     distances = np.arange(0.0, 301.0, 20.0)
     kwargs = {"nu": 256.0, "eta_trigger_det": 0.12}
     curve = keyrate_curve(PSP_TRIGGERED, ChannelParams(), GRID, distances, 8, **kwargs)
@@ -657,7 +657,7 @@ def test_optimize_mu_over_distances_matches_per_distance_search():
     assert curve.rate[-1] == 0.0 and curve.mu[-1] == GRID[0]
 
 
-def test_optimize_mu_first_index_tie_break(monkeypatch):
+def test_keyrate_curve_mu_search_first_index_tie_break(monkeypatch):
     # rates rise with mu up to 0.3 and are flat beyond it, so 0.3, 0.4 and the
     # repeated 0.5 tie; the first (smallest) of them must win at each distance,
     # and a later mu only on a strictly larger rate
@@ -778,7 +778,7 @@ def gllp_by_hand(c, mu, p_multi):
 
 def test_keyrate_curve_protocol_dispatch():
     c = ChannelParams(distance_km=10.0)
-    wcs_multi = 1.0 - math.exp(-0.01) * (1.0 + 0.01)
+    wcs_multi = 1.0 - np.exp(-0.01) * (1.0 + 0.01)
     rate = keyrate_curve(WCS_NONDECOY, c, 0.01).result(0).rate
     assert rate > 0.0
     assert rate == gllp_by_hand(c, 0.01, wcs_multi)
