@@ -48,9 +48,9 @@ print()
 print("HOM with identical sources (j=1)")
 print("   mu   d    p11            f2002")
 for d in (4, 8):
-    for mu in (0.1, 0.4, 1.0):
-        p = PSPParams(mu=mu, d=d, j=1)
-        print("%6.2f %3d   %12.6e   %.10f" % (mu, d, p11(p, p), f2002(p, p)))
+    p = PSPParams(mu=[0.1, 0.4, 1.0], d=d, j=1)  # one state per mu: each call is one array
+    for mu, pair, noon in zip(p.mu, p11(p, p), f2002(p, p)):
+        print("%6.2f %3d   %12.6e   %.10f" % (mu, d, pair, noon))
 
 # Offsetting one source around the circle leaves f2002 untouched but
 # modulates the coincidence rate; the dip sits at zero offset.

@@ -28,10 +28,10 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalDiagnosticError, TruncationError
-from .pns import (PSPParams, _nonzero_mass, _support_probability, _validate_dj,
-                  fidelity_to_number_state, normalization)
-from .metrics import _equal_input_p11, _noon_overlap, f2002, g2_zero_closed, p11
-from .generation import GenerationParams, herald_probabilities, trigger_probability
+from .pns import (PSPParams, fidelity_to_number_state, normalization, photon_number_probability,
+                  residue_masses)
+from .metrics import f2002, g2_zero_closed, p11
+from .generation import GenerationParams, trigger_probability
 from .qkd import (PARAMETERS, PROTOCOLS, PSP_PASSIVE_DECOY, PSP_TRIGGERED, WCS_DECOY,
                   ChannelParams, basis_fidelity_bound, keyrate_curve, measure_bb84, phase_set)
 
@@ -130,13 +130,11 @@ def _fig1_rows(args):
     mus = _mu_grid(args)
     rows = []
     for d in args.d_list:
-        g2 = g2_zero_closed(mus, d)
-        # j = 1 % d, the state on n = 1 (mod d), which is the coherent state at
-        # d = 1; one M_j table serves every point's fidelity, p11 and f2002
-        masses = _nonzero_mass(mus, d, 1 % d)
-        hom = _equal_input_p11(mus, masses, d, 1 % d, 0.0)
-        one = _support_probability(mus, masses, 1)  # photon_number_probability(p, 1)
-        table = np.stack([one, g2, hom, _noon_overlap(one, one)], axis=1).tolist()
+        g2 = g2_zero_closed(mus, d)  # first: it refuses a d below 1, for which 1 % d is no j
+        # j = 1 % d, the state on n = 1 (mod d), which is the coherent state at d = 1
+        p = PSPParams(mus, d, 1 % d)
+        table = np.stack([photon_number_probability(p, 1), g2, p11(p, p), f2002(p, p)],
+                         axis=1).tolist()
         rows += [(name, d, mu, value) for mu, values in zip(mus.tolist(), table)
                  for name, value in zip(("fidelity", "g2", "p11", "f2002"), values)]
     return ("quantity", "d", "mu", "value"), rows
@@ -308,9 +306,7 @@ def _hom_inputs(args):
 
 
 def _generation(args):
-    g = GenerationParams(mu=args.mu, nu=args.nu, d=args.d, eta_det=args.eta_det)
-    _validate_dj(g.d, args.j)  # herald indexes by j: -1 would read residue d - 1
-    return g
+    return GenerationParams(mu=args.mu, nu=args.nu, d=args.d, eta_det=args.eta_det)
 
 
 def _encoding_error(args):
@@ -338,7 +334,9 @@ QUANTITIES = {
     "f2002": (lambda a: f2002(*_hom_inputs(a)), _HOM_PARAMS),
     "basis-fidelity": (lambda a: basis_fidelity_bound(a.mu, a.d, a.j), _MDJ),
     "normalization": (lambda a: normalization(a.mu, a.d, a.j), _MDJ),
-    "herald": (lambda a: herald_probabilities(_generation(a))[a.j], ("mu", "nu", "d", "j")),
+    # herald_probabilities(g)[j] is M_j, and residues=[j] refuses a j outside [0, d)
+    "herald": (lambda a: residue_masses(_generation(a).mu, a.d, [a.j])[0],
+               ("mu", "nu", "d", "j")),
     "trigger": (lambda a: trigger_probability(_generation(a), a.j, convention=a.convention),
                 ("nu", "d", "j", "convention")),
     "encoding-error": (_encoding_error, _MDJ + ("phase_set",)),

@@ -1,9 +1,11 @@
 """Single-photon quality metrics: g2(0) and two-photon interference.
 
 g2 is a phase double sum, p11 a set of Gram-matrix vacuum projections on
-the coherent expansion (for equal inputs, one pass over a mu grid and its
-M_j table that exponentiates only the Gram entries the input exchange does
-not repeat), and f2002 the product of the inputs' one-photon probabilities.
+the coherent expansion (for equal inputs, one pass that exponentiates only
+the Gram entries the input exchange does not repeat), and f2002 the product
+of the inputs' one-photon probabilities.  Each takes a mu grid as well as a
+number (g2 as its mu, p11 and f2002 as an input's PSPParams mu) and then
+returns an array, each entry with the bits of the one-point call.
 Their number-basis oracles, g2 as <n(n-1)>/<n>^2 and the HOM pair read off
 a two-mode output, live in the test tree (tests/oracle.py).
 """
@@ -57,34 +59,26 @@ def p11(p1, p2):
     1 - P(vac a) - P(vac b) + P(vac ab), from the vacuum projections of the
     output's coherent expansion (_hom_outputs of the inputs' _circles rows).
     Identical inputs bunch (p11 -> 0), and d = d' = 1 gives p11 = 0.  Equal
-    inputs take _equal_input_p11 on a one-point grid: the output is symmetric
-    under the input exchange, so only the Gram entries that exchange does not
-    repeat are exponentiated, and every value keeps the bits of the full Gram
-    matrices.  A contraction that overflows is NaN, refused without a warning.
+    inputs take _equal_input_projections: the output is symmetric under the
+    input exchange, so only the Gram entries that exchange does not repeat
+    are exponentiated, and every value keeps the bits of the full Gram
+    matrices.  Over a mu grid (of either input, or of both at one length)
+    the result is an array, each entry with the bits of the one-point call.
+    A contraction that overflows is NaN, refused without a warning.
     """
-    if p2 == p1:
-        return _equal_input_p11(*_circle_inputs(p1))[0]
-    inputs = _circles(*_circle_inputs(p1)) + _circles(*_circle_inputs(p2))
+    shape = np.broadcast_shapes(np.shape(p1.mu), np.shape(p2.mu))  # two grid lengths: ValueError
     with np.errstate(over="ignore", invalid="ignore"):
-        kets, labels = _hom_outputs(*inputs)
-        va, vb, vab = _hom_projections(kets[0], labels[0])
-    return _clamp_unit(1.0 - va - vb + vab, "p11")
-
-
-def _equal_input_p11(mus, masses, d, j, delta):
-    """p11(p, p) for p = PSPParams(mu, d, j, delta) at each mu of a 1-D grid whose
-    M_j are masses (_nonzero_mass), as a list, bit for bit.
-
-    One pass over the grid: the inputs' coefficients and labels come from
-    one _circles call, and their outputs' vacuum projections from
-    _equal_input_projections, which exponentiates each distinct Gram entry
-    once per point.  The points are clamped together; an overflow is NaN,
-    refused as in p11.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = [1.0 - va - vb + vab
-                  for va, vb, vab in _equal_input_projections(*_circles(mus, masses, d, j, delta))]
-    return _clamp_unit(values, "p11").tolist()
+        if p2 == p1:
+            projections = _equal_input_projections(*_circles(*_circle_inputs(p1)))
+        else:
+            rows = [np.broadcast_to(a, (max(shape, default=1), a.shape[1]))
+                    for a in _circles(*_circle_inputs(p1)) + _circles(*_circle_inputs(p2))]
+            projections = []
+            for k in range(rows[0].shape[0]):  # one point's output at a time, as a grid's is large
+                kets, labels = _hom_outputs(*(a[k:k + 1] for a in rows))
+                projections.append(_hom_projections(kets[0], labels[0]))
+        values = [1.0 - va - vb + vab for va, vb, vab in projections]
+    return _clamp_unit(np.reshape(values, shape), "p11")
 
 
 def f2002(p1, p2):
@@ -92,13 +86,9 @@ def f2002(p1, p2):
 
     The splitter sends |1,1> wholly onto that NOON state, and |2,0>, |0,2>
     onto states orthogonal to it, so F2002 = P1(1) P2(1), the product of
-    the inputs' one-photon probabilities.  Coherent inputs (d = d' = 1) at
-    equal mu give mu^2 exp(-2 mu).
+    the inputs' one-photon probabilities, clamped to [0, 1].  Coherent
+    inputs (d = d' = 1) at equal mu give mu^2 exp(-2 mu).  An array over a
+    mu grid, as for p11.
     """
     one = photon_number_probability(p1, 1)
-    return _noon_overlap(one, one if p2 == p1 else photon_number_probability(p2, 1))
-
-
-def _noon_overlap(one, other):
-    """F2002 from the inputs' one-photon probabilities, clamped to [0, 1]."""
-    return _clamp_unit(one * other, "f2002")
+    return _clamp_unit(one * (one if p2 == p1 else photon_number_probability(p2, 1)), "f2002")

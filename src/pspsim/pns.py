@@ -54,6 +54,15 @@ def log_factorial(n):
         return np.array(values).reshape(np.shape(n))[()]
 
 
+def _log_poisson(log_mu, mu, ns):
+    """n log(mu) - mu - log(n!), in place in that order, at each mu (log_mu: its log, as
+    the caller takes it) and each n of ns, as a mu.shape + ns.shape array."""
+    terms = np.multiply.outer(log_mu, ns)
+    terms -= np.reshape(mu, np.shape(mu) + (1,) * np.ndim(ns))
+    terms -= log_factorial(ns)
+    return terms
+
+
 def _validate_dj(d, j=0):
     """ValueError unless d is an integer >= 1 and j one integer in [0, d); a bool is
     neither.  j = 0 lies in [0, d) for every such d, so _validate_dj(d) checks d alone."""
@@ -141,9 +150,7 @@ def _residue_rows(values, d, rows, js):
         ns = np.arange(n0, n0 + rows * d).reshape(rows, d).T[js]
         width = _head_width(n0 + first, rows, d, float(live_mu.max()))
         # in place: the (live rows, residues, width) head is the one array of its size
-        terms = np.multiply.outer(log_mu, ns[:, :width])
-        terms -= live_mu[:, None, None]
-        terms -= log_factorial(ns[:, :width])
+        terms = _log_poisson(log_mu, live_mu, ns[:, :width])
         np.exp(terms, out=terms)
         sums += terms.sum(axis=2)
         n0 += rows * d
@@ -186,7 +193,7 @@ def _head_width(first, rows, d, mu):
     but not zero can still move the last bit of a small mass.
     """
     firsts = np.arange(first, first + rows * d, d)
-    logs = firsts * math.log(mu) - mu - log_factorial(firsts)
+    logs = _log_poisson(math.log(mu), mu, firsts)
     if rows > 1 and logs[1] - logs[0] <= _LOG_NEGLIGIBLE:
         return 1
     falls = logs[8::8] - logs[:-8:8] <= _LOG_NEGLIGIBLE  # at w = 8, 16, ... below rows
@@ -202,7 +209,7 @@ def _support_terms(mu, d, j):
     if mu == 0:
         return np.zeros(int(j == 0), dtype=int), np.ones(int(j == 0))
     ns = np.arange(j, int(2.0 * mu) + 2 * d + 105, d)
-    return ns, np.exp(ns * math.log(mu) - mu - log_factorial(ns))
+    return ns, np.exp(_log_poisson(math.log(mu), mu, ns))
 
 
 def _nonzero_mass(mu, d, j):
@@ -226,8 +233,11 @@ def normalization(mu, d, j):
 
 @dataclass(frozen=True)
 class PSPParams:
-    """Parameters of one pseudo-number state.
+    """Parameters of one pseudo-number state, or of one state per mu of a grid.
 
+    mu may be a number or a nonempty 1-D grid, kept as a float or a tuple of
+    floats, so that states compare and hash by value; each quantity of a grid
+    state is an array whose entries have the bits of the one-point calls.
     delta is the circle's reference phase in units of 2 pi / d.  d may be
     math.inf for the ideal limit, which only the fidelity supports; all
     constructive operations need finite d.
@@ -239,15 +249,19 @@ class PSPParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if _real(self.mu, "mu").ndim or self.mu < 0:
-            raise ValueError("mu must be a number >= 0")
+        mus = _mu(self.mu)
+        if mus.ndim and not mus.size:
+            raise ValueError("mu grid must hold at least one value")
+        object.__setattr__(self, "mu", tuple(mus.tolist()) if mus.ndim else float(mus))
+        if (mus < 0).any():
+            raise ValueError("mu must be >= 0")
         if np.ndim(self.d) or self.d != math.inf:  # an array d is no integer either
             _validate_dj(self.d, self.j)
         elif _index(self.j, self.d, "j").ndim:
             raise ValueError("j must be one integer")
         if _real(self.delta, "delta").ndim:
             raise ValueError("delta must be a number")
-        if self.j != 0 and self.mu == 0:
+        if self.j != 0 and not mus.all():
             raise DegenerateStateError("j=%d requires mu > 0" % self.j)
 
 
@@ -255,28 +269,21 @@ def photon_number_probability(p, n):
     """|<n|j_d>|^2, the probability that the pseudo-number state holds n photons.
 
     Closed form: the Poisson(mu) mass at n divided by the modular mass on
-    the support n = j (mod d), and 0 off the support.  The d -> infinity
-    branch is the number state |j> itself.
+    the support n = j (mod d), and 0 off the support, under
+    errors._clamp_unit: where term n holds nearly all of the mass, the
+    quotient can land an ulp above 1.  The d -> infinity branch is the
+    number state |j> itself.  An array over a mu grid.
     """
     if _index(n, math.inf, "photon number").ndim:
         raise ValueError("photon number must be one integer")
+    mus = np.asarray(p.mu, dtype=float)
     if p.d == math.inf:
-        return 1.0 if n == p.j else 0.0
-    mass = _nonzero_mass(p.mu, p.d, p.j)
-    if n % p.d != p.j:
-        return 0.0
-    if p.mu == 0:
-        return 1.0 if n == 0 else 0.0  # j = 0 at mu = 0 is the vacuum itself
-    return _support_probability(p.mu, mass, n)
-
-
-def _support_probability(mu, mass, n):
-    """Pois(mu; n) / mass at mu > 0, a number or a 1-D array with its residue masses: the
-    probability of n photons on the support of a state whose residue mass is mass, under
-    errors._clamp_unit: where term n holds nearly all of the mass, the quotient can land
-    an ulp above 1."""
-    return _clamp_unit(np.exp(n * np.log(mu) - mu - log_factorial(n)) / mass,
-                       "photon-number probability")
+        return _clamp_unit(np.full(mus.shape, float(n == p.j)), "photon-number probability")
+    mass = np.asarray(_nonzero_mass(mus, p.d, p.j))
+    probs = np.where(mus == 0, float(n == 0), 0.0)  # at mu = 0, j = 0: the vacuum itself
+    live = (mus > 0) & (n % p.d == p.j)
+    probs[live] = np.exp(_log_poisson(np.log(mus[live]), mus[live], n)) / mass[live]
+    return _clamp_unit(probs, "photon-number probability")
 
 
 def fidelity_to_number_state(p):
@@ -308,6 +315,8 @@ def loss_channel(p, eta):
     """
     if _real(eta, "eta").ndim or not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
+    if np.ndim(p.mu):
+        raise ValueError("loss channel takes a state of one mu, not a mu grid")
     if p.d == math.inf:
         raise ValueError("loss channel needs a finite coherent expansion")
     mass = _nonzero_mass(p.mu, p.d, p.j)

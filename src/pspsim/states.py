@@ -3,10 +3,11 @@
 A superposition c_1 |a_1> + c_2 |a_2> + ... of (multimode) coherent states
 is two arrays: coefficients c of shape (terms,) and labels a of shape
 (terms,) for one mode or (terms, modes).  _circles writes |j_d> as its d
-terms, the one coherent expansion the package builds.  The 50:50 beam
-splitter relabels terms and vacuum projections are Gram contractions, both
-closed forms in the labels, so nothing here is truncated.  The number-basis
-expansion that checks them lives in the test tree (tests/oracle.py).
+terms, one row per mu of a PSPParams grid (one row for a number mu): the one
+coherent expansion the package builds.  The 50:50 beam splitter relabels
+terms and vacuum projections are Gram contractions, both closed forms in the
+labels, so nothing here is truncated.  The number-basis expansion that
+checks them lives in the test tree (tests/oracle.py).
 
 Conventions:
     <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a)*b)
@@ -34,10 +35,11 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def _circle_inputs(p):
-    """_circles' one-point arguments for p; d -> infinity is refused before M_j is read."""
+    """_circles' arguments for p, one row per mu; d -> infinity is refused before M_j is read."""
     if p.d == math.inf:
         raise ValueError("the d -> infinity limit has no finite coherent expansion")
-    return np.array([p.mu]), np.array([_nonzero_mass(p.mu, p.d, p.j)]), p.d, p.j, p.delta
+    mus = np.array(p.mu, dtype=float, ndmin=1)
+    return mus, _nonzero_mass(mus, p.d, p.j), p.d, p.j, p.delta
 
 
 def _circles(mus, masses, d, j, delta):

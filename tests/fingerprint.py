@@ -17,7 +17,9 @@ checkout's commands against such a directory, saved from another checkout,
 and prints one "key moved/cells largest" line per command: how many numeric
 cells differ, of how many, and the largest relative move |new - old| / |old|
 among them.  A command whose text around the numbers differs prints "key
-text-changed", and one with nothing saved prints "key missing".
+text-changed", and one with nothing saved prints "key missing".  --compare
+exits with status 1 when any command moved a cell, changed text or is
+missing, so "every byte kept" is its exit status 0.
 """
 
 import argparse
@@ -94,6 +96,11 @@ def moved_cells(new, old):
     return len(moves), len(pairs), max(moves, default=0.0)
 
 
+def kept(lines):
+    """Whether every line of compare() reports no moved cell."""
+    return all(re.fullmatch(r"\S+ 0/\d+ 0", line) for line in lines)
+
+
 def compare(directory):
     """The "key ..." line of each command against the output saved in directory."""
     lines = []
@@ -118,5 +125,9 @@ if __name__ == "__main__":
     args = parser.parse_args()
     if args.save:
         save(args.save)
+    elif args.compare:
+        lines = compare(args.compare)
+        print("\n".join(lines))
+        sys.exit(0 if kept(lines) else 1)
     else:
-        print("\n".join(compare(args.compare) if args.compare else fingerprints()))
+        print("\n".join(fingerprints()))

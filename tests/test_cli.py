@@ -1,6 +1,7 @@
 """Command-line layer: exit codes, file formats, config layering, determinism."""
 
 import argparse
+import ast
 import csv
 import json
 import os
@@ -254,12 +255,12 @@ def test_fig5_residue_passes_do_not_grow_with_distances(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (["fig1", "--mu-points", "4", "--d-list", "4", "8"], 2 * 2),
+    (["fig1", "--mu-points", "4", "--d-list", "4", "8"], 2 * 4),
     (["fig4", "--mu-points", "4", "--d-list", "4", "8", "--j-list", "0", "1"], 4),
 ])
 def test_figure_residue_passes(tmp_path, monkeypatch, capsys, argv, passes):
-    # fig1: per d, one g2 table and one M_1 table, whose rows its fidelity,
-    # p11 and f2002 share; fig4: one bound table per (d, j)
+    # fig1: per d, one table for each of its four public calls (the one-photon
+    # probability, g2, p11 and f2002); fig4: one bound table per (d, j)
     calls = []
     original = pns._residue_rows
 
@@ -510,6 +511,19 @@ def test_compute_herald_rejects_residue_out_of_range(capsys, j):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "invalid-parameter"
+
+
+def test_cli_imports_only_public_names():
+    # the front end reaches the library through its public API alone, and the private
+    # grid helpers it once called are gone from the package
+    with open(cli.__file__) as f:
+        tree = ast.parse(f.read())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module for alias in node.names]
+    assert "PSPParams" in imported
+    assert [name for name in imported if name.startswith("_")] == []
+    for name in ("_equal_input_p11", "_noon_overlap", "_support_probability"):
+        assert not any(hasattr(module, name) for module in (pns, metrics, states)), name
 
 
 def test_compute_herald_value(capsys):

@@ -1,6 +1,9 @@
 """The benchmark-command fingerprint: one stable line per command, and the moved-cell
 listing of a saved output against this checkout's."""
 
+import subprocess
+import sys
+
 import fingerprint
 
 
@@ -32,3 +35,18 @@ def test_moved_cells_counts_numbers_and_keeps_names_as_text():
     assert fingerprint.moved_cells(old.replace("e_b1", "e_b2"), old) is None
     assert fingerprint.moved_cells("fidelity,4,0.5,0\n", "fidelity,4,0.5,1\n") == (1, 3, 1.0)
     assert fingerprint.moved_cells("x,1\n", "x,0\n")[2] == float("inf")
+
+
+def test_compare_exits_1_unless_every_byte_is_kept(tmp_path):
+    # "every byte kept" is one exit status: a moved cell, changed text or a missing
+    # output each make it 1
+    fingerprint.save(tmp_path)
+    script = [sys.executable, fingerprint.__file__, "--compare", str(tmp_path)]
+    assert subprocess.run(script, capture_output=True, timeout=120).returncode == 0
+    fig1 = tmp_path / "fig1"
+    fig1.write_text(fig1.read_text().replace(",0.99999999991666666\n", ",0.5\n", 1))
+    assert subprocess.run(script, capture_output=True, timeout=120).returncode == 1
+    lines = fingerprint.compare(tmp_path)
+    assert fingerprint.kept(lines[1:]) and not fingerprint.kept(lines)
+    assert not fingerprint.kept(lines[1:] + ["fig4 text-changed"])
+    assert not fingerprint.kept(lines[1:] + ["fig4 missing"])

@@ -354,9 +354,11 @@ def test_equal_input_projections_on_the_fig1_grid(d):
 
 
 def test_fig1_p11_column_is_the_one_point_calls():
+    # two grid states built apart compare equal, so they take the equal-input route
     mus = ARRAY_GRIDS[0][::20]
     for delta in (0.0, 0.37):
-        got = metrics._equal_input_p11(mus, pns._nonzero_mass(mus, 8, 1), 8, 1, delta)
+        grid = PSPParams(mu=mus, d=8, j=1, delta=delta)
+        got = p11(grid, PSPParams(mu=mus, d=8, j=1, delta=delta)).tolist()
         params = [PSPParams(mu=mu, d=8, j=1, delta=delta) for mu in mus.tolist()]
         assert got == [p11(p, p) for p in params]
 
@@ -379,6 +381,46 @@ def test_every_fig1_column_is_the_one_point_calls(monkeypatch, d):
                    ("p11", d, mu, p11(p, p)), ("f2002", d, mu, f2002(p, p))]
     assert _bits(np.array([r[2:] for r in rows])) == _bits(np.array([r[2:] for r in expect]))
     assert [r[:2] for r in rows] == [r[:2] for r in expect]
+
+
+def _assert_pointwise(got, mus, one_point):
+    # a grid call's array against the one-point calls at each mu, bit for bit
+    assert _bits(got) == _bits(np.array([one_point(mu) for mu in mus.tolist()]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
+def test_grid_states_give_the_one_point_calls(d):
+    mus, j = ARRAY_GRIDS[0][::20], 1 % d
+    with_zeros = np.concatenate([[0.0], mus[:4], [0.0]])  # j = 0 allows mu = 0, the vacuum
+    for n in range(2 * d + 2):  # on and off the support
+        _assert_pointwise(photon_number_probability(PSPParams(mus, d, j), n), mus,
+                          lambda mu: photon_number_probability(PSPParams(mu, d, j), n))
+        _assert_pointwise(photon_number_probability(PSPParams(with_zeros, d, 0), n), with_zeros,
+                          lambda mu: photon_number_probability(PSPParams(mu, d, 0), n))
+    _assert_pointwise(fidelity_to_number_state(PSPParams(mus, d, j)), mus,
+                      lambda mu: fidelity_to_number_state(PSPParams(mu, d, j)))
+    other = PSPParams(mu=0.7, d=3, j=1, delta=0.2)
+    for delta in (0.0, 0.37):
+        p = PSPParams(mus, d, j, delta)
+        for got, one_point in [(p11(p, p), lambda q: p11(q, q)),
+                               (f2002(p, p), lambda q: f2002(q, q)),
+                               # unequal inputs: a grid against a number, both ways
+                               (p11(p, other), lambda q: p11(q, other)),
+                               (p11(other, p), lambda q: p11(other, q)),
+                               (f2002(p, other), lambda q: f2002(q, other))]:
+            _assert_pointwise(got, mus, lambda mu: one_point(PSPParams(mu, d, j, delta)))
+        # two grids of one length: entry k pairs their k-th states
+        shifted = PSPParams(mus[::-1], d, j, 0.1)
+        expect = [p11(PSPParams(a, d, j, delta), PSPParams(b, d, j, 0.1))
+                  for a, b in zip(mus.tolist(), mus[::-1].tolist())]
+        assert _bits(p11(p, shifted)) == _bits(np.array(expect))
+
+
+def test_grid_states_of_two_lengths_are_refused():
+    p, q = PSPParams(mu=[0.1, 0.2], d=4, j=1), PSPParams(mu=[0.1, 0.2, 0.3], d=4, j=1)
+    for metric in (p11, f2002):
+        with pytest.raises(ValueError):
+            metric(p, q)
 
 
 def test_infinite_d_is_refused_before_its_mass_is_read():
@@ -458,7 +500,7 @@ def test_coherent_states_read_exact_g2_and_p11_on_the_fig1_grid():
     grid = ARRAY_GRIDS[0]
     assert (g2_zero_closed(grid, 1) == 1.0).all()
     assert all(g2_zero_closed(mu, 1) == 1.0 for mu in grid[::20].tolist())
-    values = metrics._equal_input_p11(grid, pns._nonzero_mass(grid, 1, 0), 1, 0, 0.0)
+    values = p11(PSPParams(mu=grid, d=1, j=0), PSPParams(mu=grid, d=1, j=0))
     assert max(values) <= 2**-52
     assert all(p11(p, p) <= 2**-52 for p in (PSPParams(mu=mu, d=1, j=0) for mu in grid[::20].tolist()))
 

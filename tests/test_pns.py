@@ -283,9 +283,31 @@ def test_param_validation():
         PSPParams(mu=0.1, d=0, j=0)
     with pytest.raises(ValueError):
         PSPParams(mu=0.1, d=4, j=4)
-    # numpy's "truth value of an array is ambiguous" used to be the message
-    with pytest.raises(ValueError, match="mu must be a number"):
-        PSPParams(mu=[0.1, 0.2], d=4, j=1)
+    # a mu grid is 1-D, nonempty and nonnegative
+    with pytest.raises(ValueError, match="mu must be a number or a 1-D array"):
+        PSPParams(mu=[[0.1, 0.2]], d=4, j=1)
+    with pytest.raises(ValueError, match="mu grid must hold at least one value"):
+        PSPParams(mu=[], d=4, j=1)
+    with pytest.raises(ValueError, match="mu must be >= 0"):
+        PSPParams(mu=[0.1, -0.2], d=4, j=1)
+
+
+def test_a_mu_grid_state_compares_by_value_and_reads_as_arrays():
+    grid = np.array([0.1, 0.5, 2.0])
+    p = PSPParams(mu=grid, d=4, j=1)
+    same = PSPParams(mu=grid.tolist(), d=4, j=1)
+    assert p == same and hash(p) == hash(same)
+    # a 0-d array mu is its number: it used to be kept as an array, which does not hash
+    one, number = PSPParams(mu=np.array(0.1), d=4, j=1), PSPParams(mu=0.1, d=4, j=1)
+    assert one == number and hash(one) == hash(number) and p != number
+    with pytest.raises(pns.DegenerateStateError, match="j=1 requires mu > 0"):
+        PSPParams(mu=[0.1, 0.0], d=4, j=1)
+    with pytest.raises(ValueError, match="loss channel takes a state of one mu"):
+        loss_channel(p, 0.5)
+    ideal = PSPParams(mu=grid, d=math.inf, j=1)
+    assert fidelity_to_number_state(ideal).tolist() == [1.0] * 3
+    assert photon_number_probability(ideal, 2).tolist() == [0.0] * 3
+    assert fidelity_to_number_state(PSPParams(mu=0.1, d=math.inf, j=1)) == 1.0
 
 
 @pytest.mark.parametrize("call", [

@@ -752,7 +752,7 @@ def test_optimize_mu_surface_equals_the_per_mu_fold(protocol, d, kwargs, monkeyp
 
 @pytest.mark.parametrize("distances, reached", [([400.0, 1000.0], False), ([0.0, 400.0], True),
                                                 (np.arange(0.0, 101.0), True)])
-def test_optimize_mu_asks_for_the_fidelity_bound_where_the_fold_does(distances, reached):
+def test_keyrate_curve_asks_for_the_fidelity_bound_where_the_fold_does(distances, reached):
     # the bound needs d divisible by 4; the triggered estimator asks for it
     # only at the mu that some distance reaches it at
     kwargs = {"nu": 144.0, "eta_trigger_det": 0.12}
