@@ -324,7 +324,8 @@ def basis_fidelity_bound(mu, d, j):
     one that misses it by more than UNIT_RESIDUE_TOL, or a phase sum that
     overflows (mu above about 700), is a NumericalDiagnosticError.  mu may be
     a 1-D array: one residue table serves the normalizations, one (len(mu), d)
-    array the phase sums, and each entry equals the scalar call's bits.
+    array the phase sums, and each entry equals the scalar call's bits, since
+    every step is elementwise and the modulus is libm hypot for every shape.
     """
     _validate_encoding_d(d)
     mus = _mu(mu)  # finite before the phase sums, which would warn on it
@@ -332,20 +333,17 @@ def basis_fidelity_bound(mu, d, j):
         raise ValueError("mu must be nonnegative")
     q = np.arange(d)
     winv = np.exp(-2j * np.pi * q / d)
-    norms = np.ravel(normalization(2.0 * mus, d, j)).tolist()
+    norms = normalization(2.0 * mus, d, j)
     m = mus.reshape(-1, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
         sums = np.sum(np.exp(2j * np.pi * j * q / d) * np.exp(-2.0 * m + m * winv)
                       * (np.exp(1j * m * winv) + 1j * np.exp(-1j * m * winv)), axis=1)
-    values = []
-    # the modulus per entry: numpy's array abs differs from the scalar one in the last bit
-    for mu_k, z, n in zip(mus.ravel().tolist(), sums, norms):
-        s = d * abs(z)
-        if not math.isfinite(s):
-            raise NumericalDiagnosticError("fidelity bound phase sum overflows at mu=%.6g" % mu_k)
-        values.append(s / (math.sqrt(2.0) * n))
-    bounds = _clamp_unit(values, "fidelity bound")
-    return bounds if mus.ndim else float(bounds[0])
+        # libm hypot, as in the scalar abs(complex): each entry keeps that modulus' bits
+        s = (d * np.hypot(sums.real, sums.imag)).reshape(mus.shape)
+    if not np.isfinite(s).all():
+        raise NumericalDiagnosticError("fidelity bound phase sum overflows at mu=%.6g"
+                                       % mus[~np.isfinite(s)][0])
+    return _clamp_unit(s / (math.sqrt(2.0) * norms), "fidelity bound")
 
 
 def _source_fidelity(mu, d, basis_mu):

@@ -13,14 +13,18 @@ shares no code with pspsim:
   masses;
 - the BB84 readout of the phase-encoded |j_d>, from the two-port photon
   distribution: independent Poisson counts at both splitter ports,
-  conditioned on a total n + m = j (mod d).
+  conditioned on a total n + m = j (mod d);
+- the basis-fidelity bound of fig4, from its defining phase sum over the
+  d-th roots of unity and the normalization above.
 
 Run as a script on a fig1 CSV, it prints each cell it covers (fidelity and
 f2002) that misses RTOL against the referee, as cell, value, referee and
-relative error, then a one-line count.  With --bb84 it does the same for
-pspsim.measure_bb84 over BB84_GRID, each case at its BB84_RTOL:
+relative error, then a one-line count.  With --fig4 it does the same for
+every cell of a fig4 CSV, and with --bb84 for pspsim.measure_bb84 over
+BB84_GRID, each case at its BB84_RTOL:
 
     python tests/referee.py fig1.csv
+    python tests/referee.py --fig4 fig4.csv
     python tests/referee.py --bb84
 """
 
@@ -118,6 +122,41 @@ def loss_weights(mu, d, j, eta):
         return [lost[(j - k) % d] * kept[k] / mass for k in range(d)]
 
 
+def basis_fidelity(mu, d, j):
+    """The fidelity bound between the X and Y basis mixtures of |j_d> on two pulses of
+    mu each, from its defining phase sum over q = 0..d-1, w = e^{2 pi i / d}:
+
+        d |sum_q w^{jq} e^{-2mu + mu w^{-q}} (e^{i mu w^{-q}} + i e^{-i mu w^{-q}})|
+        / (sqrt(2) N_{2mu,j})
+
+    Each term is at most 2 in modulus, so a sum of size S is good to DPS digits
+    once it is worked at DPS + 10 + log10(2d / S).  The first pass takes S from
+    N_{2mu,j} / d (a bound near 1 has S = sqrt(2) N / d), and a sum that comes
+    out smaller is summed again at the digits it needs.  At j = 3 (mod 4) the
+    sum is exactly 0: its z^n Taylor term, kept for n = j (mod d), carries
+    (1 + i)^n + i (1 - i)^n = 2^(n/2 + 1) e^{i pi/4} cos(pi (n - 1) / 4).
+    """
+    if j % 4 == 3:
+        return mpmath.mpf(0)
+
+    def digits(size):
+        return DPS + 10 + max(0, int(mpmath.ceil(mpmath.log10(2 * d / size))))
+
+    norm = normalization(2.0 * mu, d, j)
+    size, dps = norm / d, 0
+    while dps < digits(size):
+        dps = digits(size)
+        with mpmath.workdps(dps):
+            x = mpmath.mpf(mu)
+            winv = [mpmath.expjpi(mpmath.mpf(-2 * q) / d) for q in range(d)]
+            size = abs(mpmath.fsum(
+                mpmath.expjpi(mpmath.mpf(2 * j * q) / d) * mpmath.exp(-2 * x + x * w)
+                * (mpmath.exp(1j * x * w) + 1j * mpmath.exp(-1j * x * w))
+                for q, w in enumerate(winv)))
+    with mpmath.workdps(DPS):
+        return d * size / (mpmath.sqrt(2) * norm)
+
+
 def bb84(mu, d, j, k, basis):
     """(p_click_port0, p_click_port1, p_double, p_none) of |j_d> encoded on two pulses
     of mu each, relative phase 2 pi k / d, read in basis "X" or "Y".
@@ -176,23 +215,41 @@ def fig1_cell(quantity, d, mu):
     return None
 
 
-def check_fig1(path, out=sys.stdout):
-    """Print each covered cell of the fig1 CSV at path that misses RTOL; return their number."""
+def _check_cells(cells, out):
+    """Print each (label, value, referee) of cells whose value misses RTOL; return their
+    number."""
     checked = missed = 0
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            d, mu, value = int(row["d"]), float(row["mu"]), float(row["value"])
-            ref = fig1_cell(row["quantity"], d, mu)
-            if ref is None:
-                continue
-            checked += 1
-            err = relative_error(value, ref)
-            if not err <= RTOL:
-                missed += 1
-                out.write("%s d=%d mu=%r, %r, %s, %.3e\n"
-                          % (row["quantity"], d, mu, value, mpmath.nstr(ref, 20), err))
+    for label, value, ref in cells:
+        checked += 1
+        err = relative_error(value, ref)
+        if not err <= RTOL:
+            missed += 1
+            out.write("%s, %r, %s, %.3e\n" % (label, value, mpmath.nstr(ref, 20), err))
     out.write("%d of %d covered cells miss rtol %g\n" % (missed, checked, RTOL))
     return missed
+
+
+def _csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def check_fig1(path, out=sys.stdout):
+    """Print each covered cell of the fig1 CSV at path that misses RTOL; return their number."""
+    cells = ((row["quantity"], int(row["d"]), float(row["mu"]), float(row["value"]))
+             for row in _csv_rows(path))
+    return _check_cells((("%s d=%d mu=%r" % (quantity, d, mu), value, ref)
+                         for quantity, d, mu, value in cells
+                         for ref in [fig1_cell(quantity, d, mu)] if ref is not None), out)
+
+
+def check_fig4(path, out=sys.stdout):
+    """Print each cell of the fig4 CSV at path whose bound misses RTOL against
+    basis_fidelity; return their number."""
+    cells = ((int(row["d"]), int(row["j"]), float(row["mu"]), float(row["value"]))
+             for row in _csv_rows(path))
+    return _check_cells((("basis_fidelity d=%d j=%d mu=%r" % (d, j, mu), value,
+                          basis_fidelity(mu, d, j)) for d, j, mu, value in cells), out)
 
 
 BB84_NAMES = ("p_click_port0", "p_click_port1", "p_double", "p_none")
@@ -220,6 +277,12 @@ def check_bb84(cases=None, out=sys.stdout):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/referee.py fig1.csv | --bb84")
-    sys.exit(1 if (check_bb84() if sys.argv[1] == "--bb84" else check_fig1(sys.argv[1])) else 0)
+    if sys.argv[1:2] == ["--bb84"] and len(sys.argv) == 2:
+        missed = check_bb84()
+    elif sys.argv[1:2] == ["--fig4"] and len(sys.argv) == 3:
+        missed = check_fig4(sys.argv[2])
+    elif len(sys.argv) == 2 and not sys.argv[1].startswith("--"):
+        missed = check_fig1(sys.argv[1])
+    else:
+        sys.exit("usage: python tests/referee.py fig1.csv | --fig4 fig4.csv | --bb84")
+    sys.exit(1 if missed else 0)

@@ -155,11 +155,14 @@ def _bound_per_mu(mu, d, j):
 
 
 @pytest.mark.parametrize("grid", ARRAY_GRIDS, ids=["fig1", "fig4", "fig5-half"])
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12, 16, 36, 40, 64])
 def test_array_phase_sums_keep_the_per_mu_bits(d, grid):
+    # d >= 16 pins the bound only (fig5 reads it at d = 36): g2_zero_closed
+    # refuses d = 36 on the fig1 grid
     mus = grid.tolist()
-    expect = np.array([_g2_per_mu(mu, d) for mu in mus])
-    assert g2_zero_closed(grid, d).tobytes() == expect.tobytes()
+    if d <= 12:
+        expect = np.array([_g2_per_mu(mu, d) for mu in mus])
+        assert g2_zero_closed(grid, d).tobytes() == expect.tobytes()
     if d % 4 == 0:
         for j in range(4):
             assert (basis_fidelity_bound(grid, d, j).tobytes()

@@ -318,13 +318,15 @@ def test_basis_fidelity_bound_rejects_non_finite_mu_without_warning(mu):
             basis_fidelity_bound(mu, 8, 1)
 
 
-@pytest.mark.parametrize("mu", [800.0, np.array([0.3, 800.0])])
-def test_basis_fidelity_bound_overflow_is_a_numerical_failure_without_warning(mu):
+@pytest.mark.parametrize("mu, first", [(800.0, "800"), (np.array([0.3, 800.0]), "800"),
+                                       (np.array([0.3, 900.0, 800.0]), "900")],
+                         ids=["800.0", "mu1", "mu2"])  # the ids the one-argument form had
+def test_basis_fidelity_bound_overflow_is_a_numerical_failure_without_warning(mu, first):
     # past mu ~ 710 the phase sum overflows; it used to warn twice and then
-    # fail on "fidelity bound = nan"
+    # fail on "fidelity bound = nan".  A grid names its first overflowing mu.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalDiagnosticError, match="overflows at mu=800"):
+        with pytest.raises(NumericalDiagnosticError, match="overflows at mu=%s$" % first):
             basis_fidelity_bound(mu, 8, 1)
 
 

@@ -6,7 +6,9 @@ the one-photon probability and f2002, on fig1's default mu grid, fig4's
 the loss channel's weights for every j on fig5's grid and the corners
 of LOSS_MUS; the number-basis oracle's g2 for every j on G2_MUS; and the
 four BB84 readout probabilities over referee.BB84_GRID, at rtol 1e-13
-(2.5e-13 at d = 40), where a zero referee probability must read exactly 0.
+(2.5e-13 at d = 40), where a zero referee probability must read exactly 0;
+and the basis-fidelity bound on every cell of the default fig4 sweep and at
+the three `compute basis-fidelity --d 8` queries.
 """
 
 import io
@@ -19,8 +21,8 @@ import pytest
 import oracle
 import pspsim
 import referee
-from pspsim import (PSPParams, f2002, fidelity_to_number_state, loss_channel, normalization,
-                    photon_number_probability, residue_masses)
+from pspsim import (PSPParams, cli, f2002, fidelity_to_number_state, loss_channel,
+                    normalization, photon_number_probability, residue_masses)
 
 GRIDS = {
     "fig1": np.logspace(math.log10(0.01), math.log10(20.0), 200),
@@ -118,6 +120,31 @@ def test_script_prints_a_missed_cell(tmp_path):
     first, last = out.getvalue().splitlines()
     assert first.startswith("fidelity d=4 mu=0.5, 0.25, 0.9")
     assert last == "1 of 1 covered cells miss rtol 1e-13"
+
+
+def test_script_finds_no_miss_in_a_fresh_default_fig4(tmp_path):
+    path = tmp_path / "fig4.csv"
+    assert cli.main(["fig4", "--out", str(path)]) == 0
+    out = io.StringIO()
+    assert referee.check_fig4(str(path), out) == 0
+    assert out.getvalue() == "0 of 800 covered cells miss rtol 1e-13\n"
+
+
+def test_fig4_script_prints_a_missed_cell(tmp_path):
+    path = tmp_path / "fig4.csv"
+    path.write_text("quantity,d,j,mu,value\nbasis_fidelity,8,1,0.3,0.5\n")
+    out = io.StringIO()
+    assert referee.check_fig4(str(path), out) == 1
+    first, last = out.getvalue().splitlines()
+    assert first.startswith("basis_fidelity d=8 j=1 mu=0.3, 0.5, 0.9")
+    assert last == "1 of 1 covered cells miss rtol 1e-13"
+
+
+@pytest.mark.parametrize("mu", ["0.1", "0.3", "0.6"])
+def test_basis_fidelity_query(mu, capsys):
+    assert cli.main(["compute", "basis-fidelity", "--d", "8", "--mu", mu]) == 0
+    value = float(capsys.readouterr().out.splitlines()[0])
+    _assert_close([value], [referee.basis_fidelity(float(mu), 8, 1)], "basis-fidelity")
 
 
 @pytest.mark.parametrize("d", referee.BB84_GRID["d"])

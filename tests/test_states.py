@@ -111,7 +111,7 @@ def _vacuum(coeffs, labels, keep):
     return states._projection(np.conj(coeffs), np.exp(gram), coeffs)
 
 
-def test_vacuum_probability_coherent():
+def test_gram_vacuum_projection_of_a_coherent_state():
     a = 0.9
     assert abs(_vacuum(np.ones(1), np.array([[a]], dtype=complex), ()) - np.exp(-a * a)) < 1e-13
 
