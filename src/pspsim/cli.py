@@ -345,7 +345,9 @@ QUANTITIES = {
 
 def cmd_compute(args):
     evaluate, names = QUANTITIES[args.quantity]
-    reads = names + (("eta_det",) if args.quantity == "trigger" else ())  # read, not echoed
+    # trigger reads --eta-det, which it does not echo; f2002 = P1(1) P2(1) echoes the
+    # deltas, which it does not read
+    reads = {"trigger": names + ("eta_det",), "f2002": names[:4]}.get(args.quantity, names)
     _fill_defaults(args, reads)
     value = float(evaluate(args))
     print(_fmt(value))

@@ -346,19 +346,6 @@ def basis_fidelity_bound(mu, d, j):
     return _clamp_unit(s / (math.sqrt(2.0) * norms), "fidelity bound")
 
 
-def _source_fidelity(mu, d, basis_mu):
-    """basis_fidelity_bound(mu', d, 1) of a j = 1 source at each mean photon number in mu.
-
-    "half" treats mu as the total of the prepared state, so the pulses carry
-    mu' = mu/2 each (the bound's N_{2 mu'} matches N_mu); "full" takes mu' = mu.
-    """
-    if basis_mu == "half":
-        return basis_fidelity_bound(mu / 2.0, d, 1)
-    if basis_mu == "full":
-        return basis_fidelity_bound(mu, d, 1)
-    raise ValueError("basis_mu must be 'half' or 'full'")
-
-
 # ---------------------------------------------------------------------------
 # Key-rate estimators
 # ---------------------------------------------------------------------------
@@ -396,6 +383,34 @@ class _Branches:
         rate = np.where(self.live & (rate > 0.0), rate, 0.0)
         return KeyRateCurve(distances, np.broadcast_to(mus, rate.shape), gain, qber, rate,
                             dict(self.diagnostics, vacuous=self.reason))
+
+
+def _phase_error(branches, mus, d, basis_mu, y1, e_b1, name):
+    """The j = 1 phase error, inflated by the basis dependence Delta1 = (1 - F1)/(2 Y1).
+
+    F1 = basis_fidelity_bound(mu', d, 1) is asked for only at the mu rows that some
+    distance still reaches: "half" treats mu as the total of the prepared state,
+    so each pulse carries mu' = mu/2 (the bound's N_{2 mu'} matches N_mu); "full"
+    takes mu' = mu.  f1, delta1 and the phase error (as name) are kept; Delta1 >
+    1/2 or a phase error >= 1/2 ends a point, where the result reads 0.
+    """
+    if basis_mu not in ("half", "full"):
+        raise ValueError("basis_mu must be 'half' or 'full'")
+    # like a single point, a surface asks for the bound (and its d divisible by 4)
+    # only at the mu that some distance reaches it at
+    reached = branches.live.any(axis=1)
+    if not reached.any():
+        return np.zeros(branches.live.shape)
+    per_pulse = mus[reached, 0] / 2.0 if basis_mu == "half" else mus[reached, 0]
+    f1 = np.full(mus.shape, np.nan)
+    f1[reached, 0] = basis_fidelity_bound(per_pulse, d, 1)
+    delta1 = _ratio(1.0 - f1, 2.0 * y1)
+    branches.keep(f1=f1, delta1=delta1)
+    branches.end(delta1 > 0.5, "basis dependence too strong for the fidelity bound")
+    e_p1 = phase_error_upper(branches.live_or_zero(e_b1), branches.live_or_zero(delta1))
+    branches.keep(**{name: e_p1})
+    branches.end(e_p1 >= 0.5, "phase-error bound >= 1/2")
+    return branches.live_or_zero(e_p1)
 
 
 def _nondecoy_curve(c, distances, mus, d=None):
@@ -441,10 +456,8 @@ def _psp_passive_curve(c, distances, mus, d, basis_mu="half", yield_model="exact
     """Passive-decoy rate with full residue discrimination at the source.
 
     R = max(0, P1 Y1 [1 - f H(e_b1) - H(e_p1)]) with P1 the j=1 herald
-    weight, Y1 the state's yield, e_b1 its bit error and e_p1 the
-    basis-dependence-inflated phase error via Delta1 = (1 - F1)/(2 Y1).
-    Delta1 > 1/2 or a phase-error bound >= 1/2 makes the bound vacuous and
-    zeroes the rate (recorded in diagnostics).
+    weight, Y1 the state's yield, e_b1 its bit error and e_p1 its phase
+    error (_phase_error); a vacuous bound zeroes the rate with a diagnostic.
     """
     st = channel_stats(c, mus, distances)
     _validate_dj(d, 1)
@@ -452,15 +465,9 @@ def _psp_passive_curve(c, distances, mus, d, basis_mu="half", yield_model="exact
     p1 = masses[:, 1:2]
     y1 = _state_yields(c, mus, d, [1], masses, st.eta, yield_model)[:, :, 0]
     e_b1 = _bit_error(c, y1)
-    f1 = _source_fidelity(mus[:, 0], d, basis_mu)[:, None]
-    delta1 = _ratio(1.0 - f1, 2.0 * y1)
     branches = _Branches(y1.shape)
-    branches.keep(p1=p1, y1=y1, e_b1=e_b1, f1=f1, delta1=delta1)
-    branches.end(delta1 > 0.5, "basis dependence too strong for the fidelity bound")
-    e_p1 = phase_error_upper(branches.live_or_zero(e_b1), branches.live_or_zero(delta1))
-    e_p1 = np.where(branches.live, e_p1, 1.0)  # 1 where the basis-dependence test ended the bound
-    branches.diagnostics["e_p1"] = e_p1
-    branches.end(e_p1 >= 0.5, "phase-error bound >= 1/2")
+    branches.keep(p1=p1, y1=y1, e_b1=e_b1)
+    e_p1 = _phase_error(branches, mus, d, basis_mu, y1, e_b1, "e_p1")
     rate = p1 * y1 * (1.0 - c.f * binary_entropy(e_b1) - binary_entropy(e_p1))
     return branches.surface(distances, mus, st.q_mu, st.e_mu, rate)
 
@@ -502,7 +509,6 @@ def _psp_triggered_curve(c, distances, mus, d, nu, eta_trigger_det, convention=C
     branches.keep(q_t_mu=q_t_mu, q_nt_mu=q_nt_mu, e_t_mu=e_t_mu, q_t_j1_exact=q_t_j1)
     factorization = branches.diagnostics["factorization"] = np.empty(q_t_mu.shape, dtype=object)
     factorization.fill("gain = herald weight * trigger * state yield")  # one str for every entry
-    result = lambda rate: branches.surface(distances, mus, q_t_mu, e_t_mu, rate)  # noqa: E731
     branches.end((q_t_mu <= 0.0) | (q_nt_mu <= 0.0), "triggered or non-triggered gain vanished")
     r = _ratio(q_t_mu, q_nt_mu)
     r0 = _ratio(eta_t[0], 1.0 - eta_t[0])
@@ -512,21 +518,9 @@ def _psp_triggered_curve(c, distances, mus, d, nu, eta_trigger_det, convention=C
     e_b1_max = _ratio(r * e_t_mu * q_nt_mu, bound)
     branches.keep(e_b1_max=e_b1_max)
     branches.end(e_b1_max >= 0.5, "bit-error bound >= 1/2")
-    reached = branches.live.any(axis=1)
-    if not reached.any():
-        # like a single point, a surface asks for the fidelity bound (and its
-        # d divisible by 4) only at the mu that some distance reaches it at
-        return result(0.0)
-    f1 = np.full(mus.shape, np.nan)
-    f1[reached, 0] = _source_fidelity(mus[reached, 0], d, basis_mu)
-    delta1 = _ratio(1.0 - f1, 2.0 * y_j1)
-    branches.keep(f1=f1, delta1=delta1)
-    branches.end(delta1 > 0.5, "basis dependence too strong for the fidelity bound")
-    e_p1_max = phase_error_upper(branches.live_or_zero(e_b1_max), branches.live_or_zero(delta1))
-    branches.keep(e_p1_max=e_p1_max)
-    branches.end(e_p1_max >= 0.5, "phase-error bound >= 1/2")
-    return result(-c.f * q_t_mu * binary_entropy(e_t_mu)
-                  + bound * (1.0 - binary_entropy(branches.live_or_zero(e_p1_max))))
+    e_p1_max = _phase_error(branches, mus, d, basis_mu, y_j1, e_b1_max, "e_p1_max")
+    rate = -c.f * q_t_mu * binary_entropy(e_t_mu) + bound * (1.0 - binary_entropy(e_p1_max))
+    return branches.surface(distances, mus, q_t_mu, e_t_mu, rate)
 
 
 def keyrate_curve(protocol, c, mu, distances=None, d=None, **kwargs):

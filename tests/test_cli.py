@@ -104,10 +104,14 @@ def test_compute_encoding_error_where_the_gram_route_refused(capsys, argv):
       "exact"], "--yield-model"),
     (["keyrate", "--protocol", "wcs-decoy", "--optimize-mu", "--mu", "0.5"], "--mu"),
     (["keyrate", "--protocol", "wcs-decoy", "--mu", "0.5", "--mu-grid-max", "1"], "--mu-grid-max"),
+    (["compute", "f2002", "--d", "8", "--mu", "0.3", "--delta", "0.3", "--delta2", "0.7"],
+     "--delta"),
+    (["compute", "f2002", "--d", "8", "--mu", "0.3", "--delta2", "0.7"], "--delta2"),
 ])
 def test_flags_that_change_nothing_are_refused(capsys, argv, flag):
-    # compute g2 --j 3 printed the j = 1 value with exit 0, and keyrate --protocol
-    # wcs-decoy --d 8 echoed "d": 8 that no estimator read
+    # compute g2 --j 3 printed the j = 1 value with exit 0, keyrate --protocol
+    # wcs-decoy --d 8 echoed "d": 8 that no estimator read, and compute f2002
+    # --delta 0.3 printed the value without it, since F2002 = P1(1) P2(1)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -128,6 +132,10 @@ def test_flags_that_are_read_are_taken(capsys):
     assert run(["keyrate", "--protocol", "psp-triggered", "--d", "8", "--mu", "0.45", "--nu",
                 "256", "--eta-trigger-det", "0.2", "--basis-mu", "full"]) == 0
     assert json.loads(capsys.readouterr().out)["d"] == 8
+    # f2002 echoes the deltas' defaults, which it does not read
+    assert run(["compute", "f2002", "--d", "8", "--mu", "0.3"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[1])["params"] == {
+        "d": 8, "d2": 8, "delta": 0.0, "delta2": 0.0, "mu": 0.3, "mu2": 0.3}
 
 
 def _refuse(*args, **kwargs):

@@ -722,7 +722,7 @@ TWO_PATH_DISTANCES = ([0.0], np.arange(0.0, 101.0), [260.0, 280.0], [400.0, 500.
 
 
 @pytest.mark.parametrize("protocol, d, kwargs", TWO_PATH_CASES)
-def test_optimize_mu_surface_equals_the_per_mu_fold(protocol, d, kwargs, monkeypatch):
+def test_keyrate_curve_surface_equals_the_per_mu_fold(protocol, d, kwargs, monkeypatch):
     grid = SMALL_GRID if protocol in (WCS_NONDECOY, PSP_NONDECOY) else GRID
     bounds = []  # the mu of every fidelity-bound evaluation
 
@@ -769,6 +769,56 @@ def test_keyrate_curve_asks_for_the_fidelity_bound_where_the_fold_does(distances
             curve = search()
             assert (curve.rate == 0).all() and "f1" not in curve.diagnostics
 
+
+
+def test_a_bad_basis_mu_is_refused_on_every_path():
+    # at 400 and 1000 km no triggered branch reaches the fidelity bound, and
+    # the triggered estimator returned rate 0 for basis_mu="bogus"
+    for distances in ([0.0], [400.0, 1000.0]):
+        for protocol, kwargs in ((PSP_PASSIVE_DECOY, {}),
+                                 (PSP_TRIGGERED, {"nu": 256.0, "eta_trigger_det": 0.12})):
+            with pytest.raises(ValueError, match="^basis_mu must be 'half' or 'full'$"):
+                keyrate_curve(protocol, ChannelParams(), 0.45, distances, 8, basis_mu="bogus",
+                              **kwargs)
+
+
+# Each pseudo-number estimator's diagnostics in the order its branch keeps them,
+# each group followed by the vacuity test that may end the branch there.
+BRANCH_STAGES = {
+    PSP_PASSIVE_DECOY: [
+        ("p1 y1 e_b1 f1 delta1", "basis dependence too strong for the fidelity bound"),
+        ("e_p1", "phase-error bound >= 1/2")],
+    PSP_TRIGGERED: [
+        ("q_t_mu q_nt_mu e_t_mu q_t_j1_exact factorization",
+         "triggered or non-triggered gain vanished"),
+        ("r r0 q_t_j1_bound", "trigger contrast below the j=0 background"),
+        ("e_b1_max", "bit-error bound >= 1/2"),
+        ("f1 delta1", "basis dependence too strong for the fidelity bound"),
+        ("e_p1_max", "phase-error bound >= 1/2")],
+}
+
+
+def test_a_diagnostic_is_listed_only_where_its_branch_reached_it():
+    # the passive estimator listed e_p1 = 1 at 100 to 300 km, where the
+    # basis-dependence test had ended the point before any phase error
+    distances = np.arange(0.0, 301.0, 25.0)
+    for protocol, kwargs in ((PSP_PASSIVE_DECOY, {}),
+                             (PSP_TRIGGERED, {"nu": 64.0, "eta_trigger_det": 0.12})):
+        curve = keyrate_curve(protocol, ChannelParams(), 0.5, distances, 4, **kwargs)
+        reasons = set()
+        for i, L in enumerate(distances):
+            diagnostics = curve.result(i).diagnostics
+            reason = diagnostics.pop("vacuous", None)
+            reached = []
+            for names, ends in BRANCH_STAGES[protocol]:
+                reached += names.split()
+                if ends == reason:
+                    break
+            assert sorted(diagnostics) == sorted(reached), (protocol, L, reason)
+            reasons.add(reason)
+        # live points, and points ended by each test of the phase-error stage
+        assert {None, "basis dependence too strong for the fidelity bound",
+                "phase-error bound >= 1/2"} <= reasons, protocol
 
 def gllp_by_hand(c, mu, p_multi):
     """The GLLP non-decoy rate from the channel's gain and QBER."""
