@@ -23,10 +23,9 @@ small_grid = np.arange(0.002, 0.06, 0.002)
 
 # Channel sanity at two distances: gain and error rate of a plain weak
 # coherent source, which everything downstream builds on.
-for L in (0.0, 20.0):
-    c = ChannelParams(distance_km=L)
-    st = channel_stats(c, 0.1)
-    print("L=%5.1f km  eta=%.5f  Q=%.4e  E=%.4f" % (L, st.eta, st.q_mu, st.e_mu))
+st = channel_stats(ChannelParams(), 0.1, [0.0, 20.0])
+for L, eta, q_mu, e_mu in zip((0.0, 20.0), st.eta, st.q_mu, st.e_mu):
+    print("L=%5.1f km  eta=%.5f  Q=%.4e  E=%.4f" % (L, eta, q_mu, e_mu))
 
 print()
 print("key rate vs distance (mu fixed at sensible values, decoy baseline optimized)")
@@ -34,7 +33,7 @@ print("  L/km   wcs-nondecoy   wcs-decoy      psp-passive d=8   psp-triggered d=
 # One keyrate_curve per source covers every distance: a mu grid is searched at
 # each distance, a single mu is evaluated as given.
 distances = np.array([0.0, 10.0, 20.0, 30.0, 40.0, 60.0, 80.0, 100.0])
-c = ChannelParams()  # every channel parameter but the distance
+c = ChannelParams()
 curves = (keyrate_curve(WCS_NONDECOY, c, small_grid, distances),
           keyrate_curve(WCS_DECOY, c, grid, distances),
           keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, distances, d=8),
@@ -44,7 +43,7 @@ for i, L in enumerate(distances):
 
 print()
 print("the non-decoy weak-coherent link dies quickly; find the cutoff")
-nd = keyrate_curve(WCS_NONDECOY, ChannelParams(), small_grid, np.arange(38.0, 46.0))
+nd = keyrate_curve(WCS_NONDECOY, c, small_grid, np.arange(38.0, 46.0))
 for L, rate in zip(nd.distance_km, nd.rate):
     tag = "dead" if rate == 0 else "%.3e" % rate
     print("  L=%3d km  rate=%s" % (L, tag))
@@ -60,8 +59,7 @@ for mu in (0.1, 0.3, 0.6):
 
 print()
 print("optimized source intensity at L=40 km")
-c = ChannelParams(distance_km=40.0)
 for protocol, d in ((WCS_NONDECOY, None), (WCS_DECOY, None), (PSP_PASSIVE_DECOY, 36)):
     g = small_grid if protocol == WCS_NONDECOY else grid
-    res = keyrate_curve(protocol, c, g, d=d).result(0)  # at c.distance_km
+    res = keyrate_curve(protocol, c, g, [40.0], d=d).result(0)
     print("  %-13s d=%-4s mu*=%.3f  rate=%.4e" % (protocol, d, res.mu, res.rate))

@@ -165,7 +165,7 @@ def _fig5_rows(args):
     specs = [(WCS_DECOY, None, None, {})]
     specs += [(PSP_PASSIVE_DECOY, d, mu, {}) for d, mu in FIG5_PSP_CURVES]
     specs += [(PSP_TRIGGERED, d, mu, dict(trigger, nu=4.0 * d * d)) for d, mu in FIG5_PSP_CURVES]
-    c = ChannelParams()  # every channel parameter but the distance
+    c = ChannelParams()
     rows = []
     for protocol, d, mu, kwargs in specs:
         searched = args.optimize_mu or mu is None
@@ -365,8 +365,7 @@ def cmd_keyrate(args):
     cause = ("--optimize-mu, which searches the --mu-grid-* grid" if args.optimize_mu
              else "a single-mu run; give --optimize-mu to search a mu grid")
     _fill_defaults(args, set(FLAGS["keyrate"]) - unread, dict.fromkeys(("mu",) + search, cause))
-    c = ChannelParams(distance_km=args.L, f=args.f, eta_bob=args.eta_bob,
-                      y0=args.y0, e_det=args.e_det)
+    c = ChannelParams(f=args.f, eta_bob=args.eta_bob, y0=args.y0, e_det=args.e_det)
     kwargs = {name: getattr(args, name) for name in PARAMETERS[args.protocol]}
     mu = args.mu
     if args.optimize_mu:
@@ -375,7 +374,7 @@ def cmd_keyrate(args):
         mu = _grid("mu grid", args.mu_grid_min, args.mu_grid_max, args.mu_grid_step)
     elif mu is None:
         raise ValueError("--mu is required unless --optimize-mu is given")
-    res = keyrate_curve(args.protocol, c, mu, **kwargs).result(0)
+    res = keyrate_curve(args.protocol, c, mu, [args.L], **kwargs).result(0)
     report = dict(vars(res), protocol=args.protocol, distance_km=args.L, d=args.d)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

@@ -48,7 +48,7 @@ class GenerationParams:
             warnings.warn(
                 "sqrt(nu) = %.3g <= d = %d: meter phases closer than the "
                 "heterodyne resolution, discrimination unreliable" % (np.sqrt(self.nu), self.d),
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

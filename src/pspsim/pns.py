@@ -205,7 +205,7 @@ def _support_terms(mu, d, j):
     terms of M_j(mu) for a valid mu, d and j.  Past 2 mu each term is below half the one before,
     so those left out sum to below 2^-104 of a kept one.  Only n = 0 holds mass at mu = 0."""
     if mu > SERIES_MAX_N:
-        raise TruncationError("Poisson series at mu=%.6g passes SERIES_MAX_N" % mu)
+        raise _too_long(mu, d)
     if mu == 0:
         return np.zeros(int(j == 0), dtype=int), np.ones(int(j == 0))
     ns = np.arange(j, int(2.0 * mu) + 2 * d + 105, d)

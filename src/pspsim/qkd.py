@@ -62,7 +62,6 @@ class ChannelParams:
     e0: float = 0.5
     e_det: float = 0.033
     alpha_db_per_km: float = 0.21
-    distance_km: float = 0.0
 
     def __post_init__(self):
         # NaN fails no range test below, and max(0, nan) would read as a zero rate
@@ -77,15 +76,15 @@ class ChannelParams:
             raise ValueError("error rates must lie in [0, 1/2]")
         if self.f < 1:
             raise ValueError("error-correction inefficiency f must be >= 1")
-        if self.alpha_db_per_km < 0 or self.distance_km < 0:
-            raise ValueError("loss coefficient and distance must be nonnegative")
+        if self.alpha_db_per_km < 0:
+            raise ValueError("loss coefficient must be nonnegative")
 
 
 @dataclass(frozen=True)
 class ChannelStats:
-    eta: float
-    q_mu: float
-    e_mu: float
+    eta: np.ndarray
+    q_mu: np.ndarray
+    e_mu: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,45 +139,37 @@ def binary_entropy(p):
     return h if h.ndim else float(h)
 
 
-def transmission(c, distances=None):
-    """Overall transmittance eta from fiber loss and Bob's efficiency.
-
-    distances (km, 1-D) gives an array, one eta per entry, in place of the
-    eta at c.distance_km.
-    """
+def transmission(c, distances):
+    """Overall transmittance eta from fiber loss and Bob's efficiency: an array, one eta per
+    entry of distances (km, 1-D)."""
     # np.float_power is the C library's pow at each entry, so a one-distance call keeps the
     # bits of its column in a sweep; numpy's ** may round an entry by its place in the array
-    eta = np.float_power(10.0, -c.alpha_db_per_km * _distances(c, distances) / 10.0) * c.eta_bob
-    return float(eta[0]) if distances is None else eta
+    return np.float_power(10.0, -c.alpha_db_per_km * _distances(distances) / 10.0) * c.eta_bob
 
 
-def _distances(c, distances):
-    """distances as a checked 1-D float array; None means (c.distance_km,)."""
-    if distances is None:
-        return np.array([c.distance_km])
+def _distances(distances):
+    """distances as a checked 1-D float array."""
     at = _real(distances, "distances")
     if at.ndim != 1 or not at.size or (at < 0).any():
         raise ValueError("distances must be a nonempty 1-D array of nonnegative values")
     return at
 
 
-def channel_stats(c, mu, distances=None):
-    """Transmittance, gain Q_mu and QBER E_mu at mean photon number mu.
+def channel_stats(c, mu, distances):
+    """Transmittance, gain Q_mu and QBER E_mu at mean photon number mu, over distances.
 
     A pseudo-number source partitions the same Poisson photon statistics by
     residue, so Q_mu and E_mu hold for it and for a weak coherent source alike.
-    distances (km, 1-D) gives arrays over them in place of the values at
-    c.distance_km, and a column mu, shape (m, 1), (m, len(distances)) tables.
+    A number mu gives arrays over distances (km, 1-D), and a column mu, shape
+    (m, 1), (m, len(distances)) tables.
     """
     mus = _real(mu, "mu")  # a number, a 1-D array or a column
     if (mus < 0).any():
         raise ValueError("mu must be nonnegative")
-    eta = transmission(c, _distances(c, distances))  # an array, even for c.distance_km alone
+    eta = transmission(c, distances)
     survival = np.exp(-eta * mus)
     q = c.y0 + 1.0 - survival
     e = np.where(q > 0, _ratio(c.e0 * c.y0 + c.e_det * (1.0 - survival), q), c.e0)
-    if distances is None and mus.ndim == 0:
-        return ChannelStats(eta=float(eta[0]), q_mu=float(q[0]), e_mu=float(e[0]))
     return ChannelStats(eta=eta, q_mu=q, e_mu=e)
 
 
@@ -188,8 +179,9 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
 
 
-def pseudo_state_yield(c, mu, d, j, model="exact"):
-    """Detection probability of |j_d>: its photon-number mixture of yields.
+def pseudo_state_yield(c, mu, distances, d, j, model="exact"):
+    """Detection probability of |j_d> at each of distances (km, 1-D): its photon-number
+    mixture of yields, an array over distances.
 
     model="exact" averages Y_n over the conditional distribution
     p(n | j) = d^2 e^{-mu} mu^n / (n! N_{mu,j}); model="dominant" collapses
@@ -200,15 +192,15 @@ def pseudo_state_yield(c, mu, d, j, model="exact"):
     if (_mu(mu) < 0).any():  # the dominant model reads no residue mass, whose series checks it
         raise ValueError("mu must be nonnegative")
     masses = residue_masses(mu, d)[None] if model == "exact" else None
-    eta = transmission(c, _distances(c, None))
-    return float(_state_yields(c, np.array([[mu]]), d, [j], masses, eta, model)[0, 0, 0])
+    eta = transmission(c, distances)
+    return np.array(_state_yields(c, np.array([[mu]]), d, [j], masses, eta, model)[0, :, 0])
 
 
 def _state_yields(c, mus, d, js, masses, eta, model):
     """pseudo_state_yield of each residue in js at each intensity in mus and transmittance in eta.
 
     An (m, len(eta), len(js)) table for the column mus, shape (m, 1); masses =
-    residue_masses(mus[:, 0], d), which only the exact model reads.
+    residue_masses(mus[:, 0], d).  Only the exact model reads d and masses.
     """
     js = np.atleast_1d(js).tolist()
     if model == "dominant":  # float_power as in transmission: a residue's bits whatever js holds
@@ -442,7 +434,7 @@ def _wcs_decoy_curve(c, distances, mus):
     e1 = (e0 - e_det) Y0/Y1 + e_det.
     """
     st = channel_stats(c, mus, distances)
-    y1 = 1.0 - (1.0 - c.y0) * (1.0 - st.eta)  # Y_n at n = 1, as in _state_yields' dominant model
+    y1 = _state_yields(c, mus, None, [1], None, st.eta, "dominant")[:, :, 0]
     q1 = y1 * mus * np.exp(-mus)
     e1 = _bit_error(c, y1)
     branches = _Branches(st.q_mu.shape)
@@ -523,15 +515,14 @@ def _psp_triggered_curve(c, distances, mus, d, nu, eta_trigger_det, convention=C
     return branches.surface(distances, mus, q_t_mu, e_t_mu, rate)
 
 
-def keyrate_curve(protocol, c, mu, distances=None, d=None, **kwargs):
+def keyrate_curve(protocol, c, mu, distances, d=None, **kwargs):
     """Key rate of one source at every distance (km, 1-D array): a KeyRateCurve.
 
     mu is one positive number or a nonempty 1-D grid of them.  The protocol
     is evaluated once, over the whole (sorted grid, distance) surface; each
     distance then takes the first maximum of its rate along the grid, so a
-    larger mu wins only on a strictly larger rate.  distances=None means
-    (c.distance_km,), whose result(0) is the rate at c's own distance; c
-    supplies every other channel parameter.  What depends only on the source
+    larger mu wins only on a strictly larger rate.  c supplies every channel
+    parameter but the distances.  What depends only on the source
     (its residue masses, fidelity bound and trigger vector) is computed once
     for all distances.  The pseudo-number protocols need an integer d >= 1, and
     keyword arguments go to the protocol's estimator; a d or keyword that is not
@@ -545,7 +536,7 @@ def keyrate_curve(protocol, c, mu, distances=None, d=None, **kwargs):
     mus = np.array(sorted(grid.ravel().tolist()))[:, None]
     if mus[0, 0] <= 0:
         raise ValueError("mu must be positive")
-    at = _distances(c, distances)
+    at = _distances(distances)
     if protocol not in PARAMETERS:
         raise ValueError("unknown protocol %r" % (protocol,))
     for name in ([] if d is None else ["d"]) + list(kwargs):

@@ -189,8 +189,7 @@ def test_07_basis_indistinguishability():
 def fitted_slope(protocol, grid):
     etas, rates = [], []
     for L in range(20, 81, 5):
-        c = ChannelParams(distance_km=float(L))
-        res = keyrate_curve(protocol, c, grid).result(0)
+        res = keyrate_curve(protocol, ChannelParams(), grid, [float(L)]).result(0)
         if res.rate > 0:
             etas.append(10 ** (-0.21 * L / 10.0) * 0.045)
             rates.append(res.rate)
@@ -234,8 +233,8 @@ def test_09_distance_sweep_dataset(tmp_path):
     # distances where the optimized non-decoy weak-coherent rate is zero
     grid = np.arange(0.002, 0.06, 0.002)
     dead = [L for L in range(42, 101, 10)
-            if keyrate_curve(WCS_NONDECOY, ChannelParams(distance_km=float(L)),
-                             grid).result(0).rate == 0.0]
+            if keyrate_curve(WCS_NONDECOY, ChannelParams(), grid,
+                             [float(L)]).result(0).rate == 0.0]
     psp_alive = all(
         rate > 0
         for d in (8, 36)

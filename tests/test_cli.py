@@ -374,8 +374,8 @@ def test_fig5_rows_and_rates(tmp_path, capsys):
     assert protocols == {"wcs-decoy", "psp-passive", "psp-triggered"}
     assert len(rows) == 7 * 3
     by_key = {(r[0], r[1], r[4]): float(r[5]) for r in rows}
-    expect = qkd.keyrate_curve(qkd.PSP_PASSIVE_DECOY, ChannelParams(distance_km=40.0),
-                               0.45, d=8).result(0).rate
+    expect = qkd.keyrate_curve(qkd.PSP_PASSIVE_DECOY, ChannelParams(), 0.45, [40.0],
+                               d=8).result(0).rate
     assert abs(by_key[("psp-passive", "8", "40")] - expect) < 1e-15
 
 
@@ -423,7 +423,7 @@ def test_keyrate_rejects_non_finite_distance(capsys):
     assert run(["keyrate", "--protocol", "wcs-decoy", "--mu", "0.5", "--L", "nan"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-parameter"
-    assert "distance_km" in err["message"]
+    assert "distances" in err["message"]
 
 
 @pytest.mark.parametrize("step", ["0", "-0.05", "nan"])

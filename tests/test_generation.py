@@ -97,8 +97,10 @@ def test_trigger_validation():
 
 
 def test_meter_resolution_warning():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         GenerationParams(mu=0.3, nu=9.0, d=4, eta_det=0.12)
+    # the warning names the line that built the parameters, not the dataclass's __init__
+    assert record[0].filename == __file__
 
 
 def test_no_warning_when_resolved():

@@ -19,6 +19,7 @@ from pspsim import (
     herald_probabilities,
     keyrate_curve,
     loss_channel,
+    measure_bb84,
     normalization,
     phase_error_upper,
     photon_number_probability,
@@ -167,11 +168,14 @@ def test_a_mu_past_the_series_limit_is_refused_before_any_block(monkeypatch):
     # residue_masses(1e300, 2) summed blocks up to SERIES_MAX_N (about 0.6 s) before
     # it raised; the message names the first mu of the table past the limit
     monkeypatch.setattr(pns, "_residue_rows", _never_summed)
-    for mu, named in ((1e300, "1e+300"), ([0.5, 2.0**21, 1e300], "2.09715e+06")):
-        message = "modular Poisson series at mu=%s, d=2 needs photon numbers above %d" % (
-            named, pns.SERIES_MAX_N)
+    for call, named, d in ((lambda: residue_masses(1e300, 2), "1e+300", 2),
+                           (lambda: residue_masses([0.5, 2.0**21, 1e300], 2), "2.09715e+06", 2),
+                           # the BB84 readout's series, over the total photon number at 2 mu
+                           (lambda: measure_bb84(1e6, 8, 1, 2, "X"), "2e+06", 8)):
+        message = "modular Poisson series at mu=%s, d=%d needs photon numbers above %d" % (
+            named, d, pns.SERIES_MAX_N)
         with pytest.raises(TruncationError) as exc:
-            residue_masses(mu, 2)
+            call()
         assert str(exc.value) == message
     assert residue_masses(1e300, 1)[0] == 1.0  # d = 1 sums no series
     assert residue_masses([1e300, 0.5], 1).tolist() == [[1.0], [1.0]]
@@ -315,7 +319,7 @@ def test_a_mu_grid_state_compares_by_value_and_reads_as_arrays():
     lambda: normalization(0.5, 4, True),
     lambda: g2_zero_closed(0.5, True),
     lambda: herald_probabilities(GenerationParams(0.5, 100.0, True)),
-    lambda: keyrate_curve(PSP_NONDECOY, ChannelParams(), 0.1, d=True),
+    lambda: keyrate_curve(PSP_NONDECOY, ChannelParams(), 0.1, [0.0], d=True),
     lambda: PSPParams(mu=0.5, d=True, j=0),
     lambda: PSPParams(mu=0.5, d=4, j=True),
     lambda: PSPParams(mu=0.5, d=math.inf, j=True),
@@ -340,10 +344,10 @@ def test_psp_params_rejects_a_sequence_of_d(d):
     (lambda mu: normalization(mu, 4, 1), True),
     (lambda mu: g2_zero_closed(mu, 4), True),
     (lambda mu: basis_fidelity_bound(mu, 8, 1), True),
-    (lambda mu: keyrate_curve(WCS_DECOY, ChannelParams(), mu), True),  # a mu grid
+    (lambda mu: keyrate_curve(WCS_DECOY, ChannelParams(), mu, [0.0]), True),  # a mu grid
     (lambda mu: PSPParams(mu=mu, d=8, j=1), False),
-    (lambda mu: keyrate_curve(PSP_PASSIVE_DECOY, ChannelParams(), mu, d=8), False),
-    (lambda mu: pseudo_state_yield(ChannelParams(), mu, 4, 1, "dominant"), False),
+    (lambda mu: keyrate_curve(PSP_PASSIVE_DECOY, ChannelParams(), mu, [0.0], d=8), False),
+    (lambda mu: pseudo_state_yield(ChannelParams(), mu, [0.0], 4, 1, "dominant"), False),
     (lambda mu: GenerationParams(mu=mu, nu=100.0, d=4), False),
 ], ids=["residue_masses", "normalization", "g2_zero_closed", "basis_fidelity_bound",
         "optimize_mu", "PSPParams", "keyrate_for_protocol", "pseudo_state_yield",
@@ -358,7 +362,6 @@ def test_bool_is_no_mu(call, arrays):
 @pytest.mark.parametrize("name, call", [
     ("nu", lambda v: GenerationParams(mu=0.1, nu=v, d=1)),
     ("eta_det", lambda v: GenerationParams(mu=0.1, nu=100.0, d=4, eta_det=v)),
-    ("distance_km", lambda v: ChannelParams(distance_km=v)),
     ("eta_bob", lambda v: ChannelParams(eta_bob=v)),
     ("delta", lambda v: PSPParams(mu=0.1, d=8, delta=v)),
     ("eta", lambda v: loss_channel(PSPParams(mu=0.1, d=4), v)),
@@ -366,9 +369,9 @@ def test_bool_is_no_mu(call, arrays):
     ("distances", lambda v: keyrate_curve(WCS_DECOY, ChannelParams(), 0.5, [v])),
     ("e_bit", lambda v: phase_error_upper(v, 0.1)),
     ("p", lambda v: binary_entropy(v)),
-], ids=["GenerationParams-nu", "GenerationParams-eta_det", "ChannelParams-distance_km",
-        "ChannelParams-eta_bob", "PSPParams-delta", "loss_channel", "transmission",
-        "keyrate_curve", "phase_error_upper", "binary_entropy"])
+], ids=["GenerationParams-nu", "GenerationParams-eta_det", "ChannelParams-eta_bob",
+        "PSPParams-delta", "loss_channel", "transmission", "keyrate_curve", "phase_error_upper",
+        "binary_entropy"])
 def test_bool_is_no_real_parameter(name, call):
     # each read True as 1: the trigger fired with probability 1 at nu = 1,
     # loss_channel gave weights (1.0, 0.0), distances read 1 km, and

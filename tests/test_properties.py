@@ -120,7 +120,7 @@ def test_residue_subset_is_the_full_table_columns(d, data):
        distance=st.floats(0.0, 400.0), model=st.sampled_from(["exact", "dominant"]))
 def test_pseudo_state_yield_is_a_probability(mu, d, data, distance, model):
     j = data.draw(st.integers(0, d - 1), label="j")
-    y = pseudo_state_yield(ChannelParams(distance_km=distance), mu, d, j, model)
+    y = pseudo_state_yield(ChannelParams(), mu, [distance], d, j, model)[0]
     assert 0.0 <= y <= 1.0
 
 

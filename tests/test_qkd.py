@@ -44,33 +44,59 @@ TRIGGER = {"nu": 256.0, "eta_trigger_det": 0.12}
 
 
 def test_transmission():
-    assert abs(transmission(ChannelParams(distance_km=0.0)) - 0.045) < 1e-15
-    c = ChannelParams(distance_km=20.0)
-    assert abs(transmission(c) - 0.045 * 10 ** (-0.42)) < 1e-15
+    eta = transmission(ChannelParams(), [0.0, 20.0])
+    assert abs(eta[0] - 0.045) < 1e-15
+    assert abs(eta[1] - 0.045 * 10 ** (-0.42)) < 1e-15
 
 
-def n_photon_yield(c, n):
-    """Y_n = 1 - (1 - Y0)(1 - eta)^n, the detection probability of n photons."""
-    return 1.0 - (1.0 - c.y0) * (1.0 - transmission(c)) ** n
+def n_photon_yield(c, L, n):
+    """Y_n = 1 - (1 - Y0)(1 - eta)^n, the detection probability of n photons at L km."""
+    return 1.0 - (1.0 - c.y0) * (1.0 - float(transmission(c, [L])[0])) ** n
 
 
 def test_yield_n_closed_form():
     # the dominant model collapses |j_d> to j photons, whatever mu and d are
-    c = ChannelParams(distance_km=40.0)
+    c = ChannelParams()
     eta = 0.045 * 10 ** (-0.84)
     for n in range(5):
         expect = 1.0 - (1.0 - 1.7e-6) * (1.0 - eta) ** n
         for mu, d in ((0.45, 8), (2.0, 5)):
-            assert abs(pseudo_state_yield(c, mu, d, n, "dominant") - expect) < 1e-16
+            assert abs(pseudo_state_yield(c, mu, [40.0], d, n, "dominant")[0] - expect) < 1e-16
 
 
 def test_channel_stats_short_and_long_distance():
-    st = channel_stats(ChannelParams(distance_km=0.0), 0.1)
-    assert abs(st.q_mu - 4.491590170429549e-03) < 1e-15
-    assert abs(st.e_mu - 3.317675254639731e-02) < 1e-15
-    far = channel_stats(ChannelParams(distance_km=1000.0), 0.1)
-    assert far.q_mu < 3e-6
-    assert abs(far.e_mu - 0.5) < 1e-3
+    st = channel_stats(ChannelParams(), 0.1, [0.0, 1000.0])
+    assert abs(st.q_mu[0] - 4.491590170429549e-03) < 1e-15
+    assert abs(st.e_mu[0] - 3.317675254639731e-02) < 1e-15
+    assert st.q_mu[1] < 3e-6
+    assert abs(st.e_mu[1] - 0.5) < 1e-3
+
+
+def test_channel_functions_return_arrays_over_their_distances():
+    # each used to return a number, or a ChannelStats of numbers, when given no distances
+    c, distances = ChannelParams(), [0.0, 40.0, 80.0]
+    assert transmission(c, distances).shape == (3,)
+    st = channel_stats(c, 0.1, distances)
+    assert st.eta.shape == st.q_mu.shape == st.e_mu.shape == (3,)
+    assert keyrate_curve(WCS_DECOY, c, 0.5, distances).rate.shape == (3,)
+    for model in ("exact", "dominant"):
+        yields = pseudo_state_yield(c, 0.45, distances, 8, 1, model)
+        assert yields.shape == (3,)
+        for i, L in enumerate(distances):  # an entry does not depend on the other distances
+            assert yields[i] == pseudo_state_yield(c, 0.45, [L], 8, 1, model)[0]
+
+
+def test_the_distances_are_an_argument_not_a_channel_parameter():
+    # keyrate_curve("wcs-decoy", ChannelParams(distance_km=50), 0.5, [0, 10]) returned
+    # the rates at 0 and 10 km without a word, and a call without distances read 50
+    with pytest.raises(TypeError):
+        ChannelParams(distance_km=50.0)
+    c = ChannelParams()
+    for call in (lambda: transmission(c), lambda: channel_stats(c, 0.1),
+                 lambda: pseudo_state_yield(c, 0.45, d=8, j=1),
+                 lambda: keyrate_curve(WCS_DECOY, c, 0.5)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_channel_stats_rejects_bool_mu():
@@ -78,44 +104,45 @@ def test_channel_stats_rejects_bool_mu():
     c = ChannelParams()
     for mu in (True, np.True_, np.array([[True]]), np.array([True, False]), [[0.5], [True]]):
         with pytest.raises(ValueError, match="bool"):
-            channel_stats(c, mu)
+            channel_stats(c, mu, [0.0])
     column = channel_stats(c, np.array([[0.5], [1.0]]), np.array([0.0, 50.0]))
     assert column.q_mu.shape == (2, 2)
-    assert column.q_mu[1, 0] == channel_stats(ChannelParams(distance_km=0.0), 1.0).q_mu
+    assert column.q_mu[1, 0] == channel_stats(c, 1.0, [0.0]).q_mu[0]
 
 
 def test_estimators_reject_non_finite_mu():
-    c = ChannelParams(distance_km=20.0)
+    c = ChannelParams()
     for mu in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            channel_stats(c, mu)
+            channel_stats(c, mu, [20.0])
         with pytest.raises(ValueError):
-            keyrate_curve(WCS_DECOY, c, mu)
+            keyrate_curve(WCS_DECOY, c, mu, [20.0])
         with pytest.raises(ValueError):
-            keyrate_curve(PSP_TRIGGERED, c, mu, d=8, **TRIGGER)
+            keyrate_curve(PSP_TRIGGERED, c, mu, [20.0], d=8, **TRIGGER)
 
 
 def test_pseudo_state_yield_matches_series_oracle():
     # average Y_n over p(n | residue class j) term by term
     for (L, mu, d, j) in ((40.0, 0.45, 8, 1), (20.0, 0.08, 4, 1),
                           (60.0, 1.0, 36, 1), (40.0, 0.45, 8, 0)):
-        c = ChannelParams(distance_km=L)
+        c = ChannelParams()
         mass = residue_masses(mu, d)[j]
         total = 0.0
         for n in range(j, 400, d):
             p = math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
-            total += p * n_photon_yield(c, n)
+            total += p * n_photon_yield(c, L, n)
         oracle = total / mass
-        lib = pseudo_state_yield(c, mu, d, j)
+        lib = pseudo_state_yield(c, mu, [L], d, j)[0]
         assert abs(lib - oracle) < 1e-14
 
 
 def test_pseudo_state_yield_frozen_point_and_dominant_model():
-    c = ChannelParams(distance_km=40.0)
-    assert abs(pseudo_state_yield(c, 0.45, 8, 1) - 6.506168144914004e-03) < 1e-15
-    assert pseudo_state_yield(c, 0.45, 8, 1, model="dominant") == n_photon_yield(c, 1)
+    c = ChannelParams()
+    assert abs(pseudo_state_yield(c, 0.45, [40.0], 8, 1)[0] - 6.506168144914004e-03) < 1e-15
+    assert pseudo_state_yield(c, 0.45, [40.0], 8, 1, model="dominant")[0] == n_photon_yield(
+        c, 40.0, 1)
     with pytest.raises(ValueError):
-        pseudo_state_yield(c, 0.45, 8, 1, model="other")
+        pseudo_state_yield(c, 0.45, [40.0], 8, 1, model="other")
 
 
 @pytest.mark.parametrize("model", ["exact", "dominant"])
@@ -124,7 +151,7 @@ def test_pseudo_state_yield_frozen_point_and_dominant_model():
 def test_pseudo_state_yield_rejects_bad_d_and_j(model, d, j):
     # the dominant model used to ignore d and j: -0.00654 at j = -1, 0.0753 at j = 12
     with pytest.raises(ValueError, match="must be an integer"):
-        pseudo_state_yield(ChannelParams(distance_km=40.0), 0.45, d, j, model)
+        pseudo_state_yield(ChannelParams(), 0.45, [40.0], d, j, model)
 
 
 @pytest.mark.parametrize("mu, message", [(-1.0, "nonnegative"), (math.nan, "finite"),
@@ -133,7 +160,7 @@ def test_pseudo_state_yield_rejects_bad_d_and_j(model, d, j):
 def test_pseudo_state_yield_rejects_bad_mu(model, mu, message):
     # the dominant model used to ignore mu and return 0.0065062 for each
     with pytest.raises(ValueError, match="mu must be " + message):
-        pseudo_state_yield(ChannelParams(distance_km=40.0), mu, 8, 1, model)
+        pseudo_state_yield(ChannelParams(), mu, [40.0], 8, 1, model)
 
 
 def test_binary_entropy():
@@ -331,17 +358,16 @@ def test_basis_fidelity_bound_overflow_is_a_numerical_failure_without_warning(mu
 
 
 def test_nondecoy_optimized_frozen_point_and_cutoff():
-    c = ChannelParams(distance_km=20.0)
-    res = keyrate_curve(WCS_NONDECOY, c, SMALL_GRID).result(0)
+    c = ChannelParams()
+    res = keyrate_curve(WCS_NONDECOY, c, SMALL_GRID, [20.0]).result(0)
     assert abs(res.mu - 0.01) < 1e-12
     assert abs(res.rate - 4.008867022051779e-05) < 1e-12
-    far = ChannelParams(distance_km=42.0)
-    dead = keyrate_curve(WCS_NONDECOY, far, SMALL_GRID).result(0)
+    dead = keyrate_curve(WCS_NONDECOY, c, SMALL_GRID, [42.0]).result(0)
     assert dead.rate == 0.0
 
 
 def test_wcs_decoy_frozen_point():
-    res = keyrate_curve(WCS_DECOY, ChannelParams(distance_km=20.0), 0.5).result(0)
+    res = keyrate_curve(WCS_DECOY, ChannelParams(), 0.5, [20.0]).result(0)
     assert abs(res.rate - 2.0299986611564962e-03) < 1e-14
     assert res.gain > 0 and 0 < res.qber < 0.5
 
@@ -353,35 +379,34 @@ def test_psp_passive_frozen_points():
         (40.0, 1.0, 36, 1.3087567975131505e-03),
     )
     for L, mu, d, rate in expect:
-        res = keyrate_curve(PSP_PASSIVE_DECOY, ChannelParams(distance_km=L), mu, d=d).result(0)
+        res = keyrate_curve(PSP_PASSIVE_DECOY, ChannelParams(), mu, [L], d=d).result(0)
         assert abs(res.rate - rate) < 1e-14
 
 
 def test_psp_passive_basis_mu_options_agree_at_large_d():
-    c = ChannelParams(distance_km=40.0)
-    half = keyrate_curve(PSP_PASSIVE_DECOY, c, 1.0, d=36, basis_mu="half").result(0)
-    full = keyrate_curve(PSP_PASSIVE_DECOY, c, 1.0, d=36, basis_mu="full").result(0)
+    c = ChannelParams()
+    half = keyrate_curve(PSP_PASSIVE_DECOY, c, 1.0, [40.0], d=36, basis_mu="half").result(0)
+    full = keyrate_curve(PSP_PASSIVE_DECOY, c, 1.0, [40.0], d=36, basis_mu="full").result(0)
     assert abs(half.rate - full.rate) < 1e-9 * half.rate
 
 
 def test_psp_triggered_frozen_point_and_upper_bound():
-    c = ChannelParams(distance_km=40.0)
-    trig = keyrate_curve(PSP_TRIGGERED, c, 0.45, d=8, **TRIGGER).result(0)
+    c = ChannelParams()
+    trig = keyrate_curve(PSP_TRIGGERED, c, 0.45, [40.0], d=8, **TRIGGER).result(0)
     assert abs(trig.rate - 1.0108523319818162e-03) < 1e-14
     for L in (0.0, 20.0, 40.0, 60.0):
-        ch = ChannelParams(distance_km=L)
-        passive = keyrate_curve(PSP_PASSIVE_DECOY, ch, 0.45, d=8).result(0)
+        passive = keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, [L], d=8).result(0)
         for convention in ("paper", "recomputed"):
-            t = keyrate_curve(PSP_TRIGGERED, ch, 0.45, d=8, **TRIGGER,
+            t = keyrate_curve(PSP_TRIGGERED, c, 0.45, [L], d=8, **TRIGGER,
                               convention=convention).result(0)
             assert t.rate <= passive.rate + 1e-15
 
 
-def triggered_by_loop(c, mu, d, nu, eta_det, convention, yield_model):
-    """(q_t_mu, q_nt_mu, rate) of the triggered estimator, one residue at a time."""
+def triggered_by_loop(c, L, mu, d, nu, eta_det, convention, yield_model):
+    """(q_t_mu, q_nt_mu, rate) of the triggered estimator at L km, one residue at a time."""
     g = GenerationParams(mu=mu, nu=nu, d=d, eta_det=eta_det)
     probs = residue_masses(mu, d).tolist()
-    yields = [pseudo_state_yield(c, mu, d, j, yield_model) for j in range(d)]
+    yields = [float(pseudo_state_yield(c, mu, [L], d, j, yield_model)[0]) for j in range(d)]
     eta_t = [trigger_probability(g, j, convention) for j in range(d)]
     q_t = [p * t * y for p, t, y in zip(probs, eta_t, yields)]
     q_nt = [p * (1.0 - t) * y for p, t, y in zip(probs, eta_t, yields)]
@@ -408,10 +433,10 @@ def test_psp_triggered_vectorized_matches_per_residue_loop():
     for yield_model, convention, L, mu, d in itertools.product(
             ("exact", "dominant"), ("paper", "recomputed"), (0.0, 40.0, 100.0),
             (0.05, 0.45, 2.0), (4, 8, 36)):
-        c = ChannelParams(distance_km=L)
-        res = keyrate_curve(PSP_TRIGGERED, c, mu, d=d, nu=4.0 * d * d, eta_trigger_det=0.12,
+        c = ChannelParams()
+        res = keyrate_curve(PSP_TRIGGERED, c, mu, [L], d=d, nu=4.0 * d * d, eta_trigger_det=0.12,
                             convention=convention, yield_model=yield_model).result(0)
-        q_t, q_nt, rate = triggered_by_loop(c, mu, d, 4.0 * d * d, 0.12, convention,
+        q_t, q_nt, rate = triggered_by_loop(c, L, mu, d, 4.0 * d * d, 0.12, convention,
                                             yield_model)
         assert abs(res.diagnostics["q_t_mu"] - q_t) <= 1e-15 * q_t
         assert abs(res.diagnostics["q_nt_mu"] - q_nt) <= 1e-15 * q_nt
@@ -447,7 +472,7 @@ def test_curve_matches_per_distance_calls(protocol, mu, d, kwargs):
     assert isinstance(curve, KeyRateCurve)
     assert curve.rate.shape == distances.shape
     for i, L in enumerate(distances):
-        expect = keyrate_curve(protocol, ChannelParams(distance_km=L), mu, d=d, **kwargs).result(0)
+        expect = keyrate_curve(protocol, ChannelParams(), mu, [L], d=d, **kwargs).result(0)
         got = curve.result(i)
         assert got.mu == expect.mu == mu
         for name in ("gain", "qber", "rate"):
@@ -462,9 +487,9 @@ def test_curve_matches_per_distance_calls(protocol, mu, d, kwargs):
     assert (curve.rate == 0).any()
 
 
-def passive_by_parts(c, mu, d):
-    """(y1, rate) of the passive-decoy estimator from the per-state public functions."""
-    y1 = pseudo_state_yield(c, mu, d, 1)
+def passive_by_parts(c, L, mu, d):
+    """(y1, rate) of the passive-decoy estimator at L km from the per-state public functions."""
+    y1 = float(pseudo_state_yield(c, mu, [L], d, 1)[0])
     e_b1 = (c.e0 - c.e_det) * (c.y0 / y1) + c.e_det
     delta1 = (1.0 - basis_fidelity_bound(mu / 2.0, d, 1)) / (2.0 * y1)
     e_p1 = phase_error_upper(e_b1, delta1)
@@ -474,19 +499,19 @@ def passive_by_parts(c, mu, d):
 
 
 def test_scalar_estimators_are_the_curve_at_their_distance():
-    # a curve without distances is the one at c.distance_km, and a curve row
-    # does not depend on the other distances of the curve
-    curve = keyrate_curve(PSP_PASSIVE_DECOY, ChannelParams(), 0.45, [0.0, 40.0, 80.0], 8)
-    trig = keyrate_curve(PSP_TRIGGERED, ChannelParams(), 0.45, [0.0, 40.0, 80.0], 8, **TRIGGER)
+    # a one-distance curve is the row of a longer curve at that distance: a curve
+    # row does not depend on the other distances of the curve
+    c = ChannelParams()
+    curve = keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, [0.0, 40.0, 80.0], 8)
+    trig = keyrate_curve(PSP_TRIGGERED, c, 0.45, [0.0, 40.0, 80.0], 8, **TRIGGER)
     for i, L in enumerate((0.0, 40.0, 80.0)):
-        c = ChannelParams(distance_km=L)
-        y1, rate = passive_by_parts(c, 0.45, 8)
-        res = keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, d=8).result(0)
+        y1, rate = passive_by_parts(c, L, 0.45, 8)
+        res = keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, [L], d=8).result(0)
         assert res == curve.result(i)
         assert abs(res.diagnostics["y1"] - y1) <= 1e-15 * y1
         assert abs(res.rate - rate) <= 1e-15 * rate
-        _, _, rate = triggered_by_loop(c, 0.45, 8, 256.0, 0.12, "paper", "exact")
-        res = keyrate_curve(PSP_TRIGGERED, c, 0.45, d=8, **TRIGGER).result(0)
+        _, _, rate = triggered_by_loop(c, L, 0.45, 8, 256.0, 0.12, "paper", "exact")
+        res = keyrate_curve(PSP_TRIGGERED, c, 0.45, [L], d=8, **TRIGGER).result(0)
         assert res == trig.result(i)
         assert abs(res.rate - rate) <= 1e-15 * rate
 
@@ -495,19 +520,19 @@ def test_scalar_estimators_are_the_curve_at_their_distance():
 def test_estimators_without_dark_counts_at_extreme_distance():
     # with y0 = 0 the gain and the yields underflow to 0 far out; the scalar
     # estimators used to raise ZeroDivisionError there
-    far = ChannelParams(y0=0.0, distance_km=20000.0)
-    assert keyrate_curve(
-        WCS_NONDECOY, ChannelParams(y0=0.0, distance_km=1000.0), 0.03).result(0).rate == 0.0
-    assert keyrate_curve(WCS_DECOY, far, 0.5).result(0).rate == 0.0
-    assert keyrate_curve(PSP_PASSIVE_DECOY, far, 0.45, d=8).result(0).rate == 0.0
-    assert keyrate_curve(PSP_TRIGGERED, far, 0.45, d=8, **TRIGGER).result(0).rate == 0.0
-    curve = keyrate_curve(PSP_TRIGGERED, far, 0.45, [0.0, 20000.0], 8, **TRIGGER)
+    dark = ChannelParams(y0=0.0)
+    assert keyrate_curve(WCS_NONDECOY, dark, 0.03, [1000.0]).result(0).rate == 0.0
+    assert keyrate_curve(WCS_DECOY, dark, 0.5, [20000.0]).result(0).rate == 0.0
+    assert keyrate_curve(PSP_PASSIVE_DECOY, dark, 0.45, [20000.0], d=8).result(0).rate == 0.0
+    assert keyrate_curve(PSP_TRIGGERED, dark, 0.45, [20000.0], d=8,
+                         **TRIGGER).result(0).rate == 0.0
+    curve = keyrate_curve(PSP_TRIGGERED, dark, 0.45, [0.0, 20000.0], 8, **TRIGGER)
     assert curve.rate[0] > 0.0 == curve.rate[1]
 
 
 def test_keyrate_curve_rejects_bad_distances():
     c = ChannelParams()
-    for distances in ([-1.0, 2.0], [0.0, math.nan], [[1.0]]):
+    for distances in ([-1.0, 2.0], [0.0, math.nan], [math.inf], [0.0, -math.inf], [[1.0]]):
         with pytest.raises(ValueError, match="distances"):
             keyrate_curve(WCS_DECOY, c, 0.5, distances)
     # an empty grid: the triggered source divided by zero, the passive one
@@ -521,24 +546,24 @@ def test_keyrate_curve_rejects_bad_distances():
 
 
 def test_degenerate_residues_raise_only_for_the_exact_yield_model(isolated):
-    c = ChannelParams(distance_km=40.0)
+    c = ChannelParams()
     with pytest.raises(DegenerateStateError):
-        pseudo_state_yield(c, 0.0, 4, 1)
+        pseudo_state_yield(c, 0.0, [40.0], 4, 1)
     # At mu = 1e-200 every residue above j = 1 underflows to zero mass; the
     # fresh interpreter turns a series that fails to terminate into a failure.
     code, out = isolated(
         "from pspsim import *\n"
-        "c = ChannelParams(distance_km=40.0)\n"
+        "c = ChannelParams()\n"
         "for model in ('exact', 'dominant'):\n"
-        "    for call in (lambda: pseudo_state_yield(c, 1e-200, 4, 2, model),\n"
-        "                 lambda: keyrate_curve(PSP_TRIGGERED, c, 1e-200, d=4, nu=64.0,\n"
+        "    for call in (lambda: float(pseudo_state_yield(c, 1e-200, [40.0], 4, 2, model)[0]),\n"
+        "                 lambda: keyrate_curve(PSP_TRIGGERED, c, 1e-200, [40.0], d=4, nu=64.0,\n"
         "                                       eta_trigger_det=0.12,\n"
         "                                       yield_model=model).result(0).rate):\n"
         "        try:\n"
         "            print(repr(call()))\n"
         "        except DegenerateStateError:\n"
         "            print('DegenerateStateError')\n"
-        "print(repr(1.0 - (1.0 - c.y0) * (1.0 - transmission(c)) ** 2))\n")
+        "print(repr(1.0 - (1.0 - c.y0) * (1.0 - float(transmission(c, [40.0])[0])) ** 2))\n")
     lines = out.splitlines()
     assert code == 0
     assert lines[:2] == ["DegenerateStateError"] * 2
@@ -547,24 +572,22 @@ def test_degenerate_residues_raise_only_for_the_exact_yield_model(isolated):
 
 
 def test_psp_triggered_gain_bound_consistency():
-    c = ChannelParams(distance_km=40.0)
-    res = keyrate_curve(PSP_TRIGGERED, c, 0.45, d=8, **TRIGGER).result(0)
+    res = keyrate_curve(PSP_TRIGGERED, ChannelParams(), 0.45, [40.0], d=8, **TRIGGER).result(0)
     diag = res.diagnostics
     assert diag["q_t_j1_bound"] <= diag["q_t_j1_exact"] + 1e-18
 
 
 def test_keyrate_curve_mu_search_behavior():
-    c = ChannelParams(distance_km=20.0)
-    res = keyrate_curve(WCS_DECOY, c, GRID).result(0)
+    c = ChannelParams()
+    res = keyrate_curve(WCS_DECOY, c, GRID, [20.0]).result(0)
     assert abs(res.mu - 0.5) < 1e-12
-    assert res.rate == keyrate_curve(WCS_DECOY, c, 0.5).result(0).rate
-    best = keyrate_curve(PSP_PASSIVE_DECOY, ChannelParams(distance_km=40.0), [0.8, 0.9, 1.0, 1.1],
-                         d=36)
+    assert res.rate == keyrate_curve(WCS_DECOY, c, 0.5, [20.0]).result(0).rate
+    best = keyrate_curve(PSP_PASSIVE_DECOY, c, [0.8, 0.9, 1.0, 1.1], [40.0], d=36)
     assert best.mu.tolist() == [1.0]
     with pytest.raises(ValueError):
-        keyrate_curve("unknown", c, GRID)
+        keyrate_curve("unknown", c, GRID, [20.0])
     with pytest.raises(ValueError):
-        keyrate_curve(WCS_DECOY, c, [])
+        keyrate_curve(WCS_DECOY, c, [], [20.0])
 
 
 @pytest.mark.parametrize("mu, message", [
@@ -575,7 +598,7 @@ def test_keyrate_curve_mu_search_behavior():
 def test_keyrate_curve_refuses_a_mu_that_is_no_positive_number_or_grid(mu, message):
     for protocol, d in ((WCS_DECOY, None), (PSP_PASSIVE_DECOY, 8)):
         with pytest.raises(ValueError, match=message):
-            keyrate_curve(protocol, ChannelParams(), mu, d=d)
+            keyrate_curve(protocol, ChannelParams(), mu, [0.0], d=d)
 
 
 @pytest.mark.parametrize("protocol, mu, d, kwargs", CURVE_CASES)
@@ -603,11 +626,11 @@ def test_keyrate_curve_is_the_one_key_rate_entry_point():
 
 
 @pytest.mark.parametrize("call, name, protocol", [
-    (lambda c: keyrate_curve(WCS_DECOY, c, 0.5, d=8), "d", WCS_DECOY),
-    (lambda c: keyrate_curve(WCS_DECOY, c, 0.5, nu=3.0, bogus=1), "nu", WCS_DECOY),
-    (lambda c: keyrate_curve(PSP_NONDECOY, c, 0.03, d=8, yield_model="dominant"), "yield_model",
-     PSP_NONDECOY),
-    (lambda c: keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, d=8, bogus=1), "bogus",
+    (lambda c: keyrate_curve(WCS_DECOY, c, 0.5, [0.0], d=8), "d", WCS_DECOY),
+    (lambda c: keyrate_curve(WCS_DECOY, c, 0.5, [0.0], nu=3.0, bogus=1), "nu", WCS_DECOY),
+    (lambda c: keyrate_curve(PSP_NONDECOY, c, 0.03, [0.0], d=8, yield_model="dominant"),
+     "yield_model", PSP_NONDECOY),
+    (lambda c: keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, [0.0], d=8, bogus=1), "bogus",
      PSP_PASSIVE_DECOY),
 ], ids=["wcs-decoy-d", "wcs-decoy-nu", "psp-nondecoy-yield-model", "psp-passive-bogus"])
 def test_keyrate_curve_refuses_what_its_protocol_does_not_read(call, name, protocol):
@@ -627,13 +650,13 @@ def test_keyrate_curve_takes_exactly_its_protocols_parameters(protocol):
     assert set(PARAMETER_VALUES) == set().union(*PARAMETERS.values())
     own = {name: PARAMETER_VALUES[name] for name in PARAMETERS[protocol]}
     mu = 0.02 if protocol in (WCS_NONDECOY, PSP_NONDECOY) else 0.45
-    assert keyrate_curve(protocol, ChannelParams(), mu, **own).rate[0] > 0.0
+    assert keyrate_curve(protocol, ChannelParams(), mu, [0.0], **own).rate[0] > 0.0
     others = [name for name in PARAMETER_VALUES if name not in own]
     assert others or protocol == PSP_TRIGGERED  # the triggered source reads every name
     for name in others:
         with pytest.raises(ValueError, match="^%s does not apply to protocol %s$"
                            % (name, protocol)):
-            keyrate_curve(protocol, ChannelParams(), mu, **dict(own, **{name: 1}))
+            keyrate_curve(protocol, ChannelParams(), mu, [0.0], **dict(own, **{name: 1}))
 
 
 @pytest.mark.parametrize("given, missing", [({}, "eta_trigger_det and nu"),
@@ -642,7 +665,7 @@ def test_keyrate_curve_takes_exactly_its_protocols_parameters(protocol):
 def test_triggered_curve_without_its_trigger_is_a_value_error(given, missing):
     # each raised an untyped TypeError from the estimator's signature
     with pytest.raises(ValueError, match="^protocol psp-triggered needs %s$" % missing):
-        keyrate_curve(PSP_TRIGGERED, ChannelParams(), 0.45, d=8, **given)
+        keyrate_curve(PSP_TRIGGERED, ChannelParams(), 0.45, [0.0], d=8, **given)
 
 
 def test_keyrate_curve_mu_search_over_distances_matches_per_distance_search():
@@ -650,8 +673,7 @@ def test_keyrate_curve_mu_search_over_distances_matches_per_distance_search():
     kwargs = {"nu": 256.0, "eta_trigger_det": 0.12}
     curve = keyrate_curve(PSP_TRIGGERED, ChannelParams(), GRID, distances, 8, **kwargs)
     for i, L in enumerate(distances):
-        res = keyrate_curve(PSP_TRIGGERED, ChannelParams(distance_km=L), GRID, d=8,
-                            **kwargs).result(0)
+        res = keyrate_curve(PSP_TRIGGERED, ChannelParams(), GRID, [L], d=8, **kwargs).result(0)
         assert res.mu == curve.mu[i]
         assert abs(res.rate - curve.rate[i]) <= 1e-15 * res.rate
         assert res.diagnostics.keys() == curve.result(i).diagnostics.keys()
@@ -675,7 +697,7 @@ def test_keyrate_curve_mu_search_first_index_tie_break(monkeypatch):
     curve = keyrate_curve(WCS_DECOY, ChannelParams(), grid, [0.0, 10.0, 20.0])
     assert curve.mu.tolist() == [0.5, 0.3, 0.3]
     assert curve.rate.tolist() == [0.5, 0.3, 0.3]
-    res = keyrate_curve(WCS_DECOY, ChannelParams(distance_km=10.0), grid).result(0)
+    res = keyrate_curve(WCS_DECOY, ChannelParams(), grid, [10.0]).result(0)
     assert (res.mu, res.rate) == (0.5, 0.5)  # a search at one distance sees that distance first
 
 
@@ -820,26 +842,27 @@ def test_a_diagnostic_is_listed_only_where_its_branch_reached_it():
         assert {None, "basis dependence too strong for the fidelity bound",
                 "phase-error bound >= 1/2"} <= reasons, protocol
 
-def gllp_by_hand(c, mu, p_multi):
-    """The GLLP non-decoy rate from the channel's gain and QBER."""
-    st = channel_stats(c, mu)
-    omega = (st.q_mu - p_multi) / st.q_mu
-    return max(0.0, -c.f * st.q_mu * binary_entropy(st.e_mu)
-               + st.q_mu * omega * (1.0 - binary_entropy(st.e_mu / omega)))
+def gllp_by_hand(c, L, mu, p_multi):
+    """The GLLP non-decoy rate at L km from the channel's gain and QBER."""
+    st = channel_stats(c, mu, [L])
+    q_mu, e_mu = float(st.q_mu[0]), float(st.e_mu[0])
+    omega = (q_mu - p_multi) / q_mu
+    return max(0.0, -c.f * q_mu * binary_entropy(e_mu)
+               + q_mu * omega * (1.0 - binary_entropy(e_mu / omega)))
 
 
 def test_keyrate_curve_protocol_dispatch():
-    c = ChannelParams(distance_km=10.0)
+    c = ChannelParams()
     wcs_multi = 1.0 - np.exp(-0.01) * (1.0 + 0.01)
-    rate = keyrate_curve(WCS_NONDECOY, c, 0.01).result(0).rate
+    rate = keyrate_curve(WCS_NONDECOY, c, 0.01, [10.0]).result(0).rate
     assert rate > 0.0
-    assert rate == gllp_by_hand(c, 0.01, wcs_multi)
+    assert rate == gllp_by_hand(c, 10.0, 0.01, wcs_multi)
     psp_multi = sum(residue_masses(0.03, 8)[2:].tolist())
-    rate = keyrate_curve(PSP_NONDECOY, c, 0.03, d=8).result(0).rate
+    rate = keyrate_curve(PSP_NONDECOY, c, 0.03, [10.0], d=8).result(0).rate
     assert rate > 0.0
-    assert abs(rate - gllp_by_hand(c, 0.03, psp_multi)) <= 1e-15 * rate
+    assert abs(rate - gllp_by_hand(c, 10.0, 0.03, psp_multi)) <= 1e-15 * rate
     with pytest.raises(ValueError):
-        keyrate_curve("unknown", c, 0.1)
+        keyrate_curve("unknown", c, 0.1, [10.0])
 
 
 @pytest.mark.parametrize("protocol", [PSP_NONDECOY, PSP_PASSIVE_DECOY, PSP_TRIGGERED])
@@ -848,23 +871,22 @@ def test_psp_protocols_require_integer_d(protocol, d):
     # psp-nondecoy with d=None used to return the WCS non-decoy rate
     kwargs = {"nu": 256.0, "eta_trigger_det": 0.12} if protocol == PSP_TRIGGERED else {}
     with pytest.raises(ValueError, match="d must be"):
-        keyrate_curve(protocol, ChannelParams(distance_km=2.0), 0.03, d=d, **kwargs)
+        keyrate_curve(protocol, ChannelParams(), 0.03, [2.0], d=d, **kwargs)
 
 
 def test_rates_are_nonnegative():
+    c = ChannelParams()
     for L in (0.0, 50.0, 120.0):
-        c = ChannelParams(distance_km=L)
-        assert keyrate_curve(WCS_NONDECOY, c, 0.1).result(0).rate >= 0.0
-        assert keyrate_curve(WCS_DECOY, c, 0.5).result(0).rate >= 0.0
-        assert keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, d=8).result(0).rate >= 0.0
-        assert keyrate_curve(PSP_TRIGGERED, c, 0.45, d=8, **TRIGGER).result(0).rate >= 0.0
+        assert keyrate_curve(WCS_NONDECOY, c, 0.1, [L]).result(0).rate >= 0.0
+        assert keyrate_curve(WCS_DECOY, c, 0.5, [L]).result(0).rate >= 0.0
+        assert keyrate_curve(PSP_PASSIVE_DECOY, c, 0.45, [L], d=8).result(0).rate >= 0.0
+        assert keyrate_curve(PSP_TRIGGERED, c, 0.45, [L], d=8, **TRIGGER).result(0).rate >= 0.0
 
 
-@pytest.mark.parametrize("field", ["f", "eta_bob", "y0", "e0", "e_det", "alpha_db_per_km",
-                                   "distance_km"])
+@pytest.mark.parametrize("field", ["f", "eta_bob", "y0", "e0", "e_det", "alpha_db_per_km"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_channel_params_reject_non_finite(field, value):
-    # a NaN distance used to pass every range check and come out as rate 0.0
+    # a NaN passes every range check, and would come out as rate 0.0
     with pytest.raises(ValueError, match=field):
         ChannelParams(**{field: value})
 
