@@ -10,27 +10,25 @@ import numpy as np
 from pspsim import (
     CONVENTION_PAPER,
     CONVENTION_RECOMPUTED,
-    GenerationParams,
     PSPParams,
-    herald_probabilities,
     loss_channel,
+    residue_masses,
     trigger_probability,
 )
 
+# j is heralded with the residue mass M_j of the signal, whatever the meter's nu
 mu, d = 0.3, 4
+probs = residue_masses(mu, d)
 print("herald probabilities for mu=%.1f, d=%d (sum must be 1)" % (mu, d))
 for nu in (25.0, 100.0, 400.0):
-    g = GenerationParams(mu=mu, nu=nu, d=d, eta_det=0.12)
-    probs = herald_probabilities(g)
     row = "  ".join("P(%d)=%.6f" % (j, probs[j]) for j in range(d))
     drift = sum(probs[j] for j in range(d)) - 1.0
     print("  nu=%6.0f  %s   sum-1 = %.1e" % (nu, row, drift))
 
 print()
 print("no-click trigger probability per residue (wants to be 1 at j=1, 0 elsewhere)")
-g = GenerationParams(mu=mu, nu=4.0 * d * d, d=d, eta_det=0.12)
 for convention in (CONVENTION_PAPER, CONVENTION_RECOMPUTED):
-    row = trigger_probability(g, np.arange(d), convention=convention)
+    row = trigger_probability(4.0 * d * d, d, np.arange(d), 0.12, convention)
     print("  %-10s " % convention + "  ".join("%.6f" % v for v in row))
 
 

@@ -5,7 +5,6 @@ from .generation import (
     CONVENTION_PAPER,
     CONVENTION_RECOMPUTED,
     GenerationParams,
-    herald_probabilities,
     trigger_probability,
 )
 from .metrics import (

@@ -305,10 +305,6 @@ def _hom_inputs(args):
                                       (args.mu2, args.d2, args.delta2)))
 
 
-def _generation(args):
-    return GenerationParams(mu=args.mu, nu=args.nu, d=args.d, eta_det=args.eta_det)
-
-
 def _encoding_error(args):
     # Worst-case conditional wrong-port probability over the four signal
     # states when each is read in its own basis.  The intended ports in
@@ -334,10 +330,10 @@ QUANTITIES = {
     "f2002": (lambda a: f2002(*_hom_inputs(a)), _HOM_PARAMS),
     "basis-fidelity": (lambda a: basis_fidelity_bound(a.mu, a.d, a.j), _MDJ),
     "normalization": (lambda a: normalization(a.mu, a.d, a.j), _MDJ),
-    # herald_probabilities(g)[j] is M_j, and residues=[j] refuses a j outside [0, d)
-    "herald": (lambda a: residue_masses(_generation(a).mu, a.d, [a.j])[0],
+    # the herald weight of j is M_j, and residues=[j] refuses a j outside [0, d)
+    "herald": (lambda a: residue_masses(GenerationParams(a.mu, a.nu, a.d).mu, a.d, [a.j])[0],
                ("mu", "nu", "d", "j")),
-    "trigger": (lambda a: trigger_probability(_generation(a), a.j, convention=a.convention),
+    "trigger": (lambda a: trigger_probability(a.nu, a.d, a.j, a.eta_det, a.convention),
                 ("nu", "d", "j", "convention")),
     "encoding-error": (_encoding_error, _MDJ + ("phase_set",)),
 }
@@ -365,6 +361,8 @@ def cmd_keyrate(args):
     cause = ("--optimize-mu, which searches the --mu-grid-* grid" if args.optimize_mu
              else "a single-mu run; give --optimize-mu to search a mu grid")
     _fill_defaults(args, set(FLAGS["keyrate"]) - unread, dict.fromkeys(("mu",) + search, cause))
+    if not 0 <= args.L < math.inf:
+        raise ValueError("--L must be a finite distance >= 0 km, not %r" % args.L)
     c = ChannelParams(f=args.f, eta_bob=args.eta_bob, y0=args.y0, e_det=args.e_det)
     kwargs = {name: getattr(args, name) for name in PARAMETERS[args.protocol]}
     mu = args.mu

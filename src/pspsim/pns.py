@@ -80,6 +80,16 @@ def _mu(mu):
     return mus
 
 
+def _mu_grid(mu):
+    """mu, a number or a nonempty 1-D grid of nonnegative values, as a float array."""
+    mus = _mu(mu)
+    if not mus.size:
+        raise ValueError("mu must be a number or a nonempty 1-D grid")
+    if (mus < 0).any():
+        raise ValueError("mu must be nonnegative")
+    return mus
+
+
 def residue_masses(mu, d, residues=None):
     """Poisson(mu) masses M_r summed over photon numbers n = r (mod d), r = 0..d-1.
 
@@ -249,12 +259,8 @@ class PSPParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        mus = _mu(self.mu)
-        if mus.ndim and not mus.size:
-            raise ValueError("mu grid must hold at least one value")
+        mus = _mu_grid(self.mu)
         object.__setattr__(self, "mu", tuple(mus.tolist()) if mus.ndim else float(mus))
-        if (mus < 0).any():
-            raise ValueError("mu must be >= 0")
         if np.ndim(self.d) or self.d != math.inf:  # an array d is no integer either
             _validate_dj(self.d, self.j)
         elif _index(self.j, self.d, "j").ndim:

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DegenerateStateError, NumericalDiagnosticError, _clamp_unit, _index, _real
-from .generation import CONVENTION_PAPER, GenerationParams, trigger_probability
-from .pns import (_TABLE_BLOCK, _mu, _support_terms, _validate_dj, normalization,
+from .generation import CONVENTION_PAPER, _check_meter, _trigger
+from .pns import (_TABLE_BLOCK, _mu, _mu_grid, _support_terms, _validate_dj, normalization,
                   residue_masses)
 
 WCS_NONDECOY = "wcs-nondecoy"
@@ -160,14 +160,13 @@ def channel_stats(c, mu, distances):
 
     A pseudo-number source partitions the same Poisson photon statistics by
     residue, so Q_mu and E_mu hold for it and for a weak coherent source alike.
-    A number mu gives arrays over distances (km, 1-D), and a column mu, shape
-    (m, 1), (m, len(distances)) tables.
+    eta is an array over distances (km, 1-D).  A number mu gives Q_mu and E_mu
+    as arrays over distances, and a nonempty 1-D grid (len(mu), len(distances))
+    tables, whose row i has the bits of the call at mu[i].
     """
-    mus = _real(mu, "mu")  # a number, a 1-D array or a column
-    if (mus < 0).any():
-        raise ValueError("mu must be nonnegative")
+    mus = _mu_grid(mu)
     eta = transmission(c, distances)
-    survival = np.exp(-eta * mus)
+    survival = np.exp(-np.multiply.outer(mus, eta))
     q = c.y0 + 1.0 - survival
     e = np.where(q > 0, _ratio(c.e0 * c.y0 + c.e_det * (1.0 - survival), q), c.e0)
     return ChannelStats(eta=eta, q_mu=q, e_mu=e)
@@ -181,7 +180,8 @@ def _ratio(num, den):
 
 def pseudo_state_yield(c, mu, distances, d, j, model="exact"):
     """Detection probability of |j_d> at each of distances (km, 1-D): its photon-number
-    mixture of yields, an array over distances.
+    mixture of yields.  A number mu gives an array over distances, and a nonempty 1-D
+    grid a (len(mu), len(distances)) table, whose row i has the bits of the call at mu[i].
 
     model="exact" averages Y_n over the conditional distribution
     p(n | j) = d^2 e^{-mu} mu^n / (n! N_{mu,j}); model="dominant" collapses
@@ -189,11 +189,11 @@ def pseudo_state_yield(c, mu, distances, d, j, model="exact"):
     n-photon yield Y_n = 1 - (1 - Y0)(1 - eta)^n.
     """
     _validate_dj(d, j)
-    if (_mu(mu) < 0).any():  # the dominant model reads no residue mass, whose series checks it
-        raise ValueError("mu must be nonnegative")
-    masses = residue_masses(mu, d)[None] if model == "exact" else None
+    mus = _mu_grid(mu)
+    masses = residue_masses(mus.ravel(), d) if model == "exact" else None
     eta = transmission(c, distances)
-    return np.array(_state_yields(c, np.array([[mu]]), d, [j], masses, eta, model)[0, :, 0])
+    table = _state_yields(c, mus.reshape(-1, 1), d, [j], masses, eta, model)[:, :, 0]
+    return np.array(table if mus.ndim else table[0])
 
 
 def _state_yields(c, mus, d, js, masses, eta, model):
@@ -315,14 +315,12 @@ def basis_fidelity_bound(mu, d, j):
     and d an integer >= 1 divisible by 4.  The result is clamped to [0, 1];
     one that misses it by more than UNIT_RESIDUE_TOL, or a phase sum that
     overflows (mu above about 700), is a NumericalDiagnosticError.  mu may be
-    a 1-D array: one residue table serves the normalizations, one (len(mu), d)
+    a nonempty 1-D grid: one residue table serves the normalizations, one (len(mu), d)
     array the phase sums, and each entry equals the scalar call's bits, since
     every step is elementwise and the modulus is libm hypot for every shape.
     """
     _validate_encoding_d(d)
-    mus = _mu(mu)  # finite before the phase sums, which would warn on it
-    if (mus < 0).any():
-        raise ValueError("mu must be nonnegative")
+    mus = _mu_grid(mu)  # finite before the phase sums, which would warn on it
     q = np.arange(d)
     winv = np.exp(-2j * np.pi * q / d)
     norms = normalization(2.0 * mus, d, j)
@@ -412,7 +410,7 @@ def _nondecoy_curve(c, distances, mus, d=None):
     Omega = (Q - P_multi)/Q, with P_multi the source's multi-state weight:
     1 - e^{-mu}(1 + mu) for WCS, the total j >= 2 residue weight otherwise.
     """
-    st = channel_stats(c, mus, distances)
+    st = channel_stats(c, mus[:, 0], distances)
     if d is None:
         p_multi = 1.0 - np.exp(-mus) * (1.0 + mus)
     else:
@@ -433,7 +431,7 @@ def _wcs_decoy_curve(c, distances, mus):
     R = max(0, -f Q H(E) + Q1 [1 - H(e1)]), Q1 = Y1 mu e^{-mu},
     e1 = (e0 - e_det) Y0/Y1 + e_det.
     """
-    st = channel_stats(c, mus, distances)
+    st = channel_stats(c, mus[:, 0], distances)
     y1 = _state_yields(c, mus, None, [1], None, st.eta, "dominant")[:, :, 0]
     q1 = y1 * mus * np.exp(-mus)
     e1 = _bit_error(c, y1)
@@ -451,7 +449,7 @@ def _psp_passive_curve(c, distances, mus, d, basis_mu="half", yield_model="exact
     weight, Y1 the state's yield, e_b1 its bit error and e_p1 its phase
     error (_phase_error); a vacuous bound zeroes the rate with a diagnostic.
     """
-    st = channel_stats(c, mus, distances)
+    st = channel_stats(c, mus[:, 0], distances)
     _validate_dj(d, 1)
     masses = residue_masses(mus[:, 0], d)
     p1 = masses[:, 1:2]
@@ -478,10 +476,8 @@ def _psp_triggered_curve(c, distances, mus, d, nu, eta_trigger_det, convention=C
     and the phase error inherits the basis-dependence penalty.  Either bound
     going vacuous zeroes the rate with a diagnostic.
     """
-    # the trigger vector depends on nu, d and the detector, not on mu
-    g = GenerationParams(mu=float(mus[0, 0]), nu=nu, d=d, eta_det=eta_trigger_det)
-    probs = residue_masses(mus[:, 0], d)  # checks every mu
-    eta_t = trigger_probability(g, np.arange(d), convention)
+    probs = residue_masses(mus[:, 0], d)
+    eta_t = _trigger(nu, d, np.arange(d), eta_trigger_det, convention)  # keyrate_curve checked nu
     eta = transmission(c, distances)
     # (mu, distance, residue) tables of at most _TABLE_BLOCK entries, in C order, where
     # numpy sums each row in the (pairwise) order of a single residue vector
@@ -529,13 +525,10 @@ def keyrate_curve(protocol, c, mu, distances, d=None, **kwargs):
     in the protocol's PARAMETERS entry is a ValueError, and so is a triggered
     source without nu or eta_trigger_det.
     """
-    grid = _mu(mu)
-    if not grid.size:
-        raise ValueError("mu must be a number or a nonempty 1-D grid")
     # sorted(), not np.sort, whose first call maps SIMD kernels: 0.4 MB of peak RSS
-    mus = np.array(sorted(grid.ravel().tolist()))[:, None]
-    if mus[0, 0] <= 0:
-        raise ValueError("mu must be positive")
+    mus = np.array(sorted(_mu(mu).ravel().tolist()))[:, None]
+    if not mus.size or mus[0, 0] <= 0:
+        raise ValueError("mu must be a positive number or a nonempty 1-D grid of them")
     at = _distances(distances)
     if protocol not in PARAMETERS:
         raise ValueError("unknown protocol %r" % (protocol,))
@@ -544,9 +537,11 @@ def keyrate_curve(protocol, c, mu, distances, d=None, **kwargs):
             raise ValueError("%s does not apply to protocol %s" % (name, protocol))
     if "d" in PARAMETERS[protocol]:
         _validate_dj(d)  # the non-decoy estimator reads d=None as a WCS source
-    missing = {"nu", "eta_trigger_det"} - set(kwargs) if protocol == PSP_TRIGGERED else ()
-    if missing:
-        raise ValueError("protocol %s needs %s" % (protocol, " and ".join(sorted(missing))))
+    if protocol == PSP_TRIGGERED:
+        missing = {"nu", "eta_trigger_det"} - set(kwargs)
+        if missing:
+            raise ValueError("protocol %s needs %s" % (protocol, " and ".join(sorted(missing))))
+        _check_meter(kwargs["nu"], d, kwargs["eta_trigger_det"])  # warns at the caller's line
     # the estimators are looked up at call time, so a patched module attribute is what runs
     if protocol in (WCS_NONDECOY, PSP_NONDECOY):
         surface = _nondecoy_curve(c, at, mus, d)

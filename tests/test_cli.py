@@ -12,7 +12,7 @@ import pytest
 
 from pspsim import (ChannelParams, NumericalDiagnosticError, basis_fidelity_bound,
                     g2_zero_closed, residue_masses)
-from pspsim import cli, generation, metrics, pns, qkd, states
+from pspsim import cli, metrics, pns, qkd, states
 
 
 def run(argv):
@@ -251,7 +251,7 @@ def test_fig5_residue_passes_do_not_grow_with_distances(tmp_path, monkeypatch, c
         calls.append(np.size(mu))
         return original(mu, d, residues)
 
-    for module in (pns, qkd, generation):
+    for module in (pns, qkd):
         monkeypatch.setattr(module, "residue_masses", counted)
     counts = []
     for l_max in ("2", "10"):
@@ -420,10 +420,26 @@ def test_keyrate_report(tmp_path, capsys):
 
 
 def test_keyrate_rejects_non_finite_distance(capsys):
-    assert run(["keyrate", "--protocol", "wcs-decoy", "--mu", "0.5", "--L", "nan"]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "invalid-parameter"
-    assert "distances" in err["message"]
+    # the refusal named the library's "distances", not the flag the user typed
+    for value in ("nan", "inf", "-5"):
+        assert run(["keyrate", "--protocol", "wcs-decoy", "--mu", "0.5", "--L", value]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-parameter"
+        assert err["message"].startswith("--L must be"), err
+        assert "distances" not in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["keyrate", "--protocol", "psp-triggered", "--d", "8", "--nu", "1", "--mu", "0.3",
+     "--L", "10"],
+    ["compute", "trigger", "--d", "8", "--nu", "1"],
+    ["compute", "herald", "--d", "8", "--nu", "1"],
+], ids=["keyrate", "trigger", "herald"])
+def test_an_unresolved_meter_warns_once_from_the_cli(capsys, argv):
+    # the triggered key rate warned from inside the estimator, in qkd.py
+    with pytest.warns(UserWarning, match="heterodyne resolution") as record:
+        assert run(argv) == 0
+    assert [w.filename for w in record] == [cli.__file__]
 
 
 @pytest.mark.parametrize("step", ["0", "-0.05", "nan"])

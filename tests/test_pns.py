@@ -16,7 +16,6 @@ from pspsim import (
     binary_entropy,
     fidelity_to_number_state,
     g2_zero_closed,
-    herald_probabilities,
     keyrate_curve,
     loss_channel,
     measure_bb84,
@@ -26,6 +25,7 @@ from pspsim import (
     pseudo_state_yield,
     residue_masses,
     transmission,
+    trigger_probability,
 )
 from pspsim import TruncationError, cli, pns
 
@@ -290,9 +290,9 @@ def test_param_validation():
     # a mu grid is 1-D, nonempty and nonnegative
     with pytest.raises(ValueError, match="mu must be a number or a 1-D array"):
         PSPParams(mu=[[0.1, 0.2]], d=4, j=1)
-    with pytest.raises(ValueError, match="mu grid must hold at least one value"):
+    with pytest.raises(ValueError, match="mu must be a number or a nonempty 1-D grid"):
         PSPParams(mu=[], d=4, j=1)
-    with pytest.raises(ValueError, match="mu must be >= 0"):
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
         PSPParams(mu=[0.1, -0.2], d=4, j=1)
 
 
@@ -318,7 +318,7 @@ def test_a_mu_grid_state_compares_by_value_and_reads_as_arrays():
     lambda: normalization(0.5, True, 0),
     lambda: normalization(0.5, 4, True),
     lambda: g2_zero_closed(0.5, True),
-    lambda: herald_probabilities(GenerationParams(0.5, 100.0, True)),
+    lambda: GenerationParams(0.5, 100.0, True),
     lambda: keyrate_curve(PSP_NONDECOY, ChannelParams(), 0.1, [0.0], d=True),
     lambda: PSPParams(mu=0.5, d=True, j=0),
     lambda: PSPParams(mu=0.5, d=4, j=True),
@@ -347,7 +347,7 @@ def test_psp_params_rejects_a_sequence_of_d(d):
     (lambda mu: keyrate_curve(WCS_DECOY, ChannelParams(), mu, [0.0]), True),  # a mu grid
     (lambda mu: PSPParams(mu=mu, d=8, j=1), False),
     (lambda mu: keyrate_curve(PSP_PASSIVE_DECOY, ChannelParams(), mu, [0.0], d=8), False),
-    (lambda mu: pseudo_state_yield(ChannelParams(), mu, [0.0], 4, 1, "dominant"), False),
+    (lambda mu: pseudo_state_yield(ChannelParams(), mu, [0.0], 4, 1, "dominant"), True),
     (lambda mu: GenerationParams(mu=mu, nu=100.0, d=4), False),
 ], ids=["residue_masses", "normalization", "g2_zero_closed", "basis_fidelity_bound",
         "optimize_mu", "PSPParams", "keyrate_for_protocol", "pseudo_state_yield",
@@ -361,7 +361,7 @@ def test_bool_is_no_mu(call, arrays):
 
 @pytest.mark.parametrize("name, call", [
     ("nu", lambda v: GenerationParams(mu=0.1, nu=v, d=1)),
-    ("eta_det", lambda v: GenerationParams(mu=0.1, nu=100.0, d=4, eta_det=v)),
+    ("eta_det", lambda v: trigger_probability(100.0, 4, 1, eta_det=v)),
     ("eta_bob", lambda v: ChannelParams(eta_bob=v)),
     ("delta", lambda v: PSPParams(mu=0.1, d=8, delta=v)),
     ("eta", lambda v: loss_channel(PSPParams(mu=0.1, d=4), v)),
@@ -369,7 +369,7 @@ def test_bool_is_no_mu(call, arrays):
     ("distances", lambda v: keyrate_curve(WCS_DECOY, ChannelParams(), 0.5, [v])),
     ("e_bit", lambda v: phase_error_upper(v, 0.1)),
     ("p", lambda v: binary_entropy(v)),
-], ids=["GenerationParams-nu", "GenerationParams-eta_det", "ChannelParams-eta_bob",
+], ids=["GenerationParams-nu", "trigger_probability-eta_det", "ChannelParams-eta_bob",
         "PSPParams-delta", "loss_channel", "transmission", "keyrate_curve", "phase_error_upper",
         "binary_entropy"])
 def test_bool_is_no_real_parameter(name, call):

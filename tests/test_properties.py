@@ -17,6 +17,8 @@ from pspsim import (
     NumericalDiagnosticError,
     PSPParams,
     TruncationError,
+    basis_fidelity_bound,
+    channel_stats,
     g2_zero_closed,
     keyrate_curve,
     loss_channel,
@@ -122,6 +124,41 @@ def test_pseudo_state_yield_is_a_probability(mu, d, data, distance, model):
     j = data.draw(st.integers(0, d - 1), label="j")
     y = pseudo_state_yield(ChannelParams(), mu, [distance], d, j, model)[0]
     assert 0.0 <= y <= 1.0
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(mus=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=8),
+       distances=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=6),
+       d=st.sampled_from([4, 8, 36]), data=st.data())
+def test_each_grid_row_is_the_one_point_call(mus, distances, d, data):
+    # a (len(mu), len(distances)) table, whose row i has the bits of the call at mu[i];
+    # a grid that is refused holds a point whose own call is refused the same way
+    j = data.draw(st.integers(0, d - 1), label="j")
+    c = ChannelParams()
+    calls = {"eta": lambda mu: channel_stats(c, mu, distances).eta,
+             "q_mu": lambda mu: channel_stats(c, mu, distances).q_mu,
+             "e_mu": lambda mu: channel_stats(c, mu, distances).e_mu,
+             "exact": lambda mu: pseudo_state_yield(c, mu, distances, d, j, "exact"),
+             "dominant": lambda mu: pseudo_state_yield(c, mu, distances, d, j, "dominant"),
+             "basis_fidelity_bound": lambda mu: basis_fidelity_bound(mu, d, j)}
+    for name, call in calls.items():
+        try:
+            table = call(np.array(mus))
+        except TYPED_ERRORS as exc:
+            refused = []
+            for mu in mus:
+                try:
+                    call(mu)
+                except type(exc):
+                    refused.append(mu)
+            assert refused, (name, exc)
+            continue
+        if name == "eta":  # one row over distances, whatever mu is
+            assert table.tobytes() == call(mus[0]).tobytes()
+            continue
+        assert table.shape == (len(mus),) + (len(distances),) * (name != "basis_fidelity_bound")
+        for i, mu in enumerate(mus):
+            assert table[i].tobytes() == np.asarray(call(mu)).tobytes(), (name, mu)
 
 
 @PROPERTY

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from pspsim import qkd
 from pspsim import (
     ChannelParams,
     DegenerateStateError,
-    GenerationParams,
     KeyRateCurve,
     NumericalDiagnosticError,
     TruncationError,
@@ -105,9 +105,43 @@ def test_channel_stats_rejects_bool_mu():
     for mu in (True, np.True_, np.array([[True]]), np.array([True, False]), [[0.5], [True]]):
         with pytest.raises(ValueError, match="bool"):
             channel_stats(c, mu, [0.0])
-    column = channel_stats(c, np.array([[0.5], [1.0]]), np.array([0.0, 50.0]))
-    assert column.q_mu.shape == (2, 2)
-    assert column.q_mu[1, 0] == channel_stats(c, 1.0, [0.0]).q_mu[0]
+    grid = channel_stats(c, np.array([0.5, 1.0]), np.array([0.0, 50.0]))
+    assert grid.q_mu.shape == (2, 2)
+    assert grid.q_mu[1, 0] == channel_stats(c, 1.0, [0.0]).q_mu[0]
+
+
+def test_a_mu_grid_gives_a_table_of_the_one_point_calls():
+    # channel_stats zipped the grid with the distances: [Q(0.1, 0 km), Q(0.2, 10 km)];
+    # pseudo_state_yield's dominant model dropped the grid, and the exact one failed with
+    # numpy's broadcast message
+    c, grid, distances = ChannelParams(), [0.1, 0.2], [0.0, 10.0]
+    assert channel_stats(c, grid, distances).eta.tobytes() == transmission(c, distances).tobytes()
+    calls = {"q_mu": lambda mu: channel_stats(c, mu, distances).q_mu,
+             "e_mu": lambda mu: channel_stats(c, mu, distances).e_mu,
+             "exact": lambda mu: pseudo_state_yield(c, mu, distances, 4, 1, "exact"),
+             "dominant": lambda mu: pseudo_state_yield(c, mu, distances, 4, 1, "dominant")}
+    for name, call in calls.items():
+        table = call(grid)
+        assert table.shape == (2, 2), name
+        for i, mu in enumerate(grid):
+            assert table[i].tobytes() == call(mu).tobytes(), (name, mu)
+
+
+@pytest.mark.parametrize("mu, message", [
+    ([[0.1], [0.2]], "mu must be a number or a 1-D array"),
+    (np.ones((2, 2, 1)), "mu must be a number or a 1-D array"),
+    ([], "mu must be a number or a nonempty 1-D grid"),
+], ids=["column", "3-d", "empty"])
+def test_channel_functions_refuse_a_mu_that_is_no_number_or_grid(mu, message):
+    # channel_stats gave a table for a column and a 3-D one for a 3-D mu; an empty grid
+    # gave empty arrays, as it still did for basis_fidelity_bound
+    c = ChannelParams()
+    for call in (lambda: channel_stats(c, mu, [0.0, 10.0]),
+                 lambda: pseudo_state_yield(c, mu, [0.0, 10.0], 4, 1, "exact"),
+                 lambda: pseudo_state_yield(c, mu, [0.0, 10.0], 4, 1, "dominant"),
+                 lambda: basis_fidelity_bound(mu, 8, 1)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_estimators_reject_non_finite_mu():
@@ -404,10 +438,9 @@ def test_psp_triggered_frozen_point_and_upper_bound():
 
 def triggered_by_loop(c, L, mu, d, nu, eta_det, convention, yield_model):
     """(q_t_mu, q_nt_mu, rate) of the triggered estimator at L km, one residue at a time."""
-    g = GenerationParams(mu=mu, nu=nu, d=d, eta_det=eta_det)
     probs = residue_masses(mu, d).tolist()
     yields = [float(pseudo_state_yield(c, mu, [L], d, j, yield_model)[0]) for j in range(d)]
-    eta_t = [trigger_probability(g, j, convention) for j in range(d)]
+    eta_t = [trigger_probability(nu, d, j, eta_det, convention) for j in range(d)]
     q_t = [p * t * y for p, t, y in zip(probs, eta_t, yields)]
     q_nt = [p * (1.0 - t) * y for p, t, y in zip(probs, eta_t, yields)]
     q_t_mu, q_nt_mu = float(np.sum(q_t)), float(np.sum(q_nt))
